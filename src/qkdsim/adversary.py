@@ -48,23 +48,6 @@ from .pipeline import (
 from .seeding import derive_bytes, make_rng
 
 
-@dataclass
-class AttackOutcome:
-    """Raw facts about one attacked session, used to judge success.
-
-    learned_bits holds (key index, predicted bit, actual bit) triples for
-    attacks that extract key material. Fields that do not apply to a given
-    strategy stay None.
-    """
-
-    keys_differ: bool | None = None
-    alice_verdict: Verdict | None = None
-    bob_verdict: Verdict | None = None
-    learned_bits: list[tuple[int, int, int]] | None = None
-    impersonation_accepted: bool | None = None
-    plaintext_tamper_effect: tuple[BitVector, BitVector] | None = None
-
-
 # ------------------------------------------------------------- frame attacks
 
 
@@ -395,8 +378,7 @@ def run_collision_impersonation(
     attacker, bob = source_correlated(params, rng)
     sift(attacker, bob.bases)
     sift(bob, attacker.bases)
-    est = estimate_error(attacker, bob, params, rng)
-    if est.abort:
+    if len(attacker.sifted) == 0 or estimate_error(attacker, bob, params, rng).abort:
         return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None, aborted=True)
     reconcile(attacker, bob)
 

@@ -3,9 +3,12 @@
 Bit i of a vector lives at bit position i of a Python int (LSB first), so
 XOR, AND and popcount run word-parallel on arbitrary lengths. Values are
 kept canonical: bits at positions >= len are always zero, which makes
-equality and hashing plain int comparisons. Matrices are row-major tuples
-of such ints and are treated as immutable; mutating operations return new
-matrices that share unchanged rows.
+equality and hashing plain int comparisons. A matrix keeps its rows in a
+read-only (rows, words) numpy array of little-endian uint64 words, each row
+laid out like a vector's int and zero-padded to whole words, so products
+and serialization run over the whole matrix at once. Matrices are
+immutable; operations that change one return a new matrix built on a copy
+of the array.
 """
 
 from __future__ import annotations
@@ -167,24 +170,56 @@ class BitVector:
         return cls(n, unpack_bits_msb(bytes.fromhex(body), n))
 
 
-class BitMatrix:
-    """Immutable rectangular bit matrix, rows stored as canonical ints."""
+_WORD = np.dtype("<u8")
 
-    __slots__ = ("rows", "cols", "row_values")
+
+def _words_per_row(cols: int) -> int:
+    return (cols + 63) // 64
+
+
+def _as_words(value: int, nwords: int) -> np.ndarray:
+    """A canonical LSB-first int as nwords little-endian uint64 words."""
+    return np.frombuffer(value.to_bytes(8 * nwords, "little"), _WORD)
+
+
+class BitMatrix:
+    """Immutable rectangular bit matrix over GF(2).
+
+    Row i is words[i]: entry (i, j) is bit j % 64 of word j // 64, and bits
+    at columns >= cols are zero. row_values gives the same rows as
+    canonical ints, derived from the words on first use.
+    """
+
+    __slots__ = ("rows", "cols", "words", "_row_values")
 
     def __init__(self, row_values: Sequence[int], cols: int):
         if cols < 0:
             raise ValueError("cols must be nonnegative")
-        for r in row_values:
+        values = tuple(row_values)
+        for r in values:
             if r < 0 or r >> cols:
                 raise ValueError("row value has bits outside cols")
-        self.rows = len(row_values)
+        nbytes = 8 * _words_per_row(cols)
+        buf = b"".join(r.to_bytes(nbytes, "little") for r in values)
+        self._init(np.frombuffer(buf, _WORD).reshape(len(values), nbytes // 8), cols, values)
+
+    def _init(self, words: np.ndarray, cols: int, row_values: tuple[int, ...] | None) -> None:
+        words.flags.writeable = False
+        self.rows = words.shape[0]
         self.cols = cols
-        self.row_values = tuple(row_values)
+        self.words = words
+        self._row_values = row_values
+
+    @classmethod
+    def _from_words(cls, words: np.ndarray, cols: int) -> "BitMatrix":
+        """Wrap a canonical word array; the matrix takes ownership of it."""
+        m = cls.__new__(cls)
+        m._init(words, cols, None)
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls((0,) * rows, cols)
+        return cls._from_words(np.zeros((rows, _words_per_row(cols)), _WORD), cols)
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
@@ -196,30 +231,53 @@ class BitMatrix:
                 raise ValueError(f"length mismatch: row of {r.n} in matrix of cols {cols}")
         return cls(tuple(r.value for r in rows), cols)
 
+    @classmethod
+    def from_packed_rows(cls, data: bytes, rows: int, cols: int) -> "BitMatrix":
+        """Matrix from rows * ceil(cols / 8) bytes, one byte-padded row after another.
+
+        Each row is packed LSB first: entry (i, j) is bit j % 8 of the row's
+        byte j // 8. Bits past cols in a row's last byte are dropped.
+        """
+        nbytes = (cols + 7) // 8
+        if len(data) != rows * nbytes:
+            raise ValueError(f"expected {rows * nbytes} bytes for {rows}x{cols}, got {len(data)}")
+        padded = np.zeros((rows, 8 * _words_per_row(cols)), np.uint8)
+        padded[:, :nbytes] = np.frombuffer(data, np.uint8).reshape(rows, nbytes)
+        if cols % 8:
+            padded[:, nbytes - 1] &= (1 << (cols % 8)) - 1
+        return cls._from_words(padded.view(_WORD), cols)
+
+    @property
+    def row_values(self) -> tuple[int, ...]:
+        """Rows as canonical LSB-first ints."""
+        if self._row_values is None:
+            self._row_values = tuple(int.from_bytes(w.tobytes(), "little") for w in self.words)
+        return self._row_values
+
     def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_values[i])
+        return BitVector(self.cols, int.from_bytes(self.words[i].tobytes(), "little"))
 
     def get(self, i: int, j: int) -> int:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range for cols {self.cols}")
-        return (self.row_values[i] >> j) & 1
+        return int(self.words[i, j >> 6] >> (j & 63)) & 1
 
     def with_row(self, i: int, row: BitVector) -> "BitMatrix":
         if row.n != self.cols:
             raise ValueError(f"length mismatch: row of {row.n} vs cols {self.cols}")
-        values = list(self.row_values)
-        values[i] = row.value
-        return BitMatrix(values, self.cols)
+        words = self.words.copy()
+        words[i] = _as_words(row.value, words.shape[1])
+        return BitMatrix._from_words(words, self.cols)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitMatrix)
             and self.cols == other.cols
-            and self.row_values == other.row_values
+            and np.array_equal(self.words, other.words)
         )
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.row_values))
+        return hash((self.cols, self.rows, self.words.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -227,12 +285,12 @@ class BitMatrix:
     def density(self) -> float:
         if self.rows * self.cols == 0:
             return 0.0
-        ones = sum(r.bit_count() for r in self.row_values)
-        return ones / (self.rows * self.cols)
+        return int(np.bitwise_count(self.words).sum()) / (self.rows * self.cols)
 
     def to_bytes_msb(self) -> bytes:
         """Rows concatenated, each packed MSB-first and byte-padded."""
-        return b"".join(pack_bits_msb(r, self.cols) for r in self.row_values)
+        nbytes = (self.cols + 7) // 8
+        return self.words.view(np.uint8)[:, :nbytes].tobytes().translate(_REV8)
 
     def to_hex(self) -> str:
         """Dimension header line, then one length-prefixed hex row per line."""
@@ -263,25 +321,23 @@ def matvec(m: BitMatrix, v: BitVector) -> BitVector:
     """Matrix-vector product over GF(2): out[i] = parity(row_i AND v)."""
     if m.cols != v.n:
         raise ValueError(f"dimension mismatch: matrix cols {m.cols} vs vector length {v.n}")
-    x = v.value
-    out = 0
-    for i, r in enumerate(m.row_values):
-        out |= ((r & x).bit_count() & 1) << i
-    return BitVector(m.rows, out)
+    # parity(row AND v) is the parity of the XOR of the row's ANDed words,
+    # so each row needs one popcount.
+    x = _as_words(v.value, m.words.shape[1])
+    folded = np.bitwise_xor.reduce(m.words & x, axis=1)
+    return BitVector.from_array(np.bitwise_count(folded) & 1)
 
 
 def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> BitMatrix:
-    """Uniform random matrix, each entry an independent fair bit from rng."""
+    """Uniform random matrix, each entry an independent fair bit from rng.
+
+    Draws rows * ceil(cols / 8) bytes with a single rng.bytes call, row i
+    from the i-th block, and nothing when the matrix has no entries.
+    """
     nbytes = (cols + 7) // 8
-    mask = (1 << cols) - 1
     if rows == 0 or nbytes == 0:
-        return BitMatrix((0,) * rows, cols)
-    buf = rng.bytes(rows * nbytes)
-    values = [
-        int.from_bytes(buf[i * nbytes : (i + 1) * nbytes], "little") & mask
-        for i in range(rows)
-    ]
-    return BitMatrix(values, cols)
+        return BitMatrix.zeros(rows, cols)
+    return BitMatrix.from_packed_rows(rng.bytes(rows * nbytes), rows, cols)
 
 
 def replace_rows(
@@ -290,19 +346,22 @@ def replace_rows(
     """Replace rows [start, stop) with rows produced by row_factory.
 
     The factory is called once per replaced row, in row order. Rows outside
-    the interval are shared with the input matrix.
+    the interval are copied unchanged from the input matrix.
     """
     if not (0 <= start <= stop <= m.rows):
         raise ValueError(
             f"row interval [{start}, {stop}) out of range for {m.rows} rows"
         )
-    values = list(m.row_values)
-    for i in range(start, stop):
+    nwords = m.words.shape[1]
+    fresh = []
+    for _ in range(start, stop):
         row = row_factory()
         if row.n != m.cols:
             raise ValueError(f"length mismatch: row of {row.n} vs cols {m.cols}")
-        values[i] = row.value
-    return BitMatrix(values, m.cols)
+        fresh.append(row.value.to_bytes(8 * nwords, "little"))
+    words = m.words.copy()
+    words[start:stop] = np.frombuffer(b"".join(fresh), _WORD).reshape(stop - start, nwords)
+    return BitMatrix._from_words(words, m.cols)
 
 
 def flip_entry(m: BitMatrix, i: int, j: int) -> BitMatrix:
@@ -311,6 +370,6 @@ def flip_entry(m: BitMatrix, i: int, j: int) -> BitMatrix:
         raise IndexError(f"row {i} out of range for {m.rows} rows")
     if not 0 <= j < m.cols:
         raise IndexError(f"column {j} out of range for cols {m.cols}")
-    values = list(m.row_values)
-    values[i] ^= 1 << j
-    return BitMatrix(values, m.cols)
+    words = m.words.copy()
+    words[i, j >> 6] ^= np.uint64(1 << (j & 63))
+    return BitMatrix._from_words(words, m.cols)

@@ -68,15 +68,8 @@ def derive_matrix(shared_secret: bytes, rows: int, cols: int) -> BitMatrix:
         raise ValueError("empty shared secret")
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
-    row_bytes = (cols + 7) // 8
-    mask = (1 << cols) - 1
     h = hashlib.shake_256()
     h.update(b"qkdsim.derive-matrix|")
     h.update(struct.pack(">III", len(shared_secret), rows, cols))
     h.update(shared_secret)
-    stream = h.digest(rows * row_bytes)
-    values = [
-        int.from_bytes(stream[i * row_bytes : (i + 1) * row_bytes], "little") & mask
-        for i in range(rows)
-    ]
-    return BitMatrix(values, cols)
+    return BitMatrix.from_packed_rows(h.digest(rows * ((cols + 7) // 8)), rows, cols)

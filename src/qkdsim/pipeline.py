@@ -10,7 +10,8 @@ releases its final key only if the peer's extract digest matches its own.
 Channel message order in run_session: BASES (A->B), BASES (B->A),
 EST_POSITIONS (A->B), EST_VALUES (A->B), EST_RATE (B->A),
 CORRECTIONS (A->B), PA_MATRIX (A->B, omitted in derived_matrix mode),
-AUTH_TAG_A (A->B), AUTH_TAG_B (B->A).
+AUTH_TAG_A (A->B), AUTH_TAG_B (B->A). A session whose sifted key is empty
+aborts after the two BASES frames.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ def vec_field(v: BitVector) -> bytes:
 
 
 def pos_field(positions: Sequence[int]) -> bytes:
-    return _u32(len(positions)) + b"".join(_u32(p) for p in positions)
+    return struct.pack(f">{len(positions) + 1}I", len(positions), *positions)
 
 
 def rate_field(rate: Fraction) -> bytes:
@@ -362,21 +363,33 @@ def mac_digest(auth_key: bytes, digest: bytes) -> bytes:
     return hmac_mod.new(auth_key, digest, hashlib.sha256).digest()
 
 
-def authenticate(log: ProtocolLogExtract, auth_key: bytes, hash_width: int) -> AuthTag:
-    """Hash the serialized log extract, truncate, MAC the digest.
+def authenticate_digest(digest: bytes, auth_key: bytes) -> AuthTag:
+    """Tag a party's log digest: the digest together with its MAC.
 
     The MAC is unforgeable for fresh digests, but a captured (digest, mac)
     pair verifies against any log whose extract hashes to the same digest.
     """
-    digest = log_digest(log, hash_width)
     return AuthTag(digest=digest, mac=mac_digest(auth_key, digest))
 
 
-def verify(log: ProtocolLogExtract, tag: AuthTag, auth_key: bytes, hash_width: int) -> bool:
-    """Accept iff the recomputed digest matches and the MAC binds it."""
+def verify_digest(digest: bytes, tag: AuthTag, auth_key: bytes) -> bool:
+    """Accept iff the MAC binds the tag's digest and that digest equals ours.
+
+    The MAC is checked first, and both comparisons are constant-time.
+    """
     if not hmac_mod.compare_digest(mac_digest(auth_key, tag.digest), tag.mac):
         return False
-    return hmac_mod.compare_digest(log_digest(log, hash_width), tag.digest)
+    return hmac_mod.compare_digest(digest, tag.digest)
+
+
+def authenticate(log: ProtocolLogExtract, auth_key: bytes, hash_width: int) -> AuthTag:
+    """Hash the serialized log extract, truncate, and tag the digest."""
+    return authenticate_digest(log_digest(log, hash_width), auth_key)
+
+
+def verify(log: ProtocolLogExtract, tag: AuthTag, auth_key: bytes, hash_width: int) -> bool:
+    """Hash the log extract and check the tag against that digest (verify_digest)."""
+    return verify_digest(log_digest(log, hash_width), tag, auth_key)
 
 
 # ----------------------------------------------------------------- session
@@ -402,7 +415,9 @@ def run_session(
 
     Every classical message passes through the channel in the fixed order
     documented in the module docstring; the installed strategy may tamper
-    with frames in flight. Final keys are released only on ACCEPT.
+    with frames in flight. Final keys are released only on ACCEPT. Both
+    parties ABORT when the sifted key is empty (right after the BASES frames)
+    or when the estimated error rate exceeds the abort threshold.
     auth_key overrides the pre-shared authentication key (by default it is
     provisioned deterministically from the master seed).
     """
@@ -419,16 +434,21 @@ def run_session(
     sift(alice, bases_ba)
     sift(bob, bases_ab)
 
-    est = estimate_error(alice, bob, params, rng)
-    channel.deliver(A_TO_B, Frame(FrameType.EST_POSITIONS, list(est.positions)))
-    channel.deliver(A_TO_B, Frame(FrameType.EST_VALUES, est.disclosed_values))
-    channel.deliver(B_TO_A, Frame(FrameType.EST_RATE, est.rate))
-    if est.abort:
+    def aborted() -> SessionResult:
         return SessionResult(
             alice=PartyOutcome(Verdict.ABORT, None, alice),
             bob=PartyOutcome(Verdict.ABORT, None, bob),
             channel=channel,
         )
+
+    if len(alice.sifted) == 0:
+        return aborted()  # no matching bases: nothing to estimate or distil
+    est = estimate_error(alice, bob, params, rng)
+    channel.deliver(A_TO_B, Frame(FrameType.EST_POSITIONS, list(est.positions)))
+    channel.deliver(A_TO_B, Frame(FrameType.EST_VALUES, est.disclosed_values))
+    channel.deliver(B_TO_A, Frame(FrameType.EST_RATE, est.rate))
+    if est.abort:
+        return aborted()
 
     corrected = reconcile(alice, bob)
     channel.deliver(A_TO_B, Frame(FrameType.CORRECTIONS, corrected))
@@ -445,18 +465,20 @@ def run_session(
     privacy_amplify(alice, matrix_a, params)
     privacy_amplify(bob, matrix_b, params)
 
-    log_a = build_log_extract(alice, hardening)
-    log_b = build_log_extract(bob, hardening)
+    # Each party hashes its own log once and uses that digest both to tag
+    # its log and to check the peer's tag.
+    digest_a = log_digest(build_log_extract(alice, hardening), params.hash_width)
+    digest_b = log_digest(build_log_extract(bob, hardening), params.hash_width)
     if auth_key is None:
         auth_key = session_auth_key(params)
     tag_a = channel.deliver(
-        A_TO_B, Frame(FrameType.AUTH_TAG_A, authenticate(log_a, auth_key, params.hash_width))
+        A_TO_B, Frame(FrameType.AUTH_TAG_A, authenticate_digest(digest_a, auth_key))
     ).payload
     tag_b = channel.deliver(
-        B_TO_A, Frame(FrameType.AUTH_TAG_B, authenticate(log_b, auth_key, params.hash_width))
+        B_TO_A, Frame(FrameType.AUTH_TAG_B, authenticate_digest(digest_b, auth_key))
     ).payload
-    bob_ok = verify(log_b, tag_a, auth_key, params.hash_width)
-    alice_ok = verify(log_a, tag_b, auth_key, params.hash_width)
+    bob_ok = verify_digest(digest_b, tag_a, auth_key)
+    alice_ok = verify_digest(digest_a, tag_b, auth_key)
 
     def outcome(ok: bool, state: PartyState) -> PartyOutcome:
         return PartyOutcome(

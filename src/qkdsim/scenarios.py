@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .adversary import (
-    AttackOutcome,
     ExtractBitsStrategy,
     FlipEntryStrategy,
     RandomizeRowsStrategy,
@@ -66,7 +65,7 @@ class ScenarioConfig:
     checks: tuple[Check, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialReport:
     trial_index: int
     seed: int
@@ -297,7 +296,6 @@ def _frame_trial(
     name = config.attack.name
     adv_rng = make_rng(seed, "adversary")
     strategy = _build_strategy(config, adv_rng)
-    honest = run_session(params, hardening=config.hardening) if name == "flip-entry" else None
     result = run_session(params, channel=Channel(strategy), hardening=config.hardening)
     alice_v, bob_v = _verdicts(result)
     keys_equal = _keys_equal(result)
@@ -306,22 +304,17 @@ def _frame_trial(
         "tampered_frames": sum(e.tampered for e in result.channel.transcript),
         "pa_matrix_frames": result.channel.count(FrameType.PA_MATRIX),
     }
-    outcome = AttackOutcome(
-        keys_differ=None if keys_equal is None else not keys_equal,
-        alice_verdict=result.alice.verdict,
-        bob_verdict=result.bob.verdict,
-    )
-
     # Success predicates, per attack. An attack only counts as successful
     # when it goes undetected, i.e. Bob still accepts:
     # passive: never counts as a success.
     # randomize-rows: keys diverged and neither party noticed.
     # flip-entry: Bob's key bit differs from the same-seed untampered run.
+    #   Reconciliation is exact, so untampered Bob's key equals Alice's.
     # zero-rows: Bob accepted an all-zero final key.
     # extract-bits: the parity prediction matches Bob's actual key bit.
     bob_accepts = bob_v == Verdict.ACCEPT.value
     if name == "randomize-rows":
-        success = bool(outcome.keys_differ) and both_accept
+        success = keys_equal is False and both_accept
         aux["rows_randomized"] = config.attack.options.get(
             "r", params.key_len - params.tail_len
         )
@@ -330,7 +323,7 @@ def _frame_trial(
         j = config.attack.options.get("col", 0)
         flipped = (
             result.bob.verdict is not Verdict.ABORT
-            and result.bob.state.full_key[i] != honest.bob.state.full_key[i]
+            and result.bob.state.full_key[i] != result.alice.state.full_key[i]
         )
         success = flipped and bob_accepts
         aux["bit_flipped"] = flipped
@@ -355,10 +348,6 @@ def _frame_trial(
         aux["prediction"] = prediction
         aux["actual"] = actual
         aux["known"] = [list(pair) for pair in (strategy.known or [])]
-        if success:
-            outcome.learned_bits = [
-                (config.attack.options.get("target_row", 0), prediction, actual)
-            ]
     else:  # passive
         success = False
 
@@ -366,7 +355,8 @@ def _frame_trial(
         aux["matrices_equal"] = result.alice.state.pa_matrix == result.bob.state.pa_matrix
     if dump_states:
         aux["dump"] = _dump_session(result)
-        if honest is not None:
+        if name == "flip-entry":
+            honest = run_session(params, hardening=config.hardening)
             aux["dump"]["honest_bob"] = honest.bob.state.to_json_dict()
     return TrialReport(
         trial_index=-1,  # filled by the caller

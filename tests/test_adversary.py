@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from qkdsim.adversary import (
@@ -24,7 +26,7 @@ from qkdsim.channel import Channel, Frame, FrameType
 from qkdsim.gf2 import BitVector, random_matrix
 from qkdsim.hardening import HardeningKind, HardeningMode
 from qkdsim.pipeline import SessionParams, Verdict, run_session
-from qkdsim.seeding import make_rng, trial_seed
+from qkdsim.seeding import derive_bytes, make_rng, trial_seed
 
 MATRIX_IN_LOG = HardeningMode(HardeningKind.MATRIX_IN_LOG)
 DERIVED = HardeningMode(HardeningKind.DERIVED_MATRIX)
@@ -252,6 +254,19 @@ def test_collision_search_deterministic_and_budgeted():
     assert a.candidates_examined <= 1 << 20
     short = run_collision_impersonation(params, MATRIX_IN_LOG, 16)
     assert short.candidates_examined <= 16
+
+
+def test_collision_impersonation_aborts_on_empty_sifted_key():
+    # At this seed the capture session completes, and the attacker's
+    # exchange with Bob (one raw bit) matches no basis.
+    params = SessionParams(n_raw=1, qber=0.0, key_len=2, tail_len=1, hash_width=8, master_seed=1)
+    capture_seed = int.from_bytes(derive_bytes(1, "capture-session", n=8), "big")
+    capture = run_session(dataclasses.replace(params, master_seed=capture_seed), hardening=MATRIX_IN_LOG)
+    assert capture.alice.verdict is Verdict.ACCEPT
+    out = run_collision_impersonation(params, MATRIX_IN_LOG, 64)
+    assert out.aborted
+    assert out.bob_verdict is Verdict.ABORT
+    assert out.candidates_examined == 0
 
 
 def test_collision_requires_matrix_in_log():

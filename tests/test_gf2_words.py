@@ -1,0 +1,221 @@
+"""Property tests for the word-backed GF(2) matrix kernels and the digest check.
+
+Each kernel is checked against a plain-int reference built from the row
+values alone, across column counts on both sides of the byte and 64-bit
+word boundaries and matrices with no rows. The last test checks that the
+log-level verify agrees with the digest-level check run_session uses.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_matvec_bitloop, oracle_matvec_numpy
+from qkdsim.gf2 import (
+    BitMatrix,
+    BitVector,
+    flip_entry,
+    matvec,
+    pack_bits_msb,
+    random_matrix,
+    replace_rows,
+)
+from qkdsim.hardening import derive_matrix
+from qkdsim.pipeline import (
+    AuthTag,
+    ProtocolLogExtract,
+    authenticate,
+    log_digest,
+    verify,
+    verify_digest,
+)
+
+COLS = (1, 7, 8, 63, 64, 65, 200)
+props = settings(deadline=None, database=None)
+
+
+@st.composite
+def matrices(draw, min_rows=0, max_rows=6):
+    """(row values, cols) for a matrix of up to max_rows rows."""
+    cols = draw(st.sampled_from(COLS))
+    rows = draw(st.integers(min_rows, max_rows))
+    values = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return values, cols
+
+
+def row_vectors(cols):
+    return st.integers(0, (1 << cols) - 1).map(lambda x: BitVector(cols, x))
+
+
+@props
+@given(matrices(), st.data())
+def test_matvec_matches_int_reference_and_oracles(mc, data):
+    values, cols = mc
+    m = BitMatrix(values, cols)
+    v = data.draw(row_vectors(cols))
+    got = matvec(m, v)
+    expected = [(r & v.value).bit_count() & 1 for r in values]
+    assert got == BitVector(len(values), sum(b << i for i, b in enumerate(expected)))
+    if values:
+        assert oracle_matvec_bitloop(m, v) == expected
+        assert oracle_matvec_numpy(m, v) == expected
+
+
+@props
+@given(matrices())
+def test_to_bytes_msb_matches_per_row_packing(mc):
+    values, cols = mc
+    m = BitMatrix(values, cols)
+    assert m.to_bytes_msb() == b"".join(pack_bits_msb(r, cols) for r in values)
+
+
+@props
+@given(matrices())
+def test_row_values_round_trip_through_words(mc):
+    values, cols = mc
+    m = BitMatrix(values, cols)
+    assert m.row_values == tuple(values)
+    nbytes = (cols + 7) // 8
+    packed = b"".join(r.to_bytes(nbytes, "little") for r in values)
+    rebuilt = BitMatrix.from_packed_rows(packed, len(values), cols)
+    assert rebuilt.row_values == tuple(values)
+    assert [rebuilt.row(i).value for i in range(len(values))] == values
+    assert rebuilt == m
+    assert hash(rebuilt) == hash(m)
+
+
+@props
+@given(matrices(), st.data())
+def test_equality_and_hash_follow_the_rows(mc, data):
+    values, cols = mc
+    m = BitMatrix(values, cols)
+    assert m == BitMatrix(list(values), cols)
+    assert hash(m) == hash(BitMatrix(list(values), cols))
+    assert m != BitMatrix(values, cols + 1)
+    if values:
+        i = data.draw(st.integers(0, len(values) - 1))
+        j = data.draw(st.integers(0, cols - 1))
+        changed = list(values)
+        changed[i] ^= 1 << j
+        assert m != BitMatrix(changed, cols)
+
+
+@props
+@given(matrices())
+def test_density_matches_popcount(mc):
+    values, cols = mc
+    m = BitMatrix(values, cols)
+    expected = sum(r.bit_count() for r in values) / (len(values) * cols) if values else 0.0
+    assert m.density() == expected
+
+
+@props
+@given(matrices(min_rows=1), st.data())
+def test_flip_entry_matches_int_reference(mc, data):
+    values, cols = mc
+    m = BitMatrix(values, cols)
+    i = data.draw(st.integers(0, len(values) - 1))
+    j = data.draw(st.integers(0, cols - 1))
+    expected = list(values)
+    expected[i] ^= 1 << j
+    assert flip_entry(m, i, j).row_values == tuple(expected)
+    assert m.row_values == tuple(values)  # the input is left unchanged
+
+
+@props
+@given(matrices(min_rows=1), st.data())
+def test_with_row_matches_int_reference(mc, data):
+    values, cols = mc
+    m = BitMatrix(values, cols)
+    i = data.draw(st.integers(0, len(values) - 1))
+    row = data.draw(row_vectors(cols))
+    expected = list(values)
+    expected[i] = row.value
+    assert m.with_row(i, row).row_values == tuple(expected)
+    assert m.row_values == tuple(values)
+
+
+@props
+@given(matrices(), st.data())
+def test_replace_rows_matches_int_reference(mc, data):
+    values, cols = mc
+    m = BitMatrix(values, cols)
+    start = data.draw(st.integers(0, len(values)))
+    stop = data.draw(st.integers(start, len(values)))
+    fresh = data.draw(st.lists(row_vectors(cols), min_size=stop - start, max_size=stop - start))
+    supply = iter(fresh)
+    expected = values[:start] + [r.value for r in fresh] + values[stop:]
+    assert replace_rows(m, start, stop, lambda: next(supply)).row_values == tuple(expected)
+    assert m.row_values == tuple(values)
+
+
+@props
+@given(st.integers(0, 6), st.sampled_from(COLS), st.integers(0, 2**32 - 1))
+def test_random_matrix_reads_one_block_of_rng_bytes(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    m = random_matrix(rows, cols, rng)
+    ref = np.random.default_rng(seed)
+    nbytes = (cols + 7) // 8
+    if rows:
+        buf = ref.bytes(rows * nbytes)
+    else:
+        buf = b""  # an empty matrix draws nothing
+    expected = tuple(
+        int.from_bytes(buf[i * nbytes : (i + 1) * nbytes], "little") & ((1 << cols) - 1)
+        for i in range(rows)
+    )
+    assert m.row_values == expected
+    assert rng.bytes(16) == ref.bytes(16)
+
+
+@props
+@given(st.integers(0, 6), st.sampled_from(COLS), st.binary(min_size=1, max_size=40))
+def test_derive_matrix_reads_a_prefix_of_the_shake_stream(rows, cols, secret):
+    nbytes = (cols + 7) // 8
+    h = hashlib.shake_256()
+    h.update(b"qkdsim.derive-matrix|")
+    h.update(struct.pack(">III", len(secret), rows, cols))
+    h.update(secret)
+    stream = h.digest(rows * nbytes + 16)
+    expected = tuple(
+        int.from_bytes(stream[i * nbytes : (i + 1) * nbytes], "little") & ((1 << cols) - 1)
+        for i in range(rows)
+    )
+    assert derive_matrix(secret, rows, cols).row_values == expected
+
+
+logs = st.builds(
+    ProtocolLogExtract,
+    sifted_bases=st.integers(0, 255).map(lambda x: BitVector(8, x)),
+    est_positions=st.lists(st.integers(0, 2**32 - 1), max_size=4).map(tuple),
+    est_rate=st.fractions(min_value=0, max_value=1, max_denominator=64),
+    corrected_positions=st.lists(st.integers(0, 2**32 - 1), max_size=4).map(tuple),
+    key_tail=st.integers(0, 2**16 - 1).map(lambda x: BitVector(16, x)),
+)
+
+
+@props
+@given(logs, logs, st.sampled_from((1, 8, 13, 128, 256)), st.integers(0, 31), st.booleans())
+def test_verify_agrees_with_digest_check(log, other, width, byte, in_mac):
+    key = b"k" * 32
+    tag = authenticate(log, key, width)
+    if in_mac:
+        forged = AuthTag(tag.digest, tag.mac[:byte] + bytes([tag.mac[byte] ^ 1]) + tag.mac[byte + 1 :])
+    else:
+        at = byte % len(tag.digest)
+        forged = AuthTag(
+            tag.digest[:at] + bytes([tag.digest[at] ^ 0x80]) + tag.digest[at + 1 :], tag.mac
+        )
+    cases = [(log, tag), (log, forged), (other, tag)]  # honest, tampered tag, tampered log
+    for candidate, t in cases:
+        assert verify(candidate, t, key, width) == verify_digest(
+            log_digest(candidate, width), t, key
+        )
+    assert verify(log, tag, key, width)
+    assert not verify(log, forged, key, width)
+    assert verify(other, tag, key, width) == (log_digest(other, width) == tag.digest)

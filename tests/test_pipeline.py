@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from qkdsim.pipeline import (
     build_log_extract,
     estimate_error,
     log_digest,
+    pos_field,
     privacy_amplify,
     reconcile,
     run_session,
@@ -311,6 +313,14 @@ def test_log_serialization_frozen_layout():
         "00"  # no matrix embedded
     )
     assert serialize_log(log).hex() == expected
+
+
+def test_pos_field_packs_count_then_positions():
+    assert pos_field(()) == bytes(4)
+    assert pos_field((1, 2**32 - 1)).hex() == "00000002" "00000001" "ffffffff"
+    for bad in ((-1,), (0, 2**32)):
+        with pytest.raises(struct.error):
+            pos_field(bad)
 
 
 def test_log_serialization_with_matrix():

@@ -101,6 +101,25 @@ def test_flip_entry_scenario_rate():
     assert 0.42 <= summary.attack_success_rate <= 0.58
 
 
+@pytest.mark.parametrize("name", ["flip-entry", "harden-matrix-in-log-flip-entry"])
+def test_flip_entry_bit_flips_iff_reconciled_bit_set(name):
+    # Flipping entry (0, 0) changes Bob's key bit 0 by reconciled bit 0,
+    # so the counterfactual must match it on every completed trial.
+    reports, _ = run_scenario(small(name, 300))
+    completed = [r for r in reports if r.bob_verdict != "abort"]
+    assert len(completed) >= 290
+    for r in completed:
+        assert r.aux["bit_flipped"] == (r.aux["reconciled_bit"] == 1), r.trial_index
+
+
+def test_empty_sifted_key_aborts_instead_of_crashing():
+    # Four raw bits leave no matching basis in about 1 trial in 16.
+    params = SessionParams(n_raw=4, key_len=2, tail_len=1)
+    reports, summary = run_scenario(small("baseline", 200, params=params, checks=()))
+    assert summary.trials == 200
+    assert any(r.alice_verdict == r.bob_verdict == "abort" for r in reports)
+
+
 def test_randomize_single_row_divergence():
     # one random replacement row agrees with the original's parity half the time
     cfg = small("randomize-rows", 10_000, attack=AttackSpec("randomize-rows", {"r": 1}))
@@ -146,11 +165,17 @@ def test_different_master_seed_changes_trials():
     assert [r.seed for r in r1] != [r.seed for r in r2]
 
 
-def test_worker_count_invariance():
-    cfg = small("flip-entry", 16)
-    r1, _ = run_scenario(cfg, workers=1)
-    r2, _ = run_scenario(cfg, workers=2)
-    assert r1 == r2
+def test_worker_count_invariance(tmp_path):
+    trials = {"collision-impersonation": 2, "flip-entry": 16}
+    for name in BUILTIN_SCENARIOS:
+        cfg = small(name, trials.get(name, 4))
+        r1, _ = run_scenario(cfg, workers=1)
+        r2, _ = run_scenario(cfg, workers=2)
+        assert r1 == r2, name
+        one, two = tmp_path / f"{name}.1.jsonl", tmp_path / f"{name}.2.jsonl"
+        write_trials_jsonl(r1, one)
+        write_trials_jsonl(r2, two)
+        assert one.read_bytes() == two.read_bytes(), name
 
 
 def test_single_trial_matches_batch():
