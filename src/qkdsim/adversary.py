@@ -381,6 +381,9 @@ def run_collision_impersonation(
     if len(attacker.sifted) == 0 or estimate_error(attacker, bob, params, rng).abort:
         return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None, aborted=True)
     reconcile(attacker, bob)
+    if len(attacker.reconciled) == 0:
+        # Estimation disclosed every sifted bit: no key to build a matrix for.
+        return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None, aborted=True)
 
     view = CollisionSearchView.from_state(attacker, params)
     search_rng = make_rng(params.master_seed, "collision-search")

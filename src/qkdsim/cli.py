@@ -14,6 +14,7 @@ import sys
 
 from .scenarios import (
     BUILTIN_SCENARIOS,
+    SWEEP_AXES,
     ConfigError,
     ScenarioConfig,
     builtin_scenario,
@@ -144,9 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="re-run a scenario stepping one parameter")
     p_sweep.add_argument("scenario", help="builtin scenario name or JSON config file")
-    p_sweep.add_argument(
-        "--axis", required=True, choices=("qber", "r", "K", "w", "known"), help="parameter to step"
-    )
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES, help="parameter to step")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     common(p_sweep, with_dump=False)
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -222,16 +222,6 @@ class BitMatrix:
         return cls._from_words(np.zeros((rows, _words_per_row(cols)), _WORD), cols)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
-        if not rows:
-            raise ValueError("need at least one row to infer cols")
-        cols = rows[0].n
-        for r in rows:
-            if r.n != cols:
-                raise ValueError(f"length mismatch: row of {r.n} in matrix of cols {cols}")
-        return cls(tuple(r.value for r in rows), cols)
-
-    @classmethod
     def from_packed_rows(cls, data: bytes, rows: int, cols: int) -> "BitMatrix":
         """Matrix from rows * ceil(cols / 8) bytes, one byte-padded row after another.
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Sequence
 
 from .adversary import (
     ExtractBitsStrategy,
@@ -76,31 +78,12 @@ class TrialReport:
     aux: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trial_index": self.trial_index,
-                "seed": self.seed,
-                "alice_verdict": self.alice_verdict,
-                "bob_verdict": self.bob_verdict,
-                "keys_equal": self.keys_equal,
-                "attack_success": self.attack_success,
-                "aux": self.aux,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps({k: getattr(self, k) for k in self.__slots__}, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "TrialReport":
         d = json.loads(line)
-        return cls(
-            trial_index=d["trial_index"],
-            seed=d["seed"],
-            alice_verdict=d["alice_verdict"],
-            bob_verdict=d["bob_verdict"],
-            keys_equal=d["keys_equal"],
-            attack_success=d["attack_success"],
-            aux=d["aux"],
-        )
+        return cls(*(d[k] for k in cls.__slots__))
 
 
 @dataclass(frozen=True)
@@ -153,123 +136,7 @@ def evaluate_checks(summary: BatchSummary, checks: Iterable[Check]) -> list[Chec
     return results
 
 
-# ------------------------------------------------------------- validation
-
-ATTACK_NAMES = (
-    "passive",
-    "randomize-rows",
-    "flip-entry",
-    "zero-rows",
-    "extract-bits",
-    "collision-impersonation",
-    "otp-malleability",
-)
-
-_ATTACK_OPTION_KEYS = {
-    "passive": set(),
-    "randomize-rows": {"r"},
-    "flip-entry": {"row", "col"},
-    "zero-rows": set(),
-    "extract-bits": {"target_row", "num_known", "known_positions"},
-    "collision-impersonation": {"search_budget"},
-    "otp-malleability": {"bit_positions", "num_flips"},
-}
-
-
-def validate_config(config: ScenarioConfig) -> None:
-    """Reject invalid scenarios with a message naming the violated constraint."""
-    if config.trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {config.trials}")
-    if config.master_seed < 0:
-        raise ConfigError("master_seed must be nonnegative")
-    attack = config.attack
-    if attack.name not in ATTACK_NAMES:
-        raise ConfigError(
-            f"unknown attack {attack.name!r}, expected one of: {', '.join(ATTACK_NAMES)}"
-        )
-    allowed = _ATTACK_OPTION_KEYS[attack.name]
-    for key in attack.options:
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown option {key!r} for attack {attack.name!r}"
-                + (f", allowed: {', '.join(sorted(allowed))}" if allowed else "")
-            )
-    p = config.params
-    non_tail = p.key_len - p.tail_len
-    opts = attack.options
-    if attack.name == "randomize-rows":
-        r = opts.get("r", non_tail)
-        if not 0 <= r <= non_tail:
-            raise ConfigError(
-                f"randomize-rows needs 0 <= r <= key_len - tail_len = {non_tail}, got {r}"
-            )
-    elif attack.name == "flip-entry":
-        row = opts.get("row", 0)
-        if not 0 <= row < non_tail:
-            raise ConfigError(
-                f"flip-entry row must lie in [0, {non_tail}), got {row}: tail rows are "
-                "covered by the authenticated log"
-            )
-        if opts.get("col", 0) < 0:
-            raise ConfigError("flip-entry col must be nonnegative")
-    elif attack.name == "extract-bits":
-        row = opts.get("target_row", 0)
-        if not 0 <= row < non_tail:
-            raise ConfigError(f"extract-bits target_row must lie in [0, {non_tail}), got {row}")
-        if "num_known" in opts and "known_positions" in opts:
-            raise ConfigError("give only one of num_known and known_positions")
-        if opts.get("num_known", 8) < 1:
-            raise ConfigError("extract-bits num_known must be at least 1")
-        if "known_positions" in opts and not opts["known_positions"]:
-            raise ConfigError("extract-bits known_positions must be nonempty")
-    elif attack.name == "collision-impersonation":
-        if config.hardening.kind is not HardeningKind.MATRIX_IN_LOG:
-            raise ConfigError(
-                "collision-impersonation targets the matrix_in_log variant; set "
-                'hardening to "matrix_in_log"'
-            )
-        if opts.get("search_budget", 1 << 20) < 1:
-            raise ConfigError("collision-impersonation search_budget must be at least 1")
-    elif attack.name == "otp-malleability":
-        positions = opts.get("bit_positions")
-        if positions is not None:
-            if not positions:
-                raise ConfigError("otp-malleability bit_positions must be nonempty")
-            bad = [q for q in positions if not 0 <= q < non_tail]
-            if bad:
-                raise ConfigError(
-                    f"otp-malleability bit_positions must lie in [0, {non_tail}), got {bad[0]}"
-                )
-        if not 1 <= opts.get("num_flips", 1) <= non_tail:
-            raise ConfigError(f"otp-malleability num_flips must lie in [1, {non_tail}]")
-
-
-# ------------------------------------------------------------------ trials
-
-
-def _build_strategy(config: ScenarioConfig, adv_rng) -> AttackStrategy:
-    opts = config.attack.options
-    tail = config.params.tail_len
-    name = config.attack.name
-    if name == "passive":
-        return AttackStrategy()
-    if name == "randomize-rows":
-        return RandomizeRowsStrategy(
-            r=opts.get("r", config.params.key_len - tail), tail_len=tail, rng=adv_rng
-        )
-    if name == "flip-entry":
-        return FlipEntryStrategy(i=opts.get("row", 0), j=opts.get("col", 0), tail_len=tail)
-    if name == "zero-rows":
-        return ZeroRowsStrategy(tail_len=tail)
-    if name == "extract-bits":
-        return ExtractBitsStrategy(
-            target_row=opts.get("target_row", 0),
-            tail_len=tail,
-            rng=adv_rng,
-            known_positions=opts.get("known_positions"),
-            num_known=None if "known_positions" in opts else opts.get("num_known", 8),
-        )
-    raise ConfigError(f"attack {name!r} does not run as a frame strategy")
+# ----------------------------------------------------------------- attacks
 
 
 def _verdicts(result: SessionResult) -> tuple[str, str]:
@@ -290,90 +157,75 @@ def _dump_session(result: SessionResult) -> dict:
     }
 
 
-def _frame_trial(
-    config: ScenarioConfig, params: SessionParams, seed: int, dump_states: bool
-) -> TrialReport:
-    name = config.attack.name
-    adv_rng = make_rng(seed, "adversary")
-    strategy = _build_strategy(config, adv_rng)
-    result = run_session(params, channel=Channel(strategy), hardening=config.hardening)
-    alice_v, bob_v = _verdicts(result)
-    keys_equal = _keys_equal(result)
-    both_accept = alice_v == bob_v == Verdict.ACCEPT.value
-    aux: dict = {
-        "tampered_frames": sum(e.tampered for e in result.channel.transcript),
-        "pa_matrix_frames": result.channel.count(FrameType.PA_MATRIX),
-    }
-    # Success predicates, per attack. An attack only counts as successful
-    # when it goes undetected, i.e. Bob still accepts:
-    # passive: never counts as a success.
-    # randomize-rows: keys diverged and neither party noticed.
-    # flip-entry: Bob's key bit differs from the same-seed untampered run.
-    #   Reconciliation is exact, so untampered Bob's key equals Alice's.
-    # zero-rows: Bob accepted an all-zero final key.
-    # extract-bits: the parity prediction matches Bob's actual key bit.
-    bob_accepts = bob_v == Verdict.ACCEPT.value
-    if name == "randomize-rows":
-        success = keys_equal is False and both_accept
-        aux["rows_randomized"] = config.attack.options.get(
-            "r", params.key_len - params.tail_len
-        )
-    elif name == "flip-entry":
-        i = config.attack.options.get("row", 0)
-        j = config.attack.options.get("col", 0)
-        flipped = (
-            result.bob.verdict is not Verdict.ABORT
-            and result.bob.state.full_key[i] != result.alice.state.full_key[i]
-        )
-        success = flipped and bob_accepts
-        aux["bit_flipped"] = flipped
-        aux["reconciled_bit"] = (
-            None if result.bob.state.reconciled is None else result.bob.state.reconciled[j]
-        )
-    elif name == "zero-rows":
-        all_zero = (
-            result.bob.state.final_key is not None
-            and result.bob.state.final_key.popcount() == 0
-        )
-        success = all_zero and bob_accepts
-        aux["bob_key_all_zero"] = all_zero
-    elif name == "extract-bits":
-        prediction = strategy.prediction
-        actual = (
-            None
-            if result.bob.state.full_key is None
-            else result.bob.state.full_key[config.attack.options.get("target_row", 0)]
-        )
-        success = prediction is not None and prediction == actual and bob_accepts
-        aux["prediction"] = prediction
-        aux["actual"] = actual
-        aux["known"] = [list(pair) for pair in (strategy.known or [])]
-    else:  # passive
-        success = False
+def _frame_trial(make_strategy, outcome) -> Callable[..., tuple]:
+    """Trial function of an attack that tampers with frames on the channel.
 
-    if config.hardening.kind is HardeningKind.DERIVED_MATRIX:
-        aux["matrices_equal"] = result.alice.state.pa_matrix == result.bob.state.pa_matrix
-    if dump_states:
-        aux["dump"] = _dump_session(result)
-        if name == "flip-entry":
-            honest = run_session(params, hardening=config.hardening)
-            aux["dump"]["honest_bob"] = honest.bob.state.to_json_dict()
-    return TrialReport(
-        trial_index=-1,  # filled by the caller
-        seed=seed,
-        alice_verdict=alice_v,
-        bob_verdict=bob_v,
-        keys_equal=keys_equal,
-        attack_success=success,
-        aux=aux,
+    make_strategy(opts, tail_len, adv_rng) builds the channel strategy.
+    outcome(result, strategy, opts) gives whether the attack had its effect
+    and the attack's own aux entries. The attack only counts as a success
+    when it also goes undetected, i.e. Bob still accepts.
+    """
+
+    def trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_states: bool):
+        strategy = make_strategy(opts, params.tail_len, make_rng(params.master_seed, "adversary"))
+        result = run_session(params, channel=Channel(strategy), hardening=config.hardening)
+        effect, extra = outcome(result, strategy, opts)
+        aux: dict = {
+            "tampered_frames": sum(e.tampered for e in result.channel.transcript),
+            "pa_matrix_frames": result.channel.count(FrameType.PA_MATRIX),
+            **extra,
+        }
+        if config.hardening.kind is HardeningKind.DERIVED_MATRIX:
+            aux["matrices_equal"] = result.alice.state.pa_matrix == result.bob.state.pa_matrix
+        if dump_states:
+            aux["dump"] = _dump_session(result)
+            if config.attack.name == "flip-entry":
+                honest = run_session(params, hardening=config.hardening)
+                aux["dump"]["honest_bob"] = honest.bob.state.to_json_dict()
+        success = effect and result.bob.verdict is Verdict.ACCEPT
+        return (*_verdicts(result), _keys_equal(result), success, aux)
+
+    return trial
+
+
+def _randomize_rows_outcome(result: SessionResult, strategy, opts: dict):
+    # The keys diverged and Alice did not notice either.
+    diverged = _keys_equal(result) is False and result.alice.verdict is Verdict.ACCEPT
+    return diverged, {"rows_randomized": opts["r"]}
+
+
+def _flip_entry_outcome(result: SessionResult, strategy, opts: dict):
+    # Bob's key bit differs from the same-seed untampered run's. Reconciliation
+    # is exact, so untampered Bob's key equals Alice's.
+    bob, row = result.bob.state, opts["row"]
+    flipped = (
+        result.bob.verdict is not Verdict.ABORT
+        and bob.full_key[row] != result.alice.state.full_key[row]
     )
+    reconciled_bit = None if bob.reconciled is None else bob.reconciled[opts["col"]]
+    return flipped, {"bit_flipped": flipped, "reconciled_bit": reconciled_bit}
 
 
-def _collision_trial(
-    config: ScenarioConfig, params: SessionParams, seed: int, dump_states: bool
-) -> TrialReport:
-    budget = config.attack.options.get("search_budget", 1 << 20)
-    out = run_collision_impersonation(params, config.hardening, budget)
+def _zero_rows_outcome(result: SessionResult, strategy, opts: dict):
+    key = result.bob.state.final_key
+    all_zero = key is not None and key.popcount() == 0
+    return all_zero, {"bob_key_all_zero": all_zero}
+
+
+def _extract_bits_outcome(result: SessionResult, strategy, opts: dict):
+    # The parity prediction matches Bob's actual key bit.
+    full_key = result.bob.state.full_key
+    actual = None if full_key is None else full_key[opts["target_row"]]
+    prediction = strategy.prediction
+    return prediction is not None and prediction == actual, {
+        "prediction": prediction,
+        "actual": actual,
+        "known": [list(pair) for pair in (strategy.known or [])],
+    }
+
+
+def _collision_trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_states: bool):
+    out = run_collision_impersonation(params, config.hardening, opts["search_budget"])
     # The exchange with the real Alice is dropped before the attacker would
     # return a tag, so she never accepts.
     alice_v = Verdict.ABORT.value if out.aborted else Verdict.REJECT.value
@@ -384,36 +236,25 @@ def _collision_trial(
         "attacker_key": None if out.attacker_key is None else out.attacker_key.to_hex(),
         "bob_key": None if out.bob_key is None else out.bob_key.to_hex(),
     }
-    return TrialReport(
-        trial_index=-1,
-        seed=seed,
-        alice_verdict=alice_v,
-        bob_verdict=out.bob_verdict.value,
-        keys_equal=None,
-        attack_success=out.found and out.impersonation_accepted,
-        aux=aux,
-    )
+    success = out.found and out.impersonation_accepted
+    return alice_v, out.bob_verdict.value, None, success, aux
 
 
-def _otp_trial(
-    config: ScenarioConfig, params: SessionParams, seed: int, dump_states: bool
-) -> TrialReport:
+def _otp_trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_states: bool):
     result = run_session(params, hardening=config.hardening)
-    alice_v, bob_v = _verdicts(result)
-    if result.bob.released_key is None:
-        return TrialReport(-1, seed, alice_v, bob_v, _keys_equal(result), False, {})
     pad = result.bob.released_key
+    if pad is None:
+        return (*_verdicts(result), _keys_equal(result), False, {})
     n = len(pad)
-    opts = config.attack.options
-    adv_rng = make_rng(seed, "adversary")
-    if opts.get("bit_positions") is not None:
-        positions = sorted(opts["bit_positions"])
-    else:
-        count = opts.get("num_flips")
+    adv_rng = make_rng(params.master_seed, "adversary")
+    positions = opts["bit_positions"]
+    if positions is None:
+        count = opts["num_flips"]
         if count is None:
             count = int(adv_rng.integers(1, n + 1))
-        positions = sorted(int(q) for q in adv_rng.choice(n, count, replace=False))
-    plaintext = BitVector.random(n, make_rng(seed, "application-message"))
+        positions = adv_rng.choice(n, count, replace=False)
+    positions = sorted(int(q) for q in positions)
+    plaintext = BitVector.random(n, make_rng(params.master_seed, "application-message"))
     tampered = demo_otp_malleability(otp_encrypt(plaintext, pad), positions)
     recovered = otp_decrypt(tampered, pad)
     expected = plaintext ^ BitVector.from_positions(n, positions)
@@ -422,33 +263,183 @@ def _otp_trial(
         "plaintext": plaintext.to_hex(),
         "recovered": recovered.to_hex(),
     }
-    return TrialReport(
-        trial_index=-1,
-        seed=seed,
-        alice_verdict=alice_v,
-        bob_verdict=bob_v,
-        keys_equal=_keys_equal(result),
-        attack_success=recovered == expected,
-        aux=aux,
-    )
+    return (*_verdicts(result), _keys_equal(result), recovered == expected, aux)
+
+
+def _check_randomize_rows(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
+    if not 0 <= opts["r"] <= non_tail:
+        raise ConfigError(
+            f"randomize-rows needs 0 <= r <= key_len - tail_len = {non_tail}, got {opts['r']}"
+        )
+
+
+def _check_flip_entry(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
+    if not 0 <= opts["row"] < non_tail:
+        raise ConfigError(
+            f"flip-entry row must lie in [0, {non_tail}), got {opts['row']}: tail rows are "
+            "covered by the authenticated log"
+        )
+    if opts["col"] < 0:
+        raise ConfigError("flip-entry col must be nonnegative")
+
+
+def _check_extract_bits(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
+    given = config.attack.options
+    if not 0 <= opts["target_row"] < non_tail:
+        raise ConfigError(
+            f"extract-bits target_row must lie in [0, {non_tail}), got {opts['target_row']}"
+        )
+    if "num_known" in given and "known_positions" in given:
+        raise ConfigError("give only one of num_known and known_positions")
+    if opts["num_known"] < 1:
+        raise ConfigError("extract-bits num_known must be at least 1")
+    if "known_positions" in given and not given["known_positions"]:
+        raise ConfigError("extract-bits known_positions must be nonempty")
+
+
+def _check_collision(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
+    if config.hardening.kind is not HardeningKind.MATRIX_IN_LOG:
+        raise ConfigError(
+            "collision-impersonation targets the matrix_in_log variant; set "
+            'hardening to "matrix_in_log"'
+        )
+    if opts["search_budget"] < 1:
+        raise ConfigError("collision-impersonation search_budget must be at least 1")
+
+
+def _check_otp(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
+    positions = opts["bit_positions"]
+    if positions is not None:
+        if not positions:
+            raise ConfigError("otp-malleability bit_positions must be nonempty")
+        bad = [q for q in positions if not 0 <= q < non_tail]
+        if bad:
+            raise ConfigError(
+                f"otp-malleability bit_positions must lie in [0, {non_tail}), got {bad[0]}"
+            )
+    if opts["num_flips"] is not None and not 1 <= opts["num_flips"] <= non_tail:
+        raise ConfigError(f"otp-malleability num_flips must lie in [1, {non_tail}]")
+
+
+@dataclass(frozen=True)
+class _Attack:
+    """One attack: its options with their defaults, its checks and its trial.
+
+    non_tail is key_len - tail_len, the number of matrix rows outside the
+    logged tail. defaults(non_tail) names every accepted option with its
+    default. validate(config, opts, non_tail) raises ConfigError, and
+    trial(config, params, opts, dump_states) returns (alice verdict, bob
+    verdict, keys_equal, attack_success, aux); both get the options resolved
+    against the defaults.
+    """
+
+    defaults: Callable[[int], dict]
+    validate: Callable[[ScenarioConfig, dict, int], None]
+    trial: Callable[..., tuple]
+
+
+_ATTACKS: dict[str, _Attack] = {
+    # Passive eavesdropping never counts as a success.
+    "passive": _Attack(
+        lambda non_tail: {},
+        lambda *_: None,
+        _frame_trial(lambda opts, tail, rng: AttackStrategy(), lambda *_: (False, {})),
+    ),
+    "randomize-rows": _Attack(
+        lambda non_tail: {"r": non_tail},
+        _check_randomize_rows,
+        _frame_trial(
+            lambda opts, tail, rng: RandomizeRowsStrategy(opts["r"], tail, rng),
+            _randomize_rows_outcome,
+        ),
+    ),
+    "flip-entry": _Attack(
+        lambda non_tail: {"row": 0, "col": 0},
+        _check_flip_entry,
+        _frame_trial(
+            lambda opts, tail, rng: FlipEntryStrategy(opts["row"], opts["col"], tail),
+            _flip_entry_outcome,
+        ),
+    ),
+    "zero-rows": _Attack(
+        lambda non_tail: {},
+        lambda *_: None,
+        _frame_trial(lambda opts, tail, rng: ZeroRowsStrategy(tail), _zero_rows_outcome),
+    ),
+    "extract-bits": _Attack(
+        lambda non_tail: {"target_row": 0, "num_known": 8, "known_positions": None},
+        _check_extract_bits,
+        _frame_trial(
+            lambda opts, tail, rng: ExtractBitsStrategy(
+                opts["target_row"],
+                tail,
+                rng,
+                known_positions=opts["known_positions"],
+                num_known=opts["num_known"] if opts["known_positions"] is None else None,
+            ),
+            _extract_bits_outcome,
+        ),
+    ),
+    "collision-impersonation": _Attack(
+        lambda non_tail: {"search_budget": 1 << 20}, _check_collision, _collision_trial
+    ),
+    # num_flips None draws the number of flipped bits per trial.
+    "otp-malleability": _Attack(
+        lambda non_tail: {"bit_positions": None, "num_flips": None}, _check_otp, _otp_trial
+    ),
+}
+
+# Options that take a list of key positions (or null for none); every other
+# attack option takes an integer.
+_LIST_OPTIONS = frozenset({"known_positions", "bit_positions"})
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _non_tail(params: SessionParams) -> int:
+    return params.key_len - params.tail_len
+
+
+def validate_config(config: ScenarioConfig) -> None:
+    """Reject invalid scenarios with a message naming the violated constraint."""
+    if config.trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {config.trials}")
+    if config.master_seed < 0:
+        raise ConfigError("master_seed must be nonnegative")
+    name = config.attack.name
+    if name not in _ATTACKS:
+        raise ConfigError(f"unknown attack {name!r}, expected one of: {', '.join(_ATTACKS)}")
+    attack = _ATTACKS[name]
+    non_tail = _non_tail(config.params)
+    defaults = attack.defaults(non_tail)
+    for key, value in config.attack.options.items():
+        if key not in defaults:
+            raise ConfigError(
+                f"unknown option {key!r} for attack {name!r}"
+                + (f", allowed: {', '.join(sorted(defaults))}" if defaults else "")
+            )
+        if key in _LIST_OPTIONS:
+            if value is not None and not (
+                isinstance(value, (list, tuple)) and all(_is_int(q) for q in value)
+            ):
+                raise ConfigError(f"{name} {key} must be a list of integers, got {value!r}")
+        elif not _is_int(value):
+            raise ConfigError(f"{name} {key} must be an integer, got {value!r}")
+    attack.validate(config, {**defaults, **config.attack.options}, non_tail)
+
+
+# ------------------------------------------------------------------ trials
 
 
 def run_trial(config: ScenarioConfig, index: int, dump_states: bool = False) -> TrialReport:
     """Run one trial; fully determined by (config, index)."""
     seed = trial_seed(config.master_seed, index)
     params = dataclasses.replace(config.params, master_seed=seed)
-    name = config.attack.name
-    if name == "collision-impersonation":
-        report = _collision_trial(config, params, seed, dump_states)
-    elif name == "otp-malleability":
-        report = _otp_trial(config, params, seed, dump_states)
-    else:
-        report = _frame_trial(config, params, seed, dump_states)
-    return dataclasses.replace(report, trial_index=index)
-
-
-def _run_trial_star(args) -> TrialReport:
-    return run_trial(*args)
+    attack = _ATTACKS[config.attack.name]
+    opts = {**attack.defaults(_non_tail(params)), **config.attack.options}
+    return TrialReport(index, seed, *attack.trial(config, params, opts, dump_states))
 
 
 def run_scenario(
@@ -460,11 +451,10 @@ def run_scenario(
     if workers <= 1:
         reports = [run_trial(config, i, dump_states) for i in range(config.trials)]
     else:
-        jobs = [(config, i, dump_states) for i in range(config.trials)]
         chunk = max(1, config.trials // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_trial_star, jobs, chunksize=chunk))
-    reports.sort(key=lambda r: r.trial_index)
+            jobs = (repeat(config), range(config.trials), repeat(dump_states))
+            reports = list(pool.map(run_trial, *jobs, chunksize=chunk))
     wall = time.perf_counter() - start
     return reports, BatchSummary.from_reports(config.name, reports, wall)
 
@@ -473,38 +463,31 @@ def run_scenario(
 
 SWEEP_AXES = ("qber", "r", "K", "w", "known")
 
+# Axes that step a session parameter: axis -> (SessionParams field, type).
+_PARAM_AXES = {"qber": ("qber", float), "w": ("hash_width", int)}
+# Axes that step an attack option: axis -> (attack, option).
+_OPTION_AXES = {
+    "r": ("randomize-rows", "r"),
+    "K": ("collision-impersonation", "search_budget"),
+    "known": ("extract-bits", "num_known"),
+}
+
 
 def apply_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     """Return a copy of config with one swept parameter changed."""
-    if axis == "qber":
-        return dataclasses.replace(
-            config, params=dataclasses.replace(config.params, qber=float(value))
+    if axis in _PARAM_AXES:
+        field_name, cast = _PARAM_AXES[axis]
+        params = dataclasses.replace(config.params, **{field_name: cast(value)})
+        return dataclasses.replace(config, params=params)
+    if axis not in _OPTION_AXES:
+        raise ConfigError(
+            f"unknown sweep axis {axis!r}, expected one of: {', '.join(SWEEP_AXES)}"
         )
-    if axis == "w":
-        return dataclasses.replace(
-            config, params=dataclasses.replace(config.params, hash_width=int(value))
-        )
-    if axis == "r":
-        if config.attack.name != "randomize-rows":
-            raise ConfigError(f"axis 'r' applies to randomize-rows, not {config.attack.name!r}")
-        return _with_option(config, "r", int(value))
-    if axis == "K":
-        if config.attack.name != "collision-impersonation":
-            raise ConfigError(
-                f"axis 'K' applies to collision-impersonation, not {config.attack.name!r}"
-            )
-        return _with_option(config, "search_budget", int(value))
-    if axis == "known":
-        if config.attack.name != "extract-bits":
-            raise ConfigError(f"axis 'known' applies to extract-bits, not {config.attack.name!r}")
-        return _with_option(config, "num_known", int(value))
-    raise ConfigError(f"unknown sweep axis {axis!r}, expected one of: {', '.join(SWEEP_AXES)}")
-
-
-def _with_option(config: ScenarioConfig, key: str, value) -> ScenarioConfig:
-    options = dict(config.attack.options)
-    options[key] = value
-    return dataclasses.replace(config, attack=AttackSpec(config.attack.name, options))
+    name, option = _OPTION_AXES[axis]
+    if config.attack.name != name:
+        raise ConfigError(f"axis {axis!r} applies to {name}, not {config.attack.name!r}")
+    options = {**config.attack.options, option: int(value)}
+    return dataclasses.replace(config, attack=AttackSpec(name, options))
 
 
 @dataclass(frozen=True)
@@ -698,16 +681,7 @@ def builtin_scenario(
 # ------------------------------------------------------------ config files
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(SessionParams)} - {"master_seed"}
-_CONFIG_FIELDS = {
-    "name",
-    "trials",
-    "master_seed",
-    "params",
-    "hardening",
-    "attack",
-    "claim",
-    "checks",
-}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
@@ -780,9 +754,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         "hardening": config.hardening.kind.value,
         "attack": {"name": config.attack.name, **config.attack.options},
         "claim": config.claim,
-        "checks": [
-            {"metric": c.metric, "lo": c.lo, "hi": c.hi} for c in config.checks
-        ],
+        "checks": [dataclasses.asdict(c) for c in config.checks],
     }
 
 
@@ -811,34 +783,14 @@ def read_trials_jsonl(path) -> list[TrialReport]:
         return [TrialReport.from_json(line) for line in fh if line.strip()]
 
 
-_CSV_COLUMNS = (
-    "scenario",
-    "trials",
-    "accept_rate_alice",
-    "accept_rate_bob",
-    "key_mismatch_rate",
-    "attack_success_rate",
-    "wall_time_s",
-)
-
-
 def write_summary_csv(summaries: Sequence[BatchSummary], path) -> None:
     """CSV summary table; the header row is written even for no summaries."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(("scenario", "trials", *SUMMARY_METRICS, "wall_time_s"))
         for s in summaries:
-            writer.writerow(
-                [
-                    s.scenario,
-                    s.trials,
-                    f"{s.accept_rate_alice:.6g}",
-                    f"{s.accept_rate_bob:.6g}",
-                    f"{s.key_mismatch_rate:.6g}",
-                    f"{s.attack_success_rate:.6g}",
-                    f"{s.wall_time_s:.3f}",
-                ]
-            )
+            rates = (f"{getattr(s, m):.6g}" for m in SUMMARY_METRICS)
+            writer.writerow([s.scenario, s.trials, *rates, f"{s.wall_time_s:.3f}"])
 
 
 def format_claims_table(rows: Sequence[tuple[ScenarioConfig, BatchSummary]]) -> str:
@@ -860,10 +812,6 @@ def format_claims_table(rows: Sequence[tuple[ScenarioConfig, BatchSummary]]) -> 
     return "\n".join(lines) + "\n"
 
 
-def _summary_dict(summary: BatchSummary) -> dict:
-    return dataclasses.asdict(summary)
-
-
 def write_report(
     rows: Sequence[tuple[ScenarioConfig, list[TrialReport], BatchSummary]],
     out_dir,
@@ -882,7 +830,7 @@ def write_report(
         entry = {
             "scenario": summary.scenario,
             "config": config_to_dict(config),
-            "summary": _summary_dict(summary),
+            "summary": dataclasses.asdict(summary),
         }
         if "jsonl" in formats:
             stem = _filename_stem(summary.scenario)

@@ -235,8 +235,9 @@ def test_collision_impersonation_width8():
 
 
 def test_collision_impersonation_never_finds_full_width():
-    # At the full 128-bit digest width a 2^20 search finds nothing.
-    for t in range(50):
+    # At the full 128-bit digest width a 2^20 search finds nothing: a hit
+    # has probability ~2^-108 per trial, so a few trials show it as well as many.
+    for t in range(4):
         params = SessionParams(
             n_raw=1024, hash_width=128, master_seed=trial_seed(901, t)
         )
@@ -267,6 +268,18 @@ def test_collision_impersonation_aborts_on_empty_sifted_key():
     assert out.aborted
     assert out.bob_verdict is Verdict.ABORT
     assert out.candidates_examined == 0
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_collision_impersonation_aborts_on_empty_reconciled_key(seed):
+    # At these seeds the attacker's exchange with Bob sifts one bit, which
+    # estimation discloses, leaving no reconciled key to search a matrix for.
+    params = SessionParams(n_raw=1, qber=0.0, key_len=2, tail_len=1, hash_width=8, master_seed=seed)
+    out = run_collision_impersonation(params, MATRIX_IN_LOG, 64)
+    assert out.aborted
+    assert out.bob_verdict is Verdict.ABORT
+    assert out.candidates_examined == 0
+    assert not out.found
 
 
 def test_collision_requires_matrix_in_log():

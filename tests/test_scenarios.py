@@ -281,6 +281,18 @@ def test_sweep_qber_abort_concentration():
     assert aborts == [0.0, 0.0, 1.0]
 
 
+def test_sweep_known_sets_number_of_known_bits():
+    cfg = dataclasses.replace(small("extract-bits", 8), checks=())
+    for e in sweep(cfg, "known", [1, 4]):
+        assert all(len(r.aux["known"]) == e.value for r in e.reports)
+
+
+def test_sweep_k_bounds_search_budget():
+    cfg = dataclasses.replace(small("collision-impersonation", 4), checks=())
+    (entry,) = sweep(cfg, "K", [16])
+    assert all(r.aux["candidates_examined"] <= 16 for r in entry.reports)
+
+
 def test_sweep_axis_errors():
     with pytest.raises(ConfigError, match="unknown sweep axis"):
         apply_axis(builtin_scenario("baseline"), "turbo", 3)
@@ -418,6 +430,19 @@ def test_config_file_rejects_bad_json(tmp_path):
         ({"attack": {"name": "collision-impersonation"}}, "matrix_in_log"),
         ({"attack": {"name": "otp-malleability", "bit_positions": [500]}}, "bit_positions"),
         ({"attack": {"name": "otp-malleability", "num_flips": 0}}, "num_flips"),
+        ({"attack": {"name": "flip-entry", "row": "3"}}, "row must be an integer"),
+        ({"attack": {"name": "flip-entry", "col": True}}, "col must be an integer"),
+        ({"attack": {"name": "otp-malleability", "num_flips": None}}, "num_flips must be an integer"),
+        ({"attack": {"name": "randomize-rows", "r": 1.5}}, "r must be an integer"),
+        (
+            {"attack": {"name": "collision-impersonation", "search_budget": 1e6}},
+            "search_budget must be an integer",
+        ),
+        (
+            {"attack": {"name": "extract-bits", "known_positions": [1, "2"]}},
+            "known_positions must be a list of integers",
+        ),
+        ({"attack": {"name": "otp-malleability", "bit_positions": 3}}, "list of integers"),
         ({"hardening": "fortified"}, "unknown hardening mode"),
         ({"checks": [{"metric": "bogus", "lo": 0, "hi": 1}]}, "unknown check metric"),
         ({"checks": [{"metric": "attack_success_rate", "lo": 0}]}, "exactly the fields"),
