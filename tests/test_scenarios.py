@@ -430,6 +430,10 @@ def test_config_file_rejects_bad_json(tmp_path):
         ({"attack": {"name": "collision-impersonation"}}, "matrix_in_log"),
         ({"attack": {"name": "otp-malleability", "bit_positions": [500]}}, "bit_positions"),
         ({"attack": {"name": "otp-malleability", "num_flips": 0}}, "num_flips"),
+        ({"hardening": "fortified"}, "unknown hardening mode"),
+        ({"checks": [{"metric": "bogus", "lo": 0, "hi": 1}]}, "unknown check metric"),
+        ({"checks": [{"metric": "attack_success_rate", "lo": 0}]}, "exactly the fields"),
+        ({"checks": "all"}, '"checks" must be a list'),
         ({"attack": {"name": "flip-entry", "row": "3"}}, "row must be an integer"),
         ({"attack": {"name": "flip-entry", "col": True}}, "col must be an integer"),
         ({"attack": {"name": "otp-malleability", "num_flips": None}}, "num_flips must be an integer"),
@@ -443,10 +447,6 @@ def test_config_file_rejects_bad_json(tmp_path):
             "known_positions must be a list of integers",
         ),
         ({"attack": {"name": "otp-malleability", "bit_positions": 3}}, "list of integers"),
-        ({"hardening": "fortified"}, "unknown hardening mode"),
-        ({"checks": [{"metric": "bogus", "lo": 0, "hi": 1}]}, "unknown check metric"),
-        ({"checks": [{"metric": "attack_success_rate", "lo": 0}]}, "exactly the fields"),
-        ({"checks": "all"}, '"checks" must be a list'),
     ],
 )
 def test_config_validation_errors(overrides, match):
