@@ -15,34 +15,30 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace as dc_replace
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .channel import A_TO_B, AttackStrategy, Channel, Frame, FrameType
-from .gf2 import BitMatrix, BitVector, matvec, pack_bits_msb, replace_rows
+from .channel import A_TO_B, AttackStrategy, Frame, FrameType
+# matvec is not called here: the benchmark's tracer self-test checks that this
+# module's matvec binding is wrapped and restored, so the binding stays.
+from .gf2 import BitMatrix, BitVector, matvec, pack_bits_msb, replace_rows  # noqa: F401
 from .gf2 import flip_entry as gf2_flip_entry
 from .hardening import HardeningKind, HardeningMode
 from .pipeline import (
     AuthTag,
     PartyState,
     SessionParams,
-    SessionResult,
     Verdict,
     build_log_extract,
     estimate_error,
-    matrix_field,
-    pos_field,
     privacy_amplify,
-    rate_field,
     reconcile,
     run_session,
     serialize_log,
     session_auth_key,
     sift,
     source_correlated,
-    vec_field,
     verify,
 )
 from .seeding import derive_bytes, make_rng
@@ -128,6 +124,9 @@ class RandomizeRowsStrategy(AttackStrategy):
 
 
 class FlipEntryStrategy(AttackStrategy):
+    """Flip entry (i, j) of the matrix; a column j past the reconciled key
+    leaves the frame untouched, since no such entry exists in this session."""
+
     name = "flip-entry"
 
     def __init__(self, i: int, j: int, tail_len: int):
@@ -136,7 +135,11 @@ class FlipEntryStrategy(AttackStrategy):
         self.tail_len = tail_len
 
     def tamper(self, direction: str, frame: Frame) -> Frame:
-        if direction == A_TO_B and frame.kind is FrameType.PA_MATRIX:
+        if (
+            direction == A_TO_B
+            and frame.kind is FrameType.PA_MATRIX
+            and self.j < frame.payload.cols
+        ):
             return attack_flip_entry(frame, self.i, self.j, self.tail_len)
         return frame
 
@@ -160,6 +163,8 @@ class ExtractBitsStrategy(AttackStrategy):
     are drawn once the reconciled key length is known. The simulation
     injects the actual bit values through observe_reconciled, standing in
     for whatever side channel gave the attacker that partial knowledge.
+    When the positions do not fit the session's reconciled key the attack
+    is not mounted: known stays empty and the matrix frame passes untouched.
     """
 
     name = "extract-bits"
@@ -185,22 +190,23 @@ class ExtractBitsStrategy(AttackStrategy):
         self.prediction: int | None = None
 
     def observe_reconciled(self, reconciled: BitVector) -> None:
+        n = len(reconciled)
         if self.known_positions is not None:
             positions = self.known_positions
+        elif self.num_known <= n:
+            positions = sorted(int(p) for p in self.rng.choice(n, self.num_known, replace=False))
         else:
-            if self.num_known > len(reconciled):
-                raise ValueError(
-                    f"cannot know {self.num_known} bits of a {len(reconciled)}-bit key"
-                )
-            positions = sorted(
-                int(p) for p in self.rng.choice(len(reconciled), self.num_known, replace=False)
-            )
+            positions = []
+        if not all(0 <= p < n for p in positions):
+            positions = []
         self.known = [(p, reconciled[p]) for p in positions]
 
     def tamper(self, direction: str, frame: Frame) -> Frame:
         if direction == A_TO_B and frame.kind is FrameType.PA_MATRIX:
             if self.known is None:
                 raise RuntimeError("reconciled-key knowledge not injected before matrix frame")
+            if not self.known:
+                return frame
             out, self.prediction = attack_extract_bits(
                 frame, self.known, self.target_row, self.tail_len
             )
@@ -212,55 +218,27 @@ class ExtractBitsStrategy(AttackStrategy):
 
 
 @dataclass(frozen=True)
-class CollisionSearchView:
-    """The attacker's view of the Bob-facing session before the matrix is sent.
-
-    Impersonating Alice, the attacker has taken part in sifting, estimation
-    and reconciliation, so every log-extract field except the key tail and
-    the embedded matrix is already fixed and known, as is Bob's reconciled
-    key (it equals the attacker's own).
-    """
-
-    sifted_bases: BitVector
-    est_positions: tuple[int, ...]
-    est_rate: Fraction
-    corrected_positions: tuple[int, ...]
-    reconciled: BitVector
-    key_len: int
-    tail_len: int
-    hash_width: int
-
-    @classmethod
-    def from_state(cls, state: PartyState, params: SessionParams) -> "CollisionSearchView":
-        return cls(
-            sifted_bases=state.sifted_bases,
-            est_positions=tuple(state.est_positions),
-            est_rate=state.est_rate,
-            corrected_positions=tuple(state.corrected_positions),
-            reconciled=state.reconciled,
-            key_len=params.key_len,
-            tail_len=params.tail_len,
-            hash_width=params.hash_width,
-        )
-
-
-@dataclass(frozen=True)
 class CollisionSearchResult:
     matrix: BitMatrix | None
     candidates_examined: int
 
 
 _SEARCH_CHUNK = 4096  # candidates drawn per rng.bytes call
+_MATRIX_IN_LOG = HardeningMode(HardeningKind.MATRIX_IN_LOG)
 
 
 def attack_collision_impersonate(
     captured_digest: bytes,
-    view: CollisionSearchView,
+    state: PartyState,
+    params: SessionParams,
     budget: int,
     rng: np.random.Generator,
 ) -> CollisionSearchResult:
     """Search for a matrix whose induced log extract hashes to captured_digest.
 
+    state is the attacker's side of the exchange with Bob, run up to the
+    matrix message: every log-extract field except the key tail and the
+    embedded matrix is already fixed, and its reconciled key equals Bob's.
     Only the tail rows and the embedded matrix bytes influence the digest,
     so candidates keep every row except the last at zero and vary 128
     pseudo-random bits of the last row. The hash state over all fixed bytes
@@ -269,13 +247,12 @@ def attack_collision_impersonate(
     """
     if budget < 1:
         raise ValueError("search budget must be at least 1")
-    l, t, w = view.key_len, view.tail_len, view.hash_width
+    l, t, w = params.key_len, params.tail_len, params.hash_width
     if t < 1:
         raise ValueError("collision search requires at least one tail row in the log")
-    cols = len(view.reconciled)
+    cols = len(state.reconciled)
     if cols < 1:
         raise ValueError("empty reconciled key")
-    row_bytes = (cols + 7) // 8
 
     var_bits = min(128, cols)
     shift = cols - var_bits
@@ -284,28 +261,19 @@ def attack_collision_impersonate(
     sub_shift = shift - p0
     var_mask = (1 << var_bits) - 1
 
-    head = (
-        vec_field(view.sifted_bases)
-        + pos_field(view.est_positions)
-        + rate_field(view.est_rate)
-        + pos_field(view.corrected_positions)
-    )
-    matrix_head = b"\x01" + l.to_bytes(4, "big") + cols.to_bytes(4, "big")
-    fixed_matrix_bytes = bytes(row_bytes * (l - 1) + (p0 // 8))
-
     # With rows 0..l-2 all zero the only live tail bit is the last one,
     # whose value is the candidate row's parity against the reconciled key.
+    # The serialized log ends with the last row, whose final
+    # ceil(suffix_bits / 8) bytes are the candidate-dependent suffix.
+    zeros = BitMatrix.zeros(l, cols)
+    suffix_len = (suffix_bits + 7) // 8
     states = []
     for bit in (0, 1):
-        tail_vec = BitVector(t, bit << (t - 1))
-        h = hashlib.sha256()
-        h.update(head)
-        h.update(vec_field(tail_vec))
-        h.update(matrix_head)
-        h.update(fixed_matrix_bytes)
-        states.append(h)
+        probe = dc_replace(state, pa_matrix=zeros, key_tail=BitVector(t, bit << (t - 1)))
+        data = serialize_log(build_log_extract(probe, _MATRIX_IN_LOG))
+        states.append(hashlib.sha256(data[:-suffix_len]))
 
-    ktop = view.reconciled.value >> shift
+    ktop = state.reconciled.value >> shift
     nb = (w + 7) // 8
     rem = w % 8
     if rem:
@@ -385,9 +353,8 @@ def run_collision_impersonation(
         # Estimation disclosed every sifted bit: no key to build a matrix for.
         return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None, aborted=True)
 
-    view = CollisionSearchView.from_state(attacker, params)
     search_rng = make_rng(params.master_seed, "collision-search")
-    search = attack_collision_impersonate(captured_tag.digest, view, budget, search_rng)
+    search = attack_collision_impersonate(captured_tag.digest, attacker, params, budget, search_rng)
     if search.matrix is None:
         # Nothing to send that Bob would accept; the attacker gives up.
         return CollisionTrialOutcome(False, search.candidates_examined, Verdict.REJECT, False, None, None)
@@ -396,13 +363,13 @@ def run_collision_impersonation(
     log_b = build_log_extract(bob, hardening)
     accepted = verify(log_b, captured_tag, auth_key, params.hash_width)
     bob_verdict = Verdict.ACCEPT if accepted else Verdict.REJECT
-    attacker_key = matvec(search.matrix, attacker.reconciled).first(params.key_len - params.tail_len)
+    privacy_amplify(attacker, search.matrix, params)
     return CollisionTrialOutcome(
         found=True,
         candidates_examined=search.candidates_examined,
         bob_verdict=bob_verdict,
         impersonation_accepted=accepted,
-        attacker_key=attacker_key,
+        attacker_key=attacker.final_key,
         bob_key=bob.final_key,
     )
 

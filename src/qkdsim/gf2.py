@@ -187,10 +187,10 @@ class BitMatrix:
 
     Row i is words[i]: entry (i, j) is bit j % 64 of word j // 64, and bits
     at columns >= cols are zero. row_values gives the same rows as
-    canonical ints, derived from the words on first use.
+    canonical ints, derived from the words on each use.
     """
 
-    __slots__ = ("rows", "cols", "words", "_row_values")
+    __slots__ = ("rows", "cols", "words")
 
     def __init__(self, row_values: Sequence[int], cols: int):
         if cols < 0:
@@ -201,20 +201,19 @@ class BitMatrix:
                 raise ValueError("row value has bits outside cols")
         nbytes = 8 * _words_per_row(cols)
         buf = b"".join(r.to_bytes(nbytes, "little") for r in values)
-        self._init(np.frombuffer(buf, _WORD).reshape(len(values), nbytes // 8), cols, values)
+        self._init(np.frombuffer(buf, _WORD).reshape(len(values), nbytes // 8), cols)
 
-    def _init(self, words: np.ndarray, cols: int, row_values: tuple[int, ...] | None) -> None:
+    def _init(self, words: np.ndarray, cols: int) -> None:
         words.flags.writeable = False
         self.rows = words.shape[0]
         self.cols = cols
         self.words = words
-        self._row_values = row_values
 
     @classmethod
     def _from_words(cls, words: np.ndarray, cols: int) -> "BitMatrix":
         """Wrap a canonical word array; the matrix takes ownership of it."""
         m = cls.__new__(cls)
-        m._init(words, cols, None)
+        m._init(words, cols)
         return m
 
     @classmethod
@@ -240,9 +239,7 @@ class BitMatrix:
     @property
     def row_values(self) -> tuple[int, ...]:
         """Rows as canonical LSB-first ints."""
-        if self._row_values is None:
-            self._row_values = tuple(int.from_bytes(w.tobytes(), "little") for w in self.words)
-        return self._row_values
+        return tuple(int.from_bytes(w.tobytes(), "little") for w in self.words)
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, int.from_bytes(self.words[i].tobytes(), "little"))

@@ -32,18 +32,15 @@ class HardeningKind(str, Enum):
 @dataclass(frozen=True)
 class HardeningMode:
     kind: HardeningKind = HardeningKind.BASELINE
-    # Shared secret the matrix is expanded from in derived_matrix mode.
-    # When None, sessions fall back to per-session pre-provisioned material.
-    derivation_seed_source: bytes | None = None
 
     @classmethod
-    def parse(cls, name: str, derivation_seed_source: bytes | None = None) -> "HardeningMode":
+    def parse(cls, name: str) -> "HardeningMode":
         try:
             kind = HardeningKind(name)
         except ValueError:
             valid = ", ".join(k.value for k in HardeningKind)
             raise ValueError(f"unknown hardening mode {name!r}, expected one of: {valid}") from None
-        return cls(kind, derivation_seed_source)
+        return cls(kind)
 
 
 def embed_matrix_in_log(

@@ -20,14 +20,14 @@ import hashlib
 import hmac as hmac_mod
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .channel import A_TO_B, B_TO_A, Channel, Frame, FrameType
+from .channel import A_TO_B, B_TO_A, Channel, Frame, FrameType, render_payload
 from .gf2 import BitMatrix, BitVector, matvec, random_matrix
 from .hardening import HardeningKind, HardeningMode, derive_matrix, embed_matrix_in_log
 from .seeding import derive_bytes, make_rng
@@ -100,26 +100,7 @@ class PartyState:
     key_tail: BitVector | None = None
 
     def to_json_dict(self) -> dict:
-        def vec(v):
-            return None if v is None else v.to_hex()
-
-        return {
-            "role": self.role,
-            "raw_bits": vec(self.raw_bits),
-            "bases": vec(self.bases),
-            "sifted": vec(self.sifted),
-            "sifted_bases": vec(self.sifted_bases),
-            "est_positions": self.est_positions,
-            "est_rate": None
-            if self.est_rate is None
-            else f"{self.est_rate.numerator}/{self.est_rate.denominator}",
-            "corrected_positions": self.corrected_positions,
-            "reconciled": vec(self.reconciled),
-            "pa_matrix": None if self.pa_matrix is None else self.pa_matrix.to_hex().split("\n"),
-            "full_key": vec(self.full_key),
-            "final_key": vec(self.final_key),
-            "key_tail": vec(self.key_tail),
-        }
+        return {f.name: render_payload(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -456,7 +437,7 @@ def run_session(
 
     key_len_in = len(alice.reconciled)
     if hardening.kind is HardeningKind.DERIVED_MATRIX:
-        secret = hardening.derivation_seed_source or session_derivation_secret(params)
+        secret = session_derivation_secret(params)
         matrix_a = derive_matrix(secret, params.key_len, key_len_in)
         matrix_b = derive_matrix(secret, params.key_len, key_len_in)
     else:

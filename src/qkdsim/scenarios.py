@@ -29,7 +29,7 @@ from .adversary import (
     otp_encrypt,
     run_collision_impersonation,
 )
-from .channel import AttackStrategy, Channel, FrameType
+from .channel import AttackStrategy, Channel, FrameType, render_payload
 from .gf2 import BitVector
 from .hardening import HardeningKind, HardeningMode
 from .pipeline import SessionParams, SessionResult, Verdict, run_session
@@ -202,7 +202,8 @@ def _flip_entry_outcome(result: SessionResult, strategy, opts: dict):
         result.bob.verdict is not Verdict.ABORT
         and bob.full_key[row] != result.alice.state.full_key[row]
     )
-    reconciled_bit = None if bob.reconciled is None else bob.reconciled[opts["col"]]
+    reconciled, col = bob.reconciled, opts["col"]
+    reconciled_bit = None if reconciled is None or col >= len(reconciled) else reconciled[col]
     return flipped, {"bit_flipped": flipped, "reconciled_bit": reconciled_bit}
 
 
@@ -233,8 +234,8 @@ def _collision_trial(config: ScenarioConfig, params: SessionParams, opts: dict, 
         "found": out.found,
         "candidates_examined": out.candidates_examined,
         "impersonation_accepted": out.impersonation_accepted,
-        "attacker_key": None if out.attacker_key is None else out.attacker_key.to_hex(),
-        "bob_key": None if out.bob_key is None else out.bob_key.to_hex(),
+        "attacker_key": render_payload(out.attacker_key),
+        "bob_key": render_payload(out.bob_key),
     }
     success = out.found and out.impersonation_accepted
     return alice_v, out.bob_verdict.value, None, success, aux
@@ -281,6 +282,11 @@ def _check_flip_entry(config: ScenarioConfig, opts: dict, non_tail: int) -> None
         )
     if opts["col"] < 0:
         raise ConfigError("flip-entry col must be nonnegative")
+    if opts["col"] >= config.params.n_raw:
+        raise ConfigError(
+            f"flip-entry col must lie below n_raw = {config.params.n_raw}, got {opts['col']}: "
+            "the reconciled key is shorter than the raw key"
+        )
 
 
 def _check_extract_bits(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
@@ -293,8 +299,19 @@ def _check_extract_bits(config: ScenarioConfig, opts: dict, non_tail: int) -> No
         raise ConfigError("give only one of num_known and known_positions")
     if opts["num_known"] < 1:
         raise ConfigError("extract-bits num_known must be at least 1")
+    n_raw = config.params.n_raw
+    positions = opts["known_positions"]
+    if positions is None and opts["num_known"] > n_raw:
+        raise ConfigError(
+            f"extract-bits num_known must be at most n_raw = {n_raw}, got {opts['num_known']}"
+        )
     if "known_positions" in given and not given["known_positions"]:
         raise ConfigError("extract-bits known_positions must be nonempty")
+    bad = [q for q in positions or () if not 0 <= q < n_raw]
+    if bad:
+        raise ConfigError(
+            f"extract-bits known_positions must lie in [0, n_raw = {n_raw}), got {bad[0]}"
+        )
 
 
 def _check_collision(config: ScenarioConfig, opts: dict, non_tail: int) -> None:

@@ -7,7 +7,6 @@ import dataclasses
 import pytest
 
 from qkdsim.adversary import (
-    CollisionSearchView,
     ExtractBitsStrategy,
     FlipEntryStrategy,
     RandomizeRowsStrategy,
@@ -293,9 +292,33 @@ def test_collision_requires_matrix_in_log():
 def test_collision_search_validation():
     params = SessionParams(n_raw=1024, hash_width=8, master_seed=3)
     result = run_session(params)
-    view = CollisionSearchView.from_state(result.alice.state, params)
     with pytest.raises(ValueError, match="budget"):
-        attack_collision_impersonate(b"\x00", view, 0, make_rng(0, "s"))
+        attack_collision_impersonate(b"\x00", result.alice.state, params, 0, make_rng(0, "s"))
+
+
+@pytest.mark.parametrize(
+    "n_raw,key_len,tail_len,w",
+    [(40, 8, 1, 6), (300, 20, 3, 7), (200, 16, 15, 8)],
+)
+def test_collision_search_shapes(n_raw, key_len, tail_len, w):
+    # Short reconciled keys (fewer than 128 columns, not a whole number of
+    # bytes) and tails of one row up to key_len - 1 rows: every hit must be
+    # accepted by Bob and give the attacker Bob's key.
+    hits = 0
+    for t in range(20):
+        params = SessionParams(
+            n_raw=n_raw,
+            key_len=key_len,
+            tail_len=tail_len,
+            hash_width=w,
+            master_seed=trial_seed(902, t),
+        )
+        out = run_collision_impersonation(params, MATRIX_IN_LOG, 1 << 12)
+        if out.found:
+            assert out.impersonation_accepted
+            assert out.attacker_key == out.bob_key
+            hits += 1
+    assert hits >= 1
 
 
 # ------------------------------------------------------------ one-time pad

@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim.channel import A_TO_B, AttackStrategy, Channel, Frame, FrameType
-from qkdsim.gf2 import BitMatrix, BitVector, flip_entry, matvec, random_matrix
+from qkdsim.gf2 import BitMatrix, BitVector, flip_entry, matvec, random_matrix, unpack_bits_msb
 from qkdsim.hardening import HardeningKind, HardeningMode
 from qkdsim.pipeline import (
     AuthTag,
@@ -341,6 +343,84 @@ def test_log_serialization_with_matrix():
         "01" + "00000002" + "00000002" + "80" + "40"  # rows 10 and 01, MSB-first
     )
     assert serialize_log(log).hex() == expected
+
+
+class _LogReader:
+    """Reads serialize_log's fields back, in its order, from its bytes."""
+
+    def __init__(self, data: bytes):
+        self.data, self.at = data, 0
+
+    def take(self, n: int) -> bytes:
+        assert self.at + n <= len(self.data), "field runs past the end"
+        out = self.data[self.at : self.at + n]
+        self.at += n
+        return out
+
+    def u32(self) -> int:
+        return struct.unpack(">I", self.take(4))[0]
+
+    def bits(self, n: int) -> int:
+        return unpack_bits_msb(self.take((n + 7) // 8), n)
+
+    def vec(self) -> BitVector:
+        n = self.u32()
+        return BitVector(n, self.bits(n))
+
+    def positions(self) -> tuple[int, ...]:
+        return tuple(self.u32() for _ in range(self.u32()))
+
+    def matrix(self) -> BitMatrix | None:
+        if self.take(1) == b"\x00":
+            return None
+        rows, cols = self.u32(), self.u32()
+        return BitMatrix([self.bits(cols) for _ in range(rows)], cols)
+
+
+def parse_log(data: bytes) -> ProtocolLogExtract:
+    r = _LogReader(data)
+    log = ProtocolLogExtract(
+        sifted_bases=r.vec(),
+        est_positions=r.positions(),
+        est_rate=Fraction(r.u32(), r.u32()),
+        corrected_positions=r.positions(),
+        key_tail=r.vec(),
+        matrix_included=r.matrix(),
+    )
+    assert r.at == len(data), "trailing bytes"
+    return log
+
+
+U32 = st.integers(0, 2**32 - 1)
+
+
+def bit_vectors(max_len=70):
+    return st.integers(0, max_len).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda v: BitVector(n, v))
+    )
+
+
+@st.composite
+def log_matrices(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(1, 70))
+    return BitMatrix(draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)), cols)
+
+
+@settings(deadline=None, database=None)
+@given(
+    bit_vectors(),
+    st.lists(U32, max_size=5),
+    st.fractions(min_value=0, max_denominator=2**32 - 1).filter(lambda q: q.numerator < 2**32),
+    st.lists(U32, max_size=5),
+    bit_vectors(),
+    st.none() | log_matrices(),
+)
+def test_serialize_log_round_trips(bases, est, rate, corrected, tail, matrix):
+    # A parser that reads the bytes back into an equal extract shows that
+    # serialize_log is injective: no two extracts share a serialization,
+    # whatever the field lengths.
+    log = ProtocolLogExtract(bases, tuple(est), rate, tuple(corrected), tail, matrix)
+    assert parse_log(serialize_log(log)) == log
 
 
 # ----------------------------------------------------------- authentication

@@ -447,11 +447,43 @@ def test_config_file_rejects_bad_json(tmp_path):
             "known_positions must be a list of integers",
         ),
         ({"attack": {"name": "otp-malleability", "bit_positions": 3}}, "list of integers"),
+        ({"attack": {"name": "flip-entry", "col": 100000}}, "col must lie below n_raw"),
+        ({"attack": {"name": "flip-entry", "col": 8192}}, "col must lie below n_raw"),
+        (
+            {"attack": {"name": "extract-bits", "known_positions": [100000]}},
+            r"known_positions must lie in \[0, n_raw",
+        ),
+        (
+            {"attack": {"name": "extract-bits", "known_positions": [-1]}},
+            r"known_positions must lie in \[0, n_raw",
+        ),
+        ({"attack": {"name": "extract-bits", "num_known": 100000}}, "num_known must be at most n_raw"),
     ],
 )
 def test_config_validation_errors(overrides, match):
     with pytest.raises(ConfigError, match=match):
         config_from_dict(overrides)
+
+
+@pytest.mark.parametrize(
+    "attack,field",
+    [
+        ({"name": "flip-entry", "col": 3600}, "reconciled_bit"),
+        ({"name": "extract-bits", "known_positions": [3, 3600]}, "prediction"),
+        ({"name": "extract-bits", "num_known": 3600}, "prediction"),
+    ],
+)
+def test_options_past_a_trials_reconciled_key_leave_the_attack_unmounted(attack, field):
+    # Reconciled keys at the default n_raw are ~3,584 bits, so position 3600
+    # lies past the key in some trials (3,542 bits in trial 0). Those trials
+    # run to the end with the matrix frame untouched and no success.
+    reports, _ = run_scenario(config_from_dict({"name": "past-key", "attack": attack, "trials": 20}))
+    unmounted = [r for r in reports if r.aux[field] is None]
+    assert 0 in [r.trial_index for r in unmounted]
+    for r in unmounted:
+        assert r.aux["tampered_frames"] == 0
+        assert not r.attack_success
+        assert r.bob_verdict == "accept"
 
 
 def test_run_scenario_validates():
