@@ -22,7 +22,7 @@ import numpy as np
 from .channel import A_TO_B, AttackStrategy, Frame, FrameType
 # matvec is not called here: the benchmark's tracer self-test checks that this
 # module's matvec binding is wrapped and restored, so the binding stays.
-from .gf2 import BitMatrix, BitVector, matvec, pack_bits_msb, replace_rows  # noqa: F401
+from .gf2 import BitMatrix, BitVector, matvec, random_vectors, replace_rows  # noqa: F401
 from .gf2 import flip_entry as gf2_flip_entry
 from .hardening import HardeningKind, HardeningMode
 from .pipeline import (
@@ -65,7 +65,7 @@ def attack_randomize_rows(frame: Frame, r: int, tail_len: int, rng: np.random.Ge
         )
     if r == 0:
         return frame
-    tampered = replace_rows(m, 0, r, lambda: BitVector.random(m.cols, rng))
+    tampered = replace_rows(m, 0, r, iter(random_vectors(r, m.cols, rng)).__next__)
     return Frame(frame.kind, tampered)
 
 
@@ -181,6 +181,8 @@ class ExtractBitsStrategy(AttackStrategy):
             raise ValueError("give exactly one of known_positions or num_known")
         if num_known is not None and num_known < 1:
             raise ValueError("num_known must be at least 1")
+        if known_positions is not None and len(set(known_positions)) < len(known_positions):
+            raise ValueError("known_positions must be distinct")
         self.target_row = target_row
         self.tail_len = tail_len
         self.rng = rng
@@ -242,8 +244,11 @@ def attack_collision_impersonate(
     Only the tail rows and the embedded matrix bytes influence the digest,
     so candidates keep every row except the last at zero and vary 128
     pseudo-random bits of the last row. The hash state over all fixed bytes
-    is computed once per possible tail value and per-candidate work is a
-    small incremental update, which keeps million-candidate budgets cheap.
+    is computed once per possible tail value. Candidates are drawn in chunks
+    of _SEARCH_CHUNK, and numpy computes each chunk's tail parities and
+    suffix bytes at once, so per candidate only a copy of one of the two
+    states, an update with its suffix, the digest and the compare remain.
+    That keeps million-candidate budgets cheap.
     """
     if budget < 1:
         raise ValueError("search budget must be at least 1")
@@ -259,7 +264,6 @@ def attack_collision_impersonate(
     p0 = (shift // 8) * 8  # candidate-dependent suffix of the row starts here
     suffix_bits = cols - p0
     sub_shift = shift - p0
-    var_mask = (1 << var_bits) - 1
 
     # With rows 0..l-2 all zero the only live tail bit is the last one,
     # whose value is the candidate row's parity against the reconciled key.
@@ -267,36 +271,50 @@ def attack_collision_impersonate(
     # ceil(suffix_bits / 8) bytes are the candidate-dependent suffix.
     zeros = BitMatrix.zeros(l, cols)
     suffix_len = (suffix_bits + 7) // 8
-    states = []
+    copies = []
     for bit in (0, 1):
         probe = dc_replace(state, pa_matrix=zeros, key_tail=BitVector(t, bit << (t - 1)))
         data = serialize_log(build_log_extract(probe, _MATRIX_IN_LOG))
-        states.append(hashlib.sha256(data[:-suffix_len]))
+        copies.append(hashlib.sha256(data[:-suffix_len]).copy)
 
+    # Candidate r is the low var_bits bits of a 16-byte big-endian draw.
     ktop = state.reconciled.value >> shift
+    ktop_words = np.array([ktop >> 64, ktop & ((1 << 64) - 1)], ">u8")
     nb = (w + 7) // 8
     rem = w % 8
+    head_len = nb - 1 if rem else nb
+    target_head = captured_digest[:head_len]
     if rem:
         last_mask = (0xFF << (8 - rem)) & 0xFF
-        target_head, target_last = captured_digest[: nb - 1], captured_digest[nb - 1]
+        target_last = captured_digest[nb - 1]
     examined = 0
     while examined < budget:
         todo = min(_SEARCH_CHUNK, budget - examined)
         buf = rng.bytes(16 * todo)
-        for o in range(0, 16 * todo, 16):
-            r = int.from_bytes(buf[o : o + 16], "big") & var_mask
-            parity = (r & ktop).bit_count() & 1
-            h = states[parity].copy()
-            h.update(pack_bits_msb(r << sub_shift, suffix_bits))
+        draws = np.frombuffer(buf, np.uint8).reshape(todo, 16)
+        # Parity of r against ktop, from the two 64-bit halves of each draw
+        # (ktop has no bits above var_bits, so r need not be masked first).
+        both = np.bitwise_count(draws.view(">u8") & ktop_words)
+        parities = ((both[:, 0] ^ both[:, 1]) & 1).tolist()
+        # Suffix bytes pack_bits_msb(r << sub_shift, suffix_bits): sub_shift
+        # zero bits, then r's bits from bit 0 up, packed MSB first.
+        bits = np.zeros((todo, 8 * suffix_len), np.uint8)
+        bits[:, sub_shift : sub_shift + var_bits] = np.unpackbits(
+            draws[:, ::-1], axis=1, bitorder="little"
+        )[:, :var_bits]
+        suffixes = np.packbits(bits, axis=1, bitorder="big").tobytes()
+        for k, parity in enumerate(parities):
+            h = copies[parity]()
+            o = k * suffix_len
+            h.update(suffixes[o : o + suffix_len])
             d = h.digest()
-            examined += 1
-            if rem:
-                hit = d[: nb - 1] == target_head and (d[nb - 1] & last_mask) == target_last
-            else:
-                hit = d[:nb] == captured_digest[:nb]
-            if hit:
+            if d[:head_len] == target_head and (
+                not rem or (d[nb - 1] & last_mask) == target_last
+            ):
+                r = int.from_bytes(buf[16 * k : 16 * k + 16], "big") & ((1 << var_bits) - 1)
                 matrix = BitMatrix((0,) * (l - 1) + (r << shift,), cols)
-                return CollisionSearchResult(matrix, examined)
+                return CollisionSearchResult(matrix, examined + k + 1)
+        examined += todo
     return CollisionSearchResult(None, examined)
 
 

@@ -327,6 +327,25 @@ def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> BitMatrix:
     return BitMatrix.from_packed_rows(rng.bytes(rows * nbytes), rows, cols)
 
 
+def random_vectors(count: int, n: int, rng: np.random.Generator) -> list[BitVector]:
+    """count random n-bit vectors from a single rng.bytes call.
+
+    Generator.bytes draws whole uint32 words, so one draw of count rows of
+    ceil(n / 8) bytes, each padded to whole words, holds the bytes of count
+    separate BitVector.random(n, rng) calls and leaves rng in the same state.
+    """
+    nbytes = (n + 7) // 8
+    if count == 0 or nbytes == 0:
+        return [BitVector(n)] * count  # like BitVector.random, draws nothing
+    stride = 4 * ((nbytes + 3) // 4)
+    block = rng.bytes(count * stride)
+    mask = (1 << n) - 1
+    return [
+        BitVector(n, int.from_bytes(block[o : o + nbytes], "little") & mask)
+        for o in range(0, count * stride, stride)
+    ]
+
+
 def replace_rows(
     m: BitMatrix, start: int, stop: int, row_factory: Callable[[], BitVector]
 ) -> BitMatrix:

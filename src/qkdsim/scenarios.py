@@ -14,6 +14,7 @@ import json
 import numbers
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -312,6 +313,10 @@ def _check_extract_bits(config: ScenarioConfig, opts: dict, non_tail: int) -> No
         raise ConfigError(
             f"extract-bits known_positions must lie in [0, n_raw = {n_raw}), got {bad[0]}"
         )
+    repeated = [q for q, c in Counter(positions or ()).items() if c > 1]
+    if repeated:
+        # A repeated bit would enter the prediction twice but the row once.
+        raise ConfigError(f"extract-bits known_positions must be distinct, {repeated[0]} repeats")
 
 
 def _check_collision(config: ScenarioConfig, opts: dict, non_tail: int) -> None:

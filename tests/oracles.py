@@ -2,14 +2,22 @@
 
 These deliberately avoid the packed-int code paths in qkdsim.gf2: the bit
 loop works entry by entry through the public accessors, and the numpy
-oracle goes through the byte serialization and an integer matmul.
+oracle goes through the byte serialization and an integer matmul. The
+collision-search oracle prepares every candidate on its own in Python,
+where the search itself prepares a whole chunk of candidates with numpy.
 """
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace as dc_replace
+
 import numpy as np
 
-from qkdsim.gf2 import BitMatrix, BitVector
+from qkdsim.adversary import CollisionSearchResult
+from qkdsim.gf2 import BitMatrix, BitVector, pack_bits_msb
+from qkdsim.hardening import HardeningKind, HardeningMode
+from qkdsim.pipeline import PartyState, SessionParams, build_log_extract, serialize_log
 
 
 def oracle_matvec_bitloop(m: BitMatrix, v: BitVector) -> list[int]:
@@ -33,3 +41,75 @@ def oracle_matvec_numpy(m: BitMatrix, v: BitVector) -> list[int]:
     rows = np.stack([unpack_msb(m.row(i).to_bytes_msb(), m.cols) for i in range(m.rows)])
     vec = unpack_msb(v.to_bytes_msb(), v.n)
     return list((rows.astype(np.int64) @ vec.astype(np.int64)) % 2)
+
+
+_SEARCH_CHUNK = 4096  # candidates drawn per rng.bytes call
+_MATRIX_IN_LOG = HardeningMode(HardeningKind.MATRIX_IN_LOG)
+
+
+def oracle_collision_search(
+    captured_digest: bytes,
+    state: PartyState,
+    params: SessionParams,
+    budget: int,
+    rng: np.random.Generator,
+) -> CollisionSearchResult:
+    """The collision search as one Python loop over candidates.
+
+    Each candidate is sliced from the chunk, masked, checked for parity and
+    packed by pack_bits_msb on its own; the result must equal
+    attack_collision_impersonate's for the same inputs and rng.
+    """
+    if budget < 1:
+        raise ValueError("search budget must be at least 1")
+    l, t, w = params.key_len, params.tail_len, params.hash_width
+    if t < 1:
+        raise ValueError("collision search requires at least one tail row in the log")
+    cols = len(state.reconciled)
+    if cols < 1:
+        raise ValueError("empty reconciled key")
+
+    var_bits = min(128, cols)
+    shift = cols - var_bits
+    p0 = (shift // 8) * 8  # candidate-dependent suffix of the row starts here
+    suffix_bits = cols - p0
+    sub_shift = shift - p0
+    var_mask = (1 << var_bits) - 1
+
+    # With rows 0..l-2 all zero the only live tail bit is the last one,
+    # whose value is the candidate row's parity against the reconciled key.
+    # The serialized log ends with the last row, whose final
+    # ceil(suffix_bits / 8) bytes are the candidate-dependent suffix.
+    zeros = BitMatrix.zeros(l, cols)
+    suffix_len = (suffix_bits + 7) // 8
+    states = []
+    for bit in (0, 1):
+        probe = dc_replace(state, pa_matrix=zeros, key_tail=BitVector(t, bit << (t - 1)))
+        data = serialize_log(build_log_extract(probe, _MATRIX_IN_LOG))
+        states.append(hashlib.sha256(data[:-suffix_len]))
+
+    ktop = state.reconciled.value >> shift
+    nb = (w + 7) // 8
+    rem = w % 8
+    if rem:
+        last_mask = (0xFF << (8 - rem)) & 0xFF
+        target_head, target_last = captured_digest[: nb - 1], captured_digest[nb - 1]
+    examined = 0
+    while examined < budget:
+        todo = min(_SEARCH_CHUNK, budget - examined)
+        buf = rng.bytes(16 * todo)
+        for o in range(0, 16 * todo, 16):
+            r = int.from_bytes(buf[o : o + 16], "big") & var_mask
+            parity = (r & ktop).bit_count() & 1
+            h = states[parity].copy()
+            h.update(pack_bits_msb(r << sub_shift, suffix_bits))
+            d = h.digest()
+            examined += 1
+            if rem:
+                hit = d[: nb - 1] == target_head and (d[nb - 1] & last_mask) == target_last
+            else:
+                hit = d[:nb] == captured_digest[:nb]
+            if hit:
+                matrix = BitMatrix((0,) * (l - 1) + (r << shift,), cols)
+                return CollisionSearchResult(matrix, examined)
+    return CollisionSearchResult(None, examined)

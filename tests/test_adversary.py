@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -24,8 +25,10 @@ from qkdsim.adversary import (
 from qkdsim.channel import Channel, Frame, FrameType
 from qkdsim.gf2 import BitVector, random_matrix
 from qkdsim.hardening import HardeningKind, HardeningMode
-from qkdsim.pipeline import SessionParams, Verdict, run_session
+from qkdsim.pipeline import SessionParams, Verdict, run_session, truncate_digest
 from qkdsim.seeding import derive_bytes, make_rng, trial_seed
+
+from oracles import oracle_collision_search
 
 MATRIX_IN_LOG = HardeningMode(HardeningKind.MATRIX_IN_LOG)
 DERIVED = HardeningMode(HardeningKind.DERIVED_MATRIX)
@@ -180,6 +183,8 @@ def test_extract_bits_strategy_validation():
         ExtractBitsStrategy(0, 128, rng, known_positions=[1], num_known=1)
     with pytest.raises(ValueError):
         ExtractBitsStrategy(0, 128, rng, num_known=0)
+    with pytest.raises(ValueError, match="distinct"):
+        ExtractBitsStrategy(0, 128, rng, known_positions=[3, 3])
 
 
 # ----------------------------------------------- hardening vs frame attacks
@@ -231,6 +236,32 @@ def test_collision_impersonation_width8():
             assert out.attacker_key == out.bob_key
             successes += 1
     assert successes / 200 >= 0.99
+
+
+def _wilson(successes: int, n: int, z: float) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion (Wilson, JASA 22:209, 1927)."""
+    p = successes / n
+    centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    return centre - half, centre + half
+
+
+@pytest.mark.parametrize("w", [6, 8, 10])
+def test_collision_rate_matches_random_oracle(w):
+    # K = ln2 * 2^w candidates put the analytic hit rate 1-(1-2^-w)^K at
+    # about 1/2. Trials whose exchange with Bob aborts search nothing and
+    # are left out of the rate.
+    budget = round(math.log(2) * 2**w)
+    predicted = 1 - (1 - 2.0**-w) ** budget
+    found = searched = 0
+    for t in range(400):
+        params = SessionParams(n_raw=1024, hash_width=w, master_seed=trial_seed(903, t))
+        out = run_collision_impersonation(params, MATRIX_IN_LOG, budget)
+        if not out.aborted:
+            searched += 1
+            found += out.found
+    lo, hi = _wilson(found, searched, z=4.0)
+    assert lo <= predicted <= hi, (w, found, searched, predicted)
 
 
 def test_collision_impersonation_never_finds_full_width():
@@ -319,6 +350,51 @@ def test_collision_search_shapes(n_raw, key_len, tail_len, w):
             assert out.attacker_key == out.bob_key
             hits += 1
     assert hits >= 1
+
+
+_ORACLE_WIDTHS = (5, 7, 8, 9, 12, 16)
+_ORACLE_BUDGETS = (1, 4095, 4096, 4097, 3 * 4096 + 5)
+
+
+def _oracle_case(cols: int, w: int, tail_len: int = 1):
+    """A search state whose reconciled key has `cols` columns, and a target."""
+    params = SessionParams(n_raw=512, key_len=16, tail_len=tail_len, hash_width=w, master_seed=7)
+    state = run_session(params).alice.state
+    state = dataclasses.replace(state, reconciled=BitVector.random(cols, make_rng(cols, "key")))
+    digest = truncate_digest(derive_bytes(cols, "target", str(w), n=32), w)
+    return digest, state, params
+
+
+def _search_both(case, budget: int, seed: int, label: str):
+    """The search and its oracle on the same case, each from a fresh rng."""
+    return tuple(
+        search(*case, budget, make_rng(seed, label))
+        for search in (attack_collision_impersonate, oracle_collision_search)
+    )
+
+
+@pytest.mark.parametrize(
+    "cols",
+    # Keys shorter than 128 columns in every residue mod 8, the 128-column
+    # edges, and longer keys in every residue, i.e. every sub-byte shift.
+    [1, 7, *range(60, 68), 127, 128, 129, *range(1000, 1008)],
+)
+def test_collision_search_matches_oracle(cols):
+    for w in _ORACLE_WIDTHS:
+        fast, slow = _search_both(_oracle_case(cols, w, 1 + cols % 3), _ORACLE_BUDGETS[-1], cols, "s")
+        assert fast == slow, (cols, w)
+    # At w=16 most searches exhaust their budget, crossing chunk edges.
+    case = _oracle_case(cols, 16)
+    for budget in _ORACLE_BUDGETS[:-1]:
+        fast, slow = _search_both(case, budget, cols, "b")
+        assert fast == slow, (cols, budget)
+
+
+def test_collision_search_hit_in_second_chunk_matches_oracle():
+    # At search seed 3 this search first hits at candidate 7017.
+    fast, slow = _search_both(_oracle_case(1003, 12), _ORACLE_BUDGETS[-1], 3, "s")
+    assert fast == slow
+    assert fast.matrix is not None and 4096 < fast.candidates_examined <= 8192
 
 
 # ------------------------------------------------------------ one-time pad

@@ -15,6 +15,7 @@ from qkdsim.gf2 import (
     matvec,
     pack_bits_msb,
     random_matrix,
+    random_vectors,
     replace_rows,
     unpack_bits_msb,
 )
@@ -236,6 +237,20 @@ def test_random_matrix_rows_canonical():
     m = random_matrix(10, 13, np.random.default_rng(9))
     for r in m.row_values:
         assert r >> 13 == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17, 25, 33, 40, 3537, 3544, 3545, 3600, 3608])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 128])
+def test_random_vectors_match_separate_draws(n, count):
+    # One draw gives the rows and the end state of count separate draws,
+    # also when the generator starts with half a 64-bit output buffered.
+    for buffered in (False, True):
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        if buffered:  # one uint32 drawn, the other half of its output kept
+            a.bytes(4), b.bytes(4)
+        expected = [BitVector.random(n, a) for _ in range(count)]
+        assert random_vectors(count, n, b) == expected
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 # ------------------------------------------------------------ replace_rows

@@ -458,6 +458,10 @@ def test_config_file_rejects_bad_json(tmp_path):
             r"known_positions must lie in \[0, n_raw",
         ),
         ({"attack": {"name": "extract-bits", "num_known": 100000}}, "num_known must be at most n_raw"),
+        (
+            {"attack": {"name": "extract-bits", "known_positions": [5, 3, 3]}},
+            "known_positions must be distinct, 3 repeats",
+        ),
     ],
 )
 def test_config_validation_errors(overrides, match):
