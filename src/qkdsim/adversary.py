@@ -19,26 +19,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import A_TO_B, AttackStrategy, Frame, FrameType
+from .channel import A_TO_B, AttackStrategy, Channel, Frame, FrameType
 # matvec is not called here: the benchmark's tracer self-test checks that this
 # module's matvec binding is wrapped and restored, so the binding stays.
 from .gf2 import BitMatrix, BitVector, matvec, random_vectors, replace_rows  # noqa: F401
 from .gf2 import flip_entry as gf2_flip_entry
-from .hardening import HardeningKind, HardeningMode
+from .hardening import HardeningKind
 from .pipeline import (
     AuthTag,
     PartyState,
     SessionParams,
     Verdict,
     build_log_extract,
-    estimate_error,
+    exchange_reconciled_key,
     privacy_amplify,
-    reconcile,
     run_session,
     serialize_log,
     session_auth_key,
-    sift,
-    source_correlated,
     verify,
 )
 from .seeding import derive_bytes, make_rng
@@ -226,7 +223,6 @@ class CollisionSearchResult:
 
 
 _SEARCH_CHUNK = 4096  # candidates drawn per rng.bytes call
-_MATRIX_IN_LOG = HardeningMode(HardeningKind.MATRIX_IN_LOG)
 
 
 def attack_collision_impersonate(
@@ -274,7 +270,7 @@ def attack_collision_impersonate(
     copies = []
     for bit in (0, 1):
         probe = dc_replace(state, pa_matrix=zeros, key_tail=BitVector(t, bit << (t - 1)))
-        data = serialize_log(build_log_extract(probe, _MATRIX_IN_LOG))
+        data = serialize_log(build_log_extract(probe, HardeningKind.MATRIX_IN_LOG))
         copies.append(hashlib.sha256(data[:-suffix_len]).copy)
 
     # Candidate r is the low var_bits bits of a 16-byte big-endian draw.
@@ -332,7 +328,7 @@ class CollisionTrialOutcome:
 
 
 def run_collision_impersonation(
-    params: SessionParams, hardening: HardeningMode, budget: int
+    params: SessionParams, hardening: HardeningKind, budget: int
 ) -> CollisionTrialOutcome:
     """Play the full replay attack against the matrix_in_log variant.
 
@@ -341,9 +337,11 @@ def run_collision_impersonation(
     never accepts). Then the attacker starts a fresh exchange with Bob in
     Alice's role, runs it honestly up to the matrix message, searches for a
     matrix that reproduces the captured digest over Bob's log extract, and
-    replays the captured tag with it.
+    replays the captured tag with it. That exchange runs pipeline's own
+    exchange_reconciled_key over a passive channel, so it aborts exactly
+    where an honest session would.
     """
-    if hardening.kind is not HardeningKind.MATRIX_IN_LOG:
+    if hardening is not HardeningKind.MATRIX_IN_LOG:
         raise ValueError("the replay attack targets the matrix_in_log variant")
     # Pre-shared Alice/Bob authentication key, common to both exchanges.
     auth_key = session_auth_key(params)
@@ -361,14 +359,8 @@ def run_collision_impersonation(
         derive_bytes(params.master_seed, "impersonation-session", n=8), "big"
     )
     rng = make_rng(session_seed, "session")
-    attacker, bob = source_correlated(params, rng)
-    sift(attacker, bob.bases)
-    sift(bob, attacker.bases)
-    if len(attacker.sifted) == 0 or estimate_error(attacker, bob, params, rng).abort:
-        return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None, aborted=True)
-    reconcile(attacker, bob)
-    if len(attacker.reconciled) == 0:
-        # Estimation disclosed every sifted bit: no key to build a matrix for.
+    attacker, bob, aborted = exchange_reconciled_key(params, Channel(), rng)
+    if aborted:
         return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None, aborted=True)
 
     search_rng = make_rng(params.master_seed, "collision-search")

@@ -8,7 +8,6 @@ flight, which is what the analysis code and the attacks operate on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -82,8 +81,9 @@ class Channel:
     def count(self, kind: FrameType) -> int:
         return sum(1 for e in self.transcript if e.frame.kind is kind)
 
-    def transcript_json(self) -> str:
-        entries = [
+    def transcript_dicts(self) -> list[dict]:
+        """The transcript as JSON-ready dicts, one per delivered frame."""
+        return [
             {
                 "direction": e.direction,
                 "kind": e.frame.kind.value,
@@ -92,7 +92,6 @@ class Channel:
             }
             for e in self.transcript
         ]
-        return json.dumps(entries, indent=2)
 
 
 def render_payload(payload: object) -> object:

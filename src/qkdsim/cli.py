@@ -98,7 +98,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_list(args) -> int:
     for name, config in BUILTIN_SCENARIOS.items():
         attack = config.attack.name
-        print(f"{name:40s} trials={config.trials:<6d} hardening={config.hardening.kind.value}")
+        print(f"{name:40s} trials={config.trials:<6d} hardening={config.hardening.value}")
         print(f"    attack: {attack} {config.attack.options or ''}".rstrip())
         print(f"    claim:  {config.claim}")
     return 0

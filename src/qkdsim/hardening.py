@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -29,27 +28,13 @@ class HardeningKind(str, Enum):
     DERIVED_MATRIX = "derived_matrix"
 
 
-@dataclass(frozen=True)
-class HardeningMode:
-    kind: HardeningKind = HardeningKind.BASELINE
-
-    @classmethod
-    def parse(cls, name: str) -> "HardeningMode":
-        try:
-            kind = HardeningKind(name)
-        except ValueError:
-            valid = ", ".join(k.value for k in HardeningKind)
-            raise ValueError(f"unknown hardening mode {name!r}, expected one of: {valid}") from None
-        return cls(kind)
-
-
 def embed_matrix_in_log(
-    log: "ProtocolLogExtract", matrix: BitMatrix, mode: HardeningMode
+    log: "ProtocolLogExtract", matrix: BitMatrix, mode: HardeningKind
 ) -> "ProtocolLogExtract":
     """Return a copy of the log extract with the matrix embedded."""
-    if mode.kind is not HardeningKind.MATRIX_IN_LOG:
+    if mode is not HardeningKind.MATRIX_IN_LOG:
         raise ValueError(
-            f"matrix embedding requires matrix_in_log mode, session is in {mode.kind.value}"
+            f"matrix embedding requires matrix_in_log mode, session is in {mode.value}"
         )
     return dataclasses.replace(log, matrix_included=matrix)
 

@@ -10,8 +10,16 @@ releases its final key only if the peer's extract digest matches its own.
 Channel message order in run_session: BASES (A->B), BASES (B->A),
 EST_POSITIONS (A->B), EST_VALUES (A->B), EST_RATE (B->A),
 CORRECTIONS (A->B), PA_MATRIX (A->B, omitted in derived_matrix mode),
-AUTH_TAG_A (A->B), AUTH_TAG_B (B->A). A session whose sifted key is empty
-aborts after the two BASES frames.
+AUTH_TAG_A (A->B), AUTH_TAG_B (B->A).
+
+Everything up to the matrix message is exchange_reconciled_key, which makes
+every abort decision of a session. Both parties ABORT
+- on an empty sift, after the two BASES frames;
+- when the estimated error rate exceeds abort_threshold, after the three
+  EST_* frames;
+- on a short key, when fewer than key_len reconciled bits remain (the matrix
+  would only stretch them), after the CORRECTIONS frame.
+run_session and the collision attack's exchange with Bob both run it.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 
 from .channel import A_TO_B, B_TO_A, Channel, Frame, FrameType, render_payload
 from .gf2 import BitMatrix, BitVector, matvec, random_matrix
-from .hardening import HardeningKind, HardeningMode, derive_matrix, embed_matrix_in_log
+from .hardening import HardeningKind, derive_matrix, embed_matrix_in_log
 from .seeding import derive_bytes, make_rng
 
 
@@ -262,7 +270,9 @@ def privacy_amplify(state: PartyState, matrix: BitMatrix, params: SessionParams)
     state.key_tail = full.last(params.tail_len)
 
 
-def build_log_extract(state: PartyState, hardening: HardeningMode | None = None) -> ProtocolLogExtract:
+def build_log_extract(
+    state: PartyState, hardening: HardeningKind = HardeningKind.BASELINE
+) -> ProtocolLogExtract:
     """Assemble the party's protocol-log extract from its state."""
     missing = [
         name
@@ -283,7 +293,7 @@ def build_log_extract(state: PartyState, hardening: HardeningMode | None = None)
         corrected_positions=tuple(state.corrected_positions),
         key_tail=state.key_tail,
     )
-    if hardening is not None and hardening.kind is HardeningKind.MATRIX_IN_LOG:
+    if hardening is HardeningKind.MATRIX_IN_LOG:
         log = embed_matrix_in_log(log, state.pa_matrix, hardening)
     return log
 
@@ -386,57 +396,64 @@ def session_derivation_secret(params: SessionParams) -> bytes:
     return derive_bytes(params.master_seed, "pa-derivation-secret", n=32)
 
 
-def run_session(
-    params: SessionParams,
-    channel: Channel | None = None,
-    hardening: HardeningMode | None = None,
-    auth_key: bytes | None = None,
-) -> SessionResult:
-    """Run one full session between honest parties over the given channel.
+def exchange_reconciled_key(
+    params: SessionParams, channel: Channel, rng: np.random.Generator
+) -> tuple[PartyState, PartyState, bool]:
+    """Run a session up to the matrix message: sift, estimate, reconcile.
 
-    Every classical message passes through the channel in the fixed order
-    documented in the module docstring; the installed strategy may tamper
-    with frames in flight. Final keys are released only on ACCEPT. Both
-    parties ABORT when the sifted key is empty (right after the BASES frames)
-    or when the estimated error rate exceeds the abort threshold.
-    auth_key overrides the pre-shared authentication key (by default it is
-    provisioned deterministically from the master seed).
+    Returns both party states and whether the session aborts. The aborts
+    and the frames sent before each are listed in the module docstring.
     """
-    if channel is None:
-        channel = Channel()
-    if hardening is None:
-        hardening = HardeningMode()
-    rng = make_rng(params.master_seed, "session")
-
     alice, bob = source_correlated(params, rng)
 
     bases_ab = channel.deliver(A_TO_B, Frame(FrameType.BASES, alice.bases)).payload
     bases_ba = channel.deliver(B_TO_A, Frame(FrameType.BASES, bob.bases)).payload
     sift(alice, bases_ba)
     sift(bob, bases_ab)
+    if len(alice.sifted) == 0:
+        return alice, bob, True  # no matching bases: nothing to estimate or distil
 
-    def aborted() -> SessionResult:
+    est = estimate_error(alice, bob, params, rng)
+    channel.deliver(A_TO_B, Frame(FrameType.EST_POSITIONS, list(est.positions)))
+    channel.deliver(A_TO_B, Frame(FrameType.EST_VALUES, est.disclosed_values))
+    channel.deliver(B_TO_A, Frame(FrameType.EST_RATE, est.rate))
+    if est.abort:
+        return alice, bob, True
+
+    corrected = reconcile(alice, bob)
+    channel.deliver(A_TO_B, Frame(FrameType.CORRECTIONS, corrected))
+    channel.notify_reconciled(alice.reconciled)
+    return alice, bob, len(alice.reconciled) < params.key_len
+
+
+def run_session(
+    params: SessionParams,
+    channel: Channel | None = None,
+    hardening: HardeningKind = HardeningKind.BASELINE,
+    auth_key: bytes | None = None,
+) -> SessionResult:
+    """Run one full session between honest parties over the given channel.
+
+    Every classical message passes through the channel in the fixed order
+    documented in the module docstring; the installed strategy may tamper
+    with frames in flight. Final keys are released only on ACCEPT; both
+    parties ABORT when exchange_reconciled_key says so.
+    auth_key overrides the pre-shared authentication key (by default it is
+    provisioned deterministically from the master seed).
+    """
+    if channel is None:
+        channel = Channel()
+    rng = make_rng(params.master_seed, "session")
+    alice, bob, aborted = exchange_reconciled_key(params, channel, rng)
+    if aborted:
         return SessionResult(
             alice=PartyOutcome(Verdict.ABORT, None, alice),
             bob=PartyOutcome(Verdict.ABORT, None, bob),
             channel=channel,
         )
 
-    if len(alice.sifted) == 0:
-        return aborted()  # no matching bases: nothing to estimate or distil
-    est = estimate_error(alice, bob, params, rng)
-    channel.deliver(A_TO_B, Frame(FrameType.EST_POSITIONS, list(est.positions)))
-    channel.deliver(A_TO_B, Frame(FrameType.EST_VALUES, est.disclosed_values))
-    channel.deliver(B_TO_A, Frame(FrameType.EST_RATE, est.rate))
-    if est.abort:
-        return aborted()
-
-    corrected = reconcile(alice, bob)
-    channel.deliver(A_TO_B, Frame(FrameType.CORRECTIONS, corrected))
-    channel.notify_reconciled(alice.reconciled)
-
     key_len_in = len(alice.reconciled)
-    if hardening.kind is HardeningKind.DERIVED_MATRIX:
+    if hardening is HardeningKind.DERIVED_MATRIX:
         secret = session_derivation_secret(params)
         matrix_a = derive_matrix(secret, params.key_len, key_len_in)
         matrix_b = derive_matrix(secret, params.key_len, key_len_in)

@@ -32,7 +32,7 @@ from .adversary import (
 )
 from .channel import AttackStrategy, Channel, FrameType, render_payload
 from .gf2 import BitVector
-from .hardening import HardeningKind, HardeningMode
+from .hardening import HardeningKind
 from .pipeline import SessionParams, SessionResult, Verdict, run_session
 from .seeding import make_rng, trial_seed
 
@@ -60,7 +60,7 @@ class AttackSpec:
 class ScenarioConfig:
     name: str
     params: SessionParams = SessionParams()
-    hardening: HardeningMode = HardeningMode()
+    hardening: HardeningKind = HardeningKind.BASELINE
     attack: AttackSpec = AttackSpec("passive")
     trials: int = 1000
     master_seed: int = 0
@@ -154,7 +154,7 @@ def _dump_session(result: SessionResult) -> dict:
     return {
         "alice": result.alice.state.to_json_dict(),
         "bob": result.bob.state.to_json_dict(),
-        "transcript": json.loads(result.channel.transcript_json()),
+        "transcript": result.channel.transcript_dicts(),
     }
 
 
@@ -176,7 +176,7 @@ def _frame_trial(make_strategy, outcome) -> Callable[..., tuple]:
             "pa_matrix_frames": result.channel.count(FrameType.PA_MATRIX),
             **extra,
         }
-        if config.hardening.kind is HardeningKind.DERIVED_MATRIX:
+        if config.hardening is HardeningKind.DERIVED_MATRIX:
             aux["matrices_equal"] = result.alice.state.pa_matrix == result.bob.state.pa_matrix
         if dump_states:
             aux["dump"] = _dump_session(result)
@@ -320,13 +320,16 @@ def _check_extract_bits(config: ScenarioConfig, opts: dict, non_tail: int) -> No
 
 
 def _check_collision(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
-    if config.hardening.kind is not HardeningKind.MATRIX_IN_LOG:
+    if config.hardening is not HardeningKind.MATRIX_IN_LOG:
         raise ConfigError(
             "collision-impersonation targets the matrix_in_log variant; set "
             'hardening to "matrix_in_log"'
         )
     if opts["search_budget"] < 1:
         raise ConfigError("collision-impersonation search_budget must be at least 1")
+    if config.params.tail_len < 1:
+        # The search steers the digest through the logged key tail.
+        raise ConfigError("collision-impersonation needs tail_len >= 1")
 
 
 def _check_otp(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
@@ -545,7 +548,7 @@ def _scenario(
     trials: int,
     claim: str,
     checks: Sequence[tuple[str, float, float]],
-    hardening: HardeningMode = HardeningMode(),
+    hardening: HardeningKind = HardeningKind.BASELINE,
     params: SessionParams = SessionParams(),
 ) -> ScenarioConfig:
     return ScenarioConfig(
@@ -558,9 +561,6 @@ def _scenario(
         checks=tuple(Check(*c) for c in checks),
     )
 
-
-_MATRIX_IN_LOG = HardeningMode(HardeningKind.MATRIX_IN_LOG)
-_DERIVED = HardeningMode(HardeningKind.DERIVED_MATRIX)
 
 # Attacks reused by the hardened variants of the same scenario.
 _SECT3_ATTACKS = {
@@ -638,7 +638,7 @@ for _cfg in (
             ("attack_success_rate", 0.99, 1.0),
             ("accept_rate_bob", 0.99, 1.0),
         ],
-        hardening=_MATRIX_IN_LOG,
+        hardening=HardeningKind.MATRIX_IN_LOG,
         params=dataclasses.replace(SessionParams(), hash_width=16),
     ),
     _scenario(
@@ -663,7 +663,7 @@ for _cfg in (
                 ("accept_rate_bob", 0.0, 0.0),
                 ("attack_success_rate", 0.0, 0.0),
             ],
-            hardening=_MATRIX_IN_LOG,
+            hardening=HardeningKind.MATRIX_IN_LOG,
         )
         for attack_name in _SECT3_ATTACKS
     ),
@@ -678,7 +678,7 @@ for _cfg in (
             ("key_mismatch_rate", 0.0, 0.0),
             ("attack_success_rate", 0.0, 0.0),
         ],
-        hardening=_DERIVED,
+        hardening=HardeningKind.DERIVED_MATRIX,
     ),
 ):
     BUILTIN_SCENARIOS[_cfg.name] = _cfg
@@ -734,10 +734,12 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         raise ConfigError('"attack" must be an object with a "name" field')
     attack_d = dict(attack_raw)
     attack = AttackSpec(attack_d.pop("name"), attack_d)
+    mode = d.get("hardening", "baseline")
     try:
-        hardening = HardeningMode.parse(d.get("hardening", "baseline"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        hardening = HardeningKind(mode)
+    except ValueError:
+        valid = ", ".join(k.value for k in HardeningKind)
+        raise ConfigError(f"unknown hardening mode {mode!r}, expected one of: {valid}") from None
     checks_raw = d.get("checks", [])
     if not isinstance(checks_raw, list):
         raise ConfigError('"checks" must be a list')
@@ -773,7 +775,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         "trials": config.trials,
         "master_seed": config.master_seed,
         "params": params,
-        "hardening": config.hardening.kind.value,
+        "hardening": config.hardening.value,
         "attack": {"name": config.attack.name, **config.attack.options},
         "claim": config.claim,
         "checks": [dataclasses.asdict(c) for c in config.checks],

@@ -16,7 +16,7 @@ import numpy as np
 
 from qkdsim.adversary import CollisionSearchResult
 from qkdsim.gf2 import BitMatrix, BitVector, pack_bits_msb
-from qkdsim.hardening import HardeningKind, HardeningMode
+from qkdsim.hardening import HardeningKind
 from qkdsim.pipeline import PartyState, SessionParams, build_log_extract, serialize_log
 
 
@@ -44,7 +44,6 @@ def oracle_matvec_numpy(m: BitMatrix, v: BitVector) -> list[int]:
 
 
 _SEARCH_CHUNK = 4096  # candidates drawn per rng.bytes call
-_MATRIX_IN_LOG = HardeningMode(HardeningKind.MATRIX_IN_LOG)
 
 
 def oracle_collision_search(
@@ -85,7 +84,7 @@ def oracle_collision_search(
     states = []
     for bit in (0, 1):
         probe = dc_replace(state, pa_matrix=zeros, key_tail=BitVector(t, bit << (t - 1)))
-        data = serialize_log(build_log_extract(probe, _MATRIX_IN_LOG))
+        data = serialize_log(build_log_extract(probe, HardeningKind.MATRIX_IN_LOG))
         states.append(hashlib.sha256(data[:-suffix_len]))
 
     ktop = state.reconciled.value >> shift

@@ -24,14 +24,20 @@ from qkdsim.adversary import (
 )
 from qkdsim.channel import Channel, Frame, FrameType
 from qkdsim.gf2 import BitVector, random_matrix
-from qkdsim.hardening import HardeningKind, HardeningMode
-from qkdsim.pipeline import SessionParams, Verdict, run_session, truncate_digest
+from qkdsim.hardening import HardeningKind
+from qkdsim.pipeline import (
+    SessionParams,
+    Verdict,
+    exchange_reconciled_key,
+    run_session,
+    truncate_digest,
+)
 from qkdsim.seeding import derive_bytes, make_rng, trial_seed
 
 from oracles import oracle_collision_search
 
-MATRIX_IN_LOG = HardeningMode(HardeningKind.MATRIX_IN_LOG)
-DERIVED = HardeningMode(HardeningKind.DERIVED_MATRIX)
+MATRIX_IN_LOG = HardeningKind.MATRIX_IN_LOG
+DERIVED = HardeningKind.DERIVED_MATRIX
 
 
 def matrix_frame(rows=16, cols=32, seed=1) -> Frame:
@@ -287,13 +293,27 @@ def test_collision_search_deterministic_and_budgeted():
     assert short.candidates_examined <= 16
 
 
+def _capture_and_bob_exchange(params: SessionParams):
+    """The two exchanges run_collision_impersonation runs before its search:
+    the capture session with Alice, and the front end of the one with Bob."""
+    capture_seed = int.from_bytes(derive_bytes(params.master_seed, "capture-session", n=8), "big")
+    capture = run_session(dataclasses.replace(params, master_seed=capture_seed), hardening=MATRIX_IN_LOG)
+    session_seed = int.from_bytes(
+        derive_bytes(params.master_seed, "impersonation-session", n=8), "big"
+    )
+    attacker, _, aborted = exchange_reconciled_key(
+        params, Channel(), make_rng(session_seed, "session")
+    )
+    return capture, attacker, aborted
+
+
 def test_collision_impersonation_aborts_on_empty_sifted_key():
     # At this seed the capture session completes, and the attacker's
-    # exchange with Bob (one raw bit) matches no basis.
-    params = SessionParams(n_raw=1, qber=0.0, key_len=2, tail_len=1, hash_width=8, master_seed=1)
-    capture_seed = int.from_bytes(derive_bytes(1, "capture-session", n=8), "big")
-    capture = run_session(dataclasses.replace(params, master_seed=capture_seed), hardening=MATRIX_IN_LOG)
+    # exchange with Bob (four raw bits) matches no basis.
+    params = SessionParams(n_raw=4, qber=0.0, key_len=2, tail_len=1, hash_width=8, master_seed=2)
+    capture, attacker, _ = _capture_and_bob_exchange(params)
     assert capture.alice.verdict is Verdict.ACCEPT
+    assert len(attacker.sifted) == 0
     out = run_collision_impersonation(params, MATRIX_IN_LOG, 64)
     assert out.aborted
     assert out.bob_verdict is Verdict.ABORT
@@ -303,8 +323,13 @@ def test_collision_impersonation_aborts_on_empty_sifted_key():
 @pytest.mark.parametrize("seed", [8, 9])
 def test_collision_impersonation_aborts_on_empty_reconciled_key(seed):
     # At these seeds the attacker's exchange with Bob sifts one bit, which
-    # estimation discloses, leaving no reconciled key to search a matrix for.
+    # estimation discloses, leaving no reconciled key to search a matrix for:
+    # that exchange aborts on its short key. (The capture session, with at
+    # most one reconciled bit here, aborts on its short key as well.)
     params = SessionParams(n_raw=1, qber=0.0, key_len=2, tail_len=1, hash_width=8, master_seed=seed)
+    _, attacker, aborted = _capture_and_bob_exchange(params)
+    assert len(attacker.sifted_bases) == 1 and len(attacker.reconciled) == 0
+    assert aborted
     out = run_collision_impersonation(params, MATRIX_IN_LOG, 64)
     assert out.aborted
     assert out.bob_verdict is Verdict.ABORT
@@ -312,10 +337,29 @@ def test_collision_impersonation_aborts_on_empty_reconciled_key(seed):
     assert not out.found
 
 
+def test_collision_impersonation_aborts_on_short_key():
+    # The key-expansion case: 33 reconciled bits cannot become a 256-bit key.
+    out = run_collision_impersonation(
+        SessionParams(n_raw=64, key_len=256, hash_width=8, master_seed=3), MATRIX_IN_LOG, 64
+    )
+    assert out.aborted and out.bob_verdict is Verdict.ABORT
+    # Here the capture session completes, and only the exchange with Bob
+    # (21 reconciled bits for a 24-bit key) is short.
+    params = SessionParams(n_raw=64, key_len=24, tail_len=1, hash_width=8, master_seed=8)
+    capture, attacker, aborted = _capture_and_bob_exchange(params)
+    assert capture.alice.verdict is Verdict.ACCEPT
+    assert len(attacker.reconciled) == 21 and aborted
+    out = run_collision_impersonation(params, MATRIX_IN_LOG, 64)
+    assert out.aborted
+    assert out.bob_verdict is Verdict.ABORT
+    assert out.candidates_examined == 0
+    assert out.attacker_key is None and out.bob_key is None
+
+
 def test_collision_requires_matrix_in_log():
     params = SessionParams(hash_width=16, master_seed=1)
     with pytest.raises(ValueError, match="matrix_in_log"):
-        run_collision_impersonation(params, HardeningMode(), 16)
+        run_collision_impersonation(params, HardeningKind.BASELINE, 16)
     with pytest.raises(ValueError, match="matrix_in_log"):
         run_collision_impersonation(params, DERIVED, 16)
 

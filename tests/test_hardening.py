@@ -6,7 +6,6 @@ import pytest
 
 from qkdsim.hardening import (
     HardeningKind,
-    HardeningMode,
     derive_matrix,
     embed_matrix_in_log,
 )
@@ -21,29 +20,29 @@ from qkdsim.pipeline import (
 
 
 def test_mode_parse():
-    assert HardeningMode.parse("baseline").kind is HardeningKind.BASELINE
-    assert HardeningMode.parse("matrix_in_log").kind is HardeningKind.MATRIX_IN_LOG
-    assert HardeningMode.parse("derived_matrix").kind is HardeningKind.DERIVED_MATRIX
-    with pytest.raises(ValueError, match="unknown hardening mode"):
-        HardeningMode.parse("tinfoil")
+    assert HardeningKind("baseline") is HardeningKind.BASELINE
+    assert HardeningKind("matrix_in_log") is HardeningKind.MATRIX_IN_LOG
+    assert HardeningKind("derived_matrix") is HardeningKind.DERIVED_MATRIX
+    with pytest.raises(ValueError, match="tinfoil"):
+        HardeningKind("tinfoil")
 
 
 def test_embed_requires_matrix_in_log_mode():
-    result = run_session(SessionParams(n_raw=512, master_seed=1))
+    result = run_session(SessionParams(n_raw=1024, master_seed=1))
     log = build_log_extract(result.alice.state)
     m = result.alice.state.pa_matrix
-    embedded = embed_matrix_in_log(log, m, HardeningMode(HardeningKind.MATRIX_IN_LOG))
+    embedded = embed_matrix_in_log(log, m, HardeningKind.MATRIX_IN_LOG)
     assert embedded.matrix_included == m
     assert log.matrix_included is None  # original untouched
     with pytest.raises(ValueError, match="matrix_in_log"):
-        embed_matrix_in_log(log, m, HardeningMode(HardeningKind.BASELINE))
+        embed_matrix_in_log(log, m, HardeningKind.BASELINE)
     with pytest.raises(ValueError, match="matrix_in_log"):
-        embed_matrix_in_log(log, m, HardeningMode(HardeningKind.DERIVED_MATRIX))
+        embed_matrix_in_log(log, m, HardeningKind.DERIVED_MATRIX)
 
 
 def test_matrix_in_log_changes_serialization():
-    mode = HardeningMode(HardeningKind.MATRIX_IN_LOG)
-    result = run_session(SessionParams(n_raw=512, master_seed=2), hardening=mode)
+    mode = HardeningKind.MATRIX_IN_LOG
+    result = run_session(SessionParams(n_raw=1024, master_seed=2), hardening=mode)
     log_a = build_log_extract(result.alice.state, mode)
     log_b = build_log_extract(result.bob.state, mode)
     assert log_a.matrix_included is not None

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qkdsim.channel import A_TO_B, AttackStrategy, Channel, Frame, FrameType
 from qkdsim.gf2 import BitMatrix, BitVector, flip_entry, matvec, random_matrix, unpack_bits_msb
-from qkdsim.hardening import HardeningKind, HardeningMode
+from qkdsim.hardening import HardeningKind
 from qkdsim.pipeline import (
     AuthTag,
     PartyState,
@@ -507,7 +507,7 @@ def test_honest_sessions_complete_and_agree():
 
 
 def test_session_message_order():
-    result = run_session(make_params(n_raw=512, master_seed=7))
+    result = run_session(make_params(n_raw=1024, master_seed=7))
     kinds = [e.frame.kind for e in result.channel.transcript]
     assert kinds == [
         FrameType.BASES,
@@ -527,7 +527,7 @@ def test_session_determinism():
     params = make_params(n_raw=1024, master_seed=99)
     r1 = run_session(params)
     r2 = run_session(params)
-    assert r1.channel.transcript_json() == r2.channel.transcript_json()
+    assert r1.channel.transcript_dicts() == r2.channel.transcript_dicts()
     assert r1.alice.state.final_key == r2.alice.state.final_key
     r3 = run_session(make_params(n_raw=1024, master_seed=100))
     assert r3.alice.state.final_key != r1.alice.state.final_key
@@ -542,6 +542,19 @@ def test_session_abort_on_high_qber():
     assert result.bob.released_key is None
     kinds = [e.frame.kind for e in result.channel.transcript]
     assert kinds[-1] is FrameType.EST_RATE  # session stops at the abort
+
+
+def test_session_aborts_on_short_key():
+    # 33 reconciled bits would be stretched into a 256-bit key.
+    result = run_session(make_params(n_raw=64, key_len=256, master_seed=3))
+    assert len(result.alice.state.reconciled) == 33
+    assert result.alice.verdict is Verdict.ABORT
+    assert result.bob.verdict is Verdict.ABORT
+    assert result.alice.released_key is None
+    assert result.bob.released_key is None
+    assert result.alice.state.pa_matrix is None
+    kinds = [e.frame.kind for e in result.channel.transcript]
+    assert kinds[-1] is FrameType.CORRECTIONS  # session stops at the abort
 
 
 class _TailRowFlip(AttackStrategy):
@@ -575,8 +588,9 @@ def test_release_gate_on_reject():
 
 
 def test_session_derived_matrix_mode_sends_no_matrix():
-    hardening = HardeningMode(HardeningKind.DERIVED_MATRIX)
-    result = run_session(make_params(n_raw=1024, master_seed=5), hardening=hardening)
+    result = run_session(
+        make_params(n_raw=1024, master_seed=5), hardening=HardeningKind.DERIVED_MATRIX
+    )
     assert result.channel.count(FrameType.PA_MATRIX) == 0
     assert result.alice.state.pa_matrix == result.bob.state.pa_matrix
     assert result.alice.verdict is Verdict.ACCEPT
@@ -584,7 +598,7 @@ def test_session_derived_matrix_mode_sends_no_matrix():
 
 
 def test_party_state_json_dump_roundtrippable_fields():
-    result = run_session(make_params(n_raw=512, master_seed=3))
+    result = run_session(make_params(n_raw=1024, master_seed=3))
     d = result.alice.state.to_json_dict()
     assert BitVector.from_hex(d["final_key"]) == result.alice.state.final_key
     assert BitVector.from_hex(d["reconciled"]) == result.alice.state.reconciled

@@ -462,6 +462,14 @@ def test_config_file_rejects_bad_json(tmp_path):
             {"attack": {"name": "extract-bits", "known_positions": [5, 3, 3]}},
             "known_positions must be distinct, 3 repeats",
         ),
+        (
+            {
+                "params": {"tail_len": 0},
+                "hardening": "matrix_in_log",
+                "attack": {"name": "collision-impersonation"},
+            },
+            "collision-impersonation needs tail_len >= 1",
+        ),
     ],
 )
 def test_config_validation_errors(overrides, match):
