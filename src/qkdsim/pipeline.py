@@ -174,25 +174,29 @@ def source_correlated(params: SessionParams, rng: np.random.Generator) -> tuple[
     alice_bits = BitVector.random(n, rng)
     alice_bases = BitVector.random(n, rng)
     bob_bases = BitVector.random(n, rng)
-    matched = alice_bases.to_array() == bob_bases.to_array()
+    matched = (alice_bases ^ bob_bases ^ BitVector.ones(n)).to_array()
     noise = (rng.random(n) < params.qber).astype(np.uint8)
     fresh = rng.integers(0, 2, n, dtype=np.uint8)
-    bob_arr = np.where(matched, alice_bits.to_array() ^ noise, fresh)
+    # 0/1 select: alice ^ noise where matched, fresh elsewhere
+    bob_arr = fresh ^ (matched & (alice_bits.to_array() ^ noise ^ fresh))
     alice = PartyState(role="A", raw_bits=alice_bits, bases=alice_bases)
     bob = PartyState(role="B", raw_bits=BitVector.from_array(bob_arr), bases=bob_bases)
     return alice, bob
 
 
 def sift(state: PartyState, peer_bases: BitVector) -> None:
-    """Keep exactly the positions where both parties measured in the same basis."""
+    """Keep exactly the positions where both parties measured in the same basis.
+
+    The stages select by index array (flatnonzero, take): a random mask is branch-bound.
+    """
     if len(peer_bases) != len(state.bases):
         raise ValueError(
             f"length mismatch: peer bases {len(peer_bases)} vs own {len(state.bases)}"
         )
     own = state.bases.to_array()
-    keep = own == peer_bases.to_array()
-    state.sifted = BitVector.from_array(state.raw_bits.to_array()[keep])
-    state.sifted_bases = BitVector.from_array(own[keep])
+    keep = np.flatnonzero(own == peer_bases.to_array())
+    state.sifted = BitVector.from_array(state.raw_bits.to_array().take(keep))
+    state.sifted_bases = BitVector.from_array(own.take(keep))
 
 
 def estimate_error(
@@ -213,16 +217,18 @@ def estimate_error(
     positions = np.sort(rng.choice(n, size=k, replace=False))
     a = alice.sifted.to_array()
     b = bob.sifted.to_array()
-    mismatches = int((a[positions] != b[positions]).sum())
+    sample = a.take(positions)
+    mismatches = int(np.count_nonzero(sample != b.take(positions)))
     rate = Fraction(mismatches, k)
-    disclosed = BitVector.from_array(a[positions])
+    disclosed = BitVector.from_array(sample)
     keep = np.ones(n, dtype=bool)
     keep[positions] = False
-    pos_list = [int(p) for p in positions]
+    rest = np.flatnonzero(keep)
+    pos_list = positions.tolist()
     for state, arr in ((alice, a), (bob, b)):
         state.est_positions = pos_list
         state.est_rate = rate
-        state.sifted = BitVector.from_array(arr[keep])
+        state.sifted = BitVector.from_array(arr.take(rest))
     return EstimationResult(
         rate=rate,
         positions=tuple(pos_list),
@@ -241,8 +247,8 @@ def reconcile(alice: PartyState, bob: PartyState) -> list[int]:
         raise ProtocolError("missing pipeline stage: error estimation before reconciliation")
     a = alice.sifted.to_array()
     b = bob.sifted.to_array()
-    diff = np.nonzero(a != b)[0]
-    positions = [int(p) for p in diff]
+    diff = np.flatnonzero(a != b)
+    positions = diff.tolist()
     b[diff] ^= 1
     alice.reconciled = alice.sifted
     bob.reconciled = BitVector.from_array(b)

@@ -433,6 +433,13 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError(f"trials must be at least 1, got {config.trials}")
     if config.master_seed < 0:
         raise ConfigError("master_seed must be nonnegative")
+    params = config.params
+    if params.key_len >= params.n_raw:
+        # A non-empty sift discloses at least one sample bit.
+        raise ConfigError(
+            f"key_len must be below n_raw = {params.n_raw}, got {params.key_len}: "
+            "the reconciled key has at most n_raw - 1 bits"
+        )
     name = config.attack.name
     if name not in _ATTACKS:
         raise ConfigError(f"unknown attack {name!r}, expected one of: {', '.join(_ATTACKS)}")

@@ -5,19 +5,30 @@ loop works entry by entry through the public accessors, and the numpy
 oracle goes through the byte serialization and an integer matmul. The
 collision-search oracle prepares every candidate on its own in Python,
 where the search itself prepares a whole chunk of candidates with numpy.
+The session front-end oracles select with random boolean masks
+(arr[keep], np.where), where the pipeline selects with index arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import replace as dc_replace
+from fractions import Fraction
 
 import numpy as np
 
 from qkdsim.adversary import CollisionSearchResult
 from qkdsim.gf2 import BitMatrix, BitVector, pack_bits_msb
 from qkdsim.hardening import HardeningKind
-from qkdsim.pipeline import PartyState, SessionParams, build_log_extract, serialize_log
+from qkdsim.pipeline import (
+    EstimationResult,
+    PartyState,
+    ProtocolError,
+    SessionParams,
+    build_log_extract,
+    serialize_log,
+)
 
 
 def oracle_matvec_bitloop(m: BitMatrix, v: BitVector) -> list[int]:
@@ -112,3 +123,79 @@ def oracle_collision_search(
                 matrix = BitMatrix((0,) * (l - 1) + (r << shift,), cols)
                 return CollisionSearchResult(matrix, examined)
     return CollisionSearchResult(None, examined)
+
+
+def oracle_source_correlated(
+    params: SessionParams, rng: np.random.Generator
+) -> tuple[PartyState, PartyState]:
+    """source_correlated with Bob's bits picked by np.where on the basis match."""
+    n = params.n_raw
+    alice_bits = BitVector.random(n, rng)
+    alice_bases = BitVector.random(n, rng)
+    bob_bases = BitVector.random(n, rng)
+    matched = alice_bases.to_array() == bob_bases.to_array()
+    noise = (rng.random(n) < params.qber).astype(np.uint8)
+    fresh = rng.integers(0, 2, n, dtype=np.uint8)
+    bob_arr = np.where(matched, alice_bits.to_array() ^ noise, fresh)
+    alice = PartyState(role="A", raw_bits=alice_bits, bases=alice_bases)
+    bob = PartyState(role="B", raw_bits=BitVector.from_array(bob_arr), bases=bob_bases)
+    return alice, bob
+
+
+def oracle_sift(state: PartyState, peer_bases: BitVector) -> None:
+    """sift with a boolean mask of the matching bases."""
+    if len(peer_bases) != len(state.bases):
+        raise ValueError(
+            f"length mismatch: peer bases {len(peer_bases)} vs own {len(state.bases)}"
+        )
+    own = state.bases.to_array()
+    keep = own == peer_bases.to_array()
+    state.sifted = BitVector.from_array(state.raw_bits.to_array()[keep])
+    state.sifted_bases = BitVector.from_array(own[keep])
+
+
+def oracle_estimate_error(
+    alice: PartyState, bob: PartyState, params: SessionParams, rng: np.random.Generator
+) -> EstimationResult:
+    """estimate_error with fancy indexing and a boolean mask of the kept bits."""
+    if alice.sifted is None or bob.sifted is None:
+        raise ProtocolError("missing pipeline stage: sift before error estimation")
+    n = len(alice.sifted)
+    if n == 0:
+        raise ValueError("empty sifted key: no matching-basis positions to sample")
+    k = math.ceil(params.sample_fraction * n)
+    positions = np.sort(rng.choice(n, size=k, replace=False))
+    a = alice.sifted.to_array()
+    b = bob.sifted.to_array()
+    mismatches = int((a[positions] != b[positions]).sum())
+    rate = Fraction(mismatches, k)
+    disclosed = BitVector.from_array(a[positions])
+    keep = np.ones(n, dtype=bool)
+    keep[positions] = False
+    pos_list = [int(p) for p in positions]
+    for state, arr in ((alice, a), (bob, b)):
+        state.est_positions = pos_list
+        state.est_rate = rate
+        state.sifted = BitVector.from_array(arr[keep])
+    return EstimationResult(
+        rate=rate,
+        positions=tuple(pos_list),
+        disclosed_values=disclosed,
+        abort=rate > params.abort_threshold,
+    )
+
+
+def oracle_reconcile(alice: PartyState, bob: PartyState) -> list[int]:
+    """reconcile with np.nonzero and a per-position int conversion."""
+    if alice.est_rate is None or bob.est_rate is None:
+        raise ProtocolError("missing pipeline stage: error estimation before reconciliation")
+    a = alice.sifted.to_array()
+    b = bob.sifted.to_array()
+    diff = np.nonzero(a != b)[0]
+    positions = [int(p) for p in diff]
+    b[diff] ^= 1
+    alice.reconciled = alice.sifted
+    bob.reconciled = BitVector.from_array(b)
+    alice.corrected_positions = positions
+    bob.corrected_positions = positions
+    return positions

@@ -4,9 +4,11 @@ A refactor or speed-up must never change a trial's outcome. Each case runs a
 builtin for a few trials and compares the SHA-256 of what
 write_trials_jsonl writes against the digest recorded when the case was
 added. The two dump cases cover the --dump-states records, including
-flip-entry's honest_bob entry.
+flip-entry's honest_bob entry. A separate case pins baseline at the large
+n_raw = 131072 that the benchmark's large-key workload runs.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -47,3 +49,18 @@ def test_trials_jsonl_matches_golden_digest(tmp_path, name, trials, dump_states,
     path = tmp_path / "trials.jsonl"
     write_trials_jsonl(reports, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+LARGE_N_RAW = 131072
+LARGE_BASELINE_DIGEST = "ae13c5a9daaa9ae3ce2f930c7db1a9bfce1534f6d32e50036833bb87ee5e3322"
+
+
+def test_large_baseline_trials_jsonl_matches_golden_digest(tmp_path):
+    config = builtin_scenario("baseline", trials=8, master_seed=0)
+    config = dataclasses.replace(
+        config, params=dataclasses.replace(config.params, n_raw=LARGE_N_RAW)
+    )
+    reports, _ = run_scenario(config)
+    path = tmp_path / "trials.jsonl"
+    write_trials_jsonl(reports, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LARGE_BASELINE_DIGEST

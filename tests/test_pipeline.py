@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import struct
 from fractions import Fraction
 
@@ -36,6 +37,13 @@ from qkdsim.pipeline import (
     verify,
 )
 from qkdsim.seeding import make_rng
+
+from oracles import (
+    oracle_estimate_error,
+    oracle_reconcile,
+    oracle_sift,
+    oracle_source_correlated,
+)
 
 
 def make_params(**kw) -> SessionParams:
@@ -218,6 +226,64 @@ def test_reconcile_requires_estimation():
     params, rng, alice, bob = run_until_sift()
     with pytest.raises(ProtocolError, match="missing pipeline stage"):
         reconcile(alice, bob)
+
+
+# ------------------------------------------------ front end vs mask oracle
+
+INDEX_FRONT_END = (source_correlated, sift, estimate_error, reconcile)
+MASK_FRONT_END = (oracle_source_correlated, oracle_sift, oracle_estimate_error, oracle_reconcile)
+
+
+def run_front_end(stages, params, seed):
+    """Source, sift both parties, estimate and reconcile on a fresh rng.
+
+    Reconciliation runs even where estimation would abort, so that it is
+    compared on high-error keys too.
+    """
+    source, sift_stage, estimate, reconcile_stage = stages
+    rng = make_rng(seed, "front-end")
+    alice, bob = source(params, rng)
+    sift_stage(alice, bob.bases)
+    sift_stage(bob, alice.bases)
+    est = corrected = None
+    if len(alice.sifted):
+        est = estimate(alice, bob, params, rng)
+        corrected = reconcile_stage(alice, bob)
+    return alice, bob, est, corrected, rng.bit_generator.state
+
+
+def assert_front_end_matches_oracle(params, seed):
+    fast = run_front_end(INDEX_FRONT_END, params, seed)
+    slow = run_front_end(MASK_FRONT_END, params, seed)
+    for mine, theirs in zip(fast[:2], slow[:2]):
+        assert mine == theirs
+        # json.dumps refuses numpy integers, so positions must be Python ints
+        assert json.dumps(mine.to_json_dict()) == json.dumps(theirs.to_json_dict())
+    assert fast[2] == slow[2]  # EstimationResult
+    assert fast[3] == slow[3]  # corrected positions
+    assert fast[4] == slow[4]  # rng state afterwards
+
+
+@settings(deadline=None, database=None, max_examples=150)
+@given(
+    n_raw=st.integers(1, 600),
+    qber=st.sampled_from([0.0, 0.03, 0.5, 1.0]),
+    sample_fraction=st.one_of(
+        st.sampled_from([1e-9, 0.001, 0.125, 0.5, 0.999, 1 - 1e-9]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+    abort_threshold=st.one_of(st.sampled_from([0.0, 0.11, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_front_end_matches_mask_oracle(n_raw, qber, sample_fraction, abort_threshold, seed):
+    params = make_params(
+        n_raw=n_raw, qber=qber, sample_fraction=sample_fraction, abort_threshold=abort_threshold
+    )
+    assert_front_end_matches_oracle(params, seed)
+
+
+def test_front_end_matches_mask_oracle_at_large_n_raw():
+    assert_front_end_matches_oracle(make_params(n_raw=131072), 7)
 
 
 # ------------------------------------------------------------ amplification

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qkdsim.gf2 import BitVector
+from qkdsim.gf2 import BitMatrix, BitVector
 from qkdsim.pipeline import SessionParams
 from qkdsim.scenarios import (
     BUILTIN_SCENARIOS,
@@ -130,6 +130,32 @@ def test_randomize_single_row_divergence():
     assert 0.45 <= summary.key_mismatch_rate <= 0.55
 
 
+@pytest.mark.parametrize("r", [1, None], ids=["r1", "default-r"])
+def test_randomize_rows_keys_differ_iff_a_randomized_row_flips_parity(r):
+    # Exact per-trial form of the divergence rate: only the first r rows are
+    # replaced, and Bob's key bit i moves by
+    # parity((Bob's row i xor Alice's row i) . reconciled).
+    cfg = small("randomize-rows", 300)
+    if r is not None:
+        cfg = dataclasses.replace(cfg, attack=AttackSpec("randomize-rows", {"r": r}), checks=())
+    r = cfg.attack.options["r"]
+    reports, _ = run_scenario(cfg, dump_states=True)
+    moved = []
+    for rep in reports:
+        alice, bob = rep.aux["dump"]["alice"], rep.aux["dump"]["bob"]
+        rows_a = BitMatrix.from_hex("\n".join(alice["pa_matrix"])).row_values
+        rows_b = BitMatrix.from_hex("\n".join(bob["pa_matrix"])).row_values
+        key = BitVector.from_hex(alice["reconciled"])
+        assert BitVector.from_hex(bob["reconciled"]) == key
+        assert rows_a[r:] == rows_b[r:]
+        flips = any(((a ^ b) & key.value).bit_count() & 1 for a, b in zip(rows_a[:r], rows_b[:r]))
+        assert (rep.keys_equal is False) == flips, rep.trial_index
+        moved.append(flips)
+    assert any(moved)
+    if r == 1:
+        assert not all(moved)
+
+
 def test_all_builtin_checks_pass_at_reduced_trials():
     # cut trial counts for speed; bands stay comfortably wide at 200 trials
     for name, config in BUILTIN_SCENARIOS.items():
@@ -170,12 +196,14 @@ def test_worker_count_invariance(tmp_path):
     for name in BUILTIN_SCENARIOS:
         cfg = small(name, trials.get(name, 4))
         r1, _ = run_scenario(cfg, workers=1)
-        r2, _ = run_scenario(cfg, workers=2)
-        assert r1 == r2, name
-        one, two = tmp_path / f"{name}.1.jsonl", tmp_path / f"{name}.2.jsonl"
-        write_trials_jsonl(r1, one)
-        write_trials_jsonl(r2, two)
-        assert one.read_bytes() == two.read_bytes(), name
+        path = tmp_path / f"{name}.1.jsonl"
+        write_trials_jsonl(r1, path)
+        for workers in (2, 3):
+            rw, _ = run_scenario(cfg, workers=workers)
+            assert rw == r1, (name, workers)
+            other = tmp_path / f"{name}.{workers}.jsonl"
+            write_trials_jsonl(rw, other)
+            assert other.read_bytes() == path.read_bytes(), (name, workers)
 
 
 def test_single_trial_matches_batch():
@@ -470,11 +498,17 @@ def test_config_file_rejects_bad_json(tmp_path):
             },
             "collision-impersonation needs tail_len >= 1",
         ),
+        ({"params": {"n_raw": 64}, "trials": 20}, "key_len must be below n_raw = 64, got 256"),
     ],
 )
 def test_config_validation_errors(overrides, match):
     with pytest.raises(ConfigError, match=match):
         config_from_dict(overrides)
+
+
+def test_key_len_just_below_n_raw_is_valid():
+    config = config_from_dict({"params": {"n_raw": 257}, "trials": 1})
+    assert (config.params.n_raw, config.params.key_len) == (257, 256)
 
 
 @pytest.mark.parametrize(
