@@ -43,12 +43,53 @@ def unpack_bits_msb(data: bytes, nbits: int) -> int:
     return value
 
 
+def rng_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Exactly the bytes of rng.bytes(n), as a uint8 array, and the same end state.
+
+    Generator.bytes(n) takes ceil(n / 4) 32-bit words, and one when n is 0,
+    from the bit generator's next_uint32, which PCG64 serves in halves: the
+    buffered half-word, if has_uint32 is set; then the low and then the high
+    half of each 64-bit output. An odd number of words left makes the high
+    half of the last output the new buffer, and every output drawn leaves
+    its high half in uinteger, even once that buffer is spent. So this takes
+    the buffered half-word from the state, draws the other words as whole
+    64-bit outputs through random_raw, whose little-endian bytes are the
+    low then high halves, and writes has_uint32 and uinteger back. Only
+    PCG64 is supported; any other bit generator raises TypeError.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(f"rng_bytes needs a PCG64 bit generator, not {type(bitgen).__name__}")
+    words = max(1, (n + 3) // 4)  # Generator.bytes(0) still takes one word
+    state = bitgen.state
+    buffered = state["has_uint32"]
+    head = np.frombuffer(state["uinteger"].to_bytes(4, "little"), np.uint8)
+    rest = words - buffered
+    raw = bitgen.random_raw((rest + 1) // 2)
+    if rest:
+        state = bitgen.state  # random_raw advanced the generator
+        state["uinteger"] = int(raw[-1]) >> 32
+    state["has_uint32"] = rest % 2
+    bitgen.state = state
+    out = raw.astype("<u8", copy=False).view(np.uint8)
+    if not buffered:
+        return out[:n]
+    if rest % 2:
+        # The last high half went to the buffer, so the bytes fit in place:
+        # move them up one word (memoryview assignment is a memmove).
+        view = memoryview(out)
+        view[4:] = view[:-4]
+        out[:4] = head
+        return out[:n]
+    return np.concatenate((head, out))[:n]
+
+
 def random_bits(nbits: int, rng: np.random.Generator) -> int:
     """nbits independent fair bits from rng, as an LSB-first int."""
     if nbits == 0:
         return 0
     nbytes = (nbits + 7) // 8
-    return int.from_bytes(rng.bytes(nbytes), "little") & ((1 << nbits) - 1)
+    return int.from_bytes(rng_bytes(rng, nbytes), "little") & ((1 << nbits) - 1)
 
 
 class BitVector:
@@ -221,8 +262,10 @@ class BitMatrix:
         return cls._from_words(np.zeros((rows, _words_per_row(cols)), _WORD), cols)
 
     @classmethod
-    def from_packed_rows(cls, data: bytes, rows: int, cols: int) -> "BitMatrix":
+    def from_packed_rows(cls, data: bytes | np.ndarray, rows: int, cols: int) -> "BitMatrix":
         """Matrix from rows * ceil(cols / 8) bytes, one byte-padded row after another.
+
+        data is a bytes object or a uint8 array, such as rng_bytes returns.
 
         Each row is packed LSB first: entry (i, j) is bit j % 8 of the row's
         byte j // 8. Bits past cols in a row's last byte are dropped.
@@ -280,9 +323,14 @@ class BitMatrix:
         return self.words.view(np.uint8)[:, :nbytes].tobytes().translate(_REV8)
 
     def to_hex(self) -> str:
-        """Dimension header line, then one length-prefixed hex row per line."""
+        """Dimension header line, then one length-prefixed hex row per line.
+
+        Row i reads like self.row(i).to_hex(), sliced out of to_bytes_msb.
+        """
+        body = self.to_bytes_msb().hex()
+        step = 2 * ((self.cols + 7) // 8)
         lines = [f"{self.rows}x{self.cols}"]
-        lines.extend(self.row(i).to_hex() for i in range(self.rows))
+        lines.extend(f"{self.cols}:{body[i * step : (i + 1) * step]}" for i in range(self.rows))
         return "\n".join(lines)
 
     @classmethod
@@ -318,27 +366,28 @@ def matvec(m: BitMatrix, v: BitVector) -> BitVector:
 def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> BitMatrix:
     """Uniform random matrix, each entry an independent fair bit from rng.
 
-    Draws rows * ceil(cols / 8) bytes with a single rng.bytes call, row i
+    Draws rows * ceil(cols / 8) bytes with a single rng_bytes call, row i
     from the i-th block, and nothing when the matrix has no entries.
     """
     nbytes = (cols + 7) // 8
     if rows == 0 or nbytes == 0:
         return BitMatrix.zeros(rows, cols)
-    return BitMatrix.from_packed_rows(rng.bytes(rows * nbytes), rows, cols)
+    return BitMatrix.from_packed_rows(rng_bytes(rng, rows * nbytes), rows, cols)
 
 
 def random_vectors(count: int, n: int, rng: np.random.Generator) -> list[BitVector]:
-    """count random n-bit vectors from a single rng.bytes call.
+    """count random n-bit vectors from a single rng_bytes call.
 
-    Generator.bytes draws whole uint32 words, so one draw of count rows of
-    ceil(n / 8) bytes, each padded to whole words, holds the bytes of count
-    separate BitVector.random(n, rng) calls and leaves rng in the same state.
+    rng_bytes, like Generator.bytes, draws whole uint32 words, so one draw
+    of count rows of ceil(n / 8) bytes, each padded to whole words, holds
+    the bytes of count separate BitVector.random(n, rng) calls and leaves
+    rng in the same state.
     """
     nbytes = (n + 7) // 8
     if count == 0 or nbytes == 0:
         return [BitVector(n)] * count  # like BitVector.random, draws nothing
     stride = 4 * ((nbytes + 3) // 4)
-    block = rng.bytes(count * stride)
+    block = rng_bytes(rng, count * stride).tobytes()
     mask = (1 << n) - 1
     return [
         BitVector(n, int.from_bytes(block[o : o + nbytes], "little") & mask)

@@ -2,8 +2,11 @@
 
 Each kernel is checked against a plain-int reference built from the row
 values alone, across column counts on both sides of the byte and 64-bit
-word boundaries and matrices with no rows. The last test checks that the
-log-level verify agrees with the digest-level check run_session uses.
+word boundaries and matrices with no rows. rng_bytes is checked against
+Generator.bytes itself: same bytes and same generator state afterwards,
+from fresh generators and from ones holding a buffered half-word. The hex
+formats are checked to round-trip. The last test checks that the log-level
+verify agrees with the digest-level check run_session uses.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import hashlib
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +28,7 @@ from qkdsim.gf2 import (
     pack_bits_msb,
     random_matrix,
     replace_rows,
+    rng_bytes,
 )
 from qkdsim.hardening import derive_matrix
 from qkdsim.pipeline import (
@@ -154,12 +159,58 @@ def test_replace_rows_matches_int_reference(mc, data):
     assert m.row_values == tuple(values)
 
 
-@props
-@given(st.integers(0, 6), st.sampled_from(COLS), st.integers(0, 2**32 - 1))
-def test_random_matrix_reads_one_block_of_rng_bytes(rows, cols, seed):
+def generator(seed: int, earlier: list[int], buffered: bool) -> np.random.Generator:
+    """A PCG64 generator after the earlier byte draws, with or without a
+    buffered half-word (a one-word draw toggles the buffer)."""
     rng = np.random.default_rng(seed)
+    for n in earlier:
+        rng.bytes(n)
+    if rng.bit_generator.state["has_uint32"] != buffered:
+        rng.bytes(4)
+    assert rng.bit_generator.state["has_uint32"] == buffered
+    return rng
+
+
+def assert_rng_bytes_matches_generator_bytes(rng: np.random.Generator, n: int) -> None:
+    ref = np.random.Generator(np.random.PCG64(0))
+    ref.bit_generator.state = rng.bit_generator.state
+    got = rng_bytes(rng, n)
+    assert got.dtype == np.uint8 and got.shape == (n,)
+    assert got.tobytes() == ref.bytes(n)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.bytes(13) == ref.bytes(13)
+    assert rng.random() == ref.random()
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(
+    st.one_of(st.integers(0, 8), st.integers(0, 5000)),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 40), max_size=3),
+    st.booleans(),
+)
+def test_rng_bytes_equals_generator_bytes(n, seed, earlier, buffered):
+    assert_rng_bytes_matches_generator_bytes(generator(seed, earlier, buffered), n)
+
+
+def test_rng_bytes_equals_generator_bytes_on_a_large_key_matrix():
+    # A 256 x 57,340-bit amplification matrix, drawn with a half-word
+    # buffered as it is in every session.
+    assert_rng_bytes_matches_generator_bytes(generator(11, [3], True), 256 * 7168)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
+def test_rng_bytes_rejects_other_bit_generators(bit_generator):
+    with pytest.raises(TypeError, match="PCG64"):
+        rng_bytes(np.random.Generator(bit_generator(0)), 8)
+
+
+@props
+@given(st.integers(0, 6), st.sampled_from(COLS), st.integers(0, 2**32 - 1), st.booleans())
+def test_random_matrix_reads_one_block_of_rng_bytes(rows, cols, seed, buffered):
+    rng = generator(seed, [], buffered)
     m = random_matrix(rows, cols, rng)
-    ref = np.random.default_rng(seed)
+    ref = generator(seed, [], buffered)
     nbytes = (cols + 7) // 8
     if rows:
         buf = ref.bytes(rows * nbytes)
@@ -171,6 +222,43 @@ def test_random_matrix_reads_one_block_of_rng_bytes(rows, cols, seed):
     )
     assert m.row_values == expected
     assert rng.bytes(16) == ref.bytes(16)
+
+
+def set_pad_bit(hex_row: str, n: int, pad: int) -> str:
+    """A length-prefixed hex row with padding bit pad of its last byte set."""
+    head, body = hex_row.split(":")
+    last = int(body[-2:], 16) | 1 << (pad % (8 - n % 8))
+    return f"{head}:{body[:-2]}{last:02x}"
+
+
+@props
+@given(st.sampled_from(range(0, 201)).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, 7))
+))
+def test_bit_vector_hex_round_trips_and_rejects_padding(nvp):
+    n, value, pad = nvp
+    v = BitVector(n, value)
+    text = v.to_hex()
+    assert text == f"{n}:{pack_bits_msb(value, n).hex()}"
+    assert BitVector.from_hex(text) == v
+    if n % 8:
+        with pytest.raises(ValueError, match="padding"):
+            BitVector.from_hex(set_pad_bit(text, n, pad))
+
+
+@props
+@given(matrices(), st.data())
+def test_matrix_hex_round_trips_and_rejects_padding(mc, data):
+    values, cols = mc
+    m = BitMatrix(values, cols)
+    lines = m.to_hex().split("\n")
+    assert lines == [f"{len(values)}x{cols}"] + [BitVector(cols, r).to_hex() for r in values]
+    assert BitMatrix.from_hex(m.to_hex()) == m
+    if values and cols % 8:
+        i = data.draw(st.integers(1, len(values)))
+        lines[i] = set_pad_bit(lines[i], cols, data.draw(st.integers(0, 7)))
+        with pytest.raises(ValueError, match="padding"):
+            BitMatrix.from_hex("\n".join(lines))
 
 
 @props

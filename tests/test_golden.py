@@ -3,8 +3,9 @@
 A refactor or speed-up must never change a trial's outcome. Each case runs a
 builtin for a few trials and compares the SHA-256 of what
 write_trials_jsonl writes against the digest recorded when the case was
-added. The two dump cases cover the --dump-states records, including
-flip-entry's honest_bob entry. A separate case pins baseline at the large
+added. The dump cases cover the --dump-states records: flip-entry's
+honest_bob entry, extract-bits, a matrix-in-log session whose log carries
+the matrix, and the collision attack, whose record dumping leaves as it is. A separate case pins baseline at the large
 n_raw = 131072 that the benchmark's large-key workload runs.
 """
 
@@ -31,6 +32,8 @@ GOLDEN = [
     ("harden-derived-matrix", 16, False, "7f8db92c42c4a8379470bba1c979adcb2c00994e0ce9fd1e889dba6dc32f9631"),
     ("flip-entry", 2, True, "04c45ff4e44091070e85352a50893714b1d20f6f5a6cccf33daec14c87805544"),
     ("extract-bits", 2, True, "0f6fd83efeeef87de8bc137ad0f598bbbc398e029b8d4adcb88b548942869a5f"),
+    ("harden-matrix-in-log-randomize-rows", 2, True, "d14dc43751ffc83ed3294a65cc6199f54d6bc14517703f119a4b6aa093b4bd8c"),
+    ("collision-impersonation", 2, True, "562ed43dd3f3a110a99c051ae9eb04a7d37544f6631c70872f153722512c7848"),
 ]
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim.hardening import (
     HardeningKind,
@@ -62,6 +64,31 @@ def test_derive_matrix_deterministic():
     assert a != derive_matrix(b"shared secret", 32, 102)
     for r in a.row_values:
         assert r >> 101 == 0
+
+
+@settings(deadline=None, database=None)
+@given(
+    st.binary(min_size=1, max_size=40),
+    st.integers(1, 6),
+    st.integers(64, 200),
+    st.data(),
+)
+def test_derive_matrix_is_deterministic_and_depends_on_every_input(secret, rows, cols, data):
+    # Every matrix compared has at least 64 entries, so a chance match of
+    # independent matrices has probability at most 2^-64.
+    m = derive_matrix(secret, rows, cols)
+    assert m == derive_matrix(secret, rows, cols)
+    bit = data.draw(st.integers(0, 8 * len(secret) - 1))
+    flipped = bytearray(secret)
+    flipped[bit // 8] ^= 1 << bit % 8
+    assert derive_matrix(bytes(flipped), rows, cols) != m
+    assert derive_matrix(secret + b"\0", rows, cols) != m
+    # The dimensions are hashed too: a matrix of other dimensions shares
+    # no prefix of rows or columns with m.
+    assert derive_matrix(secret, rows + 1, cols).row_values[:rows] != m.row_values
+    mask = (1 << cols) - 1
+    wider = derive_matrix(secret, rows, cols + 1).row_values
+    assert tuple(r & mask for r in wider) != m.row_values
 
 
 def test_derive_matrix_avalanche_on_secret_bit():

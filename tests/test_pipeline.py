@@ -264,6 +264,16 @@ def assert_front_end_matches_oracle(params, seed):
     assert fast[4] == slow[4]  # rng state afterwards
 
 
+@settings(deadline=None, database=None)
+@given(st.binary(min_size=32, max_size=32), st.integers(1, 256))
+def test_truncate_digest_keeps_exactly_the_first_width_bits(digest, width):
+    out = truncate_digest(digest, width)
+    nbytes = (width + 7) // 8
+    assert len(out) == nbytes
+    first_bits = int.from_bytes(digest, "big") >> (256 - width)
+    assert int.from_bytes(out, "big") == first_bits << (8 * nbytes - width)
+
+
 @settings(deadline=None, database=None, max_examples=150)
 @given(
     n_raw=st.integers(1, 600),

@@ -4,10 +4,14 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim.gf2 import BitMatrix, BitVector
-from qkdsim.pipeline import SessionParams
+from qkdsim.hardening import HardeningKind
+from qkdsim.pipeline import SessionParams, Verdict
 from qkdsim.scenarios import (
+    _ATTACKS,
     BUILTIN_SCENARIOS,
     AttackSpec,
     BatchSummary,
@@ -571,3 +575,76 @@ def test_write_report_multiple_scenarios(tmp_path):
     assert (tmp_path / "summary.csv").read_text().count("\n") == 3
     assert "claims.txt" in written and "run.json" in written
     assert len(load_report_dir(tmp_path)) == 2
+
+
+# ------------------------------------------------------- tiny-config fuzz
+
+# Option values for each attack, reaching past the key on both sides. The
+# collision search always gets a small budget: its default of 2^20
+# candidates would take seconds per trial.
+FUZZ_ATTACK_OPTIONS = {
+    "passive": st.just({}),
+    "randomize-rows": st.fixed_dictionaries({}, optional={"r": st.integers(-1, 42)}),
+    "flip-entry": st.fixed_dictionaries(
+        {}, optional={"row": st.integers(-1, 42), "col": st.integers(-1, 82)}
+    ),
+    "zero-rows": st.just({}),
+    "extract-bits": st.fixed_dictionaries(
+        {},
+        optional={
+            "target_row": st.integers(-1, 42),
+            "num_known": st.integers(-1, 82),
+            "known_positions": st.none() | st.lists(st.integers(-1, 82), max_size=4),
+        },
+    ),
+    "collision-impersonation": st.fixed_dictionaries({"search_budget": st.integers(0, 64)}),
+    "otp-malleability": st.fixed_dictionaries(
+        {},
+        optional={
+            "bit_positions": st.none() | st.lists(st.integers(-1, 42), max_size=4),
+            "num_flips": st.integers(-1, 42),
+        },
+    ),
+}
+
+# Sizes are drawn uniformly (st.integers favours its bounds), so most
+# configs are valid; key_len >= n_raw and tail_len == key_len still come up.
+tiny_params = st.fixed_dictionaries(
+    {
+        "n_raw": st.sampled_from(range(1, 81)),
+        "key_len": st.sampled_from(range(1, 41)),
+        "qber": st.sampled_from([0.0, 1e-9, 0.03, 0.5, 1 - 1e-9, 1.0]),
+        "sample_fraction": st.sampled_from([1e-9, 0.125, 0.5, 1 - 1e-9]),
+        "abort_threshold": st.sampled_from([0.0, 1e-9, 0.11, 0.5, 1.0]),
+        "hash_width": st.sampled_from([1, 2, 8, 128]),
+    }
+).flatmap(lambda p: st.sampled_from(range(p["key_len"] + 1)).map(lambda t: {**p, "tail_len": t}))
+
+
+def test_fuzz_covers_every_attack():
+    assert set(FUZZ_ATTACK_OPTIONS) == set(_ATTACKS)
+
+
+@pytest.mark.parametrize("hardening", [k.value for k in HardeningKind])
+@pytest.mark.parametrize("attack", sorted(FUZZ_ATTACK_OPTIONS))
+@settings(deadline=None, database=None, max_examples=40)
+@given(params=tiny_params, seed=st.integers(0, 2**16), dump=st.booleans(), data=st.data())
+def test_tiny_configs_fail_validation_or_run_to_completion(attack, hardening, params, seed, dump, data):
+    options = data.draw(FUZZ_ATTACK_OPTIONS[attack])
+    d = {
+        "params": params,
+        "attack": {"name": attack, **options},
+        "hardening": hardening,
+        "trials": 3,
+        "master_seed": seed,
+    }
+    try:
+        config = config_from_dict(d)
+    except ConfigError:
+        return
+    reports, _ = run_scenario(config, dump_states=dump)
+    assert [r.trial_index for r in reports] == [0, 1, 2]
+    verdicts = {v.value for v in Verdict}
+    for r in reports:
+        assert r.alice_verdict in verdicts and r.bob_verdict in verdicts
+        assert TrialReport.from_json(r.to_json()) == r
