@@ -4,7 +4,9 @@ The frame attacks all exploit the same blind spot: the baseline
 protocol-log extract sees the amplification matrix only through the key
 tail, i.e. through its last tail_len rows. Tampering with any earlier row
 changes the distributed keys without changing either party's log, so
-authentication cannot notice it.
+authentication cannot notice it. Each attack op is a BitMatrix transform;
+its strategy applies it to the matrix Alice sends Bob (the A->B PA_MATRIX
+frame) and forwards every other frame as the same object.
 
 The collision attack targets the matrix_in_log hardened variant instead:
 a captured (digest, mac) pair is replayed after searching for a matrix
@@ -22,7 +24,7 @@ import numpy as np
 from .channel import A_TO_B, AttackStrategy, Channel, Frame, FrameType
 # matvec is not called here: the benchmark's tracer self-test checks that this
 # module's matvec binding is wrapped and restored, so the binding stays.
-from .gf2 import BitMatrix, BitVector, matvec, random_vectors, replace_rows, rng_bytes  # noqa: F401
+from .gf2 import BitMatrix, BitVector, matvec, random_rows, replace_rows, rng_bytes  # noqa: F401
 from .gf2 import flip_entry as gf2_flip_entry
 from .hardening import HardeningKind
 from .pipeline import (
@@ -44,55 +46,42 @@ from .seeding import derive_bytes, make_rng
 # ------------------------------------------------------------- frame attacks
 
 
-def _require_matrix(frame: Frame) -> BitMatrix:
-    if frame.kind is not FrameType.PA_MATRIX:
-        raise ValueError(f"attack operates on PA_MATRIX frames, got {frame.kind.value}")
-    return frame.payload
-
-
-def attack_randomize_rows(frame: Frame, r: int, tail_len: int, rng: np.random.Generator) -> Frame:
-    """Replace the first r non-tail rows with fresh random rows.
-
-    r=0 is a no-op: the frame passes through untouched (honest outcome).
-    """
-    m = _require_matrix(frame)
+def attack_randomize_rows(
+    m: BitMatrix, r: int, tail_len: int, rng: np.random.Generator
+) -> BitMatrix:
+    """Replace the first r non-tail rows with fresh random rows."""
     if not 0 <= r <= m.rows - tail_len:
         raise ValueError(
             f"can randomize at most {m.rows - tail_len} rows without touching the tail, got {r}"
         )
-    if r == 0:
-        return frame
-    tampered = replace_rows(m, 0, r, iter(random_vectors(r, m.cols, rng)).__next__)
-    return Frame(frame.kind, tampered)
+    return replace_rows(m, 0, random_rows(r, m.cols, rng))
 
 
-def attack_flip_entry(frame: Frame, i: int, j: int, tail_len: int) -> Frame:
+def attack_flip_entry(m: BitMatrix, i: int, j: int, tail_len: int) -> BitMatrix:
     """Flip matrix entry (i, j); the row must lie outside the logged tail."""
-    m = _require_matrix(frame)
     if not 0 <= i < m.rows - tail_len:
         raise ValueError(
             f"flip row must lie in [0, {m.rows - tail_len}), row {i} would perturb the "
             "authenticated tail and be detected"
         )
-    return Frame(frame.kind, gf2_flip_entry(m, i, j))
+    return gf2_flip_entry(m, i, j)
 
 
-def attack_zero_rows(frame: Frame, tail_len: int) -> Frame:
+def attack_zero_rows(m: BitMatrix, tail_len: int) -> BitMatrix:
     """Zero every non-tail row, forcing the receiver's final key to all-zero."""
-    m = _require_matrix(frame)
-    tampered = replace_rows(m, 0, m.rows - tail_len, lambda: BitVector.zeros(m.cols))
-    return Frame(frame.kind, tampered)
+    if not 0 <= tail_len <= m.rows:
+        raise ValueError(f"a tail of {tail_len} rows does not fit a matrix of {m.rows} rows")
+    return replace_rows(m, 0, BitMatrix.zeros(m.rows - tail_len, m.cols))
 
 
 def attack_extract_bits(
-    frame: Frame, known: Sequence[tuple[int, int]], target_row: int, tail_len: int
-) -> tuple[Frame, int]:
+    m: BitMatrix, known: Sequence[tuple[int, int]], target_row: int, tail_len: int
+) -> tuple[BitMatrix, int]:
     """Overwrite one non-tail row with the indicator of known key positions.
 
     The receiver's key bit target_row becomes the parity of the known
     reconciled-key bits, so the attacker predicts it exactly.
     """
-    m = _require_matrix(frame)
     if not 0 <= target_row < m.rows - tail_len:
         raise ValueError(
             f"target row must lie in [0, {m.rows - tail_len}), row {target_row} is in the tail"
@@ -103,10 +92,12 @@ def attack_extract_bits(
     prediction = 0
     for _, bit in known:
         prediction ^= bit
-    return Frame(frame.kind, m.with_row(target_row, indicator)), prediction
+    return replace_rows(m, target_row, BitMatrix([indicator.value], m.cols)), prediction
 
 
 class RandomizeRowsStrategy(AttackStrategy):
+    """Randomize the first r rows; r = 0 forwards the matrix untouched."""
+
     name = "randomize-rows"
 
     def __init__(self, r: int, tail_len: int, rng: np.random.Generator):
@@ -115,8 +106,9 @@ class RandomizeRowsStrategy(AttackStrategy):
         self.rng = rng
 
     def tamper(self, direction: str, frame: Frame) -> Frame:
-        if direction == A_TO_B and frame.kind is FrameType.PA_MATRIX:
-            return attack_randomize_rows(frame, self.r, self.tail_len, self.rng)
+        if direction == A_TO_B and frame.kind is FrameType.PA_MATRIX and self.r:
+            m = attack_randomize_rows(frame.payload, self.r, self.tail_len, self.rng)
+            return Frame(frame.kind, m)
         return frame
 
 
@@ -137,7 +129,8 @@ class FlipEntryStrategy(AttackStrategy):
             and frame.kind is FrameType.PA_MATRIX
             and self.j < frame.payload.cols
         ):
-            return attack_flip_entry(frame, self.i, self.j, self.tail_len)
+            m = attack_flip_entry(frame.payload, self.i, self.j, self.tail_len)
+            return Frame(frame.kind, m)
         return frame
 
 
@@ -149,7 +142,7 @@ class ZeroRowsStrategy(AttackStrategy):
 
     def tamper(self, direction: str, frame: Frame) -> Frame:
         if direction == A_TO_B and frame.kind is FrameType.PA_MATRIX:
-            return attack_zero_rows(frame, self.tail_len)
+            return Frame(frame.kind, attack_zero_rows(frame.payload, self.tail_len))
         return frame
 
 
@@ -206,10 +199,10 @@ class ExtractBitsStrategy(AttackStrategy):
                 raise RuntimeError("reconciled-key knowledge not injected before matrix frame")
             if not self.known:
                 return frame
-            out, self.prediction = attack_extract_bits(
-                frame, self.known, self.target_row, self.tail_len
+            m, self.prediction = attack_extract_bits(
+                frame.payload, self.known, self.target_row, self.tail_len
             )
-            return out
+            return Frame(frame.kind, m)
         return frame
 
 

@@ -99,7 +99,7 @@ def render_payload(payload: object) -> object:
     if isinstance(payload, BitVector):
         return payload.to_hex()
     if isinstance(payload, BitMatrix):
-        return payload.to_hex().split("\n")
+        return payload.to_hex_lines()
     if isinstance(payload, Fraction):
         return f"{payload.numerator}/{payload.denominator}"
     if isinstance(payload, (list, tuple)):

@@ -13,7 +13,7 @@ of the array.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -218,11 +218,6 @@ def _words_per_row(cols: int) -> int:
     return (cols + 63) // 64
 
 
-def _as_words(value: int, nwords: int) -> np.ndarray:
-    """A canonical LSB-first int as nwords little-endian uint64 words."""
-    return np.frombuffer(value.to_bytes(8 * nwords, "little"), _WORD)
-
-
 class BitMatrix:
     """Immutable rectangular bit matrix over GF(2).
 
@@ -292,13 +287,6 @@ class BitMatrix:
             raise IndexError(f"column {j} out of range for cols {self.cols}")
         return int(self.words[i, j >> 6] >> (j & 63)) & 1
 
-    def with_row(self, i: int, row: BitVector) -> "BitMatrix":
-        if row.n != self.cols:
-            raise ValueError(f"length mismatch: row of {row.n} vs cols {self.cols}")
-        words = self.words.copy()
-        words[i] = _as_words(row.value, words.shape[1])
-        return BitMatrix._from_words(words, self.cols)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -322,7 +310,7 @@ class BitMatrix:
         nbytes = (self.cols + 7) // 8
         return self.words.view(np.uint8)[:, :nbytes].tobytes().translate(_REV8)
 
-    def to_hex(self) -> str:
+    def to_hex_lines(self) -> list[str]:
         """Dimension header line, then one length-prefixed hex row per line.
 
         Row i reads like self.row(i).to_hex(), sliced out of to_bytes_msb.
@@ -331,7 +319,10 @@ class BitMatrix:
         step = 2 * ((self.cols + 7) // 8)
         lines = [f"{self.rows}x{self.cols}"]
         lines.extend(f"{self.cols}:{body[i * step : (i + 1) * step]}" for i in range(self.rows))
-        return "\n".join(lines)
+        return lines
+
+    def to_hex(self) -> str:
+        return "\n".join(self.to_hex_lines())
 
     @classmethod
     def from_hex(cls, text: str) -> "BitMatrix":
@@ -358,7 +349,7 @@ def matvec(m: BitMatrix, v: BitVector) -> BitVector:
         raise ValueError(f"dimension mismatch: matrix cols {m.cols} vs vector length {v.n}")
     # parity(row AND v) is the parity of the XOR of the row's ANDed words,
     # so each row needs one popcount.
-    x = _as_words(v.value, m.words.shape[1])
+    x = np.frombuffer(v.value.to_bytes(8 * m.words.shape[1], "little"), _WORD)
     folded = np.bitwise_xor.reduce(m.words & x, axis=1)
     return BitVector.from_array(np.bitwise_count(folded) & 1)
 
@@ -375,47 +366,34 @@ def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> BitMatrix:
     return BitMatrix.from_packed_rows(rng_bytes(rng, rows * nbytes), rows, cols)
 
 
-def random_vectors(count: int, n: int, rng: np.random.Generator) -> list[BitVector]:
-    """count random n-bit vectors from a single rng_bytes call.
+def random_rows(count: int, cols: int, rng: np.random.Generator) -> BitMatrix:
+    """count random rows of cols bits, as a matrix, from a single rng_bytes call.
 
     rng_bytes, like Generator.bytes, draws whole uint32 words, so one draw
-    of count rows of ceil(n / 8) bytes, each padded to whole words, holds
-    the bytes of count separate BitVector.random(n, rng) calls and leaves
+    of count rows of ceil(cols / 8) bytes, each padded to whole words, holds
+    the bytes of count separate BitVector.random(cols, rng) calls and leaves
     rng in the same state.
     """
-    nbytes = (n + 7) // 8
+    nbytes = (cols + 7) // 8
     if count == 0 or nbytes == 0:
-        return [BitVector(n)] * count  # like BitVector.random, draws nothing
+        return BitMatrix.zeros(count, cols)  # like BitVector.random, draws nothing
     stride = 4 * ((nbytes + 3) // 4)
-    block = rng_bytes(rng, count * stride).tobytes()
-    mask = (1 << n) - 1
-    return [
-        BitVector(n, int.from_bytes(block[o : o + nbytes], "little") & mask)
-        for o in range(0, count * stride, stride)
-    ]
+    block = rng_bytes(rng, count * stride).reshape(count, stride)
+    return BitMatrix.from_packed_rows(block[:, :nbytes].tobytes(), count, cols)
 
 
-def replace_rows(
-    m: BitMatrix, start: int, stop: int, row_factory: Callable[[], BitVector]
-) -> BitMatrix:
-    """Replace rows [start, stop) with rows produced by row_factory.
+def replace_rows(m: BitMatrix, start: int, rows: BitMatrix) -> BitMatrix:
+    """Replace rows [start, start + rows.rows) of m with the block rows.
 
-    The factory is called once per replaced row, in row order. Rows outside
-    the interval are copied unchanged from the input matrix.
+    Rows outside the interval are copied unchanged from m.
     """
-    if not (0 <= start <= stop <= m.rows):
-        raise ValueError(
-            f"row interval [{start}, {stop}) out of range for {m.rows} rows"
-        )
-    nwords = m.words.shape[1]
-    fresh = []
-    for _ in range(start, stop):
-        row = row_factory()
-        if row.n != m.cols:
-            raise ValueError(f"length mismatch: row of {row.n} vs cols {m.cols}")
-        fresh.append(row.value.to_bytes(8 * nwords, "little"))
+    stop = start + rows.rows
+    if not 0 <= start <= stop <= m.rows:
+        raise ValueError(f"row interval [{start}, {stop}) out of range for {m.rows} rows")
+    if rows.cols != m.cols:
+        raise ValueError(f"length mismatch: rows of {rows.cols} vs cols {m.cols}")
     words = m.words.copy()
-    words[start:stop] = np.frombuffer(b"".join(fresh), _WORD).reshape(stop - start, nwords)
+    words[start:stop] = rows.words
     return BitMatrix._from_words(words, m.cols)
 
 

@@ -423,6 +423,10 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _non_tail(params: SessionParams) -> int:
     return params.key_len - params.tail_len
 
@@ -509,7 +513,10 @@ def apply_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     """Return a copy of config with one swept parameter changed."""
     if axis in _PARAM_AXES:
         field_name, cast = _PARAM_AXES[axis]
-        params = dataclasses.replace(config.params, **{field_name: cast(value)})
+        try:
+            params = dataclasses.replace(config.params, **{field_name: cast(value)})
+        except ValueError as exc:
+            raise ConfigError(f"axis {axis!r} value {value!r}: {exc}") from exc
         return dataclasses.replace(config, params=params)
     if axis not in _OPTION_AXES:
         raise ConfigError(
@@ -536,14 +543,18 @@ def sweep(
     values: Sequence,
     workers: int = 1,
 ) -> list[SweepEntry]:
-    """Re-run the scenario once per value of one parameter axis."""
-    entries = []
+    """Re-run the scenario once per value of one parameter axis.
+
+    Every value is stepped and validated before any of them runs, so a bad
+    value fails the sweep up front.
+    """
+    steps = []
     for value in values:
         stepped = apply_axis(config, axis, value)
         stepped = dataclasses.replace(stepped, name=f"{config.name}[{axis}={value}]")
-        reports, summary = run_scenario(stepped, workers=workers)
-        entries.append(SweepEntry(value, stepped, reports, summary))
-    return entries
+        validate_config(stepped)
+        steps.append((value, stepped))
+    return [SweepEntry(v, c, *run_scenario(c, workers=workers)) for v, c in steps]
 
 
 # --------------------------------------------------------------- builtins
@@ -709,7 +720,10 @@ def builtin_scenario(
 
 # ------------------------------------------------------------ config files
 
-_PARAM_FIELDS = {f.name for f in dataclasses.fields(SessionParams)} - {"master_seed"}
+# Session parameter -> its type (int or float), read off the field default.
+_PARAM_TYPES = {
+    f.name: type(f.default) for f in dataclasses.fields(SessionParams) if f.name != "master_seed"
+}
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
@@ -726,12 +740,19 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     params_d = d.get("params", {})
     if not isinstance(params_d, dict):
         raise ConfigError('"params" must be an object')
-    for key in params_d:
-        if key not in _PARAM_FIELDS:
+    for key, value in params_d.items():
+        if key not in _PARAM_TYPES:
             raise ConfigError(
                 f"unknown params field {key!r}, expected one of: "
-                + ", ".join(sorted(_PARAM_FIELDS))
+                + ", ".join(sorted(_PARAM_TYPES))
             )
+        if _PARAM_TYPES[key] is int and not _is_int(value):
+            raise ConfigError(f"params {key} must be an integer, got {value!r}")
+        if not _is_number(value):
+            raise ConfigError(f"params {key} must be a number, got {value!r}")
+    for key in ("trials", "master_seed"):
+        if key in d and not _is_int(d[key]):
+            raise ConfigError(f"{key} must be an integer, got {d[key]!r}")
     try:
         params = SessionParams(**params_d)
     except ValueError as exc:
@@ -759,14 +780,17 @@ def config_from_dict(d: dict) -> ScenarioConfig:
                 f"unknown check metric {item['metric']!r}, expected one of: "
                 + ", ".join(SUMMARY_METRICS)
             )
+        for bound in ("lo", "hi"):
+            if not _is_number(item[bound]):
+                raise ConfigError(f"check {bound} must be a number, got {item[bound]!r}")
         checks.append(Check(item["metric"], float(item["lo"]), float(item["hi"])))
     config = ScenarioConfig(
         name=str(d.get("name", "custom")),
         params=params,
         hardening=hardening,
         attack=attack,
-        trials=int(d.get("trials", 100)),
-        master_seed=int(d.get("master_seed", 0)),
+        trials=d.get("trials", 100),
+        master_seed=d.get("master_seed", 0),
         claim=str(d.get("claim", "")),
         checks=tuple(checks),
     )
@@ -776,7 +800,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
 
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Inverse of config_from_dict, suitable for re-running a scenario."""
-    params = {f: getattr(config.params, f) for f in sorted(_PARAM_FIELDS)}
+    params = {f: getattr(config.params, f) for f in sorted(_PARAM_TYPES)}
     return {
         "name": config.name,
         "trials": config.trials,

@@ -22,8 +22,8 @@ from qkdsim.adversary import (
     otp_encrypt,
     run_collision_impersonation,
 )
-from qkdsim.channel import Channel, Frame, FrameType
-from qkdsim.gf2 import BitVector, random_matrix
+from qkdsim.channel import A_TO_B, Channel, FrameType
+from qkdsim.gf2 import BitMatrix, BitVector, random_matrix
 from qkdsim.hardening import HardeningKind
 from qkdsim.pipeline import (
     SessionParams,
@@ -40,62 +40,59 @@ MATRIX_IN_LOG = HardeningKind.MATRIX_IN_LOG
 DERIVED = HardeningKind.DERIVED_MATRIX
 
 
-def matrix_frame(rows=16, cols=32, seed=1) -> Frame:
-    return Frame(FrameType.PA_MATRIX, random_matrix(rows, cols, make_rng(seed, "m")))
+def matrix(rows=16, cols=32, seed=1) -> BitMatrix:
+    return random_matrix(rows, cols, make_rng(seed, "m"))
 
 
 # ------------------------------------------------------------- attack ops
 
 
 def test_randomize_rows_op():
-    frame = matrix_frame()
+    m = matrix()
     rng = make_rng(2, "adv")
-    out = attack_randomize_rows(frame, 4, 8, rng)
-    m, m2 = frame.payload, out.payload
+    m2 = attack_randomize_rows(m, 4, 8, rng)
     assert m2.row_values[4:] == m.row_values[4:]
     assert any(m2.row_values[i] != m.row_values[i] for i in range(4))
-    # r=0 passes the frame through unmodified, so the channel sees no tamper
-    assert attack_randomize_rows(frame, 0, 8, rng) is frame
+    assert attack_randomize_rows(m, 0, 8, rng) == m
     with pytest.raises(ValueError):
-        attack_randomize_rows(frame, -1, 8, rng)
+        attack_randomize_rows(m, -1, 8, rng)
     with pytest.raises(ValueError):
-        attack_randomize_rows(frame, 9, 8, rng)  # would touch the tail
+        attack_randomize_rows(m, 9, 8, rng)  # would touch the tail
 
 
 def test_flip_entry_op():
-    frame = matrix_frame()
-    out = attack_flip_entry(frame, 3, 17, 8)
-    assert out.payload.get(3, 17) == 1 - frame.payload.get(3, 17)
+    m = matrix()
+    m2 = attack_flip_entry(m, 3, 17, 8)
+    assert m2.get(3, 17) == 1 - m.get(3, 17)
     with pytest.raises(ValueError, match="tail"):
-        attack_flip_entry(frame, 8, 0, 8)  # first tail row
+        attack_flip_entry(m, 8, 0, 8)  # first tail row
     with pytest.raises(ValueError):
-        attack_flip_entry(frame, -1, 0, 8)
+        attack_flip_entry(m, -1, 0, 8)
 
 
 def test_zero_rows_op():
-    frame = matrix_frame()
-    out = attack_zero_rows(frame, 8)
-    assert out.payload.row_values[:8] == (0,) * 8
-    assert out.payload.row_values[8:] == frame.payload.row_values[8:]
+    m = matrix()
+    m2 = attack_zero_rows(m, 8)
+    assert m2.row_values[:8] == (0,) * 8
+    assert m2.row_values[8:] == m.row_values[8:]
+    with pytest.raises(ValueError, match="does not fit"):
+        attack_zero_rows(m, 17)  # a tail longer than the matrix
+    with pytest.raises(ValueError, match="does not fit"):
+        attack_zero_rows(m, -1)
 
 
 def test_extract_bits_op():
-    frame = matrix_frame()
+    m = matrix()
     known = [(0, 1), (5, 0), (9, 1)]
-    out, prediction = attack_extract_bits(frame, known, 2, 8)
+    m2, prediction = attack_extract_bits(m, known, 2, 8)
     assert prediction == 0  # parity of the known bits
-    row = out.payload.row(2)
+    row = m2.row(2)
     assert [p for p in range(32) if row[p]] == [0, 5, 9]
+    assert m2.row_values[:2] + m2.row_values[3:] == m.row_values[:2] + m.row_values[3:]
     with pytest.raises(ValueError, match="tail"):
-        attack_extract_bits(frame, known, 8, 8)
+        attack_extract_bits(m, known, 8, 8)
     with pytest.raises(ValueError):
-        attack_extract_bits(frame, [], 2, 8)
-
-
-def test_ops_reject_other_frames():
-    frame = Frame(FrameType.BASES, BitVector(8, 0))
-    with pytest.raises(ValueError, match="PA_MATRIX"):
-        attack_zero_rows(frame, 4)
+        attack_extract_bits(m, [], 2, 8)
 
 
 # --------------------------------------------------- strategies in session
@@ -104,6 +101,33 @@ def test_ops_reject_other_frames():
 def attacked_session(strategy, seed, hardening=None, n_raw=2048):
     params = SessionParams(n_raw=n_raw, master_seed=seed)
     return params, run_session(params, channel=Channel(strategy), hardening=hardening)
+
+
+FRAME_STRATEGIES = {
+    "randomize-rows": lambda: RandomizeRowsStrategy(r=5, tail_len=128, rng=make_rng(0, "adv")),
+    "flip-entry": lambda: FlipEntryStrategy(0, 0, 128),
+    "zero-rows": lambda: ZeroRowsStrategy(128),
+    "extract-bits": lambda: ExtractBitsStrategy(0, 128, make_rng(0, "adv"), known_positions=[1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", FRAME_STRATEGIES)
+def test_strategy_tampers_only_the_matrix_frame(name):
+    # The channel marks a frame tampered when the strategy returns another
+    # object, so every unmarked frame was forwarded as the object sent.
+    _, result = attacked_session(FRAME_STRATEGIES[name](), seed=1)
+    transcript = result.channel.transcript
+    assert len(transcript) == 9
+    tampered = [e for e in transcript if e.tampered]
+    assert [(e.direction, e.frame.kind) for e in tampered] == [(A_TO_B, FrameType.PA_MATRIX)]
+    assert tampered[0].frame.payload != result.alice.state.pa_matrix
+
+
+def test_randomize_no_rows_tampers_no_frame():
+    strategy = RandomizeRowsStrategy(r=0, tail_len=128, rng=make_rng(0, "adv"))
+    _, result = attacked_session(strategy, seed=1)
+    assert not any(e.tampered for e in result.channel.transcript)
+    assert result.bob.state.final_key == result.alice.state.final_key
 
 
 def test_randomize_all_non_tail_rows_undetected_key_divergence():

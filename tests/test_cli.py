@@ -87,6 +87,24 @@ def test_run_invalid_config_file(tmp_path, capsys):
     assert "flip-entry row" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config,match",
+    [
+        ({"trials": "x"}, "trials must be an integer"),
+        ({"params": {"n_raw": "100"}}, "n_raw must be an integer"),
+        ({"checks": [{"metric": "accept_rate_bob", "lo": "a", "hi": 1}]}, "lo must be a number"),
+        ({"trials": 2.7}, "trials must be an integer"),
+    ],
+)
+def test_run_mistyped_config_file(tmp_path, capsys, config, match):
+    cfg = tmp_path / "mistyped.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("run", cfg) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and match in captured.err
+    assert captured.out == ""
+
+
 def test_exit_code_reflects_out_of_band_rate(tmp_path, capsys):
     cfg = tmp_path / "wrong.json"
     cfg.write_text(
@@ -142,6 +160,23 @@ def test_sweep_end_to_end(tmp_path, capsys):
 def test_sweep_bad_axis_for_attack(capsys):
     assert run_cli("sweep", "baseline", "--axis", "r", "--values", "1,2", "--trials", 2) == 2
     assert "applies to randomize-rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario,axis,values,match",
+    [
+        ("baseline", "qber", "0.01,2", "qber must lie in [0, 1]"),
+        ("baseline", "w", "8,0", "hash_width must lie in [1, 256]"),
+        ("randomize-rows", "r", "1,500", "randomize-rows needs"),
+        ("collision-impersonation", "K", "16,0", "search_budget must be at least 1"),
+        ("extract-bits", "known", "1,0", "num_known must be at least 1"),
+    ],
+)
+def test_sweep_bad_value_fails_before_any_run(capsys, scenario, axis, values, match):
+    assert run_cli("sweep", scenario, "--axis", axis, "--values", values, "--trials", 2) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and match in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_empty_values(capsys):

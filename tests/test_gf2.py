@@ -15,7 +15,7 @@ from qkdsim.gf2 import (
     matvec,
     pack_bits_msb,
     random_matrix,
-    random_vectors,
+    random_rows,
     replace_rows,
     unpack_bits_msb,
 )
@@ -209,7 +209,7 @@ def test_matvec_row_locality():
         cols = int(rng.integers(1, 80))
         m = random_matrix(rows, cols, rng)
         i = int(rng.integers(0, rows))
-        m2 = m.with_row(i, BitVector.random(cols, rng))
+        m2 = replace_rows(m, i, random_rows(1, cols, rng))
         v = BitVector.random(cols, rng)
         a, b = matvec(m, v), matvec(m2, v)
         for k in range(rows):
@@ -242,14 +242,17 @@ def test_random_matrix_rows_canonical():
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17, 25, 33, 40, 3537, 3544, 3545, 3600, 3608])
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 128])
 def test_random_vectors_match_separate_draws(n, count):
-    # One draw gives the rows and the end state of count separate draws,
-    # also when the generator starts with half a 64-bit output buffered.
+    # random_rows' one draw gives the row vectors and the end state of count
+    # separate draws, also when the generator starts with half a 64-bit
+    # output buffered.
     for buffered in (False, True):
         a, b = np.random.default_rng(n), np.random.default_rng(n)
         if buffered:  # one uint32 drawn, the other half of its output kept
             a.bytes(4), b.bytes(4)
-        expected = [BitVector.random(n, a) for _ in range(count)]
-        assert random_vectors(count, n, b) == expected
+        expected = [BitVector.random(n, a).value for _ in range(count)]
+        block = random_rows(count, n, b)
+        assert (block.rows, block.cols) == (count, n)
+        assert block.row_values == tuple(expected)
         assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -258,14 +261,14 @@ def test_random_vectors_match_separate_draws(n, count):
 
 def test_replace_rows_zero_generator_full_range():
     m = random_matrix(8, 16, np.random.default_rng(1))
-    z = replace_rows(m, 0, 8, lambda: BitVector.zeros(16))
+    z = replace_rows(m, 0, BitMatrix.zeros(8, 16))
     assert z == BitMatrix.zeros(8, 16)
 
 
 def test_replace_rows_preserves_tail_and_randomizes_head():
     m = random_matrix(256, 512, np.random.default_rng(3))
     rng = np.random.default_rng(99)
-    m2 = replace_rows(m, 0, 128, lambda: BitVector.random(512, rng))
+    m2 = replace_rows(m, 0, random_rows(128, 512, rng))
     assert m2.row_values[128:] == m.row_values[128:]
     diff = sum((m.row_values[i] ^ m2.row_values[i]).bit_count() for i in range(128))
     # replaced region should differ from the original in about half its entries
@@ -275,11 +278,13 @@ def test_replace_rows_preserves_tail_and_randomizes_head():
 def test_replace_rows_interval_out_of_range():
     m = BitMatrix.zeros(4, 4)
     with pytest.raises(ValueError, match="out of range"):
-        replace_rows(m, 0, 5, lambda: BitVector.zeros(4))
+        replace_rows(m, 0, BitMatrix.zeros(5, 4))
     with pytest.raises(ValueError, match="out of range"):
-        replace_rows(m, 3, 2, lambda: BitVector.zeros(4))
+        replace_rows(m, 3, BitMatrix.zeros(2, 4))
+    with pytest.raises(ValueError, match="out of range"):
+        replace_rows(m, -1, BitMatrix.zeros(1, 4))
     with pytest.raises(ValueError, match="length mismatch"):
-        replace_rows(m, 0, 1, lambda: BitVector.zeros(5))
+        replace_rows(m, 0, BitMatrix.zeros(1, 5))
 
 
 # -------------------------------------------------------------- flip_entry

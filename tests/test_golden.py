@@ -5,8 +5,11 @@ builtin for a few trials and compares the SHA-256 of what
 write_trials_jsonl writes against the digest recorded when the case was
 added. The dump cases cover the --dump-states records: flip-entry's
 honest_bob entry, extract-bits, a matrix-in-log session whose log carries
-the matrix, and the collision attack, whose record dumping leaves as it is. A separate case pins baseline at the large
-n_raw = 131072 that the benchmark's large-key workload runs.
+the matrix, and the collision attack, whose record dumping leaves as it
+is. Two separate cases pin baseline at the large n_raw = 131072 that the
+benchmark's large-key workload runs: its trials.jsonl, which records only
+verdicts and key equality, and the amplification matrix and final keys
+themselves.
 """
 
 import dataclasses
@@ -14,7 +17,9 @@ import hashlib
 
 import pytest
 
+from qkdsim.pipeline import run_session
 from qkdsim.scenarios import BUILTIN_SCENARIOS, builtin_scenario, run_scenario, write_trials_jsonl
+from qkdsim.seeding import trial_seed
 
 GOLDEN = [
     # (builtin, trials, dump_states, sha256 of trials.jsonl)
@@ -58,12 +63,32 @@ LARGE_N_RAW = 131072
 LARGE_BASELINE_DIGEST = "ae13c5a9daaa9ae3ce2f930c7db1a9bfce1534f6d32e50036833bb87ee5e3322"
 
 
-def test_large_baseline_trials_jsonl_matches_golden_digest(tmp_path):
-    config = builtin_scenario("baseline", trials=8, master_seed=0)
-    config = dataclasses.replace(
+def _large_baseline(trials: int):
+    config = builtin_scenario("baseline", trials=trials, master_seed=0)
+    return dataclasses.replace(
         config, params=dataclasses.replace(config.params, n_raw=LARGE_N_RAW)
     )
+
+
+def test_large_baseline_trials_jsonl_matches_golden_digest(tmp_path):
+    config = _large_baseline(8)
     reports, _ = run_scenario(config)
     path = tmp_path / "trials.jsonl"
     write_trials_jsonl(reports, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LARGE_BASELINE_DIGEST
+
+
+LARGE_BASELINE_MATRIX_DIGEST = "1a92291084038848c83db3f5583ea18e66f4bd37a21cdc3c94d485c452fad99b"
+
+
+def test_large_baseline_matrix_and_keys_match_golden_digest():
+    # The 256 x ~57000 matrix each trial draws, and both parties' final keys.
+    config = _large_baseline(4)
+    h = hashlib.sha256()
+    for index in range(config.trials):
+        params = dataclasses.replace(config.params, master_seed=trial_seed(0, index))
+        result = run_session(params)
+        h.update(result.alice.state.pa_matrix.to_bytes_msb())
+        h.update(result.alice.state.final_key.to_bytes_msb())
+        h.update(result.bob.state.final_key.to_bytes_msb())
+    assert h.hexdigest() == LARGE_BASELINE_MATRIX_DIGEST

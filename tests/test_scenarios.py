@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim import scenarios as scenarios_mod
 from qkdsim.gf2 import BitMatrix, BitVector
 from qkdsim.hardening import HardeningKind
 from qkdsim.pipeline import SessionParams, Verdict
@@ -334,6 +335,19 @@ def test_sweep_axis_errors():
         apply_axis(builtin_scenario("baseline"), "K", 3)
     with pytest.raises(ConfigError, match="applies to extract-bits"):
         apply_axis(builtin_scenario("baseline"), "known", 3)
+    with pytest.raises(ConfigError, match="qber must lie in"):
+        apply_axis(builtin_scenario("baseline"), "qber", 2.0)
+    with pytest.raises(ConfigError, match="hash_width must lie in"):
+        apply_axis(builtin_scenario("baseline"), "w", 0)
+
+
+def test_sweep_validates_every_value_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setattr(scenarios_mod, "run_scenario", lambda c, workers=1: ran.append(c))
+    cfg = dataclasses.replace(small("randomize-rows", 2), checks=())
+    with pytest.raises(ConfigError, match="randomize-rows needs"):
+        sweep(cfg, "r", [1, 500])
+    assert ran == []
 
 
 # ------------------------------------------------- success recomputation
@@ -503,6 +517,22 @@ def test_config_file_rejects_bad_json(tmp_path):
             "collision-impersonation needs tail_len >= 1",
         ),
         ({"params": {"n_raw": 64}, "trials": 20}, "key_len must be below n_raw = 64, got 256"),
+        ({"trials": "x"}, "trials must be an integer, got 'x'"),
+        ({"params": {"n_raw": "100"}}, "params n_raw must be an integer, got '100'"),
+        (
+            {"checks": [{"metric": "accept_rate_bob", "lo": "a", "hi": 1}]},
+            "check lo must be a number, got 'a'",
+        ),
+        ({"trials": 2.7}, "trials must be an integer, got 2.7"),
+        ({"master_seed": True}, "master_seed must be an integer, got True"),
+        ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
+        ({"params": {"key_len": True}}, "params key_len must be an integer, got True"),
+        ({"params": {"qber": "0.1"}}, "params qber must be a number, got '0.1'"),
+        ({"params": {"sample_fraction": False}}, "params sample_fraction must be a number"),
+        (
+            {"checks": [{"metric": "accept_rate_bob", "lo": 0, "hi": True}]},
+            "check hi must be a number, got True",
+        ),
     ],
 )
 def test_config_validation_errors(overrides, match):
