@@ -133,6 +133,20 @@ def test_flip_entry_matches_int_reference(mc, data):
 
 
 @props
+@given(matrices(min_rows=1), st.data())
+def test_with_row_matches_int_reference(mc, data):
+    """A one-row block at any row, as extract-bits writes."""
+    values, cols = mc
+    m = BitMatrix(values, cols)
+    i = data.draw(st.integers(0, len(values) - 1))
+    row = data.draw(row_vectors(cols))
+    expected = list(values)
+    expected[i] = row.value
+    assert replace_rows(m, i, BitMatrix([row.value], cols)).row_values == tuple(expected)
+    assert m.row_values == tuple(values)  # the input is left unchanged
+
+
+@props
 @given(matrices(), st.data())
 def test_replace_rows_matches_int_reference(mc, data):
     values, cols = mc
@@ -143,11 +157,6 @@ def test_replace_rows_matches_int_reference(mc, data):
     expected = values[:start] + [r.value for r in fresh] + values[stop:]
     block = BitMatrix([r.value for r in fresh], cols)
     assert replace_rows(m, start, block).row_values == tuple(expected)
-    if values:  # a one-row block at any row, as extract-bits writes
-        i = data.draw(st.integers(0, len(values) - 1))
-        row = data.draw(row_vectors(cols))
-        expected = values[:i] + [row.value] + values[i + 1 :]
-        assert replace_rows(m, i, BitMatrix([row.value], cols)).row_values == tuple(expected)
     assert m.row_values == tuple(values)  # the input is left unchanged
 
 
