@@ -17,7 +17,6 @@ from .scenarios import (
     SWEEP_AXES,
     ConfigError,
     ScenarioConfig,
-    builtin_scenario,
     evaluate_checks,
     format_claims_table,
     load_config_file,
@@ -34,18 +33,19 @@ _FORMATS = {"jsonl": ("jsonl",), "csv": ("csv",), "both": ("jsonl", "csv")}
 def _resolve_config(ref: str, trials: int | None, seed: int | None) -> ScenarioConfig:
     """Builtin scenario name, or a JSON config file path. Builtins win ties."""
     if ref in BUILTIN_SCENARIOS:
-        return builtin_scenario(ref, trials=trials, master_seed=seed)
-    if os.path.exists(ref):
+        config = BUILTIN_SCENARIOS[ref]
+    elif os.path.exists(ref):
         config = load_config_file(ref)
-        if trials is not None:
-            config = dataclasses.replace(config, trials=trials)
-        if seed is not None:
-            config = dataclasses.replace(config, master_seed=seed)
-        return config
-    raise ConfigError(
-        f"{ref!r} is neither a builtin scenario nor an existing config file; "
-        "see `qkdsim list-scenarios`"
-    )
+    else:
+        raise ConfigError(
+            f"{ref!r} is neither a builtin scenario nor an existing config file; "
+            "see `qkdsim list-scenarios`"
+        )
+    if trials is not None:
+        config = dataclasses.replace(config, trials=trials)
+    if seed is not None:
+        config = dataclasses.replace(config, master_seed=seed)
+    return config
 
 
 def _checks_pass(rows) -> bool:

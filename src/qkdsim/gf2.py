@@ -4,11 +4,11 @@ Bit i of a vector lives at bit position i of a Python int (LSB first), so
 XOR, AND and popcount run word-parallel on arbitrary lengths. Values are
 kept canonical: bits at positions >= len are always zero, which makes
 equality and hashing plain int comparisons. A matrix keeps its rows in a
-read-only (rows, words) numpy array of little-endian uint64 words, each row
-laid out like a vector's int and zero-padded to whole words, so products
-and serialization run over the whole matrix at once. Matrices are
-immutable; operations that change one return a new matrix built on a copy
-of the array.
+read-only (rows, ceil(cols / 8)) numpy uint8 array: row i is row i's int
+as little-endian bytes, the layout in which rng_bytes and SHAKE draws are
+read, so a drawn matrix needs no repacking, and products and serialization
+run over the whole matrix at once. Matrices are immutable; operations that
+change one return a new matrix built on a copy of the array.
 """
 
 from __future__ import annotations
@@ -211,22 +211,16 @@ class BitVector:
         return cls(n, unpack_bits_msb(bytes.fromhex(body), n))
 
 
-_WORD = np.dtype("<u8")
-
-
-def _words_per_row(cols: int) -> int:
-    return (cols + 63) // 64
-
-
 class BitMatrix:
     """Immutable rectangular bit matrix over GF(2).
 
-    Row i is words[i]: entry (i, j) is bit j % 64 of word j // 64, and bits
-    at columns >= cols are zero. row_values gives the same rows as
-    canonical ints, derived from the words on each use.
+    Row i is packed[i], the row's ceil(cols / 8) bytes LSB first: entry
+    (i, j) is bit j % 8 of byte j // 8, and the pad bits past cols in the
+    last byte are zero. row_values gives the same rows as canonical ints,
+    derived from the bytes on each use.
     """
 
-    __slots__ = ("rows", "cols", "words")
+    __slots__ = ("rows", "cols", "packed")
 
     def __init__(self, row_values: Sequence[int], cols: int):
         if cols < 0:
@@ -235,32 +229,34 @@ class BitMatrix:
         for r in values:
             if r < 0 or r >> cols:
                 raise ValueError("row value has bits outside cols")
-        nbytes = 8 * _words_per_row(cols)
-        buf = b"".join(r.to_bytes(nbytes, "little") for r in values)
-        self._init(np.frombuffer(buf, _WORD).reshape(len(values), nbytes // 8), cols)
+        nbytes = (cols + 7) // 8
+        buf = bytearray().join(r.to_bytes(nbytes, "little") for r in values)  # writable
+        self._adopt(np.frombuffer(buf, np.uint8).reshape(len(values), nbytes), cols)
 
-    def _init(self, words: np.ndarray, cols: int) -> None:
-        words.flags.writeable = False
-        self.rows = words.shape[0]
+    def _adopt(self, packed: np.ndarray, cols: int) -> "BitMatrix":
+        """Take ownership of a writable (rows, ceil(cols / 8)) uint8 array.
+
+        Zeroes the pad bits past cols in each row's last byte, freezes the
+        array and returns self. Every constructor ends here.
+        """
+        if cols % 8:
+            packed[:, -1] &= (1 << (cols % 8)) - 1
+        packed.flags.writeable = False
+        self.rows = packed.shape[0]
         self.cols = cols
-        self.words = words
-
-    @classmethod
-    def _from_words(cls, words: np.ndarray, cols: int) -> "BitMatrix":
-        """Wrap a canonical word array; the matrix takes ownership of it."""
-        m = cls.__new__(cls)
-        m._init(words, cols)
-        return m
+        self.packed = packed
+        return self
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls._from_words(np.zeros((rows, _words_per_row(cols)), _WORD), cols)
+        return cls.__new__(cls)._adopt(np.zeros((rows, (cols + 7) // 8), np.uint8), cols)
 
     @classmethod
     def from_packed_rows(cls, data: bytes | np.ndarray, rows: int, cols: int) -> "BitMatrix":
         """Matrix from rows * ceil(cols / 8) bytes, one byte-padded row after another.
 
-        data is a bytes object or a uint8 array, such as rng_bytes returns.
+        data is a bytes object or a uint8 array, such as rng_bytes returns;
+        the matrix holds a copy, so data is never aliased or changed.
 
         Each row is packed LSB first: entry (i, j) is bit j % 8 of the row's
         byte j // 8. Bits past cols in a row's last byte are dropped.
@@ -268,34 +264,31 @@ class BitMatrix:
         nbytes = (cols + 7) // 8
         if len(data) != rows * nbytes:
             raise ValueError(f"expected {rows * nbytes} bytes for {rows}x{cols}, got {len(data)}")
-        padded = np.zeros((rows, 8 * _words_per_row(cols)), np.uint8)
-        padded[:, :nbytes] = np.frombuffer(data, np.uint8).reshape(rows, nbytes)
-        if cols % 8:
-            padded[:, nbytes - 1] &= (1 << (cols % 8)) - 1
-        return cls._from_words(padded.view(_WORD), cols)
+        packed = np.frombuffer(data, np.uint8).reshape(rows, nbytes).copy()
+        return cls.__new__(cls)._adopt(packed, cols)
 
     @property
     def row_values(self) -> tuple[int, ...]:
         """Rows as canonical LSB-first ints."""
-        return tuple(int.from_bytes(w.tobytes(), "little") for w in self.words)
+        return tuple(int.from_bytes(r.tobytes(), "little") for r in self.packed)
 
     def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, int.from_bytes(self.words[i].tobytes(), "little"))
+        return BitVector(self.cols, int.from_bytes(self.packed[i].tobytes(), "little"))
 
     def get(self, i: int, j: int) -> int:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range for cols {self.cols}")
-        return int(self.words[i, j >> 6] >> (j & 63)) & 1
+        return int(self.packed[i, j >> 3] >> (j & 7)) & 1
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitMatrix)
             and self.cols == other.cols
-            and np.array_equal(self.words, other.words)
+            and np.array_equal(self.packed, other.packed)
         )
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.rows, self.words.tobytes()))
+        return hash((self.cols, self.rows, self.packed.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -303,12 +296,11 @@ class BitMatrix:
     def density(self) -> float:
         if self.rows * self.cols == 0:
             return 0.0
-        return int(np.bitwise_count(self.words).sum()) / (self.rows * self.cols)
+        return int(np.bitwise_count(self.packed).sum()) / (self.rows * self.cols)
 
     def to_bytes_msb(self) -> bytes:
         """Rows concatenated, each packed MSB-first and byte-padded."""
-        nbytes = (self.cols + 7) // 8
-        return self.words.view(np.uint8)[:, :nbytes].tobytes().translate(_REV8)
+        return self.packed.tobytes().translate(_REV8)
 
     def to_hex_lines(self) -> list[str]:
         """Dimension header line, then one length-prefixed hex row per line.
@@ -347,10 +339,10 @@ def matvec(m: BitMatrix, v: BitVector) -> BitVector:
     """Matrix-vector product over GF(2): out[i] = parity(row_i AND v)."""
     if m.cols != v.n:
         raise ValueError(f"dimension mismatch: matrix cols {m.cols} vs vector length {v.n}")
-    # parity(row AND v) is the parity of the XOR of the row's ANDed words,
+    # parity(row AND v) is the parity of the XOR of the row's ANDed bytes,
     # so each row needs one popcount.
-    x = np.frombuffer(v.value.to_bytes(8 * m.words.shape[1], "little"), _WORD)
-    folded = np.bitwise_xor.reduce(m.words & x, axis=1)
+    x = np.frombuffer(v.value.to_bytes(m.packed.shape[1], "little"), np.uint8)
+    folded = np.bitwise_xor.reduce(m.packed & x, axis=1)
     return BitVector.from_array(np.bitwise_count(folded) & 1)
 
 
@@ -358,12 +350,14 @@ def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> BitMatrix:
     """Uniform random matrix, each entry an independent fair bit from rng.
 
     Draws rows * ceil(cols / 8) bytes with a single rng_bytes call, row i
-    from the i-th block, and nothing when the matrix has no entries.
+    from the i-th block, and nothing when the matrix has no entries. The
+    matrix wraps the drawn array itself, pad bits zeroed, with no copy.
     """
     nbytes = (cols + 7) // 8
     if rows == 0 or nbytes == 0:
         return BitMatrix.zeros(rows, cols)
-    return BitMatrix.from_packed_rows(rng_bytes(rng, rows * nbytes), rows, cols)
+    block = rng_bytes(rng, rows * nbytes).reshape(rows, nbytes)
+    return BitMatrix.__new__(BitMatrix)._adopt(block, cols)
 
 
 def random_rows(count: int, cols: int, rng: np.random.Generator) -> BitMatrix:
@@ -379,7 +373,7 @@ def random_rows(count: int, cols: int, rng: np.random.Generator) -> BitMatrix:
         return BitMatrix.zeros(count, cols)  # like BitVector.random, draws nothing
     stride = 4 * ((nbytes + 3) // 4)
     block = rng_bytes(rng, count * stride).reshape(count, stride)
-    return BitMatrix.from_packed_rows(block[:, :nbytes].tobytes(), count, cols)
+    return BitMatrix.__new__(BitMatrix)._adopt(block[:, :nbytes], cols)
 
 
 def replace_rows(m: BitMatrix, start: int, rows: BitMatrix) -> BitMatrix:
@@ -392,9 +386,9 @@ def replace_rows(m: BitMatrix, start: int, rows: BitMatrix) -> BitMatrix:
         raise ValueError(f"row interval [{start}, {stop}) out of range for {m.rows} rows")
     if rows.cols != m.cols:
         raise ValueError(f"length mismatch: rows of {rows.cols} vs cols {m.cols}")
-    words = m.words.copy()
-    words[start:stop] = rows.words
-    return BitMatrix._from_words(words, m.cols)
+    packed = m.packed.copy()
+    packed[start:stop] = rows.packed
+    return BitMatrix.__new__(BitMatrix)._adopt(packed, m.cols)
 
 
 def flip_entry(m: BitMatrix, i: int, j: int) -> BitMatrix:
@@ -403,6 +397,6 @@ def flip_entry(m: BitMatrix, i: int, j: int) -> BitMatrix:
         raise IndexError(f"row {i} out of range for {m.rows} rows")
     if not 0 <= j < m.cols:
         raise IndexError(f"column {j} out of range for cols {m.cols}")
-    words = m.words.copy()
-    words[i, j >> 6] ^= np.uint64(1 << (j & 63))
-    return BitMatrix._from_words(words, m.cols)
+    packed = m.packed.copy()
+    packed[i, j >> 3] ^= 1 << (j & 7)
+    return BitMatrix.__new__(BitMatrix)._adopt(packed, m.cols)

@@ -427,6 +427,14 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_number(what: str, value, kind: type) -> None:
+    """Reject a value that is not an integer (kind int) or a real number (kind float)."""
+    if kind is int and not _is_int(value):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if not _is_number(value):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
 def _non_tail(params: SessionParams) -> int:
     return params.key_len - params.tail_len
 
@@ -461,8 +469,8 @@ def validate_config(config: ScenarioConfig) -> None:
                 isinstance(value, (list, tuple)) and all(_is_int(q) for q in value)
             ):
                 raise ConfigError(f"{name} {key} must be a list of integers, got {value!r}")
-        elif not _is_int(value):
-            raise ConfigError(f"{name} {key} must be an integer, got {value!r}")
+        else:
+            _check_number(f"{name} {key}", value, int)
     attack.validate(config, {**defaults, **config.attack.options}, non_tail)
 
 
@@ -499,8 +507,8 @@ def run_scenario(
 
 SWEEP_AXES = ("qber", "r", "K", "w", "known")
 
-# Axes that step a session parameter: axis -> (SessionParams field, type).
-_PARAM_AXES = {"qber": ("qber", float), "w": ("hash_width", int)}
+# Axes that step a session parameter: axis -> SessionParams field.
+_PARAM_AXES = {"qber": "qber", "w": "hash_width"}
 # Axes that step an attack option: axis -> (attack, option).
 _OPTION_AXES = {
     "r": ("randomize-rows", "r"),
@@ -512,9 +520,11 @@ _OPTION_AXES = {
 def apply_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     """Return a copy of config with one swept parameter changed."""
     if axis in _PARAM_AXES:
-        field_name, cast = _PARAM_AXES[axis]
+        field_name = _PARAM_AXES[axis]
+        kind = _PARAM_TYPES[field_name]
+        _check_number(f"axis {axis!r} value", value, kind)
         try:
-            params = dataclasses.replace(config.params, **{field_name: cast(value)})
+            params = dataclasses.replace(config.params, **{field_name: kind(value)})
         except ValueError as exc:
             raise ConfigError(f"axis {axis!r} value {value!r}: {exc}") from exc
         return dataclasses.replace(config, params=params)
@@ -525,6 +535,7 @@ def apply_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     name, option = _OPTION_AXES[axis]
     if config.attack.name != name:
         raise ConfigError(f"axis {axis!r} applies to {name}, not {config.attack.name!r}")
+    _check_number(f"axis {axis!r} value", value, int)
     options = {**config.attack.options, option: int(value)}
     return dataclasses.replace(config, attack=AttackSpec(name, options))
 
@@ -746,13 +757,10 @@ def config_from_dict(d: dict) -> ScenarioConfig:
                 f"unknown params field {key!r}, expected one of: "
                 + ", ".join(sorted(_PARAM_TYPES))
             )
-        if _PARAM_TYPES[key] is int and not _is_int(value):
-            raise ConfigError(f"params {key} must be an integer, got {value!r}")
-        if not _is_number(value):
-            raise ConfigError(f"params {key} must be a number, got {value!r}")
+        _check_number(f"params {key}", value, _PARAM_TYPES[key])
     for key in ("trials", "master_seed"):
-        if key in d and not _is_int(d[key]):
-            raise ConfigError(f"{key} must be an integer, got {d[key]!r}")
+        if key in d:
+            _check_number(key, d[key], int)
     try:
         params = SessionParams(**params_d)
     except ValueError as exc:
@@ -781,8 +789,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
                 + ", ".join(SUMMARY_METRICS)
             )
         for bound in ("lo", "hi"):
-            if not _is_number(item[bound]):
-                raise ConfigError(f"check {bound} must be a number, got {item[bound]!r}")
+            _check_number(f"check {bound}", item[bound], float)
         checks.append(Check(item["metric"], float(item["lo"]), float(item["hi"])))
     config = ScenarioConfig(
         name=str(d.get("name", "custom")),
@@ -925,9 +932,25 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
     if not os.path.exists(manifest_path):
         raise ConfigError(f"{out_dir}: no run.json manifest; not a report directory")
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    summary_fields = {f.name for f in dataclasses.fields(BatchSummary)}
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict)
+        and {"scenario", "config", "summary"} <= e.keys()
+        and isinstance(e["summary"], dict)
+        and e["summary"].keys() == summary_fields
+        for e in entries
+    ):
+        raise ConfigError(
+            f'{manifest_path}: not a report manifest: expected an "entries" list of objects '
+            'with "scenario", "config" and a "summary" holding every BatchSummary field'
+        )
     rows = []
-    for entry in manifest["entries"]:
+    for entry in entries:
         config = config_from_dict(entry["config"])
         config = dataclasses.replace(config, name=entry["scenario"])
         if "trials_file" in entry:

@@ -75,6 +75,18 @@ def test_run_config_file(tmp_path, capsys):
     assert "tiny-zero" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("source", ["builtin", "file"])
+def test_trials_and_seed_override_builtins_and_config_files(tmp_path, source):
+    ref = "zero-rows"
+    if source == "file":
+        ref = tmp_path / "cfg.json"
+        ref.write_text(json.dumps({"trials": 50, "attack": {"name": "zero-rows"}}))
+    out = tmp_path / "out"
+    run_cli("run", ref, "--trials", 3, "--seed", 7, "--out", out)
+    config = json.loads((out / "run.json").read_text())["entries"][0]["config"]
+    assert (config["trials"], config["master_seed"]) == (3, 7)
+
+
 def test_run_unknown_scenario(capsys):
     assert run_cli("run", "warp-field") == 2
     assert "neither a builtin scenario nor an existing config file" in capsys.readouterr().err
@@ -212,6 +224,21 @@ def test_report_recomputes_and_checks(tmp_path, capsys):
 def test_report_missing_manifest(tmp_path, capsys):
     assert run_cli("report", tmp_path) == 2
     assert "run.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ("{not json", "not valid JSON"),
+        ('{"foo": 1}', "not a report manifest"),
+        ('{"entries": [{"scenario": "x", "config": {}, "summary": {}}]}', "not a report manifest"),
+    ],
+)
+def test_report_bad_manifest(tmp_path, capsys, manifest, message):
+    (tmp_path / "run.json").write_text(manifest, encoding="utf-8")
+    assert run_cli("report", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "run.json" in err and message in err
 
 
 def test_no_subcommand_exits_with_usage():

@@ -1,12 +1,14 @@
-"""Property tests for the word-backed GF(2) matrix kernels and the digest check.
+"""Property tests for the byte-backed GF(2) matrix kernels and the digest check.
 
 Each kernel is checked against a plain-int reference built from the row
 values alone, across column counts on both sides of the byte and 64-bit
-word boundaries and matrices with no rows. rng_bytes is checked against
-Generator.bytes itself: same bytes and same generator state afterwards,
-from fresh generators and from ones holding a buffered half-word. The hex
-formats are checked to round-trip. The last test checks that the log-level
-verify agrees with the digest-level check run_session uses.
+word boundaries and matrices with no rows. from_packed_rows is checked to
+drop set pad bits and never to alias the caller's buffer. rng_bytes is
+checked against Generator.bytes itself: same bytes and same generator
+state afterwards, from fresh generators and from ones holding a buffered
+half-word. The hex formats are checked to round-trip. The last test
+checks that the log-level verify agrees with the digest-level check
+run_session uses.
 """
 
 from __future__ import annotations
@@ -92,6 +94,17 @@ def test_row_values_round_trip_through_words(mc):
     assert [rebuilt.row(i).value for i in range(len(values))] == values
     assert rebuilt == m
     assert hash(rebuilt) == hash(m)
+    # The same rows with every pad bit of each row's last byte set, as bytes
+    # and as a writable array the caller keeps writing to afterwards.
+    pad = 0xFF & ~((1 << (cols % 8)) - 1) if cols % 8 else 0
+    dirty = np.frombuffer(packed, np.uint8).reshape(len(values), nbytes).copy()
+    dirty[:, -1] |= pad
+    for data in (dirty.tobytes(), dirty.reshape(-1)):
+        from_dirty = BitMatrix.from_packed_rows(data, len(values), cols)
+        assert from_dirty.row_values == tuple(values)
+        assert from_dirty == m
+    dirty[:] ^= 0xFF
+    assert from_dirty.row_values == tuple(values)
 
 
 @props

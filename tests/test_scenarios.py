@@ -339,6 +339,22 @@ def test_sweep_axis_errors():
         apply_axis(builtin_scenario("baseline"), "qber", 2.0)
     with pytest.raises(ConfigError, match="hash_width must lie in"):
         apply_axis(builtin_scenario("baseline"), "w", 0)
+    # Values of the wrong type are refused, not truncated to another value.
+    rows = builtin_scenario("randomize-rows")
+    with pytest.raises(ConfigError, match="axis 'r' value must be an integer, got 1.5"):
+        sweep(rows, "r", [1.5])
+    with pytest.raises(ConfigError, match="axis 'w' value must be an integer, got 12.9"):
+        apply_axis(builtin_scenario("baseline"), "w", 12.9)
+    with pytest.raises(ConfigError, match="axis 'r' value must be an integer, got True"):
+        apply_axis(rows, "r", True)
+    with pytest.raises(ConfigError, match="axis 'r' value must be an integer, got 'x'"):
+        apply_axis(rows, "r", "x")
+    with pytest.raises(ConfigError, match="axis 'qber' value must be a number, got 'x'"):
+        apply_axis(builtin_scenario("baseline"), "qber", "x")
+    # A valid integer qber still becomes a float, as the config field is.
+    qber = apply_axis(builtin_scenario("baseline"), "qber", 0).params.qber
+    assert type(qber) is float and qber == 0.0
+    assert apply_axis(rows, "r", 3).attack.options["r"] == 3
 
 
 def test_sweep_validates_every_value_before_running_any(monkeypatch):
