@@ -75,19 +75,22 @@ def _cmd_run(args) -> int:
     return _emit([(config, reports, summary)], args.out, args.format)
 
 
-def _parse_values(axis: str, text: str) -> list:
-    cast = float if axis == "qber" else int
+def _number(token: str) -> int | float:
+    """An integer literal as an int, else a float; the sweep checks it against the axis."""
     try:
-        return [cast(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad value list for axis {axis!r}: {exc}") from exc
+        return int(token)
+    except ValueError:
+        return float(token)
 
 
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args.scenario, args.trials, args.seed)
     # Declared bands belong to the original operating point, not to swept ones.
     config = dataclasses.replace(config, checks=())
-    values = _parse_values(args.axis, args.values)
+    try:
+        values = [_number(v) for v in args.values.split(",") if v != ""]
+    except ValueError as exc:
+        raise ConfigError(f"bad value list for axis {args.axis!r}: {exc}") from exc
     if not values:
         raise ConfigError("need at least one value to sweep over")
     entries = sweep(config, args.axis, values, workers=args.workers)

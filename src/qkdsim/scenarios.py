@@ -33,7 +33,7 @@ from .adversary import (
 from .channel import AttackStrategy, Channel, FrameType, render_payload
 from .gf2 import BitVector
 from .hardening import HardeningKind
-from .pipeline import SessionParams, SessionResult, Verdict, run_session
+from .pipeline import SessionParams, SessionResult, Verdict, privacy_amplify, run_session
 from .seeding import make_rng, trial_seed
 
 
@@ -58,11 +58,11 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
+    name: str = "custom"
     params: SessionParams = SessionParams()
     hardening: HardeningKind = HardeningKind.BASELINE
     attack: AttackSpec = AttackSpec("passive")
-    trials: int = 1000
+    trials: int = 100
     master_seed: int = 0
     claim: str = ""
     checks: tuple[Check, ...] = ()
@@ -84,6 +84,8 @@ class TrialReport:
     @classmethod
     def from_json(cls, line: str) -> "TrialReport":
         d = json.loads(line)
+        if not (isinstance(d, dict) and d.keys() >= set(cls.__slots__)):
+            raise ValueError(f"expected an object with the fields {', '.join(cls.__slots__)}")
         return cls(*(d[k] for k in cls.__slots__))
 
 
@@ -181,8 +183,12 @@ def _frame_trial(make_strategy, outcome) -> Callable[..., tuple]:
         if dump_states:
             aux["dump"] = _dump_session(result)
             if config.attack.name == "flip-entry":
-                honest = run_session(params, hardening=config.hardening)
-                aux["dump"]["honest_bob"] = honest.bob.state.to_json_dict()
+                # Only the matrix frame is tampered with, so the untampered
+                # session's Bob is this Bob amplified with Alice's matrix.
+                honest = dataclasses.replace(result.bob.state)
+                if result.alice.state.pa_matrix is not None:
+                    privacy_amplify(honest, result.alice.state.pa_matrix, params)
+                aux["dump"]["honest_bob"] = honest.to_json_dict()
         success = effect and result.bob.verdict is Verdict.ACCEPT
         return (*_verdicts(result), _keys_equal(result), success, aux)
 
@@ -346,32 +352,40 @@ def _check_otp(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
         raise ConfigError(f"otp-malleability num_flips must lie in [1, {non_tail}]")
 
 
+def _non_tail(params: SessionParams) -> int:
+    return params.key_len - params.tail_len
+
+
 @dataclass(frozen=True)
 class _Attack:
-    """One attack: its options with their defaults, its checks and its trial.
+    """One attack: its options, its checks and its trial.
 
-    non_tail is key_len - tail_len, the number of matrix rows outside the
-    logged tail. defaults(non_tail) names every accepted option with its
-    default. validate(config, opts, non_tail) raises ConfigError, and
-    trial(config, params, opts, dump_states) returns (alice verdict, bob
-    verdict, keys_equal, attack_success, aux); both get the options resolved
-    against the defaults.
+    options maps every accepted option to (kind, default): kind is a key of
+    _KINDS, and a callable default is a function of the params.
+    validate(config, opts, non_tail), with non_tail = key_len - tail_len,
+    raises ConfigError; trial(config, params, opts, dump_states) returns
+    (alice verdict, bob verdict, keys_equal, attack_success, aux). Both get
+    the options as resolve() gives them.
     """
 
-    defaults: Callable[[int], dict]
+    options: dict[str, tuple[type, object]]
     validate: Callable[[ScenarioConfig, dict, int], None]
     trial: Callable[..., tuple]
+
+    def resolve(self, params: SessionParams, given: dict) -> dict:
+        """The given options over every option's default."""
+        return {k: d(params) if callable(d) else d for k, (_, d) in self.options.items()} | given
 
 
 _ATTACKS: dict[str, _Attack] = {
     # Passive eavesdropping never counts as a success.
     "passive": _Attack(
-        lambda non_tail: {},
+        {},
         lambda *_: None,
         _frame_trial(lambda opts, tail, rng: AttackStrategy(), lambda *_: (False, {})),
     ),
     "randomize-rows": _Attack(
-        lambda non_tail: {"r": non_tail},
+        {"r": (int, _non_tail)},
         _check_randomize_rows,
         _frame_trial(
             lambda opts, tail, rng: RandomizeRowsStrategy(opts["r"], tail, rng),
@@ -379,7 +393,7 @@ _ATTACKS: dict[str, _Attack] = {
         ),
     ),
     "flip-entry": _Attack(
-        lambda non_tail: {"row": 0, "col": 0},
+        {"row": (int, 0), "col": (int, 0)},
         _check_flip_entry,
         _frame_trial(
             lambda opts, tail, rng: FlipEntryStrategy(opts["row"], opts["col"], tail),
@@ -387,12 +401,12 @@ _ATTACKS: dict[str, _Attack] = {
         ),
     ),
     "zero-rows": _Attack(
-        lambda non_tail: {},
+        {},
         lambda *_: None,
         _frame_trial(lambda opts, tail, rng: ZeroRowsStrategy(tail), _zero_rows_outcome),
     ),
     "extract-bits": _Attack(
-        lambda non_tail: {"target_row": 0, "num_known": 8, "known_positions": None},
+        {"target_row": (int, 0), "num_known": (int, 8), "known_positions": (list, None)},
         _check_extract_bits,
         _frame_trial(
             lambda opts, tail, rng: ExtractBitsStrategy(
@@ -406,37 +420,37 @@ _ATTACKS: dict[str, _Attack] = {
         ),
     ),
     "collision-impersonation": _Attack(
-        lambda non_tail: {"search_budget": 1 << 20}, _check_collision, _collision_trial
+        {"search_budget": (int, 1 << 20)}, _check_collision, _collision_trial
     ),
     # num_flips None draws the number of flipped bits per trial.
     "otp-malleability": _Attack(
-        lambda non_tail: {"bit_positions": None, "num_flips": None}, _check_otp, _otp_trial
+        {"bit_positions": (list, None), "num_flips": (int, None)}, _check_otp, _otp_trial
     ),
 }
-
-# Options that take a list of key positions (or null for none); every other
-# attack option takes an integer.
-_LIST_OPTIONS = frozenset({"known_positions", "bit_positions"})
 
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+# Value kind -> (what a value of that kind must be, its test). A list kind
+# is a list of integer key positions, or null for none.
+_KINDS = {
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: (
+        "a list of integers",
+        lambda v: v is None or isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+    ),
+}
 
 
-def _check_number(what: str, value, kind: type) -> None:
-    """Reject a value that is not an integer (kind int) or a real number (kind float)."""
-    if kind is int and not _is_int(value):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if not _is_number(value):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-
-
-def _non_tail(params: SessionParams) -> int:
-    return params.key_len - params.tail_len
+def _check_value(what: str, value, kind: type) -> None:
+    """Reject a value that is not of the given kind (a key of _KINDS)."""
+    noun, ok = _KINDS[kind]
+    if not ok(value):
+        raise ConfigError(f"{what} must be {noun}, got {value!r}")
 
 
 def validate_config(config: ScenarioConfig) -> None:
@@ -456,22 +470,14 @@ def validate_config(config: ScenarioConfig) -> None:
     if name not in _ATTACKS:
         raise ConfigError(f"unknown attack {name!r}, expected one of: {', '.join(_ATTACKS)}")
     attack = _ATTACKS[name]
-    non_tail = _non_tail(config.params)
-    defaults = attack.defaults(non_tail)
     for key, value in config.attack.options.items():
-        if key not in defaults:
+        if key not in attack.options:
             raise ConfigError(
                 f"unknown option {key!r} for attack {name!r}"
-                + (f", allowed: {', '.join(sorted(defaults))}" if defaults else "")
+                + (f", allowed: {', '.join(sorted(attack.options))}" if attack.options else "")
             )
-        if key in _LIST_OPTIONS:
-            if value is not None and not (
-                isinstance(value, (list, tuple)) and all(_is_int(q) for q in value)
-            ):
-                raise ConfigError(f"{name} {key} must be a list of integers, got {value!r}")
-        else:
-            _check_number(f"{name} {key}", value, int)
-    attack.validate(config, {**defaults, **config.attack.options}, non_tail)
+        _check_value(f"{name} {key}", value, attack.options[key][0])
+    attack.validate(config, attack.resolve(params, config.attack.options), _non_tail(params))
 
 
 # ------------------------------------------------------------------ trials
@@ -482,7 +488,7 @@ def run_trial(config: ScenarioConfig, index: int, dump_states: bool = False) -> 
     seed = trial_seed(config.master_seed, index)
     params = dataclasses.replace(config.params, master_seed=seed)
     attack = _ATTACKS[config.attack.name]
-    opts = {**attack.defaults(_non_tail(params)), **config.attack.options}
+    opts = attack.resolve(params, config.attack.options)
     return TrialReport(index, seed, *attack.trial(config, params, opts, dump_states))
 
 
@@ -505,39 +511,44 @@ def run_scenario(
 
 # ------------------------------------------------------------------ sweeps
 
-SWEEP_AXES = ("qber", "r", "K", "w", "known")
-
-# Axes that step a session parameter: axis -> SessionParams field.
-_PARAM_AXES = {"qber": "qber", "w": "hash_width"}
-# Axes that step an attack option: axis -> (attack, option).
-_OPTION_AXES = {
+# Sweep axis -> the SessionParams field, or the (attack, option), it steps.
+_AXES: dict[str, str | tuple[str, str]] = {
+    "qber": "qber",
     "r": ("randomize-rows", "r"),
     "K": ("collision-impersonation", "search_budget"),
+    "w": "hash_width",
     "known": ("extract-bits", "num_known"),
 }
+SWEEP_AXES = tuple(_AXES)
+
+
+def _step(config: ScenarioConfig, axis: str, value) -> tuple[object, ScenarioConfig]:
+    """Return value as applied to axis, a plain int or float, and config with it applied."""
+    if axis not in _AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}, expected one of: {', '.join(_AXES)}")
+    target, what = _AXES[axis], f"axis {axis!r} value"
+    if isinstance(target, str):
+        kind = _PARAM_TYPES[target]
+        _check_value(what, value, kind)
+        try:
+            value = kind(value)
+            params = dataclasses.replace(config.params, **{target: value})
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{what} {value!r}: {exc}") from exc
+        return value, dataclasses.replace(config, params=params)
+    name, option = target
+    if config.attack.name != name:
+        raise ConfigError(f"axis {axis!r} applies to {name}, not {config.attack.name!r}")
+    kind = _ATTACKS[name].options[option][0]
+    _check_value(what, value, kind)
+    value = kind(value)
+    options = {**config.attack.options, option: value}
+    return value, dataclasses.replace(config, attack=AttackSpec(name, options))
 
 
 def apply_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     """Return a copy of config with one swept parameter changed."""
-    if axis in _PARAM_AXES:
-        field_name = _PARAM_AXES[axis]
-        kind = _PARAM_TYPES[field_name]
-        _check_number(f"axis {axis!r} value", value, kind)
-        try:
-            params = dataclasses.replace(config.params, **{field_name: kind(value)})
-        except ValueError as exc:
-            raise ConfigError(f"axis {axis!r} value {value!r}: {exc}") from exc
-        return dataclasses.replace(config, params=params)
-    if axis not in _OPTION_AXES:
-        raise ConfigError(
-            f"unknown sweep axis {axis!r}, expected one of: {', '.join(SWEEP_AXES)}"
-        )
-    name, option = _OPTION_AXES[axis]
-    if config.attack.name != name:
-        raise ConfigError(f"axis {axis!r} applies to {name}, not {config.attack.name!r}")
-    _check_number(f"axis {axis!r} value", value, int)
-    options = {**config.attack.options, option: int(value)}
-    return dataclasses.replace(config, attack=AttackSpec(name, options))
+    return _step(config, axis, value)[1]
 
 
 @dataclass(frozen=True)
@@ -561,7 +572,7 @@ def sweep(
     """
     steps = []
     for value in values:
-        stepped = apply_axis(config, axis, value)
+        value, stepped = _step(config, axis, value)
         stepped = dataclasses.replace(stepped, name=f"{config.name}[{axis}={value}]")
         validate_config(stepped)
         steps.append((value, stepped))
@@ -572,23 +583,10 @@ def sweep(
 
 
 def _scenario(
-    name: str,
-    attack: AttackSpec,
-    trials: int,
-    claim: str,
-    checks: Sequence[tuple[str, float, float]],
-    hardening: HardeningKind = HardeningKind.BASELINE,
-    params: SessionParams = SessionParams(),
+    name: str, attack: AttackSpec, checks: Sequence[tuple[str, float, float]], **fields
 ) -> ScenarioConfig:
-    return ScenarioConfig(
-        name=name,
-        params=params,
-        hardening=hardening,
-        attack=attack,
-        trials=trials,
-        claim=claim,
-        checks=tuple(Check(*c) for c in checks),
-    )
+    """A builtin scenario; the fields it does not give keep ScenarioConfig's defaults."""
+    return ScenarioConfig(name, attack=attack, checks=tuple(Check(*c) for c in checks), **fields)
 
 
 # Attacks reused by the hardened variants of the same scenario.
@@ -735,7 +733,8 @@ def builtin_scenario(
 _PARAM_TYPES = {
     f.name: type(f.default) for f in dataclasses.fields(SessionParams) if f.name != "master_seed"
 }
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
+# Config field -> the type of its default; int and str fields are scalars.
+_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ScenarioConfig)}
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
@@ -743,10 +742,10 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     if not isinstance(d, dict):
         raise ConfigError("scenario config must be a JSON object")
     for key in d:
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(
                 f"unknown config field {key!r}, expected one of: "
-                + ", ".join(sorted(_CONFIG_FIELDS))
+                + ", ".join(sorted(_CONFIG_TYPES))
             )
     params_d = d.get("params", {})
     if not isinstance(params_d, dict):
@@ -757,10 +756,10 @@ def config_from_dict(d: dict) -> ScenarioConfig:
                 f"unknown params field {key!r}, expected one of: "
                 + ", ".join(sorted(_PARAM_TYPES))
             )
-        _check_number(f"params {key}", value, _PARAM_TYPES[key])
-    for key in ("trials", "master_seed"):
-        if key in d:
-            _check_number(key, d[key], int)
+        _check_value(f"params {key}", value, _PARAM_TYPES[key])
+    scalars = {k: v for k, v in d.items() if _CONFIG_TYPES[k] in (int, str)}
+    for key, value in scalars.items():
+        _check_value(key, value, _CONFIG_TYPES[key])
     try:
         params = SessionParams(**params_d)
     except ValueError as exc:
@@ -770,6 +769,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         raise ConfigError('"attack" must be an object with a "name" field')
     attack_d = dict(attack_raw)
     attack = AttackSpec(attack_d.pop("name"), attack_d)
+    _check_value("attack name", attack.name, str)
     mode = d.get("hardening", "baseline")
     try:
         hardening = HardeningKind(mode)
@@ -789,17 +789,12 @@ def config_from_dict(d: dict) -> ScenarioConfig:
                 + ", ".join(SUMMARY_METRICS)
             )
         for bound in ("lo", "hi"):
-            _check_number(f"check {bound}", item[bound], float)
+            _check_value(f"check {bound}", item[bound], float)
+        if item["lo"] > item["hi"]:
+            raise ConfigError(f"check {item['metric']} lo {item['lo']} exceeds hi {item['hi']}")
         checks.append(Check(item["metric"], float(item["lo"]), float(item["hi"])))
     config = ScenarioConfig(
-        name=str(d.get("name", "custom")),
-        params=params,
-        hardening=hardening,
-        attack=attack,
-        trials=d.get("trials", 100),
-        master_seed=d.get("master_seed", 0),
-        claim=str(d.get("claim", "")),
-        checks=tuple(checks),
+        params=params, hardening=hardening, attack=attack, checks=tuple(checks), **scalars
     )
     validate_config(config)
     return config
@@ -841,8 +836,16 @@ def write_trials_jsonl(reports: Sequence[TrialReport], path) -> None:
 
 
 def read_trials_jsonl(path) -> list[TrialReport]:
+    reports = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [TrialReport.from_json(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                reports.append(TrialReport.from_json(line))
+            except ValueError as exc:
+                raise ConfigError(f"{path}, line {number}: not a trial record: {exc}") from exc
+    return reports
 
 
 def write_summary_csv(summaries: Sequence[BatchSummary], path) -> None:

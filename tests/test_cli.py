@@ -182,6 +182,9 @@ def test_sweep_bad_axis_for_attack(capsys):
         ("randomize-rows", "r", "1,500", "randomize-rows needs"),
         ("collision-impersonation", "K", "16,0", "search_budget must be at least 1"),
         ("extract-bits", "known", "1,0", "num_known must be at least 1"),
+        ("randomize-rows", "r", "1.5", "axis 'r' value must be an integer, got 1.5"),
+        ("collision-impersonation", "K", "16,1e3", "axis 'K' value must be an integer, got 1000.0"),
+        ("baseline", "qber", "0,x", "bad value list for axis 'qber'"),
     ],
 )
 def test_sweep_bad_value_fails_before_any_run(capsys, scenario, axis, values, match):
@@ -189,6 +192,22 @@ def test_sweep_bad_value_fails_before_any_run(capsys, scenario, axis, values, ma
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and match in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "axis,values,labels",
+    [
+        ("qber", "0,.05", ["qber=0.0", "qber=0.05"]),
+        ("qber", "1", ["qber=1.0"]),
+        ("w", " 8,016", ["w=8", "w=16"]),
+    ],
+)
+def test_sweep_value_labels(tmp_path, axis, values, labels):
+    # Values are parsed as numbers and labelled as the axis holds them.
+    out = tmp_path / "sw"
+    run_cli("sweep", "baseline", "--axis", axis, "--values", values, "--trials", 2, "--out", out)
+    rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == [f"baseline[{label}]" for label in labels]
 
 
 def test_sweep_empty_values(capsys):
@@ -239,6 +258,28 @@ def test_report_bad_manifest(tmp_path, capsys, manifest, message):
     assert run_cli("report", tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "run.json" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "bad_line, problem",
+    [
+        ("{not json", "Expecting property name"),
+        ("[1, 2]", "expected an object with the fields trial_index"),
+        ('{"x": 1}', "expected an object with the fields trial_index"),
+    ],
+)
+@pytest.mark.parametrize("first", [True, False])
+def test_report_bad_trial_line(tmp_path, capsys, bad_line, problem, first):
+    run_cli("run", "zero-rows", "--trials", 3, "--out", tmp_path)
+    path = tmp_path / "trials.jsonl"
+    good = path.read_text().splitlines()
+    path.write_text("\n".join([bad_line, *good] if first else [*good[:2], "", bad_line]) + "\n")
+    capsys.readouterr()
+    assert run_cli("report", tmp_path) == 2
+    captured = capsys.readouterr()
+    line = 1 if first else 4
+    assert captured.err.startswith(f"error: {path}, line {line}: not a trial record: ")
+    assert problem in captured.err
 
 
 def test_no_subcommand_exits_with_usage():

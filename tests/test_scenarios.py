@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qkdsim import scenarios as scenarios_mod
 from qkdsim.gf2 import BitMatrix, BitVector
 from qkdsim.hardening import HardeningKind
-from qkdsim.pipeline import SessionParams, Verdict
+from qkdsim.pipeline import SessionParams, Verdict, run_session
 from qkdsim.scenarios import (
     _ATTACKS,
     BUILTIN_SCENARIOS,
@@ -366,6 +366,14 @@ def test_sweep_validates_every_value_before_running_any(monkeypatch):
     assert ran == []
 
 
+def test_sweep_labels_each_value_as_applied():
+    # An integer qber is swept, and labelled, as the float the field holds.
+    cfg = dataclasses.replace(small("baseline", 1), checks=())
+    (entry,) = sweep(cfg, "qber", [0])
+    assert entry.value == 0.0 and type(entry.value) is float
+    assert entry.summary.scenario == "baseline[qber=0.0]"
+
+
 # ------------------------------------------------- success recomputation
 
 
@@ -395,6 +403,21 @@ def test_success_recomputable_from_dumped_states():
         reports, _ = run_scenario(small(name, 12), dump_states=True)
         for r in reports:
             assert r.attack_success == recompute(r, r.aux["dump"]), (name, r.trial_index)
+
+
+@pytest.mark.parametrize("hardening", list(HardeningKind))
+def test_flip_entry_honest_bob_is_bob_of_the_untampered_session(hardening):
+    # Tiny sessions abort in some trials (3, 5, 6 and 9 here), so both branches run.
+    params = SessionParams(n_raw=64, key_len=16, tail_len=8)
+    cfg = small("flip-entry", 12, params=params, hardening=hardening)
+    reports, _ = run_scenario(cfg, dump_states=True)
+    plain, _ = run_scenario(cfg)
+    assert any(r.bob_verdict == "abort" for r in reports)
+    for r, p in zip(reports, plain):
+        seeded = dataclasses.replace(params, master_seed=r.seed)
+        honest = run_session(seeded, hardening=hardening).bob.state.to_json_dict()
+        assert r.aux.pop("dump")["honest_bob"] == honest, r.trial_index
+        assert r == p  # dumping leaves the rest of the record as it is
 
 
 def test_extract_bits_dump_knowledge_is_genuine():
@@ -549,11 +572,26 @@ def test_config_file_rejects_bad_json(tmp_path):
             {"checks": [{"metric": "accept_rate_bob", "lo": 0, "hi": True}]},
             "check hi must be a number, got True",
         ),
+        ({"attack": {"name": ["x"]}}, r"attack name must be a string, got \['x'\]"),
+        ({"attack": {"name": 3}}, "attack name must be a string, got 3"),
+        ({"name": ["x"]}, r"name must be a string, got \['x'\]"),
+        ({"name": 7}, "name must be a string, got 7"),
+        ({"claim": {"a": 1}}, "claim must be a string, got {'a': 1}"),
+        ({"claim": 0.5}, "claim must be a string, got 0.5"),
+        (
+            {"checks": [{"metric": "accept_rate_bob", "lo": 1, "hi": 0}]},
+            "check accept_rate_bob lo 1 exceeds hi 0",
+        ),
     ],
 )
 def test_config_validation_errors(overrides, match):
     with pytest.raises(ConfigError, match=match):
         config_from_dict(overrides)
+
+
+def test_config_file_defaults_are_the_dataclass_defaults():
+    assert config_from_dict({}) == ScenarioConfig()
+    assert ScenarioConfig().trials == 100
 
 
 def test_key_len_just_below_n_raw_is_valid():
