@@ -3,12 +3,20 @@
 Bit i of a vector lives at bit position i of a Python int (LSB first), so
 XOR, AND and popcount run word-parallel on arbitrary lengths. Values are
 kept canonical: bits at positions >= len are always zero, which makes
-equality and hashing plain int comparisons. A matrix keeps its rows in a
-read-only (rows, ceil(cols / 8)) numpy uint8 array: row i is row i's int
-as little-endian bytes, the layout in which rng_bytes and SHAKE draws are
-read, so a drawn matrix needs no repacking, and products and serialization
-run over the whole matrix at once. Matrices are immutable; operations that
-change one return a new matrix built on a copy of the array.
+equality and hashing plain int comparisons. A vector also caches its bits
+unpacked, as a read-only uint8 0/1 array (bits()), so numpy stages never
+unpack the same vector twice; equality, hashing and the serialized forms
+ignore the cache.
+
+A matrix keeps its rows in a read-only (rows, ceil(cols / 8)) numpy uint8
+array: row i is row i's int as little-endian bytes, the layout in which
+rng_bytes and SHAKE draws are read, so a drawn matrix needs no repacking
+and serialization runs over the whole matrix at once. matvec works in
+row blocks of about MATVEC_BLOCK_BYTES through one buffer: a fresh
+matrix-sized temporary (1.83 MB at n_raw = 131072) page-faults on every
+product, while a block-sized one is reused from the heap. Matrices are
+immutable; operations that change one return a new matrix built on a copy
+of the array.
 """
 
 from __future__ import annotations
@@ -16,6 +24,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+
+# Bytes of matrix rows that matvec ANDs and folds in one step. The default
+# 256 x 3,542-bit matrix fits in a single block; a 256 x 57,340-bit one
+# takes eight.
+MATVEC_BLOCK_BYTES = 1 << 18
 
 # Byte-level bit reversal table. Serialization is most-significant-bit
 # first (vector bit 0 maps to bit 7 of byte 0), while storage is LSB
@@ -95,7 +108,7 @@ def random_bits(nbits: int, rng: np.random.Generator) -> int:
 class BitVector:
     """Immutable fixed-length bit string over GF(2)."""
 
-    __slots__ = ("n", "value")
+    __slots__ = ("n", "value", "_bits")
 
     def __init__(self, n: int, value: int = 0):
         if n < 0:
@@ -104,6 +117,7 @@ class BitVector:
             raise ValueError("value has bits outside the vector length")
         self.n = n
         self.value = value
+        self._bits: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, n: int) -> "BitVector":
@@ -130,9 +144,18 @@ class BitVector:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitVector":
-        """Build from a numpy 0/1 array (uint8 or bool)."""
-        packed = np.packbits(arr.astype(np.uint8, copy=False), bitorder="little")
-        return cls(len(arr), int.from_bytes(packed.tobytes(), "little"))
+        """Build from a numpy 0/1 array (uint8 or bool); nonzero entries are ones.
+
+        The vector keeps its own read-only copy of the bits as its bits()
+        cache, so arr is never aliased and may change afterwards.
+        """
+        ones = np.not_equal(arr, 0)
+        packed = np.packbits(ones, bitorder="little")
+        v = cls(len(ones), int.from_bytes(packed.tobytes(), "little"))
+        bits = ones.view(np.uint8)
+        bits.flags.writeable = False
+        v._bits = bits
+        return v
 
     @classmethod
     def from_positions(cls, n: int, positions: Iterable[int]) -> "BitVector":
@@ -188,11 +211,21 @@ class BitVector:
             raise ValueError(f"cannot take last {k} of {self.n} bits")
         return BitVector(k, self.value >> (self.n - k))
 
+    def bits(self) -> np.ndarray:
+        """Bits as a read-only numpy uint8 array, index i = bit i.
+
+        Unpacked on first use and cached: later calls return the same array.
+        """
+        if self._bits is None:
+            raw = self.value.to_bytes((self.n + 7) // 8, "little")
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[: self.n]
+            bits.flags.writeable = False
+            self._bits = bits
+        return self._bits
+
     def to_array(self) -> np.ndarray:
-        """Bits as a numpy uint8 array, index i = bit i."""
-        raw = self.value.to_bytes((self.n + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return bits[: self.n]
+        """Bits as a fresh, writable numpy uint8 array, index i = bit i."""
+        return self.bits().copy()
 
     def to_bytes_msb(self) -> bytes:
         return pack_bits_msb(self.value, self.n)
@@ -336,13 +369,25 @@ class BitMatrix:
 
 
 def matvec(m: BitMatrix, v: BitVector) -> BitVector:
-    """Matrix-vector product over GF(2): out[i] = parity(row_i AND v)."""
+    """Matrix-vector product over GF(2): out[i] = parity(row_i AND v).
+
+    Each block of whole rows, about MATVEC_BLOCK_BYTES (one row when a row
+    is wider), is ANDed into one reused buffer and XOR-folded there.
+    """
     if m.cols != v.n:
         raise ValueError(f"dimension mismatch: matrix cols {m.cols} vs vector length {v.n}")
     # parity(row AND v) is the parity of the XOR of the row's ANDed bytes,
     # so each row needs one popcount.
-    x = np.frombuffer(v.value.to_bytes(m.packed.shape[1], "little"), np.uint8)
-    folded = np.bitwise_xor.reduce(m.packed & x, axis=1)
+    nbytes = m.packed.shape[1]
+    x = np.frombuffer(v.value.to_bytes(nbytes, "little"), np.uint8)
+    step = max(1, MATVEC_BLOCK_BYTES // max(1, nbytes))
+    buf = np.empty((min(step, m.rows), nbytes), np.uint8)
+    folded = np.empty(m.rows, np.uint8)
+    for start in range(0, m.rows, step):
+        block = m.packed[start : start + step]
+        anded = buf[: len(block)]
+        np.bitwise_and(block, x, out=anded)
+        np.bitwise_xor.reduce(anded, axis=1, out=folded[start : start + len(block)])
     return BitVector.from_array(np.bitwise_count(folded) & 1)
 
 

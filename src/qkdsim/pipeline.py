@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import A_TO_B, B_TO_A, Channel, Frame, FrameType, render_payload
-from .gf2 import BitMatrix, BitVector, matvec, random_matrix
+from .gf2 import BitMatrix, BitVector, matvec, random_matrix, rng_bytes
 from .hardening import HardeningKind, derive_matrix, embed_matrix_in_log
 from .seeding import derive_bytes, make_rng
 
@@ -65,8 +65,9 @@ class SessionParams:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.n_raw < 1:
-            raise ValueError("n_raw must be at least 1")
+        if not 1 <= self.n_raw < 2**32:
+            # The log writes lengths and positions as u32 (vec_field, pos_field).
+            raise ValueError("n_raw must lie in [1, 2**32)")
         if not 0.0 <= self.qber <= 1.0:
             raise ValueError("qber must lie in [0, 1]")
         if not 0.0 < self.sample_fraction < 1.0:
@@ -174,11 +175,13 @@ def source_correlated(params: SessionParams, rng: np.random.Generator) -> tuple[
     alice_bits = BitVector.random(n, rng)
     alice_bases = BitVector.random(n, rng)
     bob_bases = BitVector.random(n, rng)
-    matched = (alice_bases ^ bob_bases ^ BitVector.ones(n)).to_array()
+    matched = alice_bases.bits() ^ bob_bases.bits() ^ 1
     noise = (rng.random(n) < params.qber).astype(np.uint8)
-    fresh = rng.integers(0, 2, n, dtype=np.uint8)
+    # Exactly rng.integers(0, 2, n, dtype=np.uint8), end state included: for
+    # a range of 2 numpy keeps the top bit of each byte of the same stream.
+    fresh = rng_bytes(rng, n) >> 7
     # 0/1 select: alice ^ noise where matched, fresh elsewhere
-    bob_arr = fresh ^ (matched & (alice_bits.to_array() ^ noise ^ fresh))
+    bob_arr = fresh ^ (matched & (alice_bits.bits() ^ noise ^ fresh))
     alice = PartyState(role="A", raw_bits=alice_bits, bases=alice_bases)
     bob = PartyState(role="B", raw_bits=BitVector.from_array(bob_arr), bases=bob_bases)
     return alice, bob
@@ -193,9 +196,9 @@ def sift(state: PartyState, peer_bases: BitVector) -> None:
         raise ValueError(
             f"length mismatch: peer bases {len(peer_bases)} vs own {len(state.bases)}"
         )
-    own = state.bases.to_array()
-    keep = np.flatnonzero(own == peer_bases.to_array())
-    state.sifted = BitVector.from_array(state.raw_bits.to_array().take(keep))
+    own = state.bases.bits()
+    keep = np.flatnonzero(own == peer_bases.bits())
+    state.sifted = BitVector.from_array(state.raw_bits.bits().take(keep))
     state.sifted_bases = BitVector.from_array(own.take(keep))
 
 
@@ -215,8 +218,8 @@ def estimate_error(
         raise ValueError("empty sifted key: no matching-basis positions to sample")
     k = math.ceil(params.sample_fraction * n)
     positions = np.sort(rng.choice(n, size=k, replace=False))
-    a = alice.sifted.to_array()
-    b = bob.sifted.to_array()
+    a = alice.sifted.bits()
+    b = bob.sifted.bits()
     sample = a.take(positions)
     mismatches = int(np.count_nonzero(sample != b.take(positions)))
     rate = Fraction(mismatches, k)
@@ -245,7 +248,7 @@ def reconcile(alice: PartyState, bob: PartyState) -> list[int]:
     """
     if alice.est_rate is None or bob.est_rate is None:
         raise ProtocolError("missing pipeline stage: error estimation before reconciliation")
-    a = alice.sifted.to_array()
+    a = alice.sifted.bits()
     b = bob.sifted.to_array()
     diff = np.flatnonzero(a != b)
     positions = diff.tolist()

@@ -6,8 +6,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_matvec_bitloop, oracle_matvec_numpy
+from qkdsim.channel import render_payload
 from qkdsim.gf2 import (
     BitMatrix,
     BitVector,
@@ -81,6 +84,48 @@ def test_bitvector_array_roundtrip():
         arr = v.to_array()
         assert list(arr) == [v[i] for i in range(n)]
         assert BitVector.from_array(arr) == v
+
+
+@settings(deadline=None, database=None)
+@given(st.integers(0, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_bits_cache_is_read_only_and_invisible(nv):
+    n, value = nv
+    plain = BitVector(n, value)  # holds no cache
+    unpacked = BitVector(n, value)
+    cached = unpacked.bits()  # fills the cache from the value
+    built = BitVector.from_array(plain.to_array())  # keeps its own copy
+    assert unpacked.bits() is cached
+    for v in (unpacked, built):
+        assert not v.bits().flags.writeable
+        with pytest.raises(ValueError):
+            v.bits()[:] = 1
+        assert list(v.bits()) == [(value >> i) & 1 for i in range(n)]
+    for v in (unpacked, built):
+        assert v == plain and plain == v
+        assert hash(v) == hash(plain)
+        assert v.to_hex() == plain.to_hex()
+        assert render_payload(v) == render_payload(plain)
+    for v in (plain, unpacked, built):
+        arr = v.to_array()
+        assert arr.flags.writeable and arr.dtype == np.uint8
+        arr ^= 1  # changes neither the vector nor its cache
+        assert v.value == value
+        assert list(v.bits()) == [(value >> i) & 1 for i in range(n)]
+        assert list(v.to_array()) == [(value >> i) & 1 for i in range(n)]
+
+
+def test_from_array_copies_its_input():
+    arr = np.array([1, 0, 1, 1, 0], np.uint8)
+    v = BitVector.from_array(arr)
+    arr[:] = 0
+    assert v == BitVector.from_bits([1, 0, 1, 1, 0])
+    assert list(v.bits()) == [1, 0, 1, 1, 0]
+    assert arr.flags.writeable  # the caller's array is left writable
+    # Bool input, and nonzero entries other than 1, read as ones.
+    assert BitVector.from_array(np.array([True, False, True])) == BitVector.from_bits([1, 0, 1])
+    odd = BitVector.from_array(np.array([2, 0, 255], np.uint8))
+    assert odd == BitVector.from_bits([1, 0, 1])
+    assert list(odd.bits()) == [1, 0, 1]
 
 
 # ---------------------------------------------------------- serialization

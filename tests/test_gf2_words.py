@@ -2,13 +2,16 @@
 
 Each kernel is checked against a plain-int reference built from the row
 values alone, across column counts on both sides of the byte and 64-bit
-word boundaries and matrices with no rows. from_packed_rows is checked to
+word boundaries and matrices with no rows. matvec is also checked on
+shapes that span several of its row blocks, with a short last block, and
+on rows wider than a whole block. from_packed_rows is checked to
 drop set pad bits and never to alias the caller's buffer. rng_bytes is
 checked against Generator.bytes itself: same bytes and same generator
 state afterwards, from fresh generators and from ones holding a buffered
-half-word. The hex formats are checked to round-trip. The last test
-checks that the log-level verify agrees with the digest-level check
-run_session uses.
+half-word; the top bits of its bytes against Generator.integers(0, 2),
+the fair bits the source draws. The hex formats are checked to
+round-trip. The last test checks that the log-level verify agrees with
+the digest-level check run_session uses.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_matvec_bitloop, oracle_matvec_numpy
 from qkdsim.gf2 import (
+    MATVEC_BLOCK_BYTES,
     BitMatrix,
     BitVector,
     flip_entry,
@@ -70,6 +74,36 @@ def test_matvec_matches_int_reference_and_oracles(mc, data):
     assert got == BitVector(len(values), sum(b << i for i, b in enumerate(expected)))
     if values:
         assert oracle_matvec_bitloop(m, v) == expected
+        assert oracle_matvec_numpy(m, v) == expected
+
+
+# (rows, row bytes, pad bits in the last byte) of matrices that span
+# several matvec row blocks: three rows to a block with a short last block
+# of two, three rows to a block with no short block, rows one byte wider
+# than a whole block (a block each), and empty shapes.
+BLOCK = MATVEC_BLOCK_BYTES
+BLOCK_SHAPES = [
+    (8, BLOCK // 4 + 1, 7),
+    (6, BLOCK // 4 + 1, 0),
+    (2, BLOCK + 1, 3),
+    (1, BLOCK + 1, 5),
+    (0, BLOCK + 1, 0),
+    (0, 3, 2),
+    (5, 0, 0),
+    (0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("rows,nbytes,pad", BLOCK_SHAPES)
+def test_matvec_across_row_blocks_matches_int_reference_and_oracle(rows, nbytes, pad, seed):
+    cols = max(0, 8 * nbytes - pad)
+    rng = np.random.default_rng(seed)
+    m = random_matrix(rows, cols, rng)
+    v = BitVector.random(cols, rng)
+    expected = [(r & v.value).bit_count() & 1 for r in m.row_values]
+    assert matvec(m, v) == BitVector(rows, sum(b << i for i, b in enumerate(expected)))
+    if rows:
         assert oracle_matvec_numpy(m, v) == expected
 
 
@@ -211,6 +245,35 @@ def test_rng_bytes_equals_generator_bytes_on_a_large_key_matrix():
     # A 256 x 57,340-bit amplification matrix, drawn with a half-word
     # buffered as it is in every session.
     assert_rng_bytes_matches_generator_bytes(generator(11, [3], True), 256 * 7168)
+
+
+def assert_top_bits_match_generator_integers(rng: np.random.Generator, n: int) -> None:
+    ref = np.random.Generator(np.random.PCG64(0))
+    ref.bit_generator.state = rng.bit_generator.state
+    got = rng_bytes(rng, n) >> 7
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, ref.integers(0, 2, n, dtype=np.uint8))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+
+
+# n starts at 1: Generator.integers draws nothing for n = 0, where
+# rng_bytes, like Generator.bytes, still takes a word. The source draws
+# n_raw >= 1 bits.
+@settings(deadline=None, database=None, max_examples=300)
+@given(
+    st.one_of(st.integers(1, 8), st.integers(1, 5000)),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 40), max_size=3),
+    st.booleans(),
+)
+def test_top_bits_of_rng_bytes_equal_generator_integers(n, seed, earlier, buffered):
+    assert_top_bits_match_generator_integers(generator(seed, earlier, buffered), n)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_top_bits_of_rng_bytes_equal_generator_integers_at_large_n_raw(buffered):
+    assert_top_bits_match_generator_integers(generator(13, [3], buffered), 131072)
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])

@@ -582,6 +582,9 @@ def test_config_file_rejects_bad_json(tmp_path):
             {"checks": [{"metric": "accept_rate_bob", "lo": 1, "hi": 0}]},
             "check accept_rate_bob lo 1 exceeds hi 0",
         ),
+        # The log writes lengths and positions as u32.
+        ({"params": {"n_raw": 10**30}, "trials": 1}, r"n_raw must lie in \[1, 2\*\*32\)"),
+        ({"params": {"n_raw": 2**32}, "trials": 1}, r"n_raw must lie in \[1, 2\*\*32\)"),
     ],
 )
 def test_config_validation_errors(overrides, match):
