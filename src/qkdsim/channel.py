@@ -103,9 +103,9 @@ def render_payload(payload: object) -> object:
     if isinstance(payload, Fraction):
         return f"{payload.numerator}/{payload.denominator}"
     if isinstance(payload, (list, tuple)):
-        if set(map(type, payload)) <= {int}:
-            return list(payload)  # positions render as themselves, in one step
         return [render_payload(p) for p in payload]
+    if hasattr(payload, "tolist"):  # pipeline.Positions: a list of Python ints
+        return payload.tolist()
     if isinstance(payload, bytes):
         return payload.hex()
     if hasattr(payload, "to_json_dict"):

@@ -27,11 +27,12 @@ from __future__ import annotations
 import hashlib
 import hmac as hmac_mod
 import math
+import operator
 import struct
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -82,6 +83,66 @@ class SessionParams:
             raise ValueError("master_seed must be nonnegative")
 
 
+class Positions(Sequence):
+    """An immutable sequence of key positions, held as a read-only u32 array.
+
+    The stages wrap their numpy index arrays in it instead of building int
+    lists: the positions are packed once into the big-endian u32 form the
+    protocol log writes (log_field), and read back through a view of those
+    bytes, which numpy refuses to make writable again. Iteration and
+    indexing give Python ints, and a Positions equals, and hashes like, the
+    tuple of its positions. A position outside [0, 2**32) is a struct.error,
+    as in struct.pack.
+    """
+
+    __slots__ = ("_packed", "_a")
+
+    def __init__(self, positions: Iterable[int] | np.ndarray):
+        if isinstance(positions, Positions):
+            self._packed, self._a = positions._packed, positions._a  # immutable: share
+            return
+        if not isinstance(positions, np.ndarray):
+            try:
+                positions = np.array([operator.index(p) for p in positions], dtype=np.int64)
+            except OverflowError:  # beyond int64, so beyond u32 too
+                raise struct.error("positions must lie in [0, 2**32)") from None
+        if positions.ndim != 1 or positions.dtype.kind not in "iu":
+            raise TypeError("positions must be a 1-D array of integers")
+        if positions.size and (positions.min() < 0 or positions.max() >= 2**32):
+            raise struct.error("positions must lie in [0, 2**32)")
+        self._packed = positions.astype(">u4").tobytes()
+        self._a = np.frombuffer(self._packed, dtype=">u4")
+
+    def __len__(self) -> int:
+        return len(self._a)
+
+    def __getitem__(self, i: int) -> int:
+        return self._a.item(i)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._a.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Positions):
+            return self._packed == other._packed
+        if isinstance(other, Sequence):
+            return self.tolist() == list(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._a.tolist()))
+
+    def __repr__(self) -> str:
+        return f"Positions({self._a.tolist()})"
+
+    def tolist(self) -> list[int]:
+        return self._a.tolist()
+
+    def log_field(self) -> bytes:
+        """The count, then each position, as big-endian u32s."""
+        return _u32(len(self._a)) + self._packed
+
+
 @dataclass
 class PartyState:
     """Everything one party accumulates over a session.
@@ -91,7 +152,8 @@ class PartyState:
     sifted_bases keeps the basis of every sifted bit (pre-removal), which
     is what the protocol-log extract discloses; est_positions index into
     that pre-removal sequence, corrected_positions into the post-removal
-    one.
+    one. Both are Positions, shared by the two parties, the estimation
+    result and the EST_POSITIONS/CORRECTIONS frames.
     """
 
     role: str
@@ -99,9 +161,9 @@ class PartyState:
     bases: BitVector
     sifted: BitVector | None = None
     sifted_bases: BitVector | None = None
-    est_positions: list[int] | None = None
+    est_positions: Positions | None = None
     est_rate: Fraction | None = None
-    corrected_positions: list[int] | None = None
+    corrected_positions: Positions | None = None
     reconciled: BitVector | None = None
     pa_matrix: BitMatrix | None = None
     full_key: BitVector | None = None
@@ -120,13 +182,14 @@ class ProtocolLogExtract:
     error estimation, the estimated error rate, the positions corrected by
     reconciliation and the tail of the amplified key (which both parties
     subsequently discard). The amplification matrix itself is embedded only
-    in matrix_in_log mode.
+    in matrix_in_log mode. The sessions pass the parties' Positions through
+    as they are; any sequence of ints serializes the same (pos_field).
     """
 
     sifted_bases: BitVector
-    est_positions: tuple[int, ...]
+    est_positions: Sequence[int]
     est_rate: Fraction
-    corrected_positions: tuple[int, ...]
+    corrected_positions: Sequence[int]
     key_tail: BitVector
     matrix_included: BitMatrix | None = None
 
@@ -143,7 +206,7 @@ class AuthTag:
 @dataclass(frozen=True)
 class EstimationResult:
     rate: Fraction
-    positions: tuple[int, ...]
+    positions: Positions
     disclosed_values: BitVector  # Alice's bits at the disclosed positions
     abort: bool
 
@@ -227,20 +290,20 @@ def estimate_error(
     keep = np.ones(n, dtype=bool)
     keep[positions] = False
     rest = np.flatnonzero(keep)
-    pos_list = positions.tolist()
+    disclosed_at = Positions(positions)
     for state, arr in ((alice, a), (bob, b)):
-        state.est_positions = pos_list
+        state.est_positions = disclosed_at
         state.est_rate = rate
         state.sifted = BitVector.from_array(arr.take(rest))
     return EstimationResult(
         rate=rate,
-        positions=tuple(pos_list),
+        positions=disclosed_at,
         disclosed_values=disclosed,
         abort=rate > params.abort_threshold,
     )
 
 
-def reconcile(alice: PartyState, bob: PartyState) -> list[int]:
+def reconcile(alice: PartyState, bob: PartyState) -> Positions:
     """Idealized error correction: flip exactly Bob's differing bits.
 
     Stands in for a real reconciliation protocol; the corrected positions
@@ -251,7 +314,7 @@ def reconcile(alice: PartyState, bob: PartyState) -> list[int]:
     a = alice.sifted.bits()
     b = bob.sifted.to_array()
     diff = np.flatnonzero(a != b)
-    positions = diff.tolist()
+    positions = Positions(diff)
     b[diff] ^= 1
     alice.reconciled = alice.sifted
     bob.reconciled = BitVector.from_array(b)
@@ -297,9 +360,9 @@ def build_log_extract(
         raise ProtocolError(f"missing pipeline stage: {missing[0]} before log extraction")
     log = ProtocolLogExtract(
         sifted_bases=state.sifted_bases,
-        est_positions=tuple(state.est_positions),
+        est_positions=state.est_positions,
         est_rate=state.est_rate,
-        corrected_positions=tuple(state.corrected_positions),
+        corrected_positions=state.corrected_positions,
         key_tail=state.key_tail,
     )
     if hardening is HardeningKind.MATRIX_IN_LOG:
@@ -319,7 +382,7 @@ def vec_field(v: BitVector) -> bytes:
 
 
 def pos_field(positions: Sequence[int]) -> bytes:
-    return struct.pack(f">{len(positions) + 1}I", len(positions), *positions)
+    return Positions(positions).log_field()
 
 
 def rate_field(rate: Fraction) -> bytes:
@@ -423,7 +486,7 @@ def exchange_reconciled_key(
         return alice, bob, True  # no matching bases: nothing to estimate or distil
 
     est = estimate_error(alice, bob, params, rng)
-    channel.deliver(A_TO_B, Frame(FrameType.EST_POSITIONS, list(est.positions)))
+    channel.deliver(A_TO_B, Frame(FrameType.EST_POSITIONS, est.positions))
     channel.deliver(A_TO_B, Frame(FrameType.EST_VALUES, est.disclosed_values))
     channel.deliver(B_TO_A, Frame(FrameType.EST_RATE, est.rate))
     if est.abort:

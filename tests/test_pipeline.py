@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdsim.channel import A_TO_B, AttackStrategy, Channel, Frame, FrameType
+from qkdsim.channel import A_TO_B, AttackStrategy, Channel, Frame, FrameType, render_payload
 from qkdsim.gf2 import BitMatrix, BitVector, flip_entry, matvec, random_matrix, unpack_bits_msb
 from qkdsim.hardening import HardeningKind
 from qkdsim.pipeline import (
     AuthTag,
     PartyState,
+    Positions,
     ProtocolError,
     ProtocolLogExtract,
     SessionParams,
@@ -497,6 +498,119 @@ def test_serialize_log_round_trips(bases, est, rate, corrected, tail, matrix):
     # whatever the field lengths.
     log = ProtocolLogExtract(bases, tuple(est), rate, tuple(corrected), tail, matrix)
     assert parse_log(serialize_log(log)) == log
+
+
+# -------------------------------------------------------------- positions
+
+U32_EDGES = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), U32)
+
+
+def test_positions_cannot_be_written_in_place():
+    source = np.array([5, 1, 9])
+    p = Positions(source)
+    source[0] = 7  # the value keeps its own copy
+    assert p == [5, 1, 9]
+    with pytest.raises(TypeError):
+        p[0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        p._a[0] = 2
+    with pytest.raises(ValueError):
+        p._a.flags.writeable = True
+    listed = p.tolist()
+    listed[0] = 2
+    assert p == [5, 1, 9]
+
+
+@pytest.mark.parametrize("ps", [[], [0], [3, 1, 4], [2**32 - 1, 0]])
+def test_positions_equal_their_sequences_both_ways(ps):
+    p = Positions(np.array(ps, dtype=np.int64))
+    for same in (list(ps), tuple(ps), Positions(ps), Positions(np.array(ps, dtype=np.uint32))):
+        assert p == same and same == p
+        assert not (p != same) and not (same != p)
+    for other in (list(ps) + [1], tuple(ps[1:]) or (7,), Positions(list(ps) + [2])):
+        assert p != other and other != p
+    assert p != 3 and p != {*ps}
+    assert hash(p) == hash(tuple(ps))
+
+
+def test_positions_iterate_and_index_as_python_ints():
+    params, rng, alice, bob = run_until_estimation(seed=23)
+    corrected = reconcile(alice, bob)
+    for p in (alice.est_positions, corrected):
+        assert len(p) > 0
+        assert {type(q) for q in p} == {int}
+        assert type(p[0]) is int and type(p[-1]) is int
+        assert {type(q) for q in p.tolist()} == {int}
+        assert list(p) == p.tolist() == [p[i] for i in range(len(p))]
+
+
+@settings(deadline=None, database=None)
+@given(st.lists(U32_EDGES, max_size=40))
+def test_positions_render_as_their_list(ps):
+    p = Positions(np.array(ps, dtype=np.int64))
+    assert json.dumps(render_payload(p)) == json.dumps(ps)
+    assert hash(p) == hash(tuple(ps))
+
+
+@settings(deadline=None, database=None)
+@given(st.lists(U32_EDGES, max_size=40))
+def test_pos_field_matches_struct_pack(ps):
+    expected = struct.pack(f">{len(ps) + 1}I", len(ps), *ps)
+    for given_as in (ps, tuple(ps), np.array(ps, dtype=np.int64), np.array(ps, dtype=np.uint32)):
+        assert pos_field(Positions(given_as)) == expected
+        assert pos_field(given_as) == expected
+
+
+@pytest.mark.parametrize(
+    "bad, container",
+    [(b, c) for b in (-1, 2**32) for c in (list, tuple, np.array)] + [(2**64, list), (-(2**63) - 1, tuple)],
+)
+def test_pos_field_refuses_positions_outside_u32(bad, container):
+    with pytest.raises(struct.error):
+        pos_field(container([0, bad, 1]))
+    with pytest.raises(struct.error):
+        Positions(container([bad]))
+
+
+class _PositionsVandal(AttackStrategy):
+    """Try to rewrite the disclosed and corrected positions on the wire."""
+
+    name = "positions-vandal"
+
+    def __init__(self):
+        self.refused = []
+
+    def tamper(self, direction, frame):
+        if frame.kind not in (FrameType.EST_POSITIONS, FrameType.CORRECTIONS):
+            return frame
+        p = frame.payload
+        for target in (p, p._a):
+            try:
+                target[0] = 0
+            except (TypeError, ValueError) as exc:
+                self.refused.append(type(exc))
+        p.tolist().reverse()
+        return Frame(frame.kind, Positions([q + 1 for q in p]))
+
+
+def test_strategy_cannot_change_recorded_positions_through_frames():
+    params = make_params(n_raw=1024, qber=0.05, master_seed=17)
+    honest = run_session(params)
+    vandal = _PositionsVandal()
+    result = run_session(params, channel=Channel(vandal))
+    assert vandal.refused == [TypeError, ValueError] * 2
+    assert [e.frame.kind for e in result.channel.transcript if e.tampered] == [
+        FrameType.EST_POSITIONS,
+        FrameType.CORRECTIONS,
+    ]
+    assert len(honest.alice.state.corrected_positions) > 0
+    for outcome, before in ((result.alice, honest.alice), (result.bob, honest.bob)):
+        assert outcome.state.est_positions == before.state.est_positions
+        assert outcome.state.corrected_positions == before.state.corrected_positions
+        assert serialize_log(build_log_extract(outcome.state)) == serialize_log(
+            build_log_extract(before.state)
+        )
+        assert outcome.verdict is Verdict.ACCEPT
 
 
 # ----------------------------------------------------------- authentication
