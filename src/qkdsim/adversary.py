@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace as dc_replace
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from .channel import A_TO_B, AttackStrategy, Channel, Frame, FrameType
 # matvec is not called here: the benchmark's tracer self-test checks that this
 # module's matvec binding is wrapped and restored, so the binding stays.
 from .gf2 import BitMatrix, BitVector, matvec, random_rows, replace_rows, rng_bytes  # noqa: F401
+from .gf2 import _REV8
 from .gf2 import flip_entry as gf2_flip_entry
 from .hardening import HardeningKind
 from .pipeline import (
@@ -38,6 +40,7 @@ from .pipeline import (
     run_session,
     serialize_log,
     session_auth_key,
+    truncate_digest,
     verify,
 )
 from .seeding import derive_bytes, make_rng
@@ -235,9 +238,14 @@ def attack_collision_impersonate(
     pseudo-random bits of the last row. The hash state over all fixed bytes
     is computed once per possible tail value. Candidates are drawn in chunks
     of _SEARCH_CHUNK, and numpy computes each chunk's tail parities and
-    suffix bytes at once, so per candidate only a copy of one of the two
-    states, an update with its suffix, the digest and the compare remain.
-    That keeps million-candidate budgets cheap.
+    suffix bytes at once, from whole bytes of the draw, so per candidate
+    only a copy of one of the two states, an update with its suffix, the
+    digest and a masked compare of its first byte remain; the few that
+    pass that get the exact truncated compare. That keeps million-candidate
+    budgets cheap.
+
+    captured_digest must be a truncate_digest output: ceil(w / 8) bytes
+    with its pad bits past w clear. Any other value could never match.
     """
     if budget < 1:
         raise ValueError("search budget must be at least 1")
@@ -247,7 +255,15 @@ def attack_collision_impersonate(
     cols = len(state.reconciled)
     if cols < 1:
         raise ValueError("empty reconciled key")
+    nb = (w + 7) // 8
+    if len(captured_digest) != nb:
+        raise ValueError(
+            f"captured digest must be {nb} bytes for a {w}-bit width, got {len(captured_digest)}"
+        )
+    if truncate_digest(captured_digest, w) != captured_digest:
+        raise ValueError(f"captured digest has bits set past its {w}-bit width")
 
+    # Fewer than 128 columns leave no shift; 128 or more vary all 128 bits.
     var_bits = min(128, cols)
     shift = cols - var_bits
     p0 = (shift // 8) * 8  # candidate-dependent suffix of the row starts here
@@ -266,16 +282,13 @@ def attack_collision_impersonate(
         data = serialize_log(build_log_extract(probe, HardeningKind.MATRIX_IN_LOG))
         copies.append(hashlib.sha256(data[:-suffix_len]).copy)
 
-    # Candidate r is the low var_bits bits of a 16-byte big-endian draw.
+    # Candidate r is the low var_bits bits of a 16-byte big-endian draw, so
+    # a reversed draw ANDed with var_mask is r's little-endian bytes.
     ktop = state.reconciled.value >> shift
     ktop_words = np.array([ktop >> 64, ktop & ((1 << 64) - 1)], ">u8")
-    nb = (w + 7) // 8
-    rem = w % 8
-    head_len = nb - 1 if rem else nb
-    target_head = captured_digest[:head_len]
-    if rem:
-        last_mask = (0xFF << (8 - rem)) & 0xFF
-        target_last = captured_digest[nb - 1]
+    var_mask = np.frombuffer(((1 << var_bits) - 1).to_bytes(16, "little"), np.uint8)
+    first_mask = (0xFF << (8 - min(w, 8))) & 0xFF
+    target_first = captured_digest[0]
     examined = 0
     while examined < budget:
         todo = min(_SEARCH_CHUNK, budget - examined)
@@ -284,21 +297,21 @@ def attack_collision_impersonate(
         # (ktop has no bits above var_bits, so r need not be masked first).
         both = np.bitwise_count(draws.view(">u8") & ktop_words)
         parities = ((both[:, 0] ^ both[:, 1]) & 1).tolist()
-        # Suffix bytes pack_bits_msb(r << sub_shift, suffix_bits): sub_shift
-        # zero bits, then r's bits from bit 0 up, packed MSB first.
-        bits = np.zeros((todo, 8 * suffix_len), np.uint8)
-        bits[:, sub_shift : sub_shift + var_bits] = np.unpackbits(
-            draws[:, ::-1], axis=1, bitorder="little"
-        )[:, :var_bits]
-        suffixes = np.packbits(bits, axis=1, bitorder="big").tobytes()
-        for k, parity in enumerate(parities):
+        # Suffix bytes pack_bits_msb(r << sub_shift, suffix_bits): shift r's
+        # little-endian bytes up by sub_shift, carrying each byte's top bits
+        # into the next (numpy shifts a uint8 by 8 to 0), then reverse the
+        # bits of every byte.
+        le = draws[:, ::-1] & var_mask
+        shifted = np.zeros((todo, 17), np.uint8)  # 16 draw bytes, then the carry
+        np.left_shift(le, sub_shift, out=shifted[:, :16])
+        shifted[:, 1:] |= le >> (8 - sub_shift)
+        raw = shifted[:, :suffix_len].tobytes().translate(_REV8)
+        suffixes = np.frombuffer(raw, f"V{suffix_len}").tolist()
+        for k, suffix, parity in zip(count(), suffixes, parities):
             h = copies[parity]()
-            o = k * suffix_len
-            h.update(suffixes[o : o + suffix_len])
+            h.update(suffix)
             d = h.digest()
-            if d[:head_len] == target_head and (
-                not rem or (d[nb - 1] & last_mask) == target_last
-            ):
+            if d[0] & first_mask == target_first and truncate_digest(d, w) == captured_digest:
                 r = int.from_bytes(draws[k].tobytes(), "big") & ((1 << var_bits) - 1)
                 matrix = BitMatrix((0,) * (l - 1) + (r << shift,), cols)
                 return CollisionSearchResult(matrix, examined + k + 1)

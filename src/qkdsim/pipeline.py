@@ -423,7 +423,8 @@ def log_digest(log: ProtocolLogExtract, hash_width: int) -> bytes:
 
 
 def mac_digest(auth_key: bytes, digest: bytes) -> bytes:
-    return hmac_mod.new(auth_key, digest, hashlib.sha256).digest()
+    """HMAC-SHA-256 of the digest under auth_key, in one call."""
+    return hmac_mod.digest(auth_key, digest, "sha256")
 
 
 def authenticate_digest(digest: bytes, auth_key: bytes) -> AuthTag:

@@ -1,0 +1,243 @@
+"""Mutants that the named tests must kill.
+
+Run from the root of a checkout:
+
+    python tests/mutants.py
+
+Each entry names a module under src/qkdsim, an exact snippet that occurs
+once in it, its replacement, and the pytest node ids that must fail once
+the replacement is made. The script copies src, tests and pyproject.toml to
+a temporary directory, checks that the named tests pass on the unmutated
+copy, then applies one mutant at a time to that copy and runs each of its
+tests there on its own. It exits 1 if the copy fails or if any named test
+passes against its mutant. pytest does not collect this file; tests/test_mutants.py
+checks that every snippet still occurs exactly once, so the list cannot
+rot silently.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # file name under src/qkdsim
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+_ORACLE = "tests/test_adversary.py::test_collision_search_matches_oracle"
+_TINY_W = "tests/test_adversary.py::test_collision_search_matches_oracle_below_one_byte"
+_PLANTED = "tests/test_adversary.py::test_collision_search_finds_a_planted_hit_at_its_candidate"
+_PROPERTY = "tests/test_adversary.py::test_collision_search_equals_oracle_property"
+_REFUSES = "tests/test_adversary.py::test_collision_search_refuses_a_digest_it_could_never_match"
+_BLOCKS = "tests/test_gf2_words.py::test_matvec_across_row_blocks_matches_int_reference_and_oracle"
+_RNG = "tests/test_gf2_words.py::test_rng_bytes_equals_generator_bytes"
+_RNG_LARGE = "tests/test_gf2_words.py::test_rng_bytes_equals_generator_bytes_on_a_large_key_matrix"
+_PIPE = "tests/test_pipeline.py::"
+_STRUCT = _PIPE + "test_pos_field_matches_struct_pack"
+_LAYOUT = _PIPE + "test_log_serialization_frozen_layout"
+_INTS = _PIPE + "test_positions_iterate_and_index_as_python_ints"
+_EQUAL = _PIPE + "test_positions_equal_their_sequences_both_ways"
+
+MUTANTS = (
+    Mutant(
+        "search: carry byte dropped",
+        "adversary.py",
+        "        shifted[:, 1:] |= le >> (8 - sub_shift)\n",
+        "",
+        (_ORACLE, _PLANTED, _PROPERTY),
+    ),
+    Mutant(
+        "search: first-byte mask dropped",
+        "adversary.py",
+        "if d[0] & first_mask == target_first and",
+        "if d[0] == target_first and",
+        (_TINY_W, _ORACLE),
+    ),
+    Mutant(
+        "search: candidate count one short",
+        "adversary.py",
+        "CollisionSearchResult(matrix, examined + k + 1)",
+        "CollisionSearchResult(matrix, examined + k)",
+        (_PLANTED, _ORACLE),
+    ),
+    Mutant(
+        "search: var_bits mask dropped",
+        "adversary.py",
+        "        le = draws[:, ::-1] & var_mask\n",
+        "        le = draws[:, ::-1]\n",
+        (_ORACLE, _PLANTED),
+    ),
+    Mutant(
+        "search: pad bits past the width accepted",
+        "adversary.py",
+        "    if truncate_digest(captured_digest, w) != captured_digest:\n",
+        "    if False:\n",
+        (_REFUSES,),
+    ),
+    Mutant(
+        "rng_bytes: buffered half-word dropped",
+        "gf2.py",
+        '    buffered = state["has_uint32"]\n',
+        "    buffered = 0\n",
+        (_RNG, _RNG_LARGE),
+    ),
+    Mutant(
+        "rng_bytes: trailing high half never buffered",
+        "gf2.py",
+        '    state["has_uint32"] = rest % 2\n',
+        '    state["has_uint32"] = 0\n',
+        (_RNG,),
+    ),
+    Mutant(
+        "rng_bytes: low and high halves swapped",
+        "gf2.py",
+        'out = raw.astype("<u8", copy=False).view(np.uint8)',
+        'out = ((raw << 32) | (raw >> 32)).astype("<u8", copy=False).view(np.uint8)',
+        (_RNG, _RNG_LARGE),
+    ),
+    Mutant(
+        "matvec: short last block dropped",
+        "gf2.py",
+        "    for start in range(0, m.rows, step):\n",
+        "    for start in range(0, m.rows - m.rows % step if m.rows > step else m.rows, step):\n",
+        (_BLOCKS,),
+    ),
+    Mutant(
+        "matvec: folded slice off by one",
+        "gf2.py",
+        "out=folded[start : start + len(block)])",
+        "out=folded[start + 1 : start + 1 + len(block)])",
+        (_BLOCKS,),
+    ),
+    Mutant(
+        "matvec: blocks one row short",
+        "gf2.py",
+        "block = m.packed[start : start + step]",
+        "block = m.packed[start : start + max(1, step - 1)]",
+        (_BLOCKS,),
+    ),
+    Mutant(
+        "Positions: little-endian u32",
+        "pipeline.py",
+        '        self._packed = positions.astype(">u4").tobytes()\n'
+        '        self._a = np.frombuffer(self._packed, dtype=">u4")\n',
+        '        self._packed = positions.astype("<u4").tobytes()\n'
+        '        self._a = np.frombuffer(self._packed, dtype="<u4")\n',
+        (_STRUCT, _LAYOUT),
+    ),
+    Mutant(
+        "Positions: range check dropped",
+        "pipeline.py",
+        "        if positions.size and (positions.min() < 0 or positions.max() >= 2**32):\n"
+        '            raise struct.error("positions must lie in [0, 2**32)")\n',
+        "",
+        (
+            _PIPE + "test_pos_field_refuses_positions_outside_u32",
+            _PIPE + "test_pos_field_packs_count_then_positions",
+        ),
+    ),
+    Mutant(
+        "Positions: iteration yields numpy ints",
+        "pipeline.py",
+        "return iter(self._a.tolist())",
+        "return iter(self._a)",
+        (_INTS,),
+    ),
+    Mutant(
+        "Positions: indexing yields numpy ints",
+        "pipeline.py",
+        "return self._a.item(i)",
+        "return self._a[i]",
+        (_INTS,),
+    ),
+    Mutant(
+        "Positions: count prefix dropped",
+        "pipeline.py",
+        "return _u32(len(self._a)) + self._packed",
+        "return self._packed",
+        (_STRUCT, _LAYOUT),
+    ),
+    Mutant(
+        "Positions: hash of the packed bytes",
+        "pipeline.py",
+        "return hash(tuple(self._a.tolist()))",
+        "return hash(self._packed)",
+        (_EQUAL, _PIPE + "test_positions_render_as_their_list"),
+    ),
+    Mutant(
+        "Positions: equality with plain sequences dropped",
+        "pipeline.py",
+        "        if isinstance(other, Sequence):\n"
+        "            return self.tolist() == list(other)\n",
+        "",
+        (_EQUAL,),
+    ),
+    Mutant(
+        "Positions: a view of the caller's array kept",
+        "pipeline.py",
+        '        self._a = np.frombuffer(self._packed, dtype=">u4")\n',
+        "        self._a = positions\n",
+        (
+            _PIPE + "test_positions_cannot_be_written_in_place",
+            _PIPE + "test_strategy_cannot_change_recorded_positions_through_frames",
+        ),
+    ),
+)
+
+
+def _pytest(copy: Path, tests: tuple[str, ...]) -> bool:
+    """Run the tests in the copy; True when they all pass.
+
+    -B keeps the copy free of bytecode caches, which could otherwise outlive
+    a same-size edit made within the same second.
+    """
+    cmd = [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(cmd, cwd=copy, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="qkdsim-mutants-") as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        if not _pytest(copy, every_test):
+            print("the named tests fail on the unmutated copy", file=sys.stderr)
+            return 1
+        survivors = []
+        for m in MUTANTS:
+            path = copy / "src" / "qkdsim" / m.module
+            original = path.read_text()
+            if original.count(m.snippet) != 1:
+                print(f"{m.name}: snippet does not occur exactly once", file=sys.stderr)
+                return 1
+            path.write_text(original.replace(m.snippet, m.replacement))
+            try:
+                passing = [t for t in m.tests if _pytest(copy, (t,))]
+            finally:
+                path.write_text(original)
+            print(f"{'SURVIVED' if passing else 'killed  '}  {m.name}")
+            for test in passing:
+                print(f"    passes: {test}")
+            if passing:
+                survivors.append(m.name)
+        print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed by every named test")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

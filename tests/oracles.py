@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 
@@ -57,22 +58,17 @@ def oracle_matvec_numpy(m: BitMatrix, v: BitVector) -> list[int]:
 _SEARCH_CHUNK = 4096  # candidates drawn per rng.bytes call
 
 
-def oracle_collision_search(
-    captured_digest: bytes,
-    state: PartyState,
-    params: SessionParams,
-    budget: int,
-    rng: np.random.Generator,
-) -> CollisionSearchResult:
-    """The collision search as one Python loop over candidates.
+def oracle_candidates(
+    state: PartyState, params: SessionParams, budget: int, rng: np.random.Generator
+) -> Iterator[tuple[int, bytes]]:
+    """Each candidate's last matrix row and full SHA-256 log digest, in search order.
 
     Each candidate is sliced from the chunk, masked, checked for parity and
-    packed by pack_bits_msb on its own; the result must equal
-    attack_collision_impersonate's for the same inputs and rng.
+    packed by pack_bits_msb on its own.
     """
     if budget < 1:
         raise ValueError("search budget must be at least 1")
-    l, t, w = params.key_len, params.tail_len, params.hash_width
+    l, t = params.key_len, params.tail_len
     if t < 1:
         raise ValueError("collision search requires at least one tail row in the log")
     cols = len(state.reconciled)
@@ -99,11 +95,6 @@ def oracle_collision_search(
         states.append(hashlib.sha256(data[:-suffix_len]))
 
     ktop = state.reconciled.value >> shift
-    nb = (w + 7) // 8
-    rem = w % 8
-    if rem:
-        last_mask = (0xFF << (8 - rem)) & 0xFF
-        target_head, target_last = captured_digest[: nb - 1], captured_digest[nb - 1]
     examined = 0
     while examined < budget:
         todo = min(_SEARCH_CHUNK, budget - examined)
@@ -113,15 +104,38 @@ def oracle_collision_search(
             parity = (r & ktop).bit_count() & 1
             h = states[parity].copy()
             h.update(pack_bits_msb(r << sub_shift, suffix_bits))
-            d = h.digest()
-            examined += 1
-            if rem:
-                hit = d[: nb - 1] == target_head and (d[nb - 1] & last_mask) == target_last
-            else:
-                hit = d[:nb] == captured_digest[:nb]
-            if hit:
-                matrix = BitMatrix((0,) * (l - 1) + (r << shift,), cols)
-                return CollisionSearchResult(matrix, examined)
+            yield r << shift, h.digest()
+        examined += todo
+
+
+def oracle_collision_search(
+    captured_digest: bytes,
+    state: PartyState,
+    params: SessionParams,
+    budget: int,
+    rng: np.random.Generator,
+) -> CollisionSearchResult:
+    """The collision search as one Python loop over oracle_candidates.
+
+    The result must equal attack_collision_impersonate's for the same
+    inputs and rng.
+    """
+    l, w = params.key_len, params.hash_width
+    cols = len(state.reconciled)
+    nb = (w + 7) // 8
+    rem = w % 8
+    if rem:
+        last_mask = (0xFF << (8 - rem)) & 0xFF
+        target_head, target_last = captured_digest[: nb - 1], captured_digest[nb - 1]
+    examined = 0
+    for row, d in oracle_candidates(state, params, budget, rng):
+        examined += 1
+        if rem:
+            hit = d[: nb - 1] == target_head and (d[nb - 1] & last_mask) == target_last
+        else:
+            hit = d[:nb] == captured_digest[:nb]
+        if hit:
+            return CollisionSearchResult(BitMatrix((0,) * (l - 1) + (row,), cols), examined)
     return CollisionSearchResult(None, examined)
 
 

@@ -6,6 +6,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim.adversary import (
     ExtractBitsStrategy,
@@ -34,7 +36,7 @@ from qkdsim.pipeline import (
 )
 from qkdsim.seeding import derive_bytes, make_rng, trial_seed
 
-from oracles import oracle_collision_search
+from oracles import oracle_candidates, oracle_collision_search
 
 MATRIX_IN_LOG = HardeningKind.MATRIX_IN_LOG
 DERIVED = HardeningKind.DERIVED_MATRIX
@@ -463,6 +465,68 @@ def test_collision_search_hit_in_second_chunk_matches_oracle():
     fast, slow = _search_both(_oracle_case(1003, 12), _ORACLE_BUDGETS[-1], 3, "s")
     assert fast == slow
     assert fast.matrix is not None and 4096 < fast.candidates_examined <= 8192
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+@pytest.mark.parametrize("cols", [1, 7, 61, 128, 1003])
+def test_collision_search_matches_oracle_below_one_byte(cols, w):
+    # Below 8 bits the masked first-byte test is the whole hit check. Each
+    # search seed puts the first hit at a different candidate.
+    case = _oracle_case(cols, w)
+    for seed in range(12):
+        fast, slow = _search_both(case, 64, seed, "tiny")
+        assert fast == slow, (cols, w, seed)
+
+
+_PLANTED_BUDGET = 3 * 4096 + 5
+
+
+@pytest.mark.parametrize("w", [24, 32, 256])
+@pytest.mark.parametrize("cols", [61, 1003])
+def test_collision_search_finds_a_planted_hit_at_its_candidate(cols, w):
+    # The target is the oracle's k-th candidate digest, truncated to w bits,
+    # so the first hit is candidate k unless an earlier one collides with it
+    # (checked below; about k / 2^w likely).
+    _, state, params = _oracle_case(cols, w)
+    candidates = list(oracle_candidates(state, params, _PLANTED_BUDGET, make_rng(cols, "plant")))
+    for k in (1, 4096, 4097, _PLANTED_BUDGET):
+        row, digest = candidates[k - 1]
+        target = truncate_digest(digest, w)
+        assert all(truncate_digest(d, w) != target for _, d in candidates[: k - 1])
+        found = attack_collision_impersonate(
+            target, state, params, _PLANTED_BUDGET, make_rng(cols, "plant")
+        )
+        assert found.candidates_examined == k, (cols, w, k)
+        assert found.matrix == BitMatrix((0,) * (params.key_len - 1) + (row,), cols)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    cols=st.integers(1, 1100),
+    w=st.integers(1, 32),
+    budget=st.integers(1, 9000),
+    target=st.binary(min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_collision_search_equals_oracle_property(cols, w, budget, target, seed):
+    _, state, params = _oracle_case(cols, w, 1 + seed % 3)
+    fast, slow = _search_both((truncate_digest(target, w), state, params), budget, seed, "p")
+    assert fast == slow
+
+
+@pytest.mark.parametrize("w", [12, 16, 256])
+def test_collision_search_refuses_a_digest_it_could_never_match(w):
+    digest, state, params = _oracle_case(129, w)
+    nb = (w + 7) // 8
+    for wrong in (b"", digest[:-1], digest + b"\x00"):
+        with pytest.raises(ValueError, match=f"must be {nb} bytes for a {w}-bit width"):
+            attack_collision_impersonate(wrong, state, params, 16, make_rng(0, "s"))
+    if w % 8:
+        padded = digest[:-1] + bytes([digest[-1] | 1])
+        with pytest.raises(ValueError, match=f"bits set past its {w}-bit width"):
+            attack_collision_impersonate(padded, state, params, 16, make_rng(0, "s"))
+    # The digest as truncate_digest gives it is accepted.
+    attack_collision_impersonate(digest, state, params, 16, make_rng(0, "s"))
 
 
 # ------------------------------------------------------------ one-time pad

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import json
 import struct
 from fractions import Fraction
@@ -26,6 +28,7 @@ from qkdsim.pipeline import (
     build_log_extract,
     estimate_error,
     log_digest,
+    mac_digest,
     pos_field,
     privacy_amplify,
     reconcile,
@@ -630,6 +633,14 @@ def test_authenticate_deterministic():
     key = b"k" * 32
     log = small_log(0x1234)
     assert authenticate(log, key, 128) == authenticate(log, key, 128)
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(st.binary(max_size=100), st.binary(max_size=32))
+def test_mac_digest_is_hmac_sha256(key, digest):
+    # Keys longer than SHA-256's 64-byte block are hashed first; both forms
+    # must agree there too.
+    assert mac_digest(key, digest) == hmac.new(key, digest, hashlib.sha256).digest()
 
 
 def test_digest_sensitive_to_single_bit():
