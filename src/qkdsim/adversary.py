@@ -36,6 +36,7 @@ from .pipeline import (
     Verdict,
     build_log_extract,
     exchange_reconciled_key,
+    log_digest,
     privacy_amplify,
     run_session,
     serialize_log,
@@ -376,7 +377,7 @@ def run_collision_impersonation(
 
     privacy_amplify(bob, search.matrix, params)
     log_b = build_log_extract(bob, hardening)
-    accepted = verify(log_b, captured_tag, auth_key, params.hash_width)
+    accepted = verify(log_digest(log_b, params.hash_width), captured_tag, auth_key)
     bob_verdict = Verdict.ACCEPT if accepted else Verdict.REJECT
     privacy_amplify(attacker, search.matrix, params)
     return CollisionTrialOutcome(

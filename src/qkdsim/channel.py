@@ -78,9 +78,6 @@ class Channel:
     def frames(self, kind: FrameType) -> list[TranscriptEntry]:
         return [e for e in self.transcript if e.frame.kind is kind]
 
-    def count(self, kind: FrameType) -> int:
-        return sum(1 for e in self.transcript if e.frame.kind is kind)
-
     def transcript_dicts(self) -> list[dict]:
         """The transcript as JSON-ready dicts, one per delivered frame."""
         return [
@@ -102,12 +99,8 @@ def render_payload(payload: object) -> object:
         return payload.to_hex_lines()
     if isinstance(payload, Fraction):
         return f"{payload.numerator}/{payload.denominator}"
-    if isinstance(payload, (list, tuple)):
-        return [render_payload(p) for p in payload]
     if hasattr(payload, "tolist"):  # pipeline.Positions: a list of Python ints
         return payload.tolist()
-    if isinstance(payload, bytes):
-        return payload.hex()
     if hasattr(payload, "to_json_dict"):
         return payload.to_json_dict()
     return payload

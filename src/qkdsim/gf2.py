@@ -97,14 +97,6 @@ def rng_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.concatenate((head, out))[:n]
 
 
-def random_bits(nbits: int, rng: np.random.Generator) -> int:
-    """nbits independent fair bits from rng, as an LSB-first int."""
-    if nbits == 0:
-        return 0
-    nbytes = (nbits + 7) // 8
-    return int.from_bytes(rng_bytes(rng, nbytes), "little") & ((1 << nbits) - 1)
-
-
 class BitVector:
     """Immutable fixed-length bit string over GF(2)."""
 
@@ -129,7 +121,10 @@ class BitVector:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitVector":
-        return cls(n, random_bits(n, rng))
+        """n independent fair bits from rng, LSB first; draws nothing when n == 0."""
+        if n == 0:
+            return cls(0)
+        return cls(n, int.from_bytes(rng_bytes(rng, (n + 7) // 8), "little") & ((1 << n) - 1))
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":

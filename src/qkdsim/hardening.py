@@ -28,14 +28,8 @@ class HardeningKind(str, Enum):
     DERIVED_MATRIX = "derived_matrix"
 
 
-def embed_matrix_in_log(
-    log: "ProtocolLogExtract", matrix: BitMatrix, mode: HardeningKind
-) -> "ProtocolLogExtract":
-    """Return a copy of the log extract with the matrix embedded."""
-    if mode is not HardeningKind.MATRIX_IN_LOG:
-        raise ValueError(
-            f"matrix embedding requires matrix_in_log mode, session is in {mode.value}"
-        )
+def embed_matrix_in_log(log: "ProtocolLogExtract", matrix: BitMatrix) -> "ProtocolLogExtract":
+    """Return a copy of the log extract with the matrix embedded (matrix_in_log mode)."""
     return dataclasses.replace(log, matrix_included=matrix)
 
 

@@ -366,7 +366,7 @@ def build_log_extract(
         key_tail=state.key_tail,
     )
     if hardening is HardeningKind.MATRIX_IN_LOG:
-        log = embed_matrix_in_log(log, state.pa_matrix, hardening)
+        log = embed_matrix_in_log(log, state.pa_matrix)
     return log
 
 
@@ -427,7 +427,7 @@ def mac_digest(auth_key: bytes, digest: bytes) -> bytes:
     return hmac_mod.digest(auth_key, digest, "sha256")
 
 
-def authenticate_digest(digest: bytes, auth_key: bytes) -> AuthTag:
+def authenticate(digest: bytes, auth_key: bytes) -> AuthTag:
     """Tag a party's log digest: the digest together with its MAC.
 
     The MAC is unforgeable for fresh digests, but a captured (digest, mac)
@@ -436,7 +436,7 @@ def authenticate_digest(digest: bytes, auth_key: bytes) -> AuthTag:
     return AuthTag(digest=digest, mac=mac_digest(auth_key, digest))
 
 
-def verify_digest(digest: bytes, tag: AuthTag, auth_key: bytes) -> bool:
+def verify(digest: bytes, tag: AuthTag, auth_key: bytes) -> bool:
     """Accept iff the MAC binds the tag's digest and that digest equals ours.
 
     The MAC is checked first, and both comparisons are constant-time.
@@ -444,16 +444,6 @@ def verify_digest(digest: bytes, tag: AuthTag, auth_key: bytes) -> bool:
     if not hmac_mod.compare_digest(mac_digest(auth_key, tag.digest), tag.mac):
         return False
     return hmac_mod.compare_digest(digest, tag.digest)
-
-
-def authenticate(log: ProtocolLogExtract, auth_key: bytes, hash_width: int) -> AuthTag:
-    """Hash the serialized log extract, truncate, and tag the digest."""
-    return authenticate_digest(log_digest(log, hash_width), auth_key)
-
-
-def verify(log: ProtocolLogExtract, tag: AuthTag, auth_key: bytes, hash_width: int) -> bool:
-    """Hash the log extract and check the tag against that digest (verify_digest)."""
-    return verify_digest(log_digest(log, hash_width), tag, auth_key)
 
 
 # ----------------------------------------------------------------- session
@@ -543,13 +533,13 @@ def run_session(
     if auth_key is None:
         auth_key = session_auth_key(params)
     tag_a = channel.deliver(
-        A_TO_B, Frame(FrameType.AUTH_TAG_A, authenticate_digest(digest_a, auth_key))
+        A_TO_B, Frame(FrameType.AUTH_TAG_A, authenticate(digest_a, auth_key))
     ).payload
     tag_b = channel.deliver(
-        B_TO_A, Frame(FrameType.AUTH_TAG_B, authenticate_digest(digest_b, auth_key))
+        B_TO_A, Frame(FrameType.AUTH_TAG_B, authenticate(digest_b, auth_key))
     ).payload
-    bob_ok = verify_digest(digest_b, tag_a, auth_key)
-    alice_ok = verify_digest(digest_a, tag_b, auth_key)
+    bob_ok = verify(digest_b, tag_a, auth_key)
+    alice_ok = verify(digest_a, tag_b, auth_key)
 
     def outcome(ok: bool, state: PartyState) -> PartyOutcome:
         return PartyOutcome(

@@ -175,7 +175,7 @@ def _frame_trial(make_strategy, outcome) -> Callable[..., tuple]:
         effect, extra = outcome(result, strategy, opts)
         aux: dict = {
             "tampered_frames": sum(e.tampered for e in result.channel.transcript),
-            "pa_matrix_frames": result.channel.count(FrameType.PA_MATRIX),
+            "pa_matrix_frames": len(result.channel.frames(FrameType.PA_MATRIX)),
             **extra,
         }
         if config.hardening is HardeningKind.DERIVED_MATRIX:
@@ -250,9 +250,10 @@ def _collision_trial(config: ScenarioConfig, params: SessionParams, opts: dict, 
 
 def _otp_trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_states: bool):
     result = run_session(params, hardening=config.hardening)
+    dump = {"dump": _dump_session(result)} if dump_states else {}
     pad = result.bob.released_key
     if pad is None:
-        return (*_verdicts(result), _keys_equal(result), False, {})
+        return (*_verdicts(result), _keys_equal(result), False, dump)
     n = len(pad)
     adv_rng = make_rng(params.master_seed, "adversary")
     positions = opts["bit_positions"]
@@ -270,6 +271,7 @@ def _otp_trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_s
         "bit_positions": positions,
         "plaintext": plaintext.to_hex(),
         "recovered": recovered.to_hex(),
+        **dump,
     }
     return (*_verdicts(result), _keys_equal(result), recovered == expected, aux)
 

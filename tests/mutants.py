@@ -49,6 +49,11 @@ _STRUCT = _PIPE + "test_pos_field_matches_struct_pack"
 _LAYOUT = _PIPE + "test_log_serialization_frozen_layout"
 _INTS = _PIPE + "test_positions_iterate_and_index_as_python_ints"
 _EQUAL = _PIPE + "test_positions_equal_their_sequences_both_ways"
+_VERIFY = _PIPE + "test_verify_accepts_valid_and_rejects_modified"
+_VERIFY_PROPERTY = "tests/test_gf2_words.py::test_verify_agrees_with_digest_check"
+_HONEST = _PIPE + "test_honest_sessions_complete_and_agree"
+_IN_LOG = "tests/test_hardening.py::test_matrix_in_log_changes_serialization"
+_DETECTS = "tests/test_adversary.py::test_matrix_in_log_detects_every_frame_attack"
 
 MUTANTS = (
     Mutant(
@@ -193,6 +198,42 @@ MUTANTS = (
             _PIPE + "test_positions_cannot_be_written_in_place",
             _PIPE + "test_strategy_cannot_change_recorded_positions_through_frames",
         ),
+    ),
+    Mutant(
+        "verify: MAC check skipped",
+        "pipeline.py",
+        "    if not hmac_mod.compare_digest(mac_digest(auth_key, tag.digest), tag.mac):\n"
+        "        return False\n",
+        "",
+        (_VERIFY, _VERIFY_PROPERTY),
+    ),
+    Mutant(
+        "verify: digest mismatch ignored",
+        "pipeline.py",
+        "    return hmac_mod.compare_digest(digest, tag.digest)\n",
+        "    return True\n",
+        (_VERIFY, _VERIFY_PROPERTY, _DETECTS),
+    ),
+    Mutant(
+        "authenticate: MAC over the wrong bytes",
+        "pipeline.py",
+        "mac=mac_digest(auth_key, digest))",
+        'mac=mac_digest(auth_key, digest + b"\\x00"))',
+        (_VERIFY, _VERIFY_PROPERTY, _HONEST),
+    ),
+    Mutant(
+        "build_log_extract: matrix never embedded",
+        "pipeline.py",
+        "        log = embed_matrix_in_log(log, state.pa_matrix)\n",
+        "        pass\n",
+        (_IN_LOG, _DETECTS),
+    ),
+    Mutant(
+        "exchange: short-key abort dropped",
+        "pipeline.py",
+        "return alice, bob, len(alice.reconciled) < params.key_len",
+        "return alice, bob, False",
+        ("tests/test_scenarios.py::test_abort_rate_matches_exact_probability[64-24-0.01]",),
     ),
 )
 

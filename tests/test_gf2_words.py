@@ -10,8 +10,8 @@ checked against Generator.bytes itself: same bytes and same generator
 state afterwards, from fresh generators and from ones holding a buffered
 half-word; the top bits of its bytes against Generator.integers(0, 2),
 the fair bits the source draws. The hex formats are checked to
-round-trip. The last test checks that the log-level verify agrees with
-the digest-level check run_session uses.
+round-trip. The last test checks that verify accepts a tag exactly when
+its MAC holds and its digest equals the checking party's log digest.
 """
 
 from __future__ import annotations
@@ -37,14 +37,7 @@ from qkdsim.gf2 import (
     rng_bytes,
 )
 from qkdsim.hardening import derive_matrix
-from qkdsim.pipeline import (
-    AuthTag,
-    ProtocolLogExtract,
-    authenticate,
-    log_digest,
-    verify,
-    verify_digest,
-)
+from qkdsim.pipeline import AuthTag, ProtocolLogExtract, authenticate, log_digest, verify
 
 COLS = (1, 7, 8, 63, 64, 65, 200)
 props = settings(deadline=None, database=None)
@@ -181,7 +174,7 @@ def test_flip_entry_matches_int_reference(mc, data):
 
 @props
 @given(matrices(min_rows=1), st.data())
-def test_with_row_matches_int_reference(mc, data):
+def test_replace_rows_with_one_row_matches_int_reference(mc, data):
     """A one-row block at any row, as extract-bits writes."""
     values, cols = mc
     m = BitMatrix(values, cols)
@@ -368,7 +361,8 @@ logs = st.builds(
 @given(logs, logs, st.sampled_from((1, 8, 13, 128, 256)), st.integers(0, 31), st.booleans())
 def test_verify_agrees_with_digest_check(log, other, width, byte, in_mac):
     key = b"k" * 32
-    tag = authenticate(log, key, width)
+    digest = log_digest(log, width)
+    tag = authenticate(digest, key)
     if in_mac:
         forged = AuthTag(tag.digest, tag.mac[:byte] + bytes([tag.mac[byte] ^ 1]) + tag.mac[byte + 1 :])
     else:
@@ -376,11 +370,7 @@ def test_verify_agrees_with_digest_check(log, other, width, byte, in_mac):
         forged = AuthTag(
             tag.digest[:at] + bytes([tag.digest[at] ^ 0x80]) + tag.digest[at + 1 :], tag.mac
         )
-    cases = [(log, tag), (log, forged), (other, tag)]  # honest, tampered tag, tampered log
-    for candidate, t in cases:
-        assert verify(candidate, t, key, width) == verify_digest(
-            log_digest(candidate, width), t, key
-        )
-    assert verify(log, tag, key, width)
-    assert not verify(log, forged, key, width)
-    assert verify(other, tag, key, width) == (log_digest(other, width) == tag.digest)
+    other_digest = log_digest(other, width)
+    assert verify(digest, tag, key)  # honest
+    assert not verify(digest, forged, key)  # tampered tag
+    assert verify(other_digest, tag, key) == (other_digest == tag.digest)  # tampered log

@@ -5,8 +5,8 @@ builtin for a few trials and compares the SHA-256 of what
 write_trials_jsonl writes against the digest recorded when the case was
 added. The dump cases cover the --dump-states records: flip-entry's
 honest_bob entry, extract-bits, a matrix-in-log session whose log carries
-the matrix, and the collision attack, whose record dumping leaves as it
-is. Two separate cases pin baseline at the large n_raw = 131072 that the
+the matrix, the collision attack, whose record dumping leaves as it is,
+and otp-malleability, whose record holds its session's dump. Two separate cases pin baseline at the large n_raw = 131072 that the
 benchmark's large-key workload runs: its trials.jsonl, which records only
 verdicts and key equality, and the amplification matrix and final keys
 themselves.
@@ -39,6 +39,7 @@ GOLDEN = [
     ("extract-bits", 2, True, "0f6fd83efeeef87de8bc137ad0f598bbbc398e029b8d4adcb88b548942869a5f"),
     ("harden-matrix-in-log-randomize-rows", 2, True, "d14dc43751ffc83ed3294a65cc6199f54d6bc14517703f119a4b6aa093b4bd8c"),
     ("collision-impersonation", 2, True, "562ed43dd3f3a110a99c051ae9eb04a7d37544f6631c70872f153722512c7848"),
+    ("otp-malleability", 2, True, "d53aacc7fa6a16eb4d1d3d13539bc42ae223298a666a8aa1653db646f9dea0de"),
 ]
 
 

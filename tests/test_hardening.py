@@ -29,17 +29,13 @@ def test_mode_parse():
         HardeningKind("tinfoil")
 
 
-def test_embed_requires_matrix_in_log_mode():
+def test_embed_matrix_in_log_returns_a_copy_with_the_matrix():
     result = run_session(SessionParams(n_raw=1024, master_seed=1))
     log = build_log_extract(result.alice.state)
     m = result.alice.state.pa_matrix
-    embedded = embed_matrix_in_log(log, m, HardeningKind.MATRIX_IN_LOG)
+    embedded = embed_matrix_in_log(log, m)
     assert embedded.matrix_included == m
     assert log.matrix_included is None  # original untouched
-    with pytest.raises(ValueError, match="matrix_in_log"):
-        embed_matrix_in_log(log, m, HardeningKind.BASELINE)
-    with pytest.raises(ValueError, match="matrix_in_log"):
-        embed_matrix_in_log(log, m, HardeningKind.DERIVED_MATRIX)
 
 
 def test_matrix_in_log_changes_serialization():

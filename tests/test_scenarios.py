@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +316,58 @@ def test_sweep_qber_abort_concentration():
     assert aborts == [0.0, 0.0, 1.0]
 
 
+def exact_abort_probability(params: SessionParams) -> Fraction:
+    """P(ABORT) of one honest session, summed exactly over its random counts.
+
+    The sifted length is N ~ Bin(n_raw, 1/2), since each party's bases are
+    fair bits. k = ceil(sample_fraction * N) positions are disclosed, and
+    the mismatches among them are Bin(k, qber), since the noise is drawn
+    independently of the bases. The session aborts on N = 0, on a sampled
+    rate mismatches/k above abort_threshold, or on a short key, N - k < key_len.
+    """
+    n, q = params.n_raw, Fraction(params.qber)
+    total = Fraction(0)
+    for sifted in range(n + 1):
+        if sifted == 0:
+            p_abort = Fraction(1)
+        else:
+            k = math.ceil(params.sample_fraction * sifted)
+            p_pass = sum(
+                math.comb(k, m) * q**m * (1 - q) ** (k - m)
+                for m in range(k + 1)
+                if not Fraction(m, k) > params.abort_threshold
+            )
+            p_abort = 1 - p_pass if sifted - k >= params.key_len else Fraction(1)
+        total += math.comb(n, sifted) * p_abort
+    return total / 2**n
+
+
+def wilson_interval(hits: int, n: int, z: float) -> tuple[float, float]:
+    p = hits / n
+    centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    return centre - half, centre + half
+
+
+@pytest.mark.parametrize(
+    "n_raw,key_len,qber",
+    [
+        (512, 16, 0.08),
+        (512, 16, 0.11),
+        (512, 16, 0.14),
+        (64, 24, 0.01),  # mostly short-key aborts
+    ],
+)
+def test_abort_rate_matches_exact_probability(n_raw, key_len, qber):
+    params = SessionParams(n_raw=n_raw, key_len=key_len, tail_len=8, qber=qber)
+    cfg = dataclasses.replace(small("baseline", 2000), checks=(), params=params, master_seed=5)
+    reports, _ = run_scenario(cfg)
+    aborts = sum(r.alice_verdict == "abort" for r in reports)
+    assert all((r.alice_verdict == "abort") == (r.bob_verdict == "abort") for r in reports)
+    lo, hi = wilson_interval(aborts, len(reports), z=4.0)
+    assert lo <= exact_abort_probability(params) <= hi
+
+
 def test_sweep_known_sets_number_of_known_bits():
     cfg = dataclasses.replace(small("extract-bits", 8), checks=())
     for e in sweep(cfg, "known", [1, 4]):
@@ -448,6 +502,22 @@ def test_otp_success_recomputable():
         indicator = BitVector.from_positions(len(plaintext), r.aux["bit_positions"])
         assert r.attack_success == (vec(r.aux["recovered"]) == plaintext ^ indicator)
         assert r.attack_success
+
+
+def test_otp_dump_holds_the_session_whether_or_not_a_pad_is_released():
+    # Tiny sessions abort in some trials, so the no-pad path runs too.
+    params = SessionParams(n_raw=64, key_len=16, tail_len=8)
+    cfg = small("otp-malleability", 12, params=params)
+    reports, _ = run_scenario(cfg, dump_states=True)
+    plain, _ = run_scenario(cfg)
+    assert {r.bob_verdict for r in reports} == {"abort", ACCEPT}
+    for r, p in zip(reports, plain):
+        result = run_session(dataclasses.replace(params, master_seed=r.seed))
+        dump = r.aux.pop("dump")
+        assert dump["alice"] == result.alice.state.to_json_dict(), r.trial_index
+        assert dump["bob"] == result.bob.state.to_json_dict(), r.trial_index
+        assert dump["transcript"] == result.channel.transcript_dicts(), r.trial_index
+        assert r == p  # dumping leaves the rest of the record as it is
 
 
 def test_dump_states_off_by_default():
