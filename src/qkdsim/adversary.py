@@ -330,7 +330,6 @@ class CollisionTrialOutcome:
     impersonation_accepted: bool
     attacker_key: BitVector | None  # key the attacker shares with Bob on success
     bob_key: BitVector | None
-    aborted: bool = False
 
 
 def run_collision_impersonation(
@@ -357,7 +356,7 @@ def run_collision_impersonation(
         dc_replace(params, master_seed=capture_seed), hardening=hardening, auth_key=auth_key
     )
     if capture.alice.verdict is Verdict.ABORT:
-        return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None, aborted=True)
+        return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None)
     captured_tag: AuthTag = capture.channel.frames(FrameType.AUTH_TAG_A)[0].frame.payload
 
     # Fresh exchange with the real Bob, attacker in Alice's role.
@@ -367,7 +366,7 @@ def run_collision_impersonation(
     rng = make_rng(session_seed, "session")
     attacker, bob, aborted = exchange_reconciled_key(params, Channel(), rng)
     if aborted:
-        return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None, aborted=True)
+        return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None)
 
     search_rng = make_rng(params.master_seed, "collision-search")
     search = attack_collision_impersonate(captured_tag.digest, attacker, params, budget, search_rng)

@@ -46,16 +46,6 @@ def pack_bits_msb(value: int, nbits: int) -> bytes:
     return value.to_bytes(nbytes, "little").translate(_REV8)
 
 
-def unpack_bits_msb(data: bytes, nbits: int) -> int:
-    """Inverse of pack_bits_msb. Rejects nonzero padding bits."""
-    if len(data) != (nbits + 7) // 8:
-        raise ValueError(f"expected {(nbits + 7) // 8} bytes for {nbits} bits, got {len(data)}")
-    value = int.from_bytes(data.translate(_REV8), "little")
-    if value >> nbits:
-        raise ValueError("nonzero padding bits in serialized bit string")
-    return value
-
-
 def rng_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
     """Exactly the bytes of rng.bytes(n), as a uint8 array, and the same end state.
 
@@ -112,30 +102,11 @@ class BitVector:
         self._bits: np.ndarray | None = None
 
     @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitVector":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitVector":
         """n independent fair bits from rng, LSB first; draws nothing when n == 0."""
         if n == 0:
             return cls(0)
         return cls(n, int.from_bytes(rng_bytes(rng, (n + 7) // 8), "little") & ((1 << n) - 1))
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value |= b << n
-            n += 1
-        return cls(n, value)
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitVector":
@@ -191,11 +162,6 @@ class BitVector:
     def popcount(self) -> int:
         return self.value.bit_count()
 
-    def flip(self, i: int) -> "BitVector":
-        if not 0 <= i < self.n:
-            raise IndexError(f"position {i} out of range for length {self.n}")
-        return BitVector(self.n, self.value ^ (1 << i))
-
     def first(self, k: int) -> "BitVector":
         if not 0 <= k <= self.n:
             raise ValueError(f"cannot take first {k} of {self.n} bits")
@@ -229,23 +195,13 @@ class BitVector:
         """Length-prefixed MSB-first hex, e.g. '12:ab30'."""
         return f"{self.n}:{self.to_bytes_msb().hex()}"
 
-    @classmethod
-    def from_hex(cls, text: str) -> "BitVector":
-        head, _, body = text.partition(":")
-        try:
-            n = int(head)
-        except ValueError:
-            raise ValueError(f"bad bit vector literal {text!r}") from None
-        return cls(n, unpack_bits_msb(bytes.fromhex(body), n))
-
 
 class BitMatrix:
     """Immutable rectangular bit matrix over GF(2).
 
     Row i is packed[i], the row's ceil(cols / 8) bytes LSB first: entry
     (i, j) is bit j % 8 of byte j // 8, and the pad bits past cols in the
-    last byte are zero. row_values gives the same rows as canonical ints,
-    derived from the bytes on each use.
+    last byte are zero.
     """
 
     __slots__ = ("rows", "cols", "packed")
@@ -295,19 +251,6 @@ class BitMatrix:
         packed = np.frombuffer(data, np.uint8).reshape(rows, nbytes).copy()
         return cls.__new__(cls)._adopt(packed, cols)
 
-    @property
-    def row_values(self) -> tuple[int, ...]:
-        """Rows as canonical LSB-first ints."""
-        return tuple(int.from_bytes(r.tobytes(), "little") for r in self.packed)
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, int.from_bytes(self.packed[i].tobytes(), "little"))
-
-    def get(self, i: int, j: int) -> int:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} out of range for cols {self.cols}")
-        return int(self.packed[i, j >> 3] >> (j & 7)) & 1
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -321,11 +264,6 @@ class BitMatrix:
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
 
-    def density(self) -> float:
-        if self.rows * self.cols == 0:
-            return 0.0
-        return int(np.bitwise_count(self.packed).sum()) / (self.rows * self.cols)
-
     def to_bytes_msb(self) -> bytes:
         """Rows concatenated, each packed MSB-first and byte-padded."""
         return self.packed.tobytes().translate(_REV8)
@@ -333,34 +271,14 @@ class BitMatrix:
     def to_hex_lines(self) -> list[str]:
         """Dimension header line, then one length-prefixed hex row per line.
 
-        Row i reads like self.row(i).to_hex(), sliced out of to_bytes_msb.
+        Row i reads like BitVector(self.cols, row i's int).to_hex(), sliced
+        out of to_bytes_msb.
         """
         body = self.to_bytes_msb().hex()
         step = 2 * ((self.cols + 7) // 8)
         lines = [f"{self.rows}x{self.cols}"]
         lines.extend(f"{self.cols}:{body[i * step : (i + 1) * step]}" for i in range(self.rows))
         return lines
-
-    def to_hex(self) -> str:
-        return "\n".join(self.to_hex_lines())
-
-    @classmethod
-    def from_hex(cls, text: str) -> "BitMatrix":
-        lines = text.strip().splitlines()
-        try:
-            rows_s, cols_s = lines[0].split("x")
-            rows, cols = int(rows_s), int(cols_s)
-        except (IndexError, ValueError):
-            raise ValueError("bad matrix literal: missing RxC header") from None
-        if len(lines) != rows + 1:
-            raise ValueError(f"expected {rows} row lines, got {len(lines) - 1}")
-        values = []
-        for line in lines[1:]:
-            v = BitVector.from_hex(line)
-            if v.n != cols:
-                raise ValueError(f"length mismatch: row of {v.n} in matrix of cols {cols}")
-            values.append(v.value)
-        return cls(values, cols)
 
 
 def matvec(m: BitMatrix, v: BitVector) -> BitVector:

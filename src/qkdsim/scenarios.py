@@ -86,6 +86,9 @@ class TrialReport:
         d = json.loads(line)
         if not (isinstance(d, dict) and d.keys() >= set(cls.__slots__)):
             raise ValueError(f"expected an object with the fields {', '.join(cls.__slots__)}")
+        for name, kind in zip(cls.__slots__, (int, int, str, str, bool, bool, dict)):
+            if not (name == "keys_equal" and d[name] is None):
+                _check_value(name, d[name], kind)
         return cls(*(d[k] for k in cls.__slots__))
 
 
@@ -122,6 +125,10 @@ SUMMARY_METRICS = (
     "key_mismatch_rate",
     "attack_success_rate",
 )
+# Value kind of each BatchSummary field, as load_report_dir checks a manifest.
+_SUMMARY_KINDS = {
+    "scenario": str, "trials": int, "wall_time_s": float, **dict.fromkeys(SUMMARY_METRICS, float)
+}
 
 
 @dataclass(frozen=True)
@@ -236,7 +243,7 @@ def _collision_trial(config: ScenarioConfig, params: SessionParams, opts: dict, 
     out = run_collision_impersonation(params, config.hardening, opts["search_budget"])
     # The exchange with the real Alice is dropped before the attacker would
     # return a tag, so she never accepts.
-    alice_v = Verdict.ABORT.value if out.aborted else Verdict.REJECT.value
+    alice_v = Verdict.ABORT.value if out.bob_verdict is Verdict.ABORT else Verdict.REJECT.value
     aux = {
         "found": out.found,
         "candidates_examined": out.candidates_examined,
@@ -441,6 +448,8 @@ _KINDS = {
     int: ("an integer", _is_int),
     float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
     list: (
         "a list of integers",
         lambda v: v is None or isinstance(v, (list, tuple)) and all(map(_is_int, v)),
@@ -817,13 +826,17 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     }
 
 
-def load_config_file(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_json(path):
+    """The file's JSON value; a file that is not UTF-8 JSON is a ConfigError."""
+    with open(path, "rb") as fh:
         try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.loads(fh.read().decode("utf-8"))
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(d)
+
+
+def load_config_file(path) -> ScenarioConfig:
+    return config_from_dict(_load_json(path))
 
 
 # --------------------------------------------------------------- reporting
@@ -839,12 +852,12 @@ def write_trials_jsonl(reports: Sequence[TrialReport], path) -> None:
 
 def read_trials_jsonl(path) -> list[TrialReport]:
     reports = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                reports.append(TrialReport.from_json(line))
+                reports.append(TrialReport.from_json(line.decode("utf-8")))
             except ValueError as exc:
                 raise ConfigError(f"{path}, line {number}: not a trial record: {exc}") from exc
     return reports
@@ -936,11 +949,7 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
     manifest_path = os.path.join(out_dir, "run.json")
     if not os.path.exists(manifest_path):
         raise ConfigError(f"{out_dir}: no run.json manifest; not a report directory")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    manifest = _load_json(manifest_path)
     entries = manifest.get("entries") if isinstance(manifest, dict) else None
     summary_fields = {f.name for f in dataclasses.fields(BatchSummary)}
     if not isinstance(entries, list) or not all(
@@ -956,6 +965,10 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
         )
     rows = []
     for entry in entries:
+        for name, value in entry["summary"].items():
+            _check_value(f"{manifest_path}: summary {name}", value, _SUMMARY_KINDS[name])
+        if "trials_file" in entry:
+            _check_value(f"{manifest_path}: trials_file", entry["trials_file"], str)
         config = config_from_dict(entry["config"])
         config = dataclasses.replace(config, name=entry["scenario"])
         if "trials_file" in entry:

@@ -54,6 +54,9 @@ _VERIFY_PROPERTY = "tests/test_gf2_words.py::test_verify_agrees_with_digest_chec
 _HONEST = _PIPE + "test_honest_sessions_complete_and_agree"
 _IN_LOG = "tests/test_hardening.py::test_matrix_in_log_changes_serialization"
 _DETECTS = "tests/test_adversary.py::test_matrix_in_log_detects_every_frame_attack"
+_SCEN = "tests/test_scenarios.py::"
+_ACCEPT = "tests/test_acceptance.py::"
+_BUILTIN_CHECKS = _SCEN + "test_all_builtin_checks_pass_at_reduced_trials"
 
 MUTANTS = (
     Mutant(
@@ -234,6 +237,52 @@ MUTANTS = (
         "return alice, bob, len(alice.reconciled) < params.key_len",
         "return alice, bob, False",
         ("tests/test_scenarios.py::test_abort_rate_matches_exact_probability[64-24-0.01]",),
+    ),
+    Mutant(
+        "frame trial: success without Bob's ACCEPT",
+        "scenarios.py",
+        "        success = effect and result.bob.verdict is Verdict.ACCEPT\n",
+        "        success = effect\n",
+        (_BUILTIN_CHECKS, _ACCEPT + "test_criterion_07_matrix_in_log_detects_each_attack"),
+    ),
+    Mutant(
+        "randomize-rows outcome: Alice's ACCEPT dropped",
+        "scenarios.py",
+        "    diverged = _keys_equal(result) is False and result.alice.verdict is Verdict.ACCEPT\n",
+        "    diverged = _keys_equal(result) is False\n",
+        (_SCEN + "test_randomize_rows_outcome_needs_alice_to_accept",),
+    ),
+    Mutant(
+        "zero-rows outcome: one set bit accepted",
+        "scenarios.py",
+        "    all_zero = key is not None and key.popcount() == 0\n",
+        "    all_zero = key is not None and key.popcount() <= 1\n",
+        (_SCEN + "test_zero_rows_outcome_needs_every_key_bit_zero",),
+    ),
+    Mutant(
+        "flip-entry outcome: wrong row compared",
+        "scenarios.py",
+        "and bob.full_key[row] != result.alice.state.full_key[row]",
+        "and bob.full_key[row + 1] != result.alice.state.full_key[row + 1]",
+        (
+            _SCEN + "test_flip_entry_outcome_reads_the_attacked_row",
+            _SCEN + "test_success_recomputable_from_dumped_states",
+            _ACCEPT + "test_criterion_02_flip_entry_half_probability",
+        ),
+    ),
+    Mutant(
+        "extract-bits outcome: prediction ignored",
+        "scenarios.py",
+        "return prediction is not None and prediction == actual, {",
+        "return prediction is not None, {",
+        (_SCEN + "test_extract_bits_outcome_needs_a_correct_prediction",),
+    ),
+    Mutant(
+        "evaluate_checks: < for <=",
+        "scenarios.py",
+        "check.lo <= value <= check.hi",
+        "check.lo < value <= check.hi",
+        (_BUILTIN_CHECKS, "tests/test_cli.py::test_report_recomputes_and_checks"),
     ),
 )
 

@@ -1,8 +1,10 @@
 """Independent reference implementations used to check the fast paths.
 
 These deliberately avoid the packed-int code paths in qkdsim.gf2: the bit
-loop works entry by entry through the public accessors, and the numpy
-oracle goes through the byte serialization and an integer matmul. The
+loop works entry by entry, and the numpy oracle goes through the byte
+serialization and an integer matmul. Three readers get at a matrix or a
+dump without gf2's own code: row_ints and bit_at read a matrix's packed
+bytes, and read_hex reads a dumped vector back through unpack_msb. The
 collision-search oracle prepares every candidate on its own in Python,
 where the search itself prepares a whole chunk of candidates with numpy.
 The session front-end oracles select with random boolean masks
@@ -32,25 +34,49 @@ from qkdsim.pipeline import (
 )
 
 
+def row_ints(m: BitMatrix) -> tuple[int, ...]:
+    """The rows of m as canonical LSB-first ints, read from m.packed."""
+    return tuple(int.from_bytes(r.tobytes(), "little") for r in m.packed)
+
+
+def bit_at(m: BitMatrix, i: int, j: int) -> int:
+    """Entry (i, j) of m: bit j % 8 of byte j // 8 of m.packed[i]."""
+    if not 0 <= j < m.cols:
+        raise IndexError(f"column {j} out of range for cols {m.cols}")
+    return int(m.packed[i, j >> 3] >> (j & 7)) & 1
+
+
+def unpack_msb(data: bytes, nbits: int) -> np.ndarray:
+    """MSB-first packed bits as a 0/1 array; the bytes must fit nbits with zero pad bits."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="big")
+    assert len(data) == (nbits + 7) // 8, f"{len(data)} bytes for {nbits} bits"
+    assert not bits[nbits:].any(), "nonzero pad bits"
+    return bits[:nbits]
+
+
+def read_hex(text: str) -> BitVector:
+    """A vector dumped as length-prefixed MSB-first hex ('12:b2e0'), read back."""
+    head, _, body = text.partition(":")
+    return BitVector.from_array(unpack_msb(bytes.fromhex(body), int(head)))
+
+
 def oracle_matvec_bitloop(m: BitMatrix, v: BitVector) -> list[int]:
     """Entry-by-entry parity accumulation, no packed arithmetic."""
     out = []
     for i in range(m.rows):
         acc = 0
         for j in range(m.cols):
-            acc ^= m.get(i, j) & v[j]
+            acc ^= bit_at(m, i, j) & v[j]
         out.append(acc)
     return out
 
 
-def unpack_msb(data: bytes, nbits: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="big")
-    return bits[:nbits]
-
-
 def oracle_matvec_numpy(m: BitMatrix, v: BitVector) -> list[int]:
     """Unpacked 0/1 matmul mod 2, fed from the byte serialization."""
-    rows = np.stack([unpack_msb(m.row(i).to_bytes_msb(), m.cols) for i in range(m.rows)])
+    data, nbytes = m.to_bytes_msb(), (m.cols + 7) // 8
+    rows = np.stack(
+        [unpack_msb(data[i * nbytes : (i + 1) * nbytes], m.cols) for i in range(m.rows)]
+    )
     vec = unpack_msb(v.to_bytes_msb(), v.n)
     return list((rows.astype(np.int64) @ vec.astype(np.int64)) % 2)
 

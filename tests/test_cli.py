@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qkdsim.cli import main
-from qkdsim.scenarios import BUILTIN_SCENARIOS, read_trials_jsonl
+from qkdsim.scenarios import BUILTIN_SCENARIOS, SUMMARY_METRICS, read_trials_jsonl
 
 
 def run_cli(*argv):
@@ -97,6 +97,9 @@ def test_run_invalid_config_file(tmp_path, capsys):
     cfg.write_text(json.dumps({"attack": {"name": "flip-entry", "row": 9999}}))
     assert run_cli("run", cfg) == 2
     assert "flip-entry row" in capsys.readouterr().err
+    cfg.write_bytes(b"\xff{}")  # not UTF-8
+    assert run_cli("run", cfg) == 2
+    assert "not valid JSON: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -245,16 +248,28 @@ def test_report_missing_manifest(tmp_path, capsys):
     assert "run.json" in capsys.readouterr().err
 
 
+def _manifest(summary=(), **entry):
+    """A one-entry run.json whose summary has every field, with the given changes."""
+    fields = dict.fromkeys(("trials", *SUMMARY_METRICS, "wall_time_s"), 1)
+    summary = {"scenario": "x", **fields, **dict(summary)}
+    return json.dumps({"entries": [{"scenario": "x", "config": {}, "summary": summary, **entry}]})
+
+
 @pytest.mark.parametrize(
     "manifest, message",
     [
         ("{not json", "not valid JSON"),
         ('{"foo": 1}', "not a report manifest"),
         ('{"entries": [{"scenario": "x", "config": {}, "summary": {}}]}', "not a report manifest"),
+        (b"\xff{}", "not valid JSON: 'utf-8' codec can't decode"),
+        (_manifest({"accept_rate_bob": "x"}), "summary accept_rate_bob must be a number"),
+        (_manifest({"wall_time_s": "x"}, trials_file="t.jsonl"), "wall_time_s must be a number"),
+        (_manifest(trials_file=7), "trials_file must be a string, got 7"),
     ],
 )
 def test_report_bad_manifest(tmp_path, capsys, manifest, message):
-    (tmp_path / "run.json").write_text(manifest, encoding="utf-8")
+    raw = manifest if isinstance(manifest, bytes) else manifest.encode()
+    (tmp_path / "run.json").write_bytes(raw)
     assert run_cli("report", tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "run.json" in err and message in err
@@ -266,6 +281,10 @@ def test_report_bad_manifest(tmp_path, capsys, manifest, message):
         ("{not json", "Expecting property name"),
         ("[1, 2]", "expected an object with the fields trial_index"),
         ('{"x": 1}', "expected an object with the fields trial_index"),
+        ("\udcff{}", "'utf-8' codec can't decode byte 0xff"),  # written as the byte 0xff
+        ({"attack_success": "yes"}, "attack_success must be true or false, got 'yes'"),
+        ({"aux": []}, "aux must be an object, got []"),
+        ({"trial_index": 1.5}, "trial_index must be an integer, got 1.5"),
     ],
 )
 @pytest.mark.parametrize("first", [True, False])
@@ -273,7 +292,10 @@ def test_report_bad_trial_line(tmp_path, capsys, bad_line, problem, first):
     run_cli("run", "zero-rows", "--trials", 3, "--out", tmp_path)
     path = tmp_path / "trials.jsonl"
     good = path.read_text().splitlines()
-    path.write_text("\n".join([bad_line, *good] if first else [*good[:2], "", bad_line]) + "\n")
+    if isinstance(bad_line, dict):  # a good record with a mistyped field
+        bad_line = json.dumps({**json.loads(good[0]), **bad_line})
+    lines = [bad_line, *good] if first else [*good[:2], "", bad_line]
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     assert run_cli("report", tmp_path) == 2
     captured = capsys.readouterr()

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdsim.channel import A_TO_B, AttackStrategy, Channel, Frame, FrameType, render_payload
-from qkdsim.gf2 import BitMatrix, BitVector, flip_entry, matvec, random_matrix, unpack_bits_msb
+from qkdsim.gf2 import BitMatrix, BitVector, flip_entry, matvec, random_matrix
 from qkdsim.hardening import HardeningKind
 from qkdsim.pipeline import (
     AuthTag,
@@ -47,6 +47,8 @@ from oracles import (
     oracle_reconcile,
     oracle_sift,
     oracle_source_correlated,
+    read_hex,
+    unpack_msb,
 )
 
 
@@ -380,11 +382,11 @@ def test_log_blind_to_non_tail_matrix_rows():
 
 def test_log_serialization_frozen_layout():
     log = ProtocolLogExtract(
-        sifted_bases=BitVector.from_bits([1, 0, 1]),
+        sifted_bases=BitVector(3, 0b101),
         est_positions=(1, 2),
         est_rate=Fraction(1, 3),
         corrected_positions=(0,),
-        key_tail=BitVector.from_bits([1, 1]),
+        key_tail=BitVector(2, 0b11),
     )
     expected = (
         "00000003" + "a0"  # 3 bases bits, MSB-first packed
@@ -441,7 +443,7 @@ class _LogReader:
         return struct.unpack(">I", self.take(4))[0]
 
     def bits(self, n: int) -> int:
-        return unpack_bits_msb(self.take((n + 7) // 8), n)
+        return BitVector.from_array(unpack_msb(self.take((n + 7) // 8), n)).value
 
     def vec(self) -> BitVector:
         n = self.u32()
@@ -802,7 +804,7 @@ def test_session_derived_matrix_mode_sends_no_matrix():
 def test_party_state_json_dump_roundtrippable_fields():
     result = run_session(make_params(n_raw=1024, master_seed=3))
     d = result.alice.state.to_json_dict()
-    assert BitVector.from_hex(d["final_key"]) == result.alice.state.final_key
-    assert BitVector.from_hex(d["reconciled"]) == result.alice.state.reconciled
+    assert read_hex(d["final_key"]) == result.alice.state.final_key
+    assert read_hex(d["reconciled"]) == result.alice.state.reconciled
     num, den = d["est_rate"].split("/")
     assert Fraction(int(num), int(den)) == result.alice.state.est_rate

@@ -4,13 +4,14 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdsim import scenarios as scenarios_mod
-from qkdsim.gf2 import BitMatrix, BitVector
+from qkdsim.gf2 import BitVector
 from qkdsim.hardening import HardeningKind
 from qkdsim.pipeline import SessionParams, Verdict, run_session
 from qkdsim.scenarios import (
@@ -39,6 +40,8 @@ from qkdsim.scenarios import (
     write_summary_csv,
     write_trials_jsonl,
 )
+
+from oracles import read_hex
 
 ACCEPT = "accept"
 
@@ -150,10 +153,10 @@ def test_randomize_rows_keys_differ_iff_a_randomized_row_flips_parity(r):
     moved = []
     for rep in reports:
         alice, bob = rep.aux["dump"]["alice"], rep.aux["dump"]["bob"]
-        rows_a = BitMatrix.from_hex("\n".join(alice["pa_matrix"])).row_values
-        rows_b = BitMatrix.from_hex("\n".join(bob["pa_matrix"])).row_values
-        key = BitVector.from_hex(alice["reconciled"])
-        assert BitVector.from_hex(bob["reconciled"]) == key
+        rows_a = [read_hex(line).value for line in alice["pa_matrix"][1:]]
+        rows_b = [read_hex(line).value for line in bob["pa_matrix"][1:]]
+        key = read_hex(alice["reconciled"])
+        assert read_hex(bob["reconciled"]) == key
         assert rows_a[r:] == rows_b[r:]
         flips = any(((a ^ b) & key.value).bit_count() & 1 for a, b in zip(rows_a[:r], rows_b[:r]))
         assert (rep.keys_equal is False) == flips, rep.trial_index
@@ -431,10 +434,6 @@ def test_sweep_labels_each_value_as_applied():
 # ------------------------------------------------- success recomputation
 
 
-def vec(hex_str):
-    return BitVector.from_hex(hex_str)
-
-
 def test_success_recomputable_from_dumped_states():
     checks = {
         "randomize-rows": lambda r, d: (
@@ -444,19 +443,64 @@ def test_success_recomputable_from_dumped_states():
         ),
         "flip-entry": lambda r, d: (
             r.bob_verdict == ACCEPT
-            and vec(d["bob"]["full_key"])[0] != vec(d["honest_bob"]["full_key"])[0]
+            and read_hex(d["bob"]["full_key"])[0] != read_hex(d["honest_bob"]["full_key"])[0]
         ),
         "zero-rows": lambda r, d: (
-            r.bob_verdict == ACCEPT and vec(d["bob"]["final_key"]).popcount() == 0
+            r.bob_verdict == ACCEPT and read_hex(d["bob"]["final_key"]).popcount() == 0
         ),
         "extract-bits": lambda r, d: (
-            r.bob_verdict == ACCEPT and r.aux["prediction"] == vec(d["bob"]["full_key"])[0]
+            r.bob_verdict == ACCEPT and r.aux["prediction"] == read_hex(d["bob"]["full_key"])[0]
         ),
     }
     for name, recompute in checks.items():
         reports, _ = run_scenario(small(name, 12), dump_states=True)
         for r in reports:
             assert r.attack_success == recompute(r, r.aux["dump"]), (name, r.trial_index)
+
+
+def _party(verdict=Verdict.ACCEPT, **state):
+    """A stand-in party result: a verdict and the state fields an outcome reads."""
+    return SimpleNamespace(verdict=verdict, state=SimpleNamespace(**state))
+
+
+@pytest.mark.parametrize("alice_verdict", [Verdict.ACCEPT, Verdict.REJECT])
+def test_randomize_rows_outcome_needs_alice_to_accept(alice_verdict):
+    result = SimpleNamespace(
+        alice=_party(alice_verdict, final_key=BitVector(8, 1)),
+        bob=_party(final_key=BitVector(8, 2)),
+    )
+    diverged, _ = scenarios_mod._randomize_rows_outcome(result, None, {"r": 1})
+    assert diverged is (alice_verdict is Verdict.ACCEPT)
+
+
+@pytest.mark.parametrize(
+    "key, all_zero", [(BitVector(16), True), (BitVector(16, 1 << 5), False), (None, False)]
+)
+def test_zero_rows_outcome_needs_every_key_bit_zero(key, all_zero):
+    result = SimpleNamespace(bob=_party(final_key=key))
+    outcome = scenarios_mod._zero_rows_outcome(result, None, {})
+    assert outcome == (all_zero, {"bob_key_all_zero": all_zero})
+
+
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_flip_entry_outcome_reads_the_attacked_row(row):
+    # The two full keys differ in bit 1 only.
+    result = SimpleNamespace(
+        alice=_party(full_key=BitVector(4, 0b0001)),
+        bob=_party(full_key=BitVector(4, 0b0011), reconciled=BitVector(4)),
+    )
+    flipped, aux = scenarios_mod._flip_entry_outcome(result, None, {"row": row, "col": 0})
+    assert flipped is aux["bit_flipped"] is (row == 1)
+
+
+@pytest.mark.parametrize("prediction", [0, 1, None])
+def test_extract_bits_outcome_needs_a_correct_prediction(prediction):
+    # Bob's key bit at the target row is 1.
+    result = SimpleNamespace(bob=_party(full_key=BitVector(4, 0b0100)))
+    strategy = SimpleNamespace(prediction=prediction, known=[(0, 1)])
+    success, aux = scenarios_mod._extract_bits_outcome(result, strategy, {"target_row": 2})
+    assert success is (prediction == 1)
+    assert (aux["prediction"], aux["actual"]) == (prediction, 1)
 
 
 @pytest.mark.parametrize("hardening", list(HardeningKind))
@@ -477,7 +521,7 @@ def test_flip_entry_honest_bob_is_bob_of_the_untampered_session(hardening):
 def test_extract_bits_dump_knowledge_is_genuine():
     reports, _ = run_scenario(small("extract-bits", 8), dump_states=True)
     for r in reports:
-        reconciled = vec(r.aux["dump"]["bob"]["reconciled"])
+        reconciled = read_hex(r.aux["dump"]["bob"]["reconciled"])
         parity = 0
         for pos, bit in r.aux["known"]:
             assert reconciled[pos] == bit
@@ -498,9 +542,9 @@ def test_collision_success_recomputable():
 def test_otp_success_recomputable():
     reports, _ = run_scenario(small("otp-malleability", 10))
     for r in reports:
-        plaintext = vec(r.aux["plaintext"])
+        plaintext = read_hex(r.aux["plaintext"])
         indicator = BitVector.from_positions(len(plaintext), r.aux["bit_positions"])
-        assert r.attack_success == (vec(r.aux["recovered"]) == plaintext ^ indicator)
+        assert r.attack_success == (read_hex(r.aux["recovered"]) == plaintext ^ indicator)
         assert r.attack_success
 
 
