@@ -154,6 +154,14 @@ class PartyState:
     that pre-removal sequence, corrected_positions into the post-removal
     one. Both are Positions, shared by the two parties, the estimation
     result and the EST_POSITIONS/CORRECTIONS frames.
+
+    run_session computes a value once and gives both parties the same
+    immutable object wherever it is provably the same for both:
+    - reconciled, always: reconciliation leaves Bob with Alice's sifted key;
+    - sifted_bases, when both BASES frames arrive as the objects sent;
+    - pa_matrix, full_key, final_key and key_tail, when the PA_MATRIX
+      frame arrives as the object sent. In derived_matrix mode each party
+      derives its own matrix, so each computes its own product.
     """
 
     role: str
@@ -250,9 +258,12 @@ def source_correlated(params: SessionParams, rng: np.random.Generator) -> tuple[
     return alice, bob
 
 
-def sift(state: PartyState, peer_bases: BitVector) -> None:
+def sift(state: PartyState, peer_bases: BitVector, peer: PartyState | None = None) -> None:
     """Keep exactly the positions where both parties measured in the same basis.
 
+    Given the peer whose own bases peer_bases are, sift it on the same
+    positions too: it keeps its own raw bits there and shares state's
+    sifted_bases, since both parties' bases agree wherever they are kept.
     The stages select by index array (flatnonzero, take): a random mask is branch-bound.
     """
     if len(peer_bases) != len(state.bases):
@@ -263,6 +274,9 @@ def sift(state: PartyState, peer_bases: BitVector) -> None:
     keep = np.flatnonzero(own == peer_bases.bits())
     state.sifted = BitVector.from_array(state.raw_bits.bits().take(keep))
     state.sifted_bases = BitVector.from_array(own.take(keep))
+    if peer is not None:
+        peer.sifted = BitVector.from_array(peer.raw_bits.bits().take(keep))
+        peer.sifted_bases = state.sifted_bases
 
 
 def estimate_error(
@@ -307,19 +321,15 @@ def reconcile(alice: PartyState, bob: PartyState) -> Positions:
     """Idealized error correction: flip exactly Bob's differing bits.
 
     Stands in for a real reconciliation protocol; the corrected positions
-    are exact and end up in both protocol logs.
+    are exact and end up in both protocol logs. Flipping exactly the
+    differing bits leaves Bob with Alice's sifted key, so both parties take
+    that one object as their reconciled key.
     """
     if alice.est_rate is None or bob.est_rate is None:
         raise ProtocolError("missing pipeline stage: error estimation before reconciliation")
-    a = alice.sifted.bits()
-    b = bob.sifted.to_array()
-    diff = np.flatnonzero(a != b)
-    positions = Positions(diff)
-    b[diff] ^= 1
-    alice.reconciled = alice.sifted
-    bob.reconciled = BitVector.from_array(b)
-    alice.corrected_positions = positions
-    bob.corrected_positions = positions
+    positions = Positions(np.flatnonzero(alice.sifted.bits() != bob.sifted.bits()))
+    alice.reconciled = bob.reconciled = alice.sifted
+    alice.corrected_positions = bob.corrected_positions = positions
     return positions
 
 
@@ -471,8 +481,11 @@ def exchange_reconciled_key(
 
     bases_ab = channel.deliver(A_TO_B, Frame(FrameType.BASES, alice.bases)).payload
     bases_ba = channel.deliver(B_TO_A, Frame(FrameType.BASES, bob.bases)).payload
-    sift(alice, bases_ba)
-    sift(bob, bases_ab)
+    if bases_ab is alice.bases and bases_ba is bob.bases:
+        sift(alice, bob.bases, peer=bob)  # both frames as sent: one sift for both
+    else:
+        sift(alice, bases_ba)
+        sift(bob, bases_ab)
     if len(alice.sifted) == 0:
         return alice, bob, True  # no matching bases: nothing to estimate or distil
 
@@ -524,12 +537,21 @@ def run_session(
         matrix_a = random_matrix(params.key_len, key_len_in, rng)
         matrix_b = channel.deliver(A_TO_B, Frame(FrameType.PA_MATRIX, matrix_a)).payload
     privacy_amplify(alice, matrix_a, params)
-    privacy_amplify(bob, matrix_b, params)
+    if matrix_b is matrix_a and bob.reconciled is alice.reconciled:
+        # Alice's own matrix times her own key: Bob's product is hers.
+        bob.pa_matrix, bob.full_key, bob.final_key, bob.key_tail = (
+            alice.pa_matrix, alice.full_key, alice.final_key, alice.key_tail
+        )
+    else:
+        privacy_amplify(bob, matrix_b, params)
 
     # Each party hashes its own log once and uses that digest both to tag
-    # its log and to check the peer's tag.
-    digest_a = log_digest(build_log_extract(alice, hardening), params.hash_width)
-    digest_b = log_digest(build_log_extract(bob, hardening), params.hash_width)
+    # its log and to check the peer's tag. Equal extracts serialize to equal
+    # bytes, so Bob reuses Alice's digest when his extract equals hers.
+    log_a = build_log_extract(alice, hardening)
+    log_b = build_log_extract(bob, hardening)
+    digest_a = log_digest(log_a, params.hash_width)
+    digest_b = digest_a if log_b == log_a else log_digest(log_b, params.hash_width)
     if auth_key is None:
         auth_key = session_auth_key(params)
     tag_a = channel.deliver(

@@ -972,7 +972,10 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
         config = config_from_dict(entry["config"])
         config = dataclasses.replace(config, name=entry["scenario"])
         if "trials_file" in entry:
-            reports = read_trials_jsonl(os.path.join(out_dir, entry["trials_file"]))
+            trials_path = os.path.join(out_dir, entry["trials_file"])
+            reports = read_trials_jsonl(trials_path)
+            if not reports:
+                raise ConfigError(f"{trials_path}: no trial records to recompute the rates from")
             summary = BatchSummary.from_reports(
                 entry["scenario"], reports, entry["summary"]["wall_time_s"]
             )

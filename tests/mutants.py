@@ -54,6 +54,7 @@ _VERIFY_PROPERTY = "tests/test_gf2_words.py::test_verify_agrees_with_digest_chec
 _HONEST = _PIPE + "test_honest_sessions_complete_and_agree"
 _IN_LOG = "tests/test_hardening.py::test_matrix_in_log_changes_serialization"
 _DETECTS = "tests/test_adversary.py::test_matrix_in_log_detects_every_frame_attack"
+_OWN_MATRIX = "tests/test_adversary.py::test_each_party_amplifies_with_its_own_matrix"
 _SCEN = "tests/test_scenarios.py::"
 _ACCEPT = "tests/test_acceptance.py::"
 _BUILTIN_CHECKS = _SCEN + "test_all_builtin_checks_pass_at_reduced_trials"
@@ -230,6 +231,31 @@ MUTANTS = (
         "        log = embed_matrix_in_log(log, state.pa_matrix)\n",
         "        pass\n",
         (_IN_LOG, _DETECTS),
+    ),
+    Mutant(
+        "exchange: one sift shared without the BASES identity check",
+        "pipeline.py",
+        "    if bases_ab is alice.bases and bases_ba is bob.bases:\n",
+        "    if True:\n",
+        (_PIPE + "test_tampered_bases_frames_sift_each_party_on_its_own_mask",),
+    ),
+    Mutant(
+        "run_session: Alice's product shared without the matrix identity check",
+        "pipeline.py",
+        "if matrix_b is matrix_a and bob.reconciled is alice.reconciled:",
+        "if bob.reconciled is alice.reconciled:",
+        (
+            _OWN_MATRIX + "[None]",
+            _OWN_MATRIX + "[derived_matrix]",
+            "tests/test_adversary.py::test_zero_rows_all_zero_key_undetected",
+        ),
+    ),
+    Mutant(
+        "run_session: Alice's digest shared without the log equality check",
+        "pipeline.py",
+        "digest_b = digest_a if log_b == log_a else log_digest(log_b, params.hash_width)",
+        "digest_b = digest_a",
+        (_DETECTS, _PIPE + "test_release_gate_on_reject"),
     ),
     Mutant(
         "exchange: short-key abort dropped",

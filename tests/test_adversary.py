@@ -25,7 +25,7 @@ from qkdsim.adversary import (
     run_collision_impersonation,
 )
 from qkdsim.channel import A_TO_B, Channel, FrameType
-from qkdsim.gf2 import BitMatrix, BitVector, random_matrix
+from qkdsim.gf2 import BitMatrix, BitVector, matvec, random_matrix
 from qkdsim.hardening import HardeningKind
 from qkdsim.pipeline import (
     SessionParams,
@@ -250,6 +250,37 @@ def test_derived_matrix_leaves_no_tampering_surface():
             assert result.alice.verdict is Verdict.ACCEPT
             assert result.alice.state.final_key == result.bob.state.final_key
             assert not any(e.tampered for e in result.channel.transcript)
+
+
+@pytest.mark.parametrize("hardening", [None, MATRIX_IN_LOG, DERIVED])
+def test_each_party_amplifies_with_its_own_matrix(hardening):
+    for seed in range(6):
+        for strategy in strategies_for(seed):
+            params, result = attacked_session(strategy, seed, hardening=hardening)
+            alice, bob = result.alice.state, result.bob.state
+            for state in (alice, bob):
+                assert state.full_key == matvec(state.pa_matrix, state.reconciled)
+            if hardening is DERIVED:
+                # Each party derives its own matrix: equal values, other objects.
+                assert bob.pa_matrix == alice.pa_matrix
+                assert bob.pa_matrix is not alice.pa_matrix
+            else:
+                (entry,) = result.channel.frames(FrameType.PA_MATRIX)
+                assert entry.tampered, strategy.name
+                assert bob.pa_matrix is entry.frame.payload
+
+
+@pytest.mark.parametrize("hardening", [None, MATRIX_IN_LOG])
+def test_honest_session_computes_party_symmetric_values_once(hardening):
+    for seed in range(6):
+        result = run_session(SessionParams(n_raw=2048, master_seed=seed), hardening=hardening)
+        alice, bob = result.alice.state, result.bob.state
+        assert bob.sifted_bases is alice.sifted_bases
+        assert bob.reconciled is alice.reconciled
+        assert bob.pa_matrix is alice.pa_matrix
+        assert bob.full_key is alice.full_key
+        assert bob.key_tail is alice.key_tail
+        assert result.bob.verdict is Verdict.ACCEPT
 
 
 # ----------------------------------------------------------- collision replay

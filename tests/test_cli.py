@@ -304,6 +304,17 @@ def test_report_bad_trial_line(tmp_path, capsys, bad_line, problem, first):
     assert problem in captured.err
 
 
+@pytest.mark.parametrize("content", ["", "\n \n\n"])
+def test_report_refuses_a_trials_file_without_records(tmp_path, capsys, content):
+    run_cli("run", "zero-rows", "--trials", 3, "--out", tmp_path)
+    path = tmp_path / "trials.jsonl"
+    path.write_text(content)
+    capsys.readouterr()
+    assert run_cli("report", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: no trial records")
+
+
 def test_no_subcommand_exits_with_usage():
     with pytest.raises(SystemExit):
         run_cli()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import hmac
 import json
@@ -13,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdsim.channel import A_TO_B, AttackStrategy, Channel, Frame, FrameType, render_payload
+from qkdsim.channel import (
+    A_TO_B,
+    B_TO_A,
+    AttackStrategy,
+    Channel,
+    Frame,
+    FrameType,
+    render_payload,
+)
 from qkdsim.gf2 import BitMatrix, BitVector, flip_entry, matvec, random_matrix
 from qkdsim.hardening import HardeningKind
 from qkdsim.pipeline import (
@@ -40,6 +49,7 @@ from qkdsim.pipeline import (
     truncate_digest,
     verify,
 )
+from qkdsim.scenarios import BUILTIN_SCENARIOS, run_trial
 from qkdsim.seeding import make_rng
 
 from oracles import (
@@ -133,6 +143,25 @@ def test_sift_length_mismatch():
     params, rng, alice, bob = make_states()
     with pytest.raises(ValueError, match="length mismatch"):
         sift(alice, BitVector(7, 0))
+
+
+def sifted_by_oracle(state: PartyState, peer_bases: BitVector) -> PartyState:
+    """A fresh copy of state's raw bits and bases, sifted by the mask oracle."""
+    expected = PartyState(role=state.role, raw_bits=state.raw_bits, bases=state.bases)
+    oracle_sift(expected, peer_bases)
+    return expected
+
+
+@pytest.mark.parametrize("n_raw", [1, 7, 600])
+@pytest.mark.parametrize("seed", range(4))
+def test_sift_with_peer_sifts_both_parties_like_the_mask_oracle(n_raw, seed):
+    params, rng, alice, bob = make_states(n_raw=n_raw, seed=seed)
+    sift(alice, bob.bases, peer=bob)
+    for state, peer_bases in ((alice, bob.bases), (bob, alice.bases)):
+        expected = sifted_by_oracle(state, peer_bases)
+        assert state.sifted == expected.sifted
+        assert state.sifted_bases == expected.sifted_bases
+    assert bob.sifted_bases is alice.sifted_bases
 
 
 # ------------------------------------------------------------- estimation
@@ -789,6 +818,79 @@ def test_release_gate_on_reject():
             assert result.alice.released_key is None
         else:
             assert result.bob.verdict is Verdict.ACCEPT
+
+
+def _forward_equal_copies(self, direction, frame):
+    """Forward each BASES and PA_MATRIX frame with an equal copy of its payload.
+
+    The copy goes into the frame object that was handed in, so the channel
+    does not mark the frame tampered and a trial's bytes compare whole. The
+    receiving party gets another object than the one sent, which makes the
+    session sift and amplify for each party on its own.
+    """
+    payload = frame.payload
+    if frame.kind is FrameType.BASES:
+        object.__setattr__(frame, "payload", BitVector(payload.n, payload.value))
+    elif frame.kind is FrameType.PA_MATRIX:
+        copy = BitMatrix.from_packed_rows(payload.packed.tobytes(), payload.rows, payload.cols)
+        object.__setattr__(frame, "payload", copy)
+    return frame
+
+
+def test_equal_frame_copies_take_the_per_party_path(monkeypatch):
+    params = make_params(n_raw=1024, master_seed=3)
+    shared = run_session(params)
+    monkeypatch.setattr(AttackStrategy, "tamper", _forward_equal_copies)
+    apart = run_session(params)
+    a, b = apart.alice.state, apart.bob.state
+    assert b.sifted_bases == a.sifted_bases and b.sifted_bases is not a.sifted_bases
+    assert b.pa_matrix == a.pa_matrix and b.pa_matrix is not a.pa_matrix
+    assert b.full_key == a.full_key and b.full_key is not a.full_key
+    assert (a, b) == (shared.alice.state, shared.bob.state)
+    assert apart.channel.transcript_dicts() == shared.channel.transcript_dicts()
+
+
+@pytest.mark.parametrize("dump_states", [False, True])
+@pytest.mark.parametrize("hardening", [HardeningKind.BASELINE, HardeningKind.MATRIX_IN_LOG])
+def test_per_party_path_gives_the_shared_paths_trial_bytes(monkeypatch, hardening, dump_states):
+    config = dataclasses.replace(BUILTIN_SCENARIOS["baseline"], hardening=hardening)
+    shared = [run_trial(config, i, dump_states).to_json() for i in range(12)]
+    monkeypatch.setattr(AttackStrategy, "tamper", _forward_equal_copies)
+    assert [run_trial(config, i, dump_states).to_json() for i in range(12)] == shared
+
+
+class _BasesBitFlip(AttackStrategy):
+    """Flip one bit of both BASES frames in flight.
+
+    The same position flipped in both frames is kept by both parties or by
+    neither, so their sifted keys keep one length and the session runs on.
+    """
+
+    name = "bases-bit-flip"
+
+    def __init__(self, position: int):
+        self.position = position
+
+    def tamper(self, direction, frame):
+        if frame.kind is not FrameType.BASES:
+            return frame
+        v = frame.payload
+        return Frame(frame.kind, BitVector(v.n, v.value ^ (1 << self.position)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tampered_bases_frames_sift_each_party_on_its_own_mask(seed):
+    params = make_params(n_raw=512, master_seed=seed)
+    result = run_session(params, channel=Channel(_BasesBitFlip(61 * seed % 512)))
+    received = {e.direction: e.frame.payload for e in result.channel.frames(FrameType.BASES)}
+    assert [e.tampered for e in result.channel.frames(FrameType.BASES)] == [True, True]
+    for outcome, peer_bases in ((result.alice, received[B_TO_A]), (result.bob, received[A_TO_B])):
+        state = outcome.state
+        expected = sifted_by_oracle(state, peer_bases)
+        assert state.sifted_bases == expected.sifted_bases
+        # estimation removed the disclosed sample from the sifted key
+        kept = np.delete(expected.sifted.to_array(), state.est_positions.tolist())
+        assert state.sifted == BitVector.from_array(kept)
 
 
 def test_session_derived_matrix_mode_sends_no_matrix():
