@@ -378,13 +378,12 @@ def run_collision_impersonation(
     log_b = build_log_extract(bob, hardening)
     accepted = verify(log_digest(log_b, params.hash_width), captured_tag, auth_key)
     bob_verdict = Verdict.ACCEPT if accepted else Verdict.REJECT
-    privacy_amplify(attacker, search.matrix, params)
     return CollisionTrialOutcome(
         found=True,
         candidates_examined=search.candidates_examined,
         bob_verdict=bob_verdict,
         impersonation_accepted=accepted,
-        attacker_key=attacker.final_key,
+        attacker_key=bob.final_key,  # the exchange gave the attacker Bob's reconciled key
         bob_key=bob.final_key,
     )
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitVector
 
 A_TO_B = "A->B"
 B_TO_A = "B->A"
@@ -77,30 +76,3 @@ class Channel:
 
     def frames(self, kind: FrameType) -> list[TranscriptEntry]:
         return [e for e in self.transcript if e.frame.kind is kind]
-
-    def transcript_dicts(self) -> list[dict]:
-        """The transcript as JSON-ready dicts, one per delivered frame."""
-        return [
-            {
-                "direction": e.direction,
-                "kind": e.frame.kind.value,
-                "tampered": e.tampered,
-                "payload": render_payload(e.frame.payload),
-            }
-            for e in self.transcript
-        ]
-
-
-def render_payload(payload: object) -> object:
-    """JSON-friendly view of a frame payload."""
-    if isinstance(payload, BitVector):
-        return payload.to_hex()
-    if isinstance(payload, BitMatrix):
-        return payload.to_hex_lines()
-    if isinstance(payload, Fraction):
-        return f"{payload.numerator}/{payload.denominator}"
-    if hasattr(payload, "tolist"):  # pipeline.Positions: a list of Python ints
-        return payload.tolist()
-    if hasattr(payload, "to_json_dict"):
-        return payload.to_json_dict()
-    return payload

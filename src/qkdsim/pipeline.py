@@ -14,7 +14,8 @@ AUTH_TAG_A (A->B), AUTH_TAG_B (B->A).
 
 Everything up to the matrix message is exchange_reconciled_key, which makes
 every abort decision of a session. Both parties ABORT
-- on an empty sift, after the two BASES frames;
+- on an empty sift, or on sifted keys of different lengths (a tampered
+  BASES frame), after the two BASES frames;
 - when the estimated error rate exceeds abort_threshold, after the three
   EST_* frames;
 - on a short key, when fewer than key_len reconciled bits remain (the matrix
@@ -30,13 +31,13 @@ import math
 import operator
 import struct
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .channel import A_TO_B, B_TO_A, Channel, Frame, FrameType, render_payload
+from .channel import A_TO_B, B_TO_A, Channel, Frame, FrameType
 from .gf2 import BitMatrix, BitVector, matvec, random_matrix, rng_bytes
 from .hardening import HardeningKind, derive_matrix, embed_matrix_in_log
 from .seeding import derive_bytes, make_rng
@@ -178,9 +179,6 @@ class PartyState:
     final_key: BitVector | None = None
     key_tail: BitVector | None = None
 
-    def to_json_dict(self) -> dict:
-        return {f.name: render_payload(getattr(self, f.name)) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class ProtocolLogExtract:
@@ -206,9 +204,6 @@ class ProtocolLogExtract:
 class AuthTag:
     digest: bytes  # truncated hash of the serialized log extract
     mac: bytes  # binds digest under the pre-shared authentication key
-
-    def to_json_dict(self) -> dict:
-        return {"digest": self.digest.hex(), "mac": self.mac.hex()}
 
 
 @dataclass(frozen=True)
@@ -488,6 +483,8 @@ def exchange_reconciled_key(
         sift(bob, bases_ab)
     if len(alice.sifted) == 0:
         return alice, bob, True  # no matching bases: nothing to estimate or distil
+    if len(bob.sifted) != len(alice.sifted):
+        return alice, bob, True  # the parties disagree on which positions match
 
     est = estimate_error(alice, bob, params, rng)
     channel.deliver(A_TO_B, Frame(FrameType.EST_POSITIONS, est.positions))
@@ -537,7 +534,7 @@ def run_session(
         matrix_a = random_matrix(params.key_len, key_len_in, rng)
         matrix_b = channel.deliver(A_TO_B, Frame(FrameType.PA_MATRIX, matrix_a)).payload
     privacy_amplify(alice, matrix_a, params)
-    if matrix_b is matrix_a and bob.reconciled is alice.reconciled:
+    if matrix_b is matrix_a:
         # Alice's own matrix times her own key: Bob's product is hers.
         bob.pa_matrix, bob.full_key, bob.final_key, bob.key_tail = (
             alice.pa_matrix, alice.full_key, alice.final_key, alice.key_tail

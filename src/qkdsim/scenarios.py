@@ -17,6 +17,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
@@ -30,10 +31,10 @@ from .adversary import (
     otp_encrypt,
     run_collision_impersonation,
 )
-from .channel import AttackStrategy, Channel, FrameType, render_payload
-from .gf2 import BitVector
+from .channel import AttackStrategy, Channel, FrameType
+from .gf2 import BitMatrix, BitVector
 from .hardening import HardeningKind
-from .pipeline import SessionParams, SessionResult, Verdict, privacy_amplify, run_session
+from .pipeline import Positions, SessionParams, SessionResult, Verdict, privacy_amplify, run_session
 from .seeding import make_rng, trial_seed
 
 
@@ -159,11 +160,36 @@ def _keys_equal(result: SessionResult) -> bool | None:
     return result.alice.state.final_key == result.bob.state.final_key
 
 
+def render_payload(payload: object) -> object:
+    """JSON form of a trial record's value; a dataclass becomes a dict of its rendered fields."""
+    if isinstance(payload, BitVector):
+        return payload.to_hex()
+    if isinstance(payload, BitMatrix):
+        return payload.to_hex_lines()
+    if isinstance(payload, Fraction):
+        return f"{payload.numerator}/{payload.denominator}"
+    if isinstance(payload, Positions):
+        return payload.tolist()
+    if isinstance(payload, bytes):
+        return payload.hex()
+    if dataclasses.is_dataclass(payload):
+        return {f.name: render_payload(getattr(payload, f.name)) for f in dataclasses.fields(payload)}
+    return payload
+
+
 def _dump_session(result: SessionResult) -> dict:
     return {
-        "alice": result.alice.state.to_json_dict(),
-        "bob": result.bob.state.to_json_dict(),
-        "transcript": result.channel.transcript_dicts(),
+        "alice": render_payload(result.alice.state),
+        "bob": render_payload(result.bob.state),
+        "transcript": [
+            {
+                "direction": e.direction,
+                "kind": e.frame.kind.value,
+                "tampered": e.tampered,
+                "payload": render_payload(e.frame.payload),
+            }
+            for e in result.channel.transcript
+        ],
     }
 
 
@@ -195,7 +221,7 @@ def _frame_trial(make_strategy, outcome) -> Callable[..., tuple]:
                 honest = dataclasses.replace(result.bob.state)
                 if result.alice.state.pa_matrix is not None:
                     privacy_amplify(honest, result.alice.state.pa_matrix, params)
-                aux["dump"]["honest_bob"] = honest.to_json_dict()
+                aux["dump"]["honest_bob"] = render_payload(honest)
         success = effect and result.bob.verdict is Verdict.ACCEPT
         return (*_verdicts(result), _keys_equal(result), success, aux)
 

@@ -58,6 +58,7 @@ _OWN_MATRIX = "tests/test_adversary.py::test_each_party_amplifies_with_its_own_m
 _SCEN = "tests/test_scenarios.py::"
 _ACCEPT = "tests/test_acceptance.py::"
 _BUILTIN_CHECKS = _SCEN + "test_all_builtin_checks_pass_at_reduced_trials"
+_LARGE_FRONT_END = _PIPE + "test_front_end_matches_mask_oracle_at_large_n_raw"
 
 MUTANTS = (
     Mutant(
@@ -242,8 +243,8 @@ MUTANTS = (
     Mutant(
         "run_session: Alice's product shared without the matrix identity check",
         "pipeline.py",
-        "if matrix_b is matrix_a and bob.reconciled is alice.reconciled:",
-        "if bob.reconciled is alice.reconciled:",
+        "    if matrix_b is matrix_a:\n",
+        "    if True:\n",
         (
             _OWN_MATRIX + "[None]",
             _OWN_MATRIX + "[derived_matrix]",
@@ -256,6 +257,68 @@ MUTANTS = (
         "digest_b = digest_a if log_b == log_a else log_digest(log_b, params.hash_width)",
         "digest_b = digest_a",
         (_DETECTS, _PIPE + "test_release_gate_on_reject"),
+    ),
+    Mutant(
+        "exchange: abort on sifted keys of different lengths dropped",
+        "pipeline.py",
+        "    if len(bob.sifted) != len(alice.sifted):\n"
+        "        return alice, bob, True  # the parties disagree on which positions match\n",
+        "",
+        (_PIPE + "test_one_tampered_bases_frame_aborts_before_estimation",),
+    ),
+    Mutant(
+        "estimate_error: aborts at a rate equal to the threshold",
+        "pipeline.py",
+        "abort=rate > params.abort_threshold,",
+        "abort=rate >= params.abort_threshold,",
+        (_PIPE + "test_estimate_rate_equal_to_the_threshold_does_not_abort",),
+    ),
+    Mutant(
+        "source_correlated: select swapped",
+        "pipeline.py",
+        "bob_arr = fresh ^ (matched & (alice_bits.bits() ^ noise ^ fresh))",
+        "bob_arr = alice_bits.bits() ^ noise ^ (matched & (alice_bits.bits() ^ noise ^ fresh))",
+        (
+            _PIPE + "test_source_qber_zero_matched_positions_agree",
+            _PIPE + "test_source_mismatch_rate_tracks_qber",
+            _LARGE_FRONT_END,
+            _HONEST,
+        ),
+    ),
+    Mutant(
+        "sift: mismatched bases kept",
+        "pipeline.py",
+        "    keep = np.flatnonzero(own == peer_bases.bits())\n",
+        "    keep = np.arange(len(own))\n",
+        (
+            _PIPE + "test_sift_complementary_bases_keeps_nothing",
+            _PIPE + "test_sift_random_bases_keeps_about_half",
+            _LARGE_FRONT_END,
+            _HONEST,
+        ),
+    ),
+    Mutant(
+        "reconcile: Bob's key left uncorrected",
+        "pipeline.py",
+        "    alice.reconciled = bob.reconciled = alice.sifted\n",
+        "    alice.reconciled, bob.reconciled = alice.sifted, bob.sifted\n",
+        (
+            _PIPE + "test_reconcile_makes_keys_equal_exactly",
+            _HONEST,
+            "tests/test_adversary.py::test_honest_session_computes_party_symmetric_values_once[None]",
+        ),
+    ),
+    Mutant(
+        "reconcile: no corrected position recorded",
+        "pipeline.py",
+        "positions = Positions(np.flatnonzero(alice.sifted.bits() != bob.sifted.bits()))",
+        "positions = Positions([])",
+        (
+            _PIPE + "test_reconcile_makes_keys_equal_exactly",
+            _PIPE + "test_reconcile_correction_fraction_tracks_qber",
+            _LARGE_FRONT_END,
+            "tests/test_golden.py::test_trials_jsonl_matches_golden_digest[baseline-dump]",
+        ),
     ),
     Mutant(
         "exchange: short-key abort dropped",

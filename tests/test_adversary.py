@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim import adversary as adversary_mod
+from qkdsim import pipeline as pipeline_mod
 from qkdsim.adversary import (
     ExtractBitsStrategy,
     FlipEntryStrategy,
@@ -34,6 +36,7 @@ from qkdsim.pipeline import (
     run_session,
     truncate_digest,
 )
+from qkdsim.scenarios import builtin_scenario
 from qkdsim.seeding import derive_bytes, make_rng, trial_seed
 
 from oracles import bit_at, oracle_candidates, oracle_collision_search, row_ints
@@ -301,6 +304,27 @@ def test_collision_impersonation_width8():
             assert out.attacker_key == out.bob_key
             successes += 1
     assert successes / 200 >= 0.99
+
+
+def test_collision_trial_computes_one_product_per_session(monkeypatch):
+    # One product in the capture session and one for Bob's replay: the
+    # attacker holds Bob's reconciled key object, so its key is Bob's key.
+    calls = []
+
+    def counting_matvec(m, v):
+        calls.append(m)
+        return matvec(m, v)
+
+    monkeypatch.setattr(pipeline_mod, "matvec", counting_matvec)
+    monkeypatch.setattr(adversary_mod, "matvec", counting_matvec)
+    config = builtin_scenario("collision-impersonation")
+    for t in range(3):
+        params = dataclasses.replace(config.params, master_seed=trial_seed(config.master_seed, t))
+        calls.clear()
+        out = run_collision_impersonation(params, MATRIX_IN_LOG, config.attack.options["search_budget"])
+        assert out.found and out.impersonation_accepted, t
+        assert len(calls) == 2, t
+        assert out.attacker_key is out.bob_key, t
 
 
 def _wilson(successes: int, n: int, z: float) -> tuple[float, float]:

@@ -17,7 +17,6 @@ from oracles import (
     row_ints,
     unpack_msb,
 )
-from qkdsim.channel import render_payload
 from qkdsim.gf2 import (
     BitMatrix,
     BitVector,
@@ -28,6 +27,7 @@ from qkdsim.gf2 import (
     random_rows,
     replace_rows,
 )
+from qkdsim.scenarios import render_payload
 
 
 def vec(*bits: int) -> BitVector:

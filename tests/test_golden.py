@@ -3,13 +3,15 @@
 A refactor or speed-up must never change a trial's outcome. Each case runs a
 builtin for a few trials and compares the SHA-256 of what
 write_trials_jsonl writes against the digest recorded when the case was
-added. The dump cases cover the --dump-states records: flip-entry's
-honest_bob entry, extract-bits, a matrix-in-log session whose log carries
-the matrix, the collision attack, whose record dumping leaves as it is,
-and otp-malleability, whose record holds its session's dump. Two separate cases pin baseline at the large n_raw = 131072 that the
-benchmark's large-key workload runs: its trials.jsonl, which records only
-verdicts and key equality, and the amplification matrix and final keys
-themselves.
+added. The dump cases cover the --dump-states records: baseline's passive
+transcript, flip-entry's honest_bob entry, extract-bits, a matrix-in-log
+session whose log carries the matrix, derived-matrix sessions with no
+matrix frame and two derived matrices, the collision attack, whose record
+dumping leaves as it is, and otp-malleability, whose record holds its
+session's dump. Two separate cases pin baseline at the large n_raw = 131072
+that the benchmark's large-key workload runs: its trials.jsonl, which
+records only verdicts and key equality, and the amplification matrix and
+final keys themselves.
 """
 
 import dataclasses
@@ -40,6 +42,8 @@ GOLDEN = [
     ("harden-matrix-in-log-randomize-rows", 2, True, "d14dc43751ffc83ed3294a65cc6199f54d6bc14517703f119a4b6aa093b4bd8c"),
     ("collision-impersonation", 2, True, "562ed43dd3f3a110a99c051ae9eb04a7d37544f6631c70872f153722512c7848"),
     ("otp-malleability", 2, True, "d53aacc7fa6a16eb4d1d3d13539bc42ae223298a666a8aa1653db646f9dea0de"),
+    ("baseline", 2, True, "564d2d87db3f04c66ef67bae2c57339d1052905019f1ee2f7ae58b0bdc1f9555"),
+    ("harden-derived-matrix", 2, True, "29a39e167f4eedd382643886a3dd09df61014f18fad9a05aabc02739ac8540fd"),
 ]
 
 

@@ -21,7 +21,6 @@ from qkdsim.channel import (
     Channel,
     Frame,
     FrameType,
-    render_payload,
 )
 from qkdsim.gf2 import BitMatrix, BitVector, flip_entry, matvec, random_matrix
 from qkdsim.hardening import HardeningKind
@@ -49,7 +48,7 @@ from qkdsim.pipeline import (
     truncate_digest,
     verify,
 )
-from qkdsim.scenarios import BUILTIN_SCENARIOS, run_trial
+from qkdsim.scenarios import BUILTIN_SCENARIOS, render_payload, run_trial
 from qkdsim.seeding import make_rng
 
 from oracles import (
@@ -64,6 +63,11 @@ from oracles import (
 
 def make_params(**kw) -> SessionParams:
     return SessionParams(**kw)
+
+
+def render_transcript(result) -> list:
+    """Each transcript entry rendered whole: direction, frame and tampered flag."""
+    return [render_payload(e) for e in result.channel.transcript]
 
 
 def make_states(n_raw=2048, qber=0.03, seed=1, **kw):
@@ -196,6 +200,18 @@ def test_estimate_all_mismatch_aborts():
     assert est.abort
 
 
+@pytest.mark.parametrize("all_wrong", [False, True])
+def test_estimate_rate_equal_to_the_threshold_does_not_abort(all_wrong):
+    # Rate 0 at threshold 0 and rate 1 at threshold 1: only a higher rate aborts.
+    threshold = 1.0 if all_wrong else 0.0
+    params, rng, alice, bob = run_until_sift(qber=0.0, seed=12, abort_threshold=threshold)
+    if all_wrong:
+        bob.sifted = BitVector(alice.sifted.n, alice.sifted.value ^ ((1 << alice.sifted.n) - 1))
+    est = estimate_error(alice, bob, params, rng)
+    assert est.rate == threshold
+    assert not est.abort
+
+
 def test_estimate_abort_rare_at_low_qber():
     aborts = 0
     for seed in range(1000):
@@ -237,9 +253,9 @@ def test_reconcile_makes_keys_equal_exactly():
     positions = reconcile(alice, bob)
     assert bob.reconciled == alice.reconciled == alice.sifted
     assert alice.corrected_positions == bob.corrected_positions == positions
-    # exactly the differing positions got flipped
-    for p in positions:
-        assert before[p] != alice.sifted[p]
+    # exactly the differing positions are recorded as corrected
+    assert list(positions) == [p for p in range(len(before)) if before[p] != alice.sifted[p]]
+    assert positions
 
 
 def test_reconcile_identical_keys_corrects_nothing():
@@ -293,7 +309,7 @@ def assert_front_end_matches_oracle(params, seed):
     for mine, theirs in zip(fast[:2], slow[:2]):
         assert mine == theirs
         # json.dumps refuses numpy integers, so positions must be Python ints
-        assert json.dumps(mine.to_json_dict()) == json.dumps(theirs.to_json_dict())
+        assert json.dumps(render_payload(mine)) == json.dumps(render_payload(theirs))
     assert fast[2] == slow[2]  # EstimationResult
     assert fast[3] == slow[3]  # corrected positions
     assert fast[4] == slow[4]  # rng state afterwards
@@ -737,6 +753,9 @@ def test_honest_sessions_complete_and_agree():
         assert result.alice.state.final_key == result.bob.state.final_key
         assert result.alice.released_key == result.alice.state.final_key
         assert result.alice.state.key_tail == result.bob.state.key_tail
+        # Bob may take Alice's product only because it is also his own.
+        for state in (result.alice.state, result.bob.state):
+            assert state.full_key == matvec(state.pa_matrix, state.reconciled)
 
 
 def test_session_message_order():
@@ -760,7 +779,7 @@ def test_session_determinism():
     params = make_params(n_raw=1024, master_seed=99)
     r1 = run_session(params)
     r2 = run_session(params)
-    assert r1.channel.transcript_dicts() == r2.channel.transcript_dicts()
+    assert render_transcript(r1) == render_transcript(r2)
     assert r1.alice.state.final_key == r2.alice.state.final_key
     r3 = run_session(make_params(n_raw=1024, master_seed=100))
     assert r3.alice.state.final_key != r1.alice.state.final_key
@@ -847,7 +866,7 @@ def test_equal_frame_copies_take_the_per_party_path(monkeypatch):
     assert b.pa_matrix == a.pa_matrix and b.pa_matrix is not a.pa_matrix
     assert b.full_key == a.full_key and b.full_key is not a.full_key
     assert (a, b) == (shared.alice.state, shared.bob.state)
-    assert apart.channel.transcript_dicts() == shared.channel.transcript_dicts()
+    assert render_transcript(apart) == render_transcript(shared)
 
 
 @pytest.mark.parametrize("dump_states", [False, True])
@@ -860,19 +879,21 @@ def test_per_party_path_gives_the_shared_paths_trial_bytes(monkeypatch, hardenin
 
 
 class _BasesBitFlip(AttackStrategy):
-    """Flip one bit of both BASES frames in flight.
+    """Flip one bit of the BASES frames sent in the given directions.
 
-    The same position flipped in both frames is kept by both parties or by
-    neither, so their sifted keys keep one length and the session runs on.
+    The same position flipped in both frames (the default) is kept by both
+    parties or by neither, so their sifted keys keep one length and the
+    session runs on.
     """
 
     name = "bases-bit-flip"
 
-    def __init__(self, position: int):
+    def __init__(self, position: int, directions=(A_TO_B, B_TO_A)):
         self.position = position
+        self.directions = directions
 
     def tamper(self, direction, frame):
-        if frame.kind is not FrameType.BASES:
+        if frame.kind is not FrameType.BASES or direction not in self.directions:
             return frame
         v = frame.payload
         return Frame(frame.kind, BitVector(v.n, v.value ^ (1 << self.position)))
@@ -893,6 +914,19 @@ def test_tampered_bases_frames_sift_each_party_on_its_own_mask(seed):
         assert state.sifted == BitVector.from_array(kept)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_one_tampered_bases_frame_aborts_before_estimation(seed):
+    # Bit 0 flipped in the A->B frame alone changes whether Bob keeps
+    # position 0 but not whether Alice does: their sifted keys differ by one bit.
+    strategy = _BasesBitFlip(0, directions=(A_TO_B,))
+    result = run_session(make_params(n_raw=1024, master_seed=seed), channel=Channel(strategy))
+    assert abs(len(result.alice.state.sifted) - len(result.bob.state.sifted)) == 1
+    assert result.alice.verdict is Verdict.ABORT and result.bob.verdict is Verdict.ABORT
+    assert result.alice.released_key is None and result.bob.released_key is None
+    kinds = [e.frame.kind for e in result.channel.transcript]
+    assert kinds == [FrameType.BASES, FrameType.BASES]  # no EST_* frame is sent
+
+
 def test_session_derived_matrix_mode_sends_no_matrix():
     result = run_session(
         make_params(n_raw=1024, master_seed=5), hardening=HardeningKind.DERIVED_MATRIX
@@ -905,7 +939,7 @@ def test_session_derived_matrix_mode_sends_no_matrix():
 
 def test_party_state_json_dump_roundtrippable_fields():
     result = run_session(make_params(n_raw=1024, master_seed=3))
-    d = result.alice.state.to_json_dict()
+    d = render_payload(result.alice.state)
     assert read_hex(d["final_key"]) == result.alice.state.final_key
     assert read_hex(d["reconciled"]) == result.alice.state.reconciled
     num, den = d["est_rate"].split("/")
