@@ -102,8 +102,6 @@ def attack_extract_bits(
 class RandomizeRowsStrategy(AttackStrategy):
     """Randomize the first r rows; r = 0 forwards the matrix untouched."""
 
-    name = "randomize-rows"
-
     def __init__(self, r: int, tail_len: int, rng: np.random.Generator):
         self.r = r
         self.tail_len = tail_len
@@ -119,8 +117,6 @@ class RandomizeRowsStrategy(AttackStrategy):
 class FlipEntryStrategy(AttackStrategy):
     """Flip entry (i, j) of the matrix; a column j past the reconciled key
     leaves the frame untouched, since no such entry exists in this session."""
-
-    name = "flip-entry"
 
     def __init__(self, i: int, j: int, tail_len: int):
         self.i = i
@@ -139,8 +135,6 @@ class FlipEntryStrategy(AttackStrategy):
 
 
 class ZeroRowsStrategy(AttackStrategy):
-    name = "zero-rows"
-
     def __init__(self, tail_len: int):
         self.tail_len = tail_len
 
@@ -160,8 +154,6 @@ class ExtractBitsStrategy(AttackStrategy):
     When the positions do not fit the session's reconciled key the attack
     is not mounted: known stays empty and the matrix frame passes untouched.
     """
-
-    name = "extract-bits"
 
     def __init__(
         self,
@@ -327,14 +319,10 @@ class CollisionTrialOutcome:
     found: bool
     candidates_examined: int
     bob_verdict: Verdict
-    impersonation_accepted: bool
-    attacker_key: BitVector | None  # key the attacker shares with Bob on success
-    bob_key: BitVector | None
+    bob_key: BitVector | None  # the attacker holds it too: the exchange shares Bob's key
 
 
-def run_collision_impersonation(
-    params: SessionParams, hardening: HardeningKind, budget: int
-) -> CollisionTrialOutcome:
+def run_collision_impersonation(params: SessionParams, budget: int) -> CollisionTrialOutcome:
     """Play the full replay attack against the matrix_in_log variant.
 
     First the attacker completes an exchange with Alice in Bob's role and
@@ -346,17 +334,17 @@ def run_collision_impersonation(
     exchange_reconciled_key over a passive channel, so it aborts exactly
     where an honest session would.
     """
-    if hardening is not HardeningKind.MATRIX_IN_LOG:
-        raise ValueError("the replay attack targets the matrix_in_log variant")
     # Pre-shared Alice/Bob authentication key, common to both exchanges.
     auth_key = session_auth_key(params)
 
     capture_seed = int.from_bytes(derive_bytes(params.master_seed, "capture-session", n=8), "big")
     capture = run_session(
-        dc_replace(params, master_seed=capture_seed), hardening=hardening, auth_key=auth_key
+        dc_replace(params, master_seed=capture_seed),
+        hardening=HardeningKind.MATRIX_IN_LOG,
+        auth_key=auth_key,
     )
     if capture.alice.verdict is Verdict.ABORT:
-        return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None)
+        return CollisionTrialOutcome(False, 0, Verdict.ABORT, None)
     captured_tag: AuthTag = capture.channel.frames(FrameType.AUTH_TAG_A)[0].frame.payload
 
     # Fresh exchange with the real Bob, attacker in Alice's role.
@@ -366,24 +354,21 @@ def run_collision_impersonation(
     rng = make_rng(session_seed, "session")
     attacker, bob, aborted = exchange_reconciled_key(params, Channel(), rng)
     if aborted:
-        return CollisionTrialOutcome(False, 0, Verdict.ABORT, False, None, None)
+        return CollisionTrialOutcome(False, 0, Verdict.ABORT, None)
 
     search_rng = make_rng(params.master_seed, "collision-search")
     search = attack_collision_impersonate(captured_tag.digest, attacker, params, budget, search_rng)
     if search.matrix is None:
         # Nothing to send that Bob would accept; the attacker gives up.
-        return CollisionTrialOutcome(False, search.candidates_examined, Verdict.REJECT, False, None, None)
+        return CollisionTrialOutcome(False, search.candidates_examined, Verdict.REJECT, None)
 
     privacy_amplify(bob, search.matrix, params)
-    log_b = build_log_extract(bob, hardening)
+    log_b = build_log_extract(bob, HardeningKind.MATRIX_IN_LOG)
     accepted = verify(log_digest(log_b, params.hash_width), captured_tag, auth_key)
-    bob_verdict = Verdict.ACCEPT if accepted else Verdict.REJECT
     return CollisionTrialOutcome(
         found=True,
         candidates_examined=search.candidates_examined,
-        bob_verdict=bob_verdict,
-        impersonation_accepted=accepted,
-        attacker_key=bob.final_key,  # the exchange gave the attacker Bob's reconciled key
+        bob_verdict=Verdict.ACCEPT if accepted else Verdict.REJECT,
         bob_key=bob.final_key,
     )
 

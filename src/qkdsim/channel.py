@@ -51,8 +51,6 @@ class AttackStrategy:
     channel would know the corresponding side information.
     """
 
-    name = "passive"
-
     def tamper(self, direction: str, frame: Frame) -> Frame:
         return frame
 
@@ -70,9 +68,6 @@ class Channel:
         out = self.strategy.tamper(direction, frame)
         self.transcript.append(TranscriptEntry(direction, out, out is not frame))
         return out
-
-    def notify_reconciled(self, reconciled: BitVector) -> None:
-        self.strategy.observe_reconciled(reconciled)
 
     def frames(self, kind: FrameType) -> list[TranscriptEntry]:
         return [e for e in self.transcript if e.frame.kind is kind]

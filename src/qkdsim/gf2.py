@@ -184,10 +184,6 @@ class BitVector:
             self._bits = bits
         return self._bits
 
-    def to_array(self) -> np.ndarray:
-        """Bits as a fresh, writable numpy uint8 array, index i = bit i."""
-        return self.bits().copy()
-
     def to_bytes_msb(self) -> bytes:
         return pack_bits_msb(self.value, self.n)
 

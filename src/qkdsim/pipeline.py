@@ -459,11 +459,6 @@ def session_auth_key(params: SessionParams) -> bytes:
     return derive_bytes(params.master_seed, "auth-key", n=32)
 
 
-def session_derivation_secret(params: SessionParams) -> bytes:
-    """Pre-provisioned shared secret for derived_matrix mode."""
-    return derive_bytes(params.master_seed, "pa-derivation-secret", n=32)
-
-
 def exchange_reconciled_key(
     params: SessionParams, channel: Channel, rng: np.random.Generator
 ) -> tuple[PartyState, PartyState, bool]:
@@ -495,7 +490,7 @@ def exchange_reconciled_key(
 
     corrected = reconcile(alice, bob)
     channel.deliver(A_TO_B, Frame(FrameType.CORRECTIONS, corrected))
-    channel.notify_reconciled(alice.reconciled)
+    channel.strategy.observe_reconciled(alice.reconciled)
     return alice, bob, len(alice.reconciled) < params.key_len
 
 
@@ -527,7 +522,8 @@ def run_session(
 
     key_len_in = len(alice.reconciled)
     if hardening is HardeningKind.DERIVED_MATRIX:
-        secret = session_derivation_secret(params)
+        # Pre-provisioned shared secret, from which both parties derive the matrix.
+        secret = derive_bytes(params.master_seed, "pa-derivation-secret", n=32)
         matrix_a = derive_matrix(secret, params.key_len, key_len_in)
         matrix_b = derive_matrix(secret, params.key_len, key_len_in)
     else:

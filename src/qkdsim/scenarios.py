@@ -266,19 +266,19 @@ def _extract_bits_outcome(result: SessionResult, strategy, opts: dict):
 
 
 def _collision_trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_states: bool):
-    out = run_collision_impersonation(params, config.hardening, opts["search_budget"])
+    out = run_collision_impersonation(params, opts["search_budget"])
     # The exchange with the real Alice is dropped before the attacker would
     # return a tag, so she never accepts.
     alice_v = Verdict.ABORT.value if out.bob_verdict is Verdict.ABORT else Verdict.REJECT.value
+    accepted = out.bob_verdict is Verdict.ACCEPT  # only a found matrix is ever accepted
     aux = {
         "found": out.found,
         "candidates_examined": out.candidates_examined,
-        "impersonation_accepted": out.impersonation_accepted,
-        "attacker_key": render_payload(out.attacker_key),
+        "impersonation_accepted": accepted,
+        "attacker_key": render_payload(out.bob_key),  # the attacker holds Bob's key
         "bob_key": render_payload(out.bob_key),
     }
-    success = out.found and out.impersonation_accepted
-    return alice_v, out.bob_verdict.value, None, success, aux
+    return alice_v, out.bob_verdict.value, None, accepted, aux
 
 
 def _otp_trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_states: bool):
@@ -376,6 +376,8 @@ def _check_collision(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
 def _check_otp(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
     positions = opts["bit_positions"]
     if positions is not None:
+        if opts["num_flips"] is not None:
+            raise ConfigError("give only one of bit_positions and num_flips")
         if not positions:
             raise ConfigError("otp-malleability bit_positions must be nonempty")
         bad = [q for q in positions if not 0 <= q < non_tail]
@@ -383,6 +385,10 @@ def _check_otp(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
             raise ConfigError(
                 f"otp-malleability bit_positions must lie in [0, {non_tail}), got {bad[0]}"
             )
+        repeated = [q for q, c in Counter(positions).items() if c > 1]
+        if repeated:
+            # The flip indicator ORs the positions, so a repeated bit flips once.
+            raise ConfigError(f"otp-malleability bit_positions must be distinct, {repeated[0]} repeats")
     if opts["num_flips"] is not None and not 1 <= opts["num_flips"] <= non_tail:
         raise ConfigError(f"otp-malleability num_flips must lie in [1, {non_tail}]")
 
@@ -581,11 +587,6 @@ def _step(config: ScenarioConfig, axis: str, value) -> tuple[object, ScenarioCon
     value = kind(value)
     options = {**config.attack.options, option: value}
     return value, dataclasses.replace(config, attack=AttackSpec(name, options))
-
-
-def apply_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
-    """Return a copy of config with one swept parameter changed."""
-    return _step(config, axis, value)[1]
 
 
 @dataclass(frozen=True)

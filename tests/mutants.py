@@ -59,6 +59,7 @@ _SCEN = "tests/test_scenarios.py::"
 _ACCEPT = "tests/test_acceptance.py::"
 _BUILTIN_CHECKS = _SCEN + "test_all_builtin_checks_pass_at_reduced_trials"
 _LARGE_FRONT_END = _PIPE + "test_front_end_matches_mask_oracle_at_large_n_raw"
+_ADV = "tests/test_adversary.py::"
 
 MUTANTS = (
     Mutant(
@@ -326,6 +327,61 @@ MUTANTS = (
         "return alice, bob, len(alice.reconciled) < params.key_len",
         "return alice, bob, False",
         ("tests/test_scenarios.py::test_abort_rate_matches_exact_probability[64-24-0.01]",),
+    ),
+    Mutant(
+        "attack_zero_rows: one tail row zeroed",
+        "adversary.py",
+        "BitMatrix.zeros(m.rows - tail_len, m.cols)",
+        "BitMatrix.zeros(m.rows - tail_len + 1, m.cols)",
+        (_ADV + "test_zero_rows_op", _ADV + "test_zero_rows_all_zero_key_undetected"),
+    ),
+    Mutant(
+        "attack_extract_bits: prediction ORs the known bits",
+        "adversary.py",
+        "        prediction ^= bit\n",
+        "        prediction |= bit\n",
+        (_ADV + "test_extract_bits_op", _ADV + "test_extract_bits_prediction_always_correct"),
+    ),
+    Mutant(
+        "FlipEntryStrategy: column at the key length mounted",
+        "adversary.py",
+        "and self.j < frame.payload.cols",
+        "and self.j <= frame.payload.cols",
+        (_ADV + "test_flip_entry_column_at_the_key_length_leaves_the_frame_untouched",),
+    ),
+    Mutant(
+        "_adopt: pad bits past cols kept",
+        "gf2.py",
+        "            packed[:, -1] &= (1 << (cols % 8)) - 1\n",
+        "            pass\n",
+        (
+            "tests/test_gf2_words.py::test_row_values_round_trip_through_words",
+            "tests/test_gf2.py::test_random_vectors_match_separate_draws[2-9]",
+        ),
+    ),
+    Mutant(
+        "random_rows: rows not padded to whole words",
+        "gf2.py",
+        "    stride = 4 * ((nbytes + 3) // 4)\n",
+        "    stride = nbytes\n",
+        ("tests/test_gf2.py::test_random_vectors_match_separate_draws[2-9]",),
+    ),
+    Mutant(
+        "derive_matrix: secret length left out of the header",
+        "hardening.py",
+        'struct.pack(">III", len(shared_secret), rows, cols)',
+        'struct.pack(">II", rows, cols)',
+        (
+            "tests/test_hardening.py::test_derive_matrix_expands_the_documented_shake_stream",
+            "tests/test_golden.py::test_trials_jsonl_matches_golden_digest[harden-derived-matrix-dump]",
+        ),
+    ),
+    Mutant(
+        "otp-malleability check: repeated bit_positions accepted",
+        "scenarios.py",
+        "        repeated = [q for q, c in Counter(positions).items() if c > 1]\n",
+        "        repeated = []\n",
+        (_SCEN + "test_config_validation_errors[overrides57-bit_positions must be distinct, 3 repeats]",),
     ),
     Mutant(
         "frame trial: success without Bob's ACCEPT",

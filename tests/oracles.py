@@ -173,10 +173,10 @@ def oracle_source_correlated(
     alice_bits = BitVector.random(n, rng)
     alice_bases = BitVector.random(n, rng)
     bob_bases = BitVector.random(n, rng)
-    matched = alice_bases.to_array() == bob_bases.to_array()
+    matched = alice_bases.bits() == bob_bases.bits()
     noise = (rng.random(n) < params.qber).astype(np.uint8)
     fresh = rng.integers(0, 2, n, dtype=np.uint8)
-    bob_arr = np.where(matched, alice_bits.to_array() ^ noise, fresh)
+    bob_arr = np.where(matched, alice_bits.bits() ^ noise, fresh)
     alice = PartyState(role="A", raw_bits=alice_bits, bases=alice_bases)
     bob = PartyState(role="B", raw_bits=BitVector.from_array(bob_arr), bases=bob_bases)
     return alice, bob
@@ -188,9 +188,9 @@ def oracle_sift(state: PartyState, peer_bases: BitVector) -> None:
         raise ValueError(
             f"length mismatch: peer bases {len(peer_bases)} vs own {len(state.bases)}"
         )
-    own = state.bases.to_array()
-    keep = own == peer_bases.to_array()
-    state.sifted = BitVector.from_array(state.raw_bits.to_array()[keep])
+    own = state.bases.bits()
+    keep = own == peer_bases.bits()
+    state.sifted = BitVector.from_array(state.raw_bits.bits()[keep])
     state.sifted_bases = BitVector.from_array(own[keep])
 
 
@@ -205,8 +205,8 @@ def oracle_estimate_error(
         raise ValueError("empty sifted key: no matching-basis positions to sample")
     k = math.ceil(params.sample_fraction * n)
     positions = np.sort(rng.choice(n, size=k, replace=False))
-    a = alice.sifted.to_array()
-    b = bob.sifted.to_array()
+    a = alice.sifted.bits()
+    b = bob.sifted.bits()
     mismatches = int((a[positions] != b[positions]).sum())
     rate = Fraction(mismatches, k)
     disclosed = BitVector.from_array(a[positions])
@@ -229,8 +229,8 @@ def oracle_reconcile(alice: PartyState, bob: PartyState) -> list[int]:
     """reconcile with np.nonzero and a per-position int conversion."""
     if alice.est_rate is None or bob.est_rate is None:
         raise ProtocolError("missing pipeline stage: error estimation before reconciliation")
-    a = alice.sifted.to_array()
-    b = bob.sifted.to_array()
+    a = alice.sifted.bits()
+    b = bob.sifted.bits().copy()
     diff = np.nonzero(a != b)[0]
     positions = [int(p) for p in diff]
     b[diff] ^= 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +90,20 @@ def test_derive_matrix_is_deterministic_and_depends_on_every_input(secret, rows,
     mask = (1 << cols) - 1
     wider = row_ints(derive_matrix(secret, rows, cols + 1))
     assert tuple(r & mask for r in wider) != row_ints(m)
+
+
+def test_derive_matrix_expands_the_documented_shake_stream():
+    # SHAKE-256 over the domain tag, the secret's length, rows and cols (big-endian
+    # u32 each) and the secret; row i is the i-th run of ceil(cols / 8) bytes, LSB first.
+    secret, rows, cols = b"shared secret", 5, 37
+    nbytes = (cols + 7) // 8
+    header = b"qkdsim.derive-matrix|" + struct.pack(">III", len(secret), rows, cols)
+    stream = hashlib.shake_256(header + secret).digest(rows * nbytes)
+    expected = tuple(
+        int.from_bytes(stream[i * nbytes : (i + 1) * nbytes], "little") & ((1 << cols) - 1)
+        for i in range(rows)
+    )
+    assert row_ints(derive_matrix(secret, rows, cols)) == expected
 
 
 def test_derive_matrix_avalanche_on_secret_bit():

@@ -103,16 +103,16 @@ def test_params_validation():
 def test_source_qber_zero_matched_positions_agree():
     params = make_params(n_raw=4096, qber=0.0)
     alice, bob = source_correlated(params, make_rng(3, "t"))
-    matched = alice.bases.to_array() == bob.bases.to_array()
-    a, b = alice.raw_bits.to_array(), bob.raw_bits.to_array()
+    matched = alice.bases.bits() == bob.bases.bits()
+    a, b = alice.raw_bits.bits(), bob.raw_bits.bits()
     assert (a[matched] == b[matched]).all()
 
 
 def test_source_mismatch_rate_tracks_qber():
     params = make_params(n_raw=20000, qber=0.05)
     alice, bob = source_correlated(params, make_rng(4, "t"))
-    matched = alice.bases.to_array() == bob.bases.to_array()
-    a, b = alice.raw_bits.to_array(), bob.raw_bits.to_array()
+    matched = alice.bases.bits() == bob.bases.bits()
+    a, b = alice.raw_bits.bits(), bob.raw_bits.bits()
     rate = (a[matched] != b[matched]).mean()
     assert 0.04 <= rate <= 0.06
 
@@ -910,7 +910,7 @@ def test_tampered_bases_frames_sift_each_party_on_its_own_mask(seed):
         expected = sifted_by_oracle(state, peer_bases)
         assert state.sifted_bases == expected.sifted_bases
         # estimation removed the disclosed sample from the sifted key
-        kept = np.delete(expected.sifted.to_array(), state.est_positions.tolist())
+        kept = np.delete(expected.sifted.bits(), state.est_positions.tolist())
         assert state.sifted == BitVector.from_array(kept)
 
 

@@ -23,7 +23,6 @@ from qkdsim.scenarios import (
     ConfigError,
     ScenarioConfig,
     TrialReport,
-    apply_axis,
     builtin_scenario,
     config_from_dict,
     config_to_dict,
@@ -385,34 +384,37 @@ def test_sweep_k_bounds_search_budget():
 
 
 def test_sweep_axis_errors():
+    # sweep steps and validates every value before it runs any, so these run nothing.
     with pytest.raises(ConfigError, match="unknown sweep axis"):
-        apply_axis(builtin_scenario("baseline"), "turbo", 3)
+        sweep(builtin_scenario("baseline"), "turbo", [3])
     with pytest.raises(ConfigError, match="applies to randomize-rows"):
-        apply_axis(builtin_scenario("baseline"), "r", 3)
+        sweep(builtin_scenario("baseline"), "r", [3])
     with pytest.raises(ConfigError, match="applies to collision-impersonation"):
-        apply_axis(builtin_scenario("baseline"), "K", 3)
+        sweep(builtin_scenario("baseline"), "K", [3])
     with pytest.raises(ConfigError, match="applies to extract-bits"):
-        apply_axis(builtin_scenario("baseline"), "known", 3)
+        sweep(builtin_scenario("baseline"), "known", [3])
     with pytest.raises(ConfigError, match="qber must lie in"):
-        apply_axis(builtin_scenario("baseline"), "qber", 2.0)
+        sweep(builtin_scenario("baseline"), "qber", [2.0])
     with pytest.raises(ConfigError, match="hash_width must lie in"):
-        apply_axis(builtin_scenario("baseline"), "w", 0)
+        sweep(builtin_scenario("baseline"), "w", [0])
     # Values of the wrong type are refused, not truncated to another value.
     rows = builtin_scenario("randomize-rows")
     with pytest.raises(ConfigError, match="axis 'r' value must be an integer, got 1.5"):
         sweep(rows, "r", [1.5])
     with pytest.raises(ConfigError, match="axis 'w' value must be an integer, got 12.9"):
-        apply_axis(builtin_scenario("baseline"), "w", 12.9)
+        sweep(builtin_scenario("baseline"), "w", [12.9])
     with pytest.raises(ConfigError, match="axis 'r' value must be an integer, got True"):
-        apply_axis(rows, "r", True)
+        sweep(rows, "r", [True])
     with pytest.raises(ConfigError, match="axis 'r' value must be an integer, got 'x'"):
-        apply_axis(rows, "r", "x")
+        sweep(rows, "r", ["x"])
     with pytest.raises(ConfigError, match="axis 'qber' value must be a number, got 'x'"):
-        apply_axis(builtin_scenario("baseline"), "qber", "x")
+        sweep(builtin_scenario("baseline"), "qber", ["x"])
     # A valid integer qber still becomes a float, as the config field is.
-    qber = apply_axis(builtin_scenario("baseline"), "qber", 0).params.qber
+    (entry,) = sweep(small("baseline", 1), "qber", [0])
+    qber = entry.config.params.qber
     assert type(qber) is float and qber == 0.0
-    assert apply_axis(rows, "r", 3).attack.options["r"] == 3
+    (entry,) = sweep(small("randomize-rows", 1), "r", [3])
+    assert entry.config.attack.options["r"] == 3
 
 
 def test_sweep_validates_every_value_before_running_any(monkeypatch):
@@ -535,9 +537,17 @@ def test_collision_success_recomputable():
     assert summary.attack_success_rate >= 0.9
     for r in reports:
         assert r.attack_success == (r.aux["found"] and r.aux["impersonation_accepted"])
+        # The attacker holds Bob's key, and Bob's verdict is the acceptance.
+        assert r.aux["attacker_key"] == r.aux["bob_key"]
+        assert r.aux["impersonation_accepted"] == (r.bob_verdict == ACCEPT)
         if r.attack_success:
-            assert r.aux["attacker_key"] == r.aux["bob_key"]
             assert r.bob_verdict == ACCEPT
+    # One candidate finds nothing: Bob rejects, and neither side holds a key.
+    budget_one = AttackSpec("collision-impersonation", {"search_budget": 1})
+    for r in run_scenario(small("collision-impersonation", 4, attack=budget_one))[0]:
+        assert not r.aux["found"] and not r.attack_success
+        assert r.bob_verdict == "reject" and not r.aux["impersonation_accepted"]
+        assert r.aux["attacker_key"] is None and r.aux["bob_key"] is None
 
 
 def test_otp_success_recomputable():
@@ -697,6 +707,14 @@ def test_config_file_rejects_bad_json(tmp_path):
         # The log writes lengths and positions as u32.
         ({"params": {"n_raw": 10**30}, "trials": 1}, r"n_raw must lie in \[1, 2\*\*32\)"),
         ({"params": {"n_raw": 2**32}, "trials": 1}, r"n_raw must lie in \[1, 2\*\*32\)"),
+        (
+            {"attack": {"name": "otp-malleability", "bit_positions": [3, 5], "num_flips": 7}},
+            "only one of bit_positions and num_flips",
+        ),
+        (
+            {"attack": {"name": "otp-malleability", "bit_positions": [3, 3, 5]}},
+            "bit_positions must be distinct, 3 repeats",
+        ),
     ],
 )
 def test_config_validation_errors(overrides, match):

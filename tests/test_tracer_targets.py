@@ -4,16 +4,20 @@ qkdbench/tracer.py lists its targets as (span name, module, attribute or
 Class.method). Deleting or renaming one of them breaks a traced benchmark
 run, so this test loads the tracer by path (it only reads the file) and
 checks that each target resolves: a module attribute, or a method in the
-class's own __dict__, which is where the tracer patches it.
+class's own __dict__, which is where the tracer patches it. The benchmark's
+own self-test also pins a few module bindings by name; those must resolve
+too.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "qkdbench" / "tracer.py"
+SELF_TEST_PATH = Path(__file__).resolve().parents[1] / "qkdbench" / "tests" / "test_qkdbench.py"
 
 
 def load_targets():
@@ -34,3 +38,15 @@ def test_tracer_target_resolves(name, module_name, attr):
         assert method in vars(getattr(module, class_name))
     else:
         assert callable(getattr(module, attr))
+
+
+def test_bindings_pinned_by_the_benchmark_self_test_resolve():
+    # The benchmark's wrap-and-restore self-test lists the bindings it checks
+    # as `(module, "name"): module.name,` lines. Read them from the file
+    # (without importing it) so deleting one fails here, not only there.
+    text = SELF_TEST_PATH.read_text()
+    pairs = re.findall(r'^\s*\((\w+), "(\w+)"\): \1\.\2,$', text, re.M)
+    assert len(pairs) == 8, pairs
+    for module_name, attr in pairs:
+        name = "qkdsim" if module_name == "qkdsim" else f"qkdsim.{module_name}"
+        assert callable(getattr(importlib.import_module(name), attr)), (module_name, attr)
