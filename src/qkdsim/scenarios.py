@@ -193,13 +193,14 @@ def _dump_session(result: SessionResult) -> dict:
     }
 
 
-def _frame_trial(make_strategy, outcome) -> Callable[..., tuple]:
+def _frame_trial(make_strategy, outcome, dump=None) -> Callable[..., tuple]:
     """Trial function of an attack that tampers with frames on the channel.
 
     make_strategy(opts, tail_len, adv_rng) builds the channel strategy.
     outcome(result, strategy, opts) gives whether the attack had its effect
     and the attack's own aux entries. The attack only counts as a success
-    when it also goes undetected, i.e. Bob still accepts.
+    when it also goes undetected, i.e. Bob still accepts. dump(result,
+    params), when given, adds the attack's own entries to a dumped session.
     """
 
     def trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_states: bool):
@@ -215,13 +216,8 @@ def _frame_trial(make_strategy, outcome) -> Callable[..., tuple]:
             aux["matrices_equal"] = result.alice.state.pa_matrix == result.bob.state.pa_matrix
         if dump_states:
             aux["dump"] = _dump_session(result)
-            if config.attack.name == "flip-entry":
-                # Only the matrix frame is tampered with, so the untampered
-                # session's Bob is this Bob amplified with Alice's matrix.
-                honest = dataclasses.replace(result.bob.state)
-                if result.alice.state.pa_matrix is not None:
-                    privacy_amplify(honest, result.alice.state.pa_matrix, params)
-                aux["dump"]["honest_bob"] = render_payload(honest)
+            if dump is not None:
+                aux["dump"].update(dump(result, params))
         success = effect and result.bob.verdict is Verdict.ACCEPT
         return (*_verdicts(result), _keys_equal(result), success, aux)
 
@@ -245,6 +241,15 @@ def _flip_entry_outcome(result: SessionResult, strategy, opts: dict):
     reconciled, col = bob.reconciled, opts["col"]
     reconciled_bit = None if reconciled is None or col >= len(reconciled) else reconciled[col]
     return flipped, {"bit_flipped": flipped, "reconciled_bit": reconciled_bit}
+
+
+def _flip_entry_dump(result: SessionResult, params: SessionParams) -> dict:
+    # Only the matrix frame is tampered with, so the untampered session's Bob
+    # is this Bob amplified with Alice's matrix.
+    honest = dataclasses.replace(result.bob.state)
+    if result.alice.state.pa_matrix is not None:
+        privacy_amplify(honest, result.alice.state.pa_matrix, params)
+    return {"honest_bob": render_payload(honest)}
 
 
 def _zero_rows_outcome(result: SessionResult, strategy, opts: dict):
@@ -309,146 +314,91 @@ def _otp_trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_s
     return (*_verdicts(result), _keys_equal(result), recovered == expected, aux)
 
 
-def _check_randomize_rows(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
-    if not 0 <= opts["r"] <= non_tail:
-        raise ConfigError(
-            f"randomize-rows needs 0 <= r <= key_len - tail_len = {non_tail}, got {opts['r']}"
-        )
+# An option's upper bound, by the name its messages give it -> its value.
+_BOUNDS = {"n_raw": lambda p: p.n_raw, "key_len - tail_len": lambda p: p.key_len - p.tail_len}
 
 
-def _check_flip_entry(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
-    if not 0 <= opts["row"] < non_tail:
-        raise ConfigError(
-            f"flip-entry row must lie in [0, {non_tail}), got {opts['row']}: tail rows are "
-            "covered by the authenticated log"
-        )
-    if opts["col"] < 0:
-        raise ConfigError("flip-entry col must be nonnegative")
-    if opts["col"] >= config.params.n_raw:
-        raise ConfigError(
-            f"flip-entry col must lie below n_raw = {config.params.n_raw}, got {opts['col']}: "
-            "the reconciled key is shorter than the raw key"
-        )
+@dataclass(frozen=True)
+class _Option:
+    """One attack option: its kind (a key of _KINDS), its default and its range.
+
+    A callable default is a function of the params. An integer must be at
+    least lo and, when hi names a bound in _BOUNDS, lie below it, or be at
+    most it when closed. A list must be nonempty and distinct, each entry in
+    [lo, hi). Null means none, unless null_is_empty refuses a given null.
+    """
+
+    kind: type
+    default: object
+    lo: int = 0
+    hi: str | None = None
+    closed: bool = False
+    null_is_empty: bool = False
 
 
-def _check_extract_bits(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
-    given = config.attack.options
-    if not 0 <= opts["target_row"] < non_tail:
-        raise ConfigError(
-            f"extract-bits target_row must lie in [0, {non_tail}), got {opts['target_row']}"
-        )
-    if "num_known" in given and "known_positions" in given:
-        raise ConfigError("give only one of num_known and known_positions")
-    if opts["num_known"] < 1:
-        raise ConfigError("extract-bits num_known must be at least 1")
-    n_raw = config.params.n_raw
-    positions = opts["known_positions"]
-    if positions is None and opts["num_known"] > n_raw:
-        raise ConfigError(
-            f"extract-bits num_known must be at most n_raw = {n_raw}, got {opts['num_known']}"
-        )
-    if "known_positions" in given and not given["known_positions"]:
-        raise ConfigError("extract-bits known_positions must be nonempty")
-    bad = [q for q in positions or () if not 0 <= q < n_raw]
-    if bad:
-        raise ConfigError(
-            f"extract-bits known_positions must lie in [0, n_raw = {n_raw}), got {bad[0]}"
-        )
-    repeated = [q for q, c in Counter(positions or ()).items() if c > 1]
-    if repeated:
-        # A repeated bit would enter the prediction twice but the row once.
-        raise ConfigError(f"extract-bits known_positions must be distinct, {repeated[0]} repeats")
+@dataclass(frozen=True)
+class _Attack:
+    """One attack: its options, its trial and its own config rules.
+
+    trial(config, params, opts, dump_states) returns (alice verdict, bob
+    verdict, keys_equal, attack_success, aux), with the options as resolve()
+    gives them. A config may give only one of the two one_of options; the
+    one given replaces the other. check(config) raises ConfigError for a
+    rule that no option's range states.
+    """
+
+    options: dict[str, _Option]
+    trial: Callable[..., tuple]
+    one_of: tuple[str, ...] = ()
+    check: Callable[[ScenarioConfig], None] = lambda config: None
+
+    def resolve(self, params: SessionParams, given: dict) -> dict:
+        """The given options over every option's default."""
+        return {k: d(params) if callable(d := o.default) else d for k, o in self.options.items()} | given
 
 
-def _check_collision(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
+def _check_collision(config: ScenarioConfig) -> None:
     if config.hardening is not HardeningKind.MATRIX_IN_LOG:
         raise ConfigError(
             "collision-impersonation targets the matrix_in_log variant; set "
             'hardening to "matrix_in_log"'
         )
-    if opts["search_budget"] < 1:
-        raise ConfigError("collision-impersonation search_budget must be at least 1")
     if config.params.tail_len < 1:
         # The search steers the digest through the logged key tail.
         raise ConfigError("collision-impersonation needs tail_len >= 1")
 
 
-def _check_otp(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
-    positions = opts["bit_positions"]
-    if positions is not None:
-        if opts["num_flips"] is not None:
-            raise ConfigError("give only one of bit_positions and num_flips")
-        if not positions:
-            raise ConfigError("otp-malleability bit_positions must be nonempty")
-        bad = [q for q in positions if not 0 <= q < non_tail]
-        if bad:
-            raise ConfigError(
-                f"otp-malleability bit_positions must lie in [0, {non_tail}), got {bad[0]}"
-            )
-        repeated = [q for q, c in Counter(positions).items() if c > 1]
-        if repeated:
-            # The flip indicator ORs the positions, so a repeated bit flips once.
-            raise ConfigError(f"otp-malleability bit_positions must be distinct, {repeated[0]} repeats")
-    if opts["num_flips"] is not None and not 1 <= opts["num_flips"] <= non_tail:
-        raise ConfigError(f"otp-malleability num_flips must lie in [1, {non_tail}]")
-
-
-def _non_tail(params: SessionParams) -> int:
-    return params.key_len - params.tail_len
-
-
-@dataclass(frozen=True)
-class _Attack:
-    """One attack: its options, its checks and its trial.
-
-    options maps every accepted option to (kind, default): kind is a key of
-    _KINDS, and a callable default is a function of the params.
-    validate(config, opts, non_tail), with non_tail = key_len - tail_len,
-    raises ConfigError; trial(config, params, opts, dump_states) returns
-    (alice verdict, bob verdict, keys_equal, attack_success, aux). Both get
-    the options as resolve() gives them.
-    """
-
-    options: dict[str, tuple[type, object]]
-    validate: Callable[[ScenarioConfig, dict, int], None]
-    trial: Callable[..., tuple]
-
-    def resolve(self, params: SessionParams, given: dict) -> dict:
-        """The given options over every option's default."""
-        return {k: d(params) if callable(d) else d for k, (_, d) in self.options.items()} | given
-
-
 _ATTACKS: dict[str, _Attack] = {
     # Passive eavesdropping never counts as a success.
     "passive": _Attack(
-        {},
-        lambda *_: None,
-        _frame_trial(lambda opts, tail, rng: AttackStrategy(), lambda *_: (False, {})),
+        {}, _frame_trial(lambda opts, tail, rng: AttackStrategy(), lambda *_: (False, {}))
     ),
     "randomize-rows": _Attack(
-        {"r": (int, _non_tail)},
-        _check_randomize_rows,
+        {"r": _Option(int, _BOUNDS["key_len - tail_len"], hi="key_len - tail_len", closed=True)},
         _frame_trial(
             lambda opts, tail, rng: RandomizeRowsStrategy(opts["r"], tail, rng),
             _randomize_rows_outcome,
         ),
     ),
+    # Tail rows are covered by the authenticated log, and the reconciled key
+    # is shorter than the raw key.
     "flip-entry": _Attack(
-        {"row": (int, 0), "col": (int, 0)},
-        _check_flip_entry,
+        {"row": _Option(int, 0, hi="key_len - tail_len"), "col": _Option(int, 0, hi="n_raw")},
         _frame_trial(
             lambda opts, tail, rng: FlipEntryStrategy(opts["row"], opts["col"], tail),
             _flip_entry_outcome,
+            _flip_entry_dump,
         ),
     ),
     "zero-rows": _Attack(
-        {},
-        lambda *_: None,
-        _frame_trial(lambda opts, tail, rng: ZeroRowsStrategy(tail), _zero_rows_outcome),
+        {}, _frame_trial(lambda opts, tail, rng: ZeroRowsStrategy(tail), _zero_rows_outcome)
     ),
     "extract-bits": _Attack(
-        {"target_row": (int, 0), "num_known": (int, 8), "known_positions": (list, None)},
-        _check_extract_bits,
+        {
+            "target_row": _Option(int, 0, hi="key_len - tail_len"),
+            "num_known": _Option(int, 8, 1, "n_raw", closed=True),
+            "known_positions": _Option(list, None, hi="n_raw", null_is_empty=True),
+        },
         _frame_trial(
             lambda opts, tail, rng: ExtractBitsStrategy(
                 opts["target_row"],
@@ -459,13 +409,19 @@ _ATTACKS: dict[str, _Attack] = {
             ),
             _extract_bits_outcome,
         ),
+        one_of=("num_known", "known_positions"),
     ),
     "collision-impersonation": _Attack(
-        {"search_budget": (int, 1 << 20)}, _check_collision, _collision_trial
+        {"search_budget": _Option(int, 1 << 20, 1)}, _collision_trial, check=_check_collision
     ),
     # num_flips None draws the number of flipped bits per trial.
     "otp-malleability": _Attack(
-        {"bit_positions": (list, None), "num_flips": (int, None)}, _check_otp, _otp_trial
+        {
+            "bit_positions": _Option(list, None, hi="key_len - tail_len"),
+            "num_flips": _Option(int, None, 1, "key_len - tail_len", closed=True),
+        },
+        _otp_trial,
+        one_of=("bit_positions", "num_flips"),
     ),
 }
 
@@ -496,6 +452,46 @@ def _check_value(what: str, value, kind: type) -> None:
         raise ConfigError(f"{what} must be {noun}, got {value!r}")
 
 
+def _check_options(config: ScenarioConfig, attack: _Attack) -> None:
+    """Reject an attack option that is unknown, of the wrong kind or out of range."""
+    name, given, params = config.attack.name, config.attack.options, config.params
+    for key, value in given.items():
+        if key not in attack.options:
+            raise ConfigError(
+                f"unknown option {key!r} for attack {name!r}"
+                + (f", allowed: {', '.join(sorted(attack.options))}" if attack.options else "")
+            )
+        _check_value(f"{name} {key}", value, attack.options[key].kind)
+    used = [k for k in attack.one_of if given.get(k) is not None]
+    if len(used) > 1:
+        raise ConfigError(f"give only one of {' and '.join(used)}")
+    for key, value in attack.resolve(params, given).items():
+        option, what = attack.options[key], f"{name} {key}"
+        if value is None and not (option.null_is_empty and key in given):
+            continue  # null means none
+        if key not in given and key in attack.one_of and used:
+            continue  # the other option of the pair is given in its place
+        hi = option.hi and _BOUNDS[option.hi](params)
+        bound = f"{option.hi} = {hi}"
+        if option.kind is list:
+            if not value:
+                raise ConfigError(f"{what} must be nonempty")
+            bad = [q for q in value if not option.lo <= q < hi]
+            if bad:
+                raise ConfigError(f"{what} must lie in [{option.lo}, {bound}), got {bad[0]}")
+            repeated = [q for q, c in Counter(value).items() if c > 1]
+            if repeated:
+                # A repeated position would enter the extract-bits prediction
+                # twice but its row once, and flip an otp plaintext bit once.
+                raise ConfigError(f"{what} must be distinct, {repeated[0]} repeats")
+        elif value < option.lo:
+            least = "nonnegative" if option.lo == 0 else f"at least {option.lo}"
+            raise ConfigError(f"{what} must be {least}, got {value}")
+        elif option.hi and value >= hi + option.closed:
+            most = "be at most" if option.closed else "lie below"
+            raise ConfigError(f"{what} must {most} {bound}, got {value}")
+
+
 def validate_config(config: ScenarioConfig) -> None:
     """Reject invalid scenarios with a message naming the violated constraint."""
     if config.trials < 1:
@@ -513,14 +509,8 @@ def validate_config(config: ScenarioConfig) -> None:
     if name not in _ATTACKS:
         raise ConfigError(f"unknown attack {name!r}, expected one of: {', '.join(_ATTACKS)}")
     attack = _ATTACKS[name]
-    for key, value in config.attack.options.items():
-        if key not in attack.options:
-            raise ConfigError(
-                f"unknown option {key!r} for attack {name!r}"
-                + (f", allowed: {', '.join(sorted(attack.options))}" if attack.options else "")
-            )
-        _check_value(f"{name} {key}", value, attack.options[key][0])
-    attack.validate(config, attack.resolve(params, config.attack.options), _non_tail(params))
+    _check_options(config, attack)
+    attack.check(config)
 
 
 # ------------------------------------------------------------------ trials
@@ -582,7 +572,7 @@ def _step(config: ScenarioConfig, axis: str, value) -> tuple[object, ScenarioCon
     name, option = target
     if config.attack.name != name:
         raise ConfigError(f"axis {axis!r} applies to {name}, not {config.attack.name!r}")
-    kind = _ATTACKS[name].options[option][0]
+    kind = _ATTACKS[name].options[option].kind
     _check_value(what, value, kind)
     value = kind(value)
     options = {**config.attack.options, option: value}

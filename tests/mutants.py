@@ -8,9 +8,10 @@ Each entry names a module under src/qkdsim, an exact snippet that occurs
 once in it, its replacement, and the pytest node ids that must fail once
 the replacement is made. The script copies src, tests and pyproject.toml to
 a temporary directory, checks that the named tests pass on the unmutated
-copy, then applies one mutant at a time to that copy and runs each of its
-tests there on its own. It exits 1 if the copy fails or if any named test
-passes against its mutant. pytest does not collect this file; tests/test_mutants.py
+copy, then applies one mutant at a time to that copy and runs its tests
+there in one pytest process, reading each test's outcome from the run's
+JUnit XML report. It exits 1 if the copy fails or if any named test passes
+against its mutant. pytest does not collect this file; tests/test_mutants.py
 checks that every snippet still occurs exactly once, so the list cannot
 rot silently.
 """
@@ -23,6 +24,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,6 +62,8 @@ _ACCEPT = "tests/test_acceptance.py::"
 _BUILTIN_CHECKS = _SCEN + "test_all_builtin_checks_pass_at_reduced_trials"
 _LARGE_FRONT_END = _PIPE + "test_front_end_matches_mask_oracle_at_large_n_raw"
 _ADV = "tests/test_adversary.py::"
+_ROWS = _SCEN + "test_config_validation_errors[overrides"
+_DISTINCT_OTP = _ROWS + "57-bit_positions must be distinct, 3 repeats]"
 
 MUTANTS = (
     Mutant(
@@ -379,9 +383,96 @@ MUTANTS = (
     Mutant(
         "otp-malleability check: repeated bit_positions accepted",
         "scenarios.py",
-        "        repeated = [q for q, c in Counter(positions).items() if c > 1]\n",
-        "        repeated = []\n",
-        (_SCEN + "test_config_validation_errors[overrides57-bit_positions must be distinct, 3 repeats]",),
+        "            repeated = [q for q, c in Counter(value).items() if c > 1]\n",
+        "            repeated = []\n",
+        (_ROWS + "34-known_positions must be distinct, 3 repeats]", _DISTINCT_OTP),
+    ),
+    Mutant(
+        "option check: lower bound one too low",
+        "scenarios.py",
+        "        elif value < option.lo:\n",
+        "        elif value < option.lo - 1:\n",
+        (
+            _ROWS + "11-col must be nonnegative]",
+            _ROWS + "17-num_flips]",
+            "tests/test_cli.py::test_sweep_bad_value_fails_before_any_run"
+            "[extract-bits-known-1,0-num_known must be at least 1]",
+        ),
+    ),
+    Mutant(
+        "option check: open upper bound taken as closed",
+        "scenarios.py",
+        "value >= hi + option.closed",
+        "value >= hi + 1",
+        (_ROWS + "10-flip-entry row]", _ROWS + "30-col must lie below n_raw]"),
+    ),
+    Mutant(
+        "option check: closed upper bound one too high",
+        "scenarios.py",
+        "value >= hi + option.closed",
+        "value >= hi + 2 * option.closed",
+        (
+            _ROWS + "58-randomize-rows r must be at most key_len - tail_len = 128, got 129]",
+            _ROWS + "59-extract-bits num_known must be at most n_raw = 8192, got 8193]",
+            _ROWS + "60-otp-malleability num_flips must be at most key_len - tail_len = 128, got 129]",
+        ),
+    ),
+    Mutant(
+        "option check: list entry at the upper bound accepted",
+        "scenarios.py",
+        "if not option.lo <= q < hi]",
+        "if not option.lo <= q <= hi]",
+        (_ROWS + r"61-bit_positions must lie in \\[0, key_len - tail_len = 128\\), got 128]",),
+    ),
+    Mutant(
+        "option check: empty list accepted",
+        "scenarios.py",
+        "            if not value:\n"
+        '                raise ConfigError(f"{what} must be nonempty")\n',
+        "",
+        (_ROWS + "14-nonempty]", _ROWS + "63-known_positions must be nonempty]"),
+    ),
+    Mutant(
+        "option check: both options of a pair accepted",
+        "scenarios.py",
+        "    if len(used) > 1:\n",
+        "    if len(used) > 2:\n",
+        (_ROWS + "13-only one of]", _ROWS + "56-only one of bit_positions and num_flips]"),
+    ),
+    Mutant(
+        "option check: explicit null known_positions taken as none",
+        "scenarios.py",
+        "if value is None and not (option.null_is_empty and key in given):",
+        "if value is None:",
+        (_ROWS + "63-known_positions must be nonempty]",),
+    ),
+    Mutant(
+        "option check: explicit null bit_positions refused",
+        "scenarios.py",
+        "if value is None and not (option.null_is_empty and key in given):",
+        "if value is None and key not in given:",
+        (_SCEN + "test_option_given_in_place_of_its_pair_leaves_the_others_default_unchecked",),
+    ),
+    Mutant(
+        "option check: default of a replaced option still checked",
+        "scenarios.py",
+        "        if key not in given and key in attack.one_of and used:\n",
+        "        if False:\n",
+        (_SCEN + "test_option_given_in_place_of_its_pair_leaves_the_others_default_unchecked",),
+    ),
+    Mutant(
+        "validate_config: key_len equal to n_raw accepted",
+        "scenarios.py",
+        "    if params.key_len >= params.n_raw:\n",
+        "    if params.key_len > params.n_raw:\n",
+        (_ROWS + "62-key_len must be below n_raw = 256, got 256]",),
+    ),
+    Mutant(
+        "SessionParams: n_raw of 2**32 accepted",
+        "pipeline.py",
+        "        if not 1 <= self.n_raw < 2**32:\n",
+        "        if not 1 <= self.n_raw <= 2**32:\n",
+        (_ROWS + r"55-n_raw must lie in \\[1, 2\\*\\*32\\)]",),
     ),
     Mutant(
         "frame trial: success without Bob's ACCEPT",
@@ -432,15 +523,29 @@ MUTANTS = (
 )
 
 
-def _pytest(copy: Path, tests: tuple[str, ...]) -> bool:
-    """Run the tests in the copy; True when they all pass.
+def _passing(copy: Path, tests: tuple[str, ...]) -> list[str]:
+    """Run the tests in one pytest process in the copy; the ones that passed.
 
-    -B keeps the copy free of bytecode caches, which could otherwise outlive
-    a same-size edit made within the same second.
+    Each test's outcome is read from the run's JUnit XML report, so every
+    named test is judged on its own although they share the process. A test
+    named without parameters passes when all its parametrized cases pass. A
+    test the report does not list, such as one whose module no longer
+    imports, did not pass. -B keeps the copy free of bytecode caches, which
+    could otherwise outlive a same-size edit made within the same second.
     """
-    cmd = [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    done = subprocess.run(cmd, cwd=copy, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return done.returncode == 0
+    report = copy / "report.xml"
+    cmd = [sys.executable, "-B", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    cmd += [f"--junitxml={report}", *tests]
+    subprocess.run(cmd, cwd=copy, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    outcomes: dict[str, list[bool]] = {}
+    if report.exists():
+        for case in ElementTree.parse(report).iter("testcase"):
+            node = f"{case.get('classname').replace('.', '/')}.py::{case.get('name')}"
+            ok = not any(child.tag in ("failure", "error") for child in case)
+            for name in {node, node.partition("[")[0]}:
+                outcomes.setdefault(name, []).append(ok)
+        report.unlink()
+    return [t for t in tests if all(outcomes.get(t, [False]))]
 
 
 def main() -> int:
@@ -450,8 +555,11 @@ def main() -> int:
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", copy)
         every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
-        if not _pytest(copy, every_test):
-            print("the named tests fail on the unmutated copy", file=sys.stderr)
+        failing = set(every_test) - set(_passing(copy, every_test))
+        if failing:
+            print("the named tests fail on the unmutated copy:", file=sys.stderr)
+            for test in sorted(failing):
+                print(f"    {test}", file=sys.stderr)
             return 1
         survivors = []
         for m in MUTANTS:
@@ -462,7 +570,7 @@ def main() -> int:
                 return 1
             path.write_text(original.replace(m.snippet, m.replacement))
             try:
-                passing = [t for t in m.tests if _pytest(copy, (t,))]
+                passing = _passing(copy, m.tests)
             finally:
                 path.write_text(original)
             print(f"{'SURVIVED' if passing else 'killed  '}  {m.name}")

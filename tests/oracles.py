@@ -9,13 +9,18 @@ collision-search oracle prepares every candidate on its own in Python,
 where the search itself prepares a whole chunk of candidates with numpy.
 The session front-end oracles select with random boolean masks
 (arr[keep], np.where), where the pipeline selects with index arrays.
+oracle_validate_config states the attack option rules as hand-written
+checks, one per attack, where scenarios declares each option's range and
+checks every option with one checker.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from collections.abc import Iterator
+from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 
@@ -32,6 +37,7 @@ from qkdsim.pipeline import (
     build_log_extract,
     serialize_log,
 )
+from qkdsim.scenarios import ConfigError, ScenarioConfig, _check_value
 
 
 def row_ints(m: BitMatrix) -> tuple[int, ...]:
@@ -239,3 +245,151 @@ def oracle_reconcile(alice: PartyState, bob: PartyState) -> list[int]:
     alice.corrected_positions = positions
     bob.corrected_positions = positions
     return positions
+
+
+# ------------------------------------------------------ attack option rules
+# One hand-written check per attack, the option-kind loop and the option
+# table they read, as scenarios had them before each option declared its
+# range in scenarios._ATTACKS. The declared checker must reject exactly the
+# configs these reject.
+
+
+def _check_randomize_rows(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
+    if not 0 <= opts["r"] <= non_tail:
+        raise ConfigError(
+            f"randomize-rows needs 0 <= r <= key_len - tail_len = {non_tail}, got {opts['r']}"
+        )
+
+
+def _check_flip_entry(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
+    if not 0 <= opts["row"] < non_tail:
+        raise ConfigError(
+            f"flip-entry row must lie in [0, {non_tail}), got {opts['row']}: tail rows are "
+            "covered by the authenticated log"
+        )
+    if opts["col"] < 0:
+        raise ConfigError("flip-entry col must be nonnegative")
+    if opts["col"] >= config.params.n_raw:
+        raise ConfigError(
+            f"flip-entry col must lie below n_raw = {config.params.n_raw}, got {opts['col']}: "
+            "the reconciled key is shorter than the raw key"
+        )
+
+
+def _check_extract_bits(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
+    given = config.attack.options
+    if not 0 <= opts["target_row"] < non_tail:
+        raise ConfigError(
+            f"extract-bits target_row must lie in [0, {non_tail}), got {opts['target_row']}"
+        )
+    if "num_known" in given and "known_positions" in given:
+        raise ConfigError("give only one of num_known and known_positions")
+    if opts["num_known"] < 1:
+        raise ConfigError("extract-bits num_known must be at least 1")
+    n_raw = config.params.n_raw
+    positions = opts["known_positions"]
+    if positions is None and opts["num_known"] > n_raw:
+        raise ConfigError(
+            f"extract-bits num_known must be at most n_raw = {n_raw}, got {opts['num_known']}"
+        )
+    if "known_positions" in given and not given["known_positions"]:
+        raise ConfigError("extract-bits known_positions must be nonempty")
+    bad = [q for q in positions or () if not 0 <= q < n_raw]
+    if bad:
+        raise ConfigError(
+            f"extract-bits known_positions must lie in [0, n_raw = {n_raw}), got {bad[0]}"
+        )
+    repeated = [q for q, c in Counter(positions or ()).items() if c > 1]
+    if repeated:
+        # A repeated bit would enter the prediction twice but the row once.
+        raise ConfigError(f"extract-bits known_positions must be distinct, {repeated[0]} repeats")
+
+
+def _check_collision(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
+    if config.hardening is not HardeningKind.MATRIX_IN_LOG:
+        raise ConfigError(
+            "collision-impersonation targets the matrix_in_log variant; set "
+            'hardening to "matrix_in_log"'
+        )
+    if opts["search_budget"] < 1:
+        raise ConfigError("collision-impersonation search_budget must be at least 1")
+    if config.params.tail_len < 1:
+        # The search steers the digest through the logged key tail.
+        raise ConfigError("collision-impersonation needs tail_len >= 1")
+
+
+def _check_otp(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
+    positions = opts["bit_positions"]
+    if positions is not None:
+        if opts["num_flips"] is not None:
+            raise ConfigError("give only one of bit_positions and num_flips")
+        if not positions:
+            raise ConfigError("otp-malleability bit_positions must be nonempty")
+        bad = [q for q in positions if not 0 <= q < non_tail]
+        if bad:
+            raise ConfigError(
+                f"otp-malleability bit_positions must lie in [0, {non_tail}), got {bad[0]}"
+            )
+        repeated = [q for q, c in Counter(positions).items() if c > 1]
+        if repeated:
+            # The flip indicator ORs the positions, so a repeated bit flips once.
+            raise ConfigError(f"otp-malleability bit_positions must be distinct, {repeated[0]} repeats")
+    if opts["num_flips"] is not None and not 1 <= opts["num_flips"] <= non_tail:
+        raise ConfigError(f"otp-malleability num_flips must lie in [1, {non_tail}]")
+
+
+def _non_tail(params: SessionParams) -> int:
+    return params.key_len - params.tail_len
+
+
+@dataclass(frozen=True)
+class _OracleAttack:
+    options: dict
+    validate: object
+
+    def resolve(self, params: SessionParams, given: dict) -> dict:
+        return {k: d(params) if callable(d) else d for k, (_, d) in self.options.items()} | given
+
+
+ORACLE_ATTACKS = {
+    "passive": _OracleAttack({}, lambda *_: None),
+    "randomize-rows": _OracleAttack({"r": (int, _non_tail)}, _check_randomize_rows),
+    "flip-entry": _OracleAttack({"row": (int, 0), "col": (int, 0)}, _check_flip_entry),
+    "zero-rows": _OracleAttack({}, lambda *_: None),
+    "extract-bits": _OracleAttack(
+        {"target_row": (int, 0), "num_known": (int, 8), "known_positions": (list, None)},
+        _check_extract_bits,
+    ),
+    "collision-impersonation": _OracleAttack({"search_budget": (int, 1 << 20)}, _check_collision),
+    "otp-malleability": _OracleAttack(
+        {"bit_positions": (list, None), "num_flips": (int, None)}, _check_otp
+    ),
+}
+
+
+def oracle_validate_config(config: ScenarioConfig) -> None:
+    """scenarios.validate_config with the hand-written option checks above."""
+    if config.trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {config.trials}")
+    if config.master_seed < 0:
+        raise ConfigError("master_seed must be nonnegative")
+    params = config.params
+    if params.key_len >= params.n_raw:
+        # A non-empty sift discloses at least one sample bit.
+        raise ConfigError(
+            f"key_len must be below n_raw = {params.n_raw}, got {params.key_len}: "
+            "the reconciled key has at most n_raw - 1 bits"
+        )
+    name = config.attack.name
+    if name not in ORACLE_ATTACKS:
+        raise ConfigError(f"unknown attack {name!r}, expected one of: {', '.join(ORACLE_ATTACKS)}")
+    attack = ORACLE_ATTACKS[name]
+    for key, value in config.attack.options.items():
+        if key not in attack.options:
+            raise ConfigError(
+                f"unknown option {key!r} for attack {name!r}"
+                + (f", allowed: {', '.join(sorted(attack.options))}" if attack.options else "")
+            )
+        _check_value(f"{name} {key}", value, attack.options[key][0])
+    attack.validate(config, attack.resolve(params, config.attack.options), _non_tail(params))
+

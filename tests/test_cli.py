@@ -182,7 +182,7 @@ def test_sweep_bad_axis_for_attack(capsys):
     [
         ("baseline", "qber", "0.01,2", "qber must lie in [0, 1]"),
         ("baseline", "w", "8,0", "hash_width must lie in [1, 256]"),
-        ("randomize-rows", "r", "1,500", "randomize-rows needs"),
+        ("randomize-rows", "r", "1,500", "randomize-rows r must be at most key_len - tail_len"),
         ("collision-impersonation", "K", "16,0", "search_budget must be at least 1"),
         ("extract-bits", "known", "1,0", "num_known must be at least 1"),
         ("randomize-rows", "r", "1.5", "axis 'r' value must be an integer, got 1.5"),

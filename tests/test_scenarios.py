@@ -1,6 +1,7 @@
 """Scenario runner: dispatch, reproducibility, sweeps, reports and configs."""
 
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -41,7 +42,7 @@ from qkdsim.scenarios import (
     write_trials_jsonl,
 )
 
-from oracles import read_hex
+from oracles import ORACLE_ATTACKS, oracle_validate_config, read_hex
 
 ACCEPT = "accept"
 
@@ -421,7 +422,7 @@ def test_sweep_validates_every_value_before_running_any(monkeypatch):
     ran = []
     monkeypatch.setattr(scenarios_mod, "run_scenario", lambda c, workers=1: ran.append(c))
     cfg = dataclasses.replace(small("randomize-rows", 2), checks=())
-    with pytest.raises(ConfigError, match="randomize-rows needs"):
+    with pytest.raises(ConfigError, match="randomize-rows r must be at most key_len - tail_len"):
         sweep(cfg, "r", [1, 500])
     assert ran == []
 
@@ -572,6 +573,47 @@ def test_otp_dump_holds_the_session_whether_or_not_a_pad_is_released():
         assert r == p  # dumping leaves the rest of the record as it is
 
 
+# The aux keys of each builtin's trial records, in order, and the keys of the
+# session that dump_states adds under "dump" (None: the trial dumps nothing).
+_FRAME = ("tampered_frames", "pa_matrix_frames")
+_SESSION = ("alice", "bob", "transcript")
+BUILTIN_AUX_KEYS = {
+    "baseline": (_FRAME, _SESSION),
+    "randomize-rows": ((*_FRAME, "rows_randomized"), _SESSION),
+    "flip-entry": ((*_FRAME, "bit_flipped", "reconciled_bit"), (*_SESSION, "honest_bob")),
+    "zero-rows": ((*_FRAME, "bob_key_all_zero"), _SESSION),
+    "extract-bits": ((*_FRAME, "prediction", "actual", "known"), _SESSION),
+    "collision-impersonation": (
+        ("found", "candidates_examined", "impersonation_accepted", "attacker_key", "bob_key"),
+        None,
+    ),
+    "otp-malleability": (("bit_positions", "plaintext", "recovered"), _SESSION),
+    "harden-matrix-in-log-randomize-rows": ((*_FRAME, "rows_randomized"), _SESSION),
+    "harden-matrix-in-log-flip-entry": (
+        (*_FRAME, "bit_flipped", "reconciled_bit"),
+        (*_SESSION, "honest_bob"),
+    ),
+    "harden-matrix-in-log-zero-rows": ((*_FRAME, "bob_key_all_zero"), _SESSION),
+    "harden-matrix-in-log-extract-bits": ((*_FRAME, "prediction", "actual", "known"), _SESSION),
+    "harden-derived-matrix": ((*_FRAME, "bob_key_all_zero", "matrices_equal"), _SESSION),
+}
+
+
+def test_aux_key_table_covers_every_builtin():
+    assert BUILTIN_AUX_KEYS.keys() == BUILTIN_SCENARIOS.keys()
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["plain", "dump"])
+@pytest.mark.parametrize("name", BUILTIN_AUX_KEYS)
+def test_builtin_records_carry_exactly_their_aux_keys(name, dump):
+    keys, dump_keys = BUILTIN_AUX_KEYS[name]
+    reports, _ = run_scenario(small(name, 2), dump_states=dump)
+    for r in reports:
+        if dump and dump_keys is not None:
+            assert tuple(r.aux.pop("dump")) == dump_keys
+        assert tuple(r.aux) == keys
+
+
 def test_dump_states_off_by_default():
     reports, _ = run_scenario(small("baseline", 2))
     assert all("dump" not in r.aux for r in reports)
@@ -581,7 +623,7 @@ def test_dump_states_off_by_default():
 
 
 def test_config_roundtrip():
-    for name in ("flip-entry", "collision-impersonation", "harden-derived-matrix"):
+    for name in BUILTIN_SCENARIOS:
         cfg = builtin_scenario(name)
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
@@ -625,7 +667,10 @@ def test_config_file_rejects_bad_json(tmp_path):
         ({"attack": "zero-rows"}, '"attack" must be an object'),
         ({"attack": {"name": "warp"}}, "unknown attack 'warp'"),
         ({"attack": {"name": "zero-rows", "r": 1}}, "unknown option 'r'"),
-        ({"attack": {"name": "randomize-rows", "r": 300}}, "randomize-rows needs"),
+        (
+            {"attack": {"name": "randomize-rows", "r": 300}},
+            "randomize-rows r must be at most key_len - tail_len = 128, got 300",
+        ),
         ({"attack": {"name": "flip-entry", "row": 128}}, "flip-entry row"),
         ({"attack": {"name": "flip-entry", "col": -1}}, "col must be nonnegative"),
         ({"attack": {"name": "extract-bits", "target_row": 200}}, "target_row"),
@@ -715,6 +760,27 @@ def test_config_file_rejects_bad_json(tmp_path):
             {"attack": {"name": "otp-malleability", "bit_positions": [3, 3, 5]}},
             "bit_positions must be distinct, 3 repeats",
         ),
+        # Each bound, one past its last valid value.
+        (
+            {"attack": {"name": "randomize-rows", "r": 129}},
+            "randomize-rows r must be at most key_len - tail_len = 128, got 129",
+        ),
+        (
+            {"attack": {"name": "extract-bits", "num_known": 8193}},
+            "extract-bits num_known must be at most n_raw = 8192, got 8193",
+        ),
+        (
+            {"attack": {"name": "otp-malleability", "num_flips": 129}},
+            "otp-malleability num_flips must be at most key_len - tail_len = 128, got 129",
+        ),
+        (
+            {"attack": {"name": "otp-malleability", "bit_positions": [0, 128]}},
+            r"bit_positions must lie in \[0, key_len - tail_len = 128\), got 128",
+        ),
+        ({"params": {"n_raw": 256}}, "key_len must be below n_raw = 256, got 256"),
+        # An explicit null known_positions is refused as empty, where an
+        # explicit null bit_positions means none.
+        ({"attack": {"name": "extract-bits", "known_positions": None}}, "known_positions must be nonempty"),
     ],
 )
 def test_config_validation_errors(overrides, match):
@@ -725,6 +791,19 @@ def test_config_validation_errors(overrides, match):
 def test_config_file_defaults_are_the_dataclass_defaults():
     assert config_from_dict({}) == ScenarioConfig()
     assert ScenarioConfig().trials == 100
+
+
+def test_option_given_in_place_of_its_pair_leaves_the_others_default_unchecked():
+    # num_known's default of 8 exceeds n_raw = 6 and is refused, unless
+    # known_positions is given in its place.
+    tiny = {"params": {"n_raw": 6, "key_len": 4, "tail_len": 2}, "trials": 1}
+    with pytest.raises(ConfigError, match="extract-bits num_known must be at most n_raw = 6, got 8"):
+        config_from_dict({**tiny, "attack": {"name": "extract-bits"}})
+    config_from_dict({**tiny, "attack": {"name": "extract-bits", "known_positions": [0, 1]}})
+    # An explicit null bit_positions means none, so num_flips may be given with it.
+    config_from_dict(
+        {**tiny, "attack": {"name": "otp-malleability", "bit_positions": None, "num_flips": 2}}
+    )
 
 
 def test_key_len_just_below_n_raw_is_valid():
@@ -865,3 +944,38 @@ def test_tiny_configs_fail_validation_or_run_to_completion(attack, hardening, pa
     for r in reports:
         assert r.alice_verdict in verdicts and r.bob_verdict in verdicts
         assert TrialReport.from_json(r.to_json()) == r
+
+
+def _refuses(validate, config) -> bool:
+    try:
+        validate(config)
+    except ConfigError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("attack", sorted(ORACLE_ATTACKS))
+@settings(deadline=None, database=None, max_examples=40)
+@given(params=tiny_params, hardening=st.sampled_from(list(HardeningKind)))
+def test_declared_option_ranges_refuse_what_the_hand_written_checks_refuse(
+    attack, params, hardening
+):
+    try:
+        session = SessionParams(**params)
+    except ValueError:
+        return  # tail_len == key_len is refused before any option is read
+    non_tail = session.key_len - session.tail_len
+    # Every combination of: no value, each side of every bound, an explicit
+    # null, a value of the wrong kind, and lists empty, of one entry or of
+    # one entry repeated.
+    edges = sorted({-1, 0, 1, *(b + d for b in (non_tail, session.n_raw) for d in (-1, 0, 1))})
+    absent = object()
+    values = {
+        int: [absent, None, True, *edges],
+        list: [absent, None, True, 1, [], *([q] for q in edges), *([q, q] for q in edges)],
+    }
+    options = ORACLE_ATTACKS[attack].options
+    for combination in itertools.product(*(values[kind] for kind, _ in options.values())):
+        given = {k: v for k, v in zip(options, combination) if v is not absent}
+        config = ScenarioConfig(params=session, hardening=hardening, attack=AttackSpec(attack, given))
+        assert _refuses(validate_config, config) == _refuses(oracle_validate_config, config), given
