@@ -79,24 +79,21 @@ def attack_zero_rows(m: BitMatrix, tail_len: int) -> BitMatrix:
 
 
 def attack_extract_bits(
-    m: BitMatrix, known: Sequence[tuple[int, int]], target_row: int, tail_len: int
-) -> tuple[BitMatrix, int]:
+    m: BitMatrix, positions: Sequence[int], target_row: int, tail_len: int
+) -> BitMatrix:
     """Overwrite one non-tail row with the indicator of known key positions.
 
-    The receiver's key bit target_row becomes the parity of the known
-    reconciled-key bits, so the attacker predicts it exactly.
+    The receiver's key bit target_row becomes the parity of the reconciled
+    key's bits at those positions, which the attacker knows.
     """
     if not 0 <= target_row < m.rows - tail_len:
         raise ValueError(
             f"target row must lie in [0, {m.rows - tail_len}), row {target_row} is in the tail"
         )
-    if not known:
-        raise ValueError("need at least one known (position, bit) pair")
-    indicator = BitVector.from_positions(m.cols, [p for p, _ in known])
-    prediction = 0
-    for _, bit in known:
-        prediction ^= bit
-    return replace_rows(m, target_row, BitMatrix([indicator.value], m.cols)), prediction
+    if not positions:
+        raise ValueError("need at least one known position")
+    indicator = BitVector.from_positions(m.cols, positions)
+    return replace_rows(m, target_row, BitMatrix([indicator.value], m.cols))
 
 
 class RandomizeRowsStrategy(AttackStrategy):
@@ -148,11 +145,11 @@ class ExtractBitsStrategy(AttackStrategy):
     """Learn one bit of the receiver's key from known reconciled-key bits.
 
     known_positions may be given explicitly; otherwise num_known positions
-    are drawn once the reconciled key length is known. The simulation
-    injects the actual bit values through observe_reconciled, standing in
-    for whatever side channel gave the attacker that partial knowledge.
-    When the positions do not fit the session's reconciled key the attack
-    is not mounted: known stays empty and the matrix frame passes untouched.
+    are drawn when the matrix frame shows the reconciled key's length (its
+    column count). The attacker is taken to know the key's bits there,
+    through whatever side channel gave it that partial knowledge. When the
+    positions do not fit the session's reconciled key the attack is not
+    mounted: positions stays empty and the matrix frame passes untouched.
     """
 
     def __init__(
@@ -174,30 +171,19 @@ class ExtractBitsStrategy(AttackStrategy):
         self.rng = rng
         self.known_positions = None if known_positions is None else sorted(known_positions)
         self.num_known = num_known
-        self.known: list[tuple[int, int]] | None = None
-        self.prediction: int | None = None
-
-    def observe_reconciled(self, reconciled: BitVector) -> None:
-        n = len(reconciled)
-        if self.known_positions is not None:
-            positions = self.known_positions
-        elif self.num_known <= n:
-            positions = sorted(int(p) for p in self.rng.choice(n, self.num_known, replace=False))
-        else:
-            positions = []
-        if not all(0 <= p < n for p in positions):
-            positions = []
-        self.known = [(p, reconciled[p]) for p in positions]
+        self.positions: list[int] = []
 
     def tamper(self, direction: str, frame: Frame) -> Frame:
         if direction == A_TO_B and frame.kind is FrameType.PA_MATRIX:
-            if self.known is None:
-                raise RuntimeError("reconciled-key knowledge not injected before matrix frame")
-            if not self.known:
+            n = frame.payload.cols  # the reconciled key's length
+            positions = self.known_positions
+            if positions is None and self.num_known <= n:
+                drawn = self.rng.choice(n, self.num_known, replace=False)
+                positions = sorted(int(p) for p in drawn)
+            if not positions or not all(0 <= p < n for p in positions):
                 return frame
-            m, self.prediction = attack_extract_bits(
-                frame.payload, self.known, self.target_row, self.tail_len
-            )
+            self.positions = positions
+            m = attack_extract_bits(frame.payload, positions, self.target_row, self.tail_len)
             return Frame(frame.kind, m)
         return frame
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .gf2 import BitVector
-
 A_TO_B = "A->B"
 B_TO_A = "B->A"
 
@@ -45,17 +43,11 @@ class AttackStrategy:
     """Base strategy: forward every frame untouched (a passive wiretap).
 
     Active strategies override tamper and must return either the original
-    frame object (meaning "not modified") or a new Frame. observe_reconciled
-    is the simulation's knowledge-injection hook: it hands the strategy the
-    ground-truth reconciled key at the moment a real attacker sitting on the
-    channel would know the corresponding side information.
+    frame object (meaning "not modified") or a new Frame.
     """
 
     def tamper(self, direction: str, frame: Frame) -> Frame:
         return frame
-
-    def observe_reconciled(self, reconciled: BitVector) -> None:
-        pass
 
 
 class Channel:

@@ -490,7 +490,6 @@ def exchange_reconciled_key(
 
     corrected = reconcile(alice, bob)
     channel.deliver(A_TO_B, Frame(FrameType.CORRECTIONS, corrected))
-    channel.strategy.observe_reconciled(alice.reconciled)
     return alice, bob, len(alice.reconciled) < params.key_len
 
 

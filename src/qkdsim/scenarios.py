@@ -259,14 +259,17 @@ def _zero_rows_outcome(result: SessionResult, strategy, opts: dict):
 
 
 def _extract_bits_outcome(result: SessionResult, strategy, opts: dict):
-    # The parity prediction matches Bob's actual key bit.
+    # The attacker knows Alice's reconciled bits at the positions it wrote into
+    # the matrix; their parity, its prediction, matches Bob's actual key bit.
+    positions = strategy.positions
+    bits = [result.alice.state.reconciled[p] for p in positions]
+    prediction = sum(bits) % 2 if bits else None
     full_key = result.bob.state.full_key
     actual = None if full_key is None else full_key[opts["target_row"]]
-    prediction = strategy.prediction
     return prediction is not None and prediction == actual, {
         "prediction": prediction,
         "actual": actual,
-        "known": [list(pair) for pair in (strategy.known or [])],
+        "known": [[p, bit] for p, bit in zip(positions, bits)],
     }
 
 
@@ -984,6 +987,7 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
     for entry in entries:
         for name, value in entry["summary"].items():
             _check_value(f"{manifest_path}: summary {name}", value, _SUMMARY_KINDS[name])
+        _check_value(f"{manifest_path}: scenario", entry["scenario"], str)
         if "trials_file" in entry:
             _check_value(f"{manifest_path}: trials_file", entry["trials_file"], str)
         config = config_from_dict(entry["config"])

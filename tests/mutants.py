@@ -340,11 +340,11 @@ MUTANTS = (
         (_ADV + "test_zero_rows_op", _ADV + "test_zero_rows_all_zero_key_undetected"),
     ),
     Mutant(
-        "attack_extract_bits: prediction ORs the known bits",
+        "ExtractBitsStrategy: position at the key length mounted",
         "adversary.py",
-        "        prediction ^= bit\n",
-        "        prediction |= bit\n",
-        (_ADV + "test_extract_bits_op", _ADV + "test_extract_bits_prediction_always_correct"),
+        "0 <= p < n for p in positions",
+        "0 <= p <= n for p in positions",
+        (_ADV + "test_extract_bits_position_at_the_key_length_leaves_the_frame_untouched",),
     ),
     Mutant(
         "FlipEntryStrategy: column at the key length mounted",
@@ -504,6 +504,16 @@ MUTANTS = (
             _SCEN + "test_flip_entry_outcome_reads_the_attacked_row",
             _SCEN + "test_success_recomputable_from_dumped_states",
             _ACCEPT + "test_criterion_02_flip_entry_half_probability",
+        ),
+    ),
+    Mutant(
+        "extract-bits outcome: parity as an OR",
+        "scenarios.py",
+        "prediction = sum(bits) % 2 if bits else None",
+        "prediction = max(bits) if bits else None",
+        (
+            _SCEN + "test_extract_bits_outcome_needs_a_correct_prediction",
+            _SCEN + "test_extract_bits_dump_knowledge_is_genuine",
         ),
     ),
     Mutant(

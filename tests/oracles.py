@@ -11,7 +11,8 @@ The session front-end oracles select with random boolean masks
 (arr[keep], np.where), where the pipeline selects with index arrays.
 oracle_validate_config states the attack option rules as hand-written
 checks, one per attack, where scenarios declares each option's range and
-checks every option with one checker.
+checks every option with one checker. wilson_interval is the confidence
+band the statistical tests hold a measured rate to.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def read_hex(text: str) -> BitVector:
     """A vector dumped as length-prefixed MSB-first hex ('12:b2e0'), read back."""
     head, _, body = text.partition(":")
     return BitVector.from_array(unpack_msb(bytes.fromhex(body), int(head)))
+
+
+def wilson_interval(hits: int, n: int, z: float) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion (Wilson, JASA 22:209, 1927)."""
+    p = hits / n
+    centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    return centre - half, centre + half
 
 
 def oracle_matvec_bitloop(m: BitMatrix, v: BitVector) -> list[int]:

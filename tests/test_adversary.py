@@ -39,7 +39,13 @@ from qkdsim.pipeline import (
 from qkdsim.scenarios import builtin_scenario
 from qkdsim.seeding import derive_bytes, make_rng, trial_seed
 
-from oracles import bit_at, oracle_candidates, oracle_collision_search, row_ints
+from oracles import (
+    bit_at,
+    oracle_candidates,
+    oracle_collision_search,
+    row_ints,
+    wilson_interval,
+)
 
 MATRIX_IN_LOG = HardeningKind.MATRIX_IN_LOG
 DERIVED = HardeningKind.DERIVED_MATRIX
@@ -89,15 +95,15 @@ def test_zero_rows_op():
 
 def test_extract_bits_op():
     m = matrix()
-    known = [(0, 1), (5, 0), (9, 1)]
-    m2, prediction = attack_extract_bits(m, known, 2, 8)
-    assert prediction == 0  # parity of the known bits
+    positions = [0, 5, 9]
+    m2 = attack_extract_bits(m, positions, 2, 8)
+    assert isinstance(m2, BitMatrix)
     rows, rows2 = row_ints(m), row_ints(m2)
     assert [p for p in range(32) if rows2[2] >> p & 1] == [0, 5, 9]
     assert rows2[:2] + rows2[3:] == rows[:2] + rows[3:]
     with pytest.raises(ValueError, match="tail"):
-        attack_extract_bits(m, known, 8, 8)
-    with pytest.raises(ValueError):
+        attack_extract_bits(m, positions, 8, 8)
+    with pytest.raises(ValueError, match="at least one known position"):
         attack_extract_bits(m, [], 2, 8)
 
 
@@ -201,6 +207,13 @@ def test_zero_rows_all_zero_key_undetected():
         assert attacked.bob.state.key_tail == attacked.alice.state.key_tail
 
 
+def known_parity(state, positions) -> int:
+    parity = 0
+    for p in positions:
+        parity ^= state.reconciled[p]
+    return parity
+
+
 def test_extract_bits_prediction_always_correct():
     for seed in range(200):
         strategy = ExtractBitsStrategy(
@@ -208,10 +221,10 @@ def test_extract_bits_prediction_always_correct():
         )
         params, result = attacked_session(strategy, seed)
         assert result.bob.verdict is Verdict.ACCEPT
-        assert strategy.prediction == result.bob.state.full_key[0]
-        # injected knowledge was genuine
-        for pos, bit in strategy.known:
-            assert result.bob.state.reconciled[pos] == bit
+        assert len(set(strategy.positions)) == 8
+        assert known_parity(result.bob.state, strategy.positions) == result.bob.state.full_key[0]
+        # the bits the attacker is taken to know, Alice's, are Bob's too
+        assert known_parity(result.alice.state, strategy.positions) == result.bob.state.full_key[0]
 
 
 def test_extract_bits_explicit_positions():
@@ -219,7 +232,20 @@ def test_extract_bits_explicit_positions():
         target_row=3, tail_len=128, rng=make_rng(0, "adv"), known_positions=[2, 40, 41]
     )
     params, result = attacked_session(strategy, 17)
-    assert strategy.prediction == result.bob.state.full_key[3]
+    assert strategy.positions == [2, 40, 41]
+    assert known_parity(result.bob.state, strategy.positions) == result.bob.state.full_key[3]
+
+
+def test_extract_bits_position_at_the_key_length_leaves_the_frame_untouched():
+    # Position len(reconciled) is the first past the key; the one before it is the last inside.
+    params = SessionParams(n_raw=2048, master_seed=4)
+    cols = len(run_session(params).bob.state.reconciled)
+    for p, tampered in ((cols, False), (cols - 1, True)):
+        strategy = ExtractBitsStrategy(0, 128, make_rng(0, "adv"), known_positions=[0, p])
+        result = run_session(params, channel=Channel(strategy))
+        assert [e.tampered for e in result.channel.frames(FrameType.PA_MATRIX)] == [tampered]
+        assert strategy.positions == ([0, p] if tampered else [])
+        assert result.bob.verdict is Verdict.ACCEPT
 
 
 def test_extract_bits_strategy_validation():
@@ -335,14 +361,6 @@ def test_collision_trial_computes_one_product_per_session(monkeypatch):
         assert len(calls) == 2, t
 
 
-def _wilson(successes: int, n: int, z: float) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (Wilson, JASA 22:209, 1927)."""
-    p = successes / n
-    centre = (p + z * z / (2 * n)) / (1 + z * z / n)
-    half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-    return centre - half, centre + half
-
-
 @pytest.mark.parametrize("w", [6, 8, 10])
 def test_collision_rate_matches_random_oracle(w):
     # K = ln2 * 2^w candidates put the analytic hit rate 1-(1-2^-w)^K at
@@ -357,7 +375,7 @@ def test_collision_rate_matches_random_oracle(w):
         if out.bob_verdict is not Verdict.ABORT:
             searched += 1
             found += out.found
-    lo, hi = _wilson(found, searched, z=4.0)
+    lo, hi = wilson_interval(found, searched, z=4.0)
     assert lo <= predicted <= hi, (w, found, searched, predicted)
 
 

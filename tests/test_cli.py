@@ -265,6 +265,7 @@ def _manifest(summary=(), **entry):
         (_manifest({"accept_rate_bob": "x"}), "summary accept_rate_bob must be a number"),
         (_manifest({"wall_time_s": "x"}, trials_file="t.jsonl"), "wall_time_s must be a number"),
         (_manifest(trials_file=7), "trials_file must be a string, got 7"),
+        (_manifest(scenario=7), "scenario must be a string, got 7"),
     ],
 )
 def test_report_bad_manifest(tmp_path, capsys, manifest, message):

@@ -42,7 +42,7 @@ from qkdsim.scenarios import (
     write_trials_jsonl,
 )
 
-from oracles import ORACLE_ATTACKS, oracle_validate_config, read_hex
+from oracles import ORACLE_ATTACKS, oracle_validate_config, read_hex, wilson_interval
 
 ACCEPT = "accept"
 
@@ -346,13 +346,6 @@ def exact_abort_probability(params: SessionParams) -> Fraction:
     return total / 2**n
 
 
-def wilson_interval(hits: int, n: int, z: float) -> tuple[float, float]:
-    p = hits / n
-    centre = (p + z * z / (2 * n)) / (1 + z * z / n)
-    half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-    return centre - half, centre + half
-
-
 @pytest.mark.parametrize(
     "n_raw,key_len,qber",
     [
@@ -499,12 +492,19 @@ def test_flip_entry_outcome_reads_the_attacked_row(row):
 
 @pytest.mark.parametrize("prediction", [0, 1, None])
 def test_extract_bits_outcome_needs_a_correct_prediction(prediction):
-    # Bob's key bit at the target row is 1.
-    result = SimpleNamespace(bob=_party(full_key=BitVector(4, 0b0100)))
-    strategy = SimpleNamespace(prediction=prediction, known=[(0, 1)])
+    # Bob's key bit at the target row is 1. Alice's reconciled bits are
+    # 0, 1, 1, 0, so each set of positions has the given parity; an
+    # unmounted attack wrote no positions.
+    positions = {0: [0, 1, 2], 1: [1, 3], None: []}[prediction]
+    result = SimpleNamespace(
+        alice=_party(reconciled=BitVector(4, 0b0110)),
+        bob=_party(full_key=BitVector(4, 0b0100)),
+    )
+    strategy = SimpleNamespace(positions=positions)
     success, aux = scenarios_mod._extract_bits_outcome(result, strategy, {"target_row": 2})
     assert success is (prediction == 1)
     assert (aux["prediction"], aux["actual"]) == (prediction, 1)
+    assert aux["known"] == [[p, (0b0110 >> p) & 1] for p in positions]
 
 
 @pytest.mark.parametrize("hardening", list(HardeningKind))
@@ -944,6 +944,23 @@ def test_tiny_configs_fail_validation_or_run_to_completion(attack, hardening, pa
     for r in reports:
         assert r.alice_verdict in verdicts and r.bob_verdict in verdicts
         assert TrialReport.from_json(r.to_json()) == r
+        if attack == "extract-bits":
+            # A record lists known bits exactly when the attack was mounted.
+            assert (r.aux["known"] == []) is (r.aux["prediction"] is None), r.aux
+
+
+def test_extract_bits_under_derived_matrix_knows_no_bits():
+    # derived_matrix sends no matrix frame, so the attack is never mounted,
+    # although every session reaches reconciliation.
+    config = config_from_dict(
+        {"attack": {"name": "extract-bits"}, "hardening": "derived_matrix", "trials": 3}
+    )
+    reports, _ = run_scenario(config)
+    for r in reports:
+        assert r.bob_verdict == "accept"
+        assert r.aux["tampered_frames"] == 0
+        assert r.aux["known"] == [] and r.aux["prediction"] is None
+        assert r.attack_success is False
 
 
 def _refuses(validate, config) -> bool:

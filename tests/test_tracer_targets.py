@@ -50,3 +50,20 @@ def test_bindings_pinned_by_the_benchmark_self_test_resolve():
     for module_name, attr in pairs:
         name = "qkdsim" if module_name == "qkdsim" else f"qkdsim.{module_name}"
         assert callable(getattr(importlib.import_module(name), attr)), (module_name, attr)
+
+
+def test_every_adversary_strategy_tamper_is_traced():
+    # A strategy's tamper does its attack's per-trial work (extract-bits
+    # draws its positions there), so each one must be timed as adversary.tamper.
+    adversary = importlib.import_module("qkdsim.adversary")
+    base = importlib.import_module("qkdsim.channel").AttackStrategy
+    strategies = [
+        obj
+        for obj in vars(adversary).values()
+        if isinstance(obj, type) and issubclass(obj, base) and obj.__module__ == adversary.__name__
+    ]
+    assert strategies
+    traced = {a for span, m, a in TARGETS if (span, m) == ("adversary.tamper", "adversary")}
+    for cls in strategies:
+        assert "tamper" in vars(cls), cls.__name__
+        assert f"{cls.__name__}.tamper" in traced, cls.__name__
