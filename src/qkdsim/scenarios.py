@@ -13,13 +13,14 @@ import dataclasses
 import json
 import numbers
 import os
+import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, get_type_hints
 
 from .adversary import (
     ExtractBitsStrategy,
@@ -85,12 +86,11 @@ class TrialReport:
     @classmethod
     def from_json(cls, line: str) -> "TrialReport":
         d = json.loads(line)
-        if not (isinstance(d, dict) and d.keys() >= set(cls.__slots__)):
-            raise ValueError(f"expected an object with the fields {', '.join(cls.__slots__)}")
-        for name, kind in zip(cls.__slots__, (int, int, str, str, bool, bool, dict)):
-            if not (name == "keys_equal" and d[name] is None):
-                _check_value(name, d[name], kind)
-        return cls(*(d[k] for k in cls.__slots__))
+        if not (isinstance(d, dict) and d.keys() >= _TRIAL_KINDS.keys()):
+            raise ValueError(f"expected an object with the fields {', '.join(_TRIAL_KINDS)}")
+        for name, kind in _TRIAL_KINDS.items():
+            _check_value(name, d[name], kind)
+        return cls(*(d[k] for k in _TRIAL_KINDS))
 
 
 @dataclass(frozen=True)
@@ -108,28 +108,21 @@ class BatchSummary:
         cls, scenario: str, reports: Sequence[TrialReport], wall_time_s: float
     ) -> "BatchSummary":
         n = len(reports)
-        accept = Verdict.ACCEPT.value
-        return cls(
-            scenario=scenario,
-            trials=n,
-            accept_rate_alice=sum(r.alice_verdict == accept for r in reports) / n,
-            accept_rate_bob=sum(r.bob_verdict == accept for r in reports) / n,
-            key_mismatch_rate=sum(r.keys_equal is False for r in reports) / n,
-            attack_success_rate=sum(r.attack_success for r in reports) / n,
-            wall_time_s=wall_time_s,
-        )
+        rates = {name: sum(map(counts, reports)) / n for name, counts in _RATES.items()}
+        return cls(scenario=scenario, trials=n, wall_time_s=wall_time_s, **rates)
 
 
-SUMMARY_METRICS = (
-    "accept_rate_alice",
-    "accept_rate_bob",
-    "key_mismatch_rate",
-    "attack_success_rate",
-)
-# Value kind of each BatchSummary field, as load_report_dir checks a manifest.
-_SUMMARY_KINDS = {
-    "scenario": str, "trials": int, "wall_time_s": float, **dict.fromkeys(SUMMARY_METRICS, float)
+# Summary rate -> the per-trial test it counts; the rate is its share of the trials.
+_RATES: dict[str, Callable[[TrialReport], bool]] = {
+    "accept_rate_alice": lambda r: r.alice_verdict == Verdict.ACCEPT.value,
+    "accept_rate_bob": lambda r: r.bob_verdict == Verdict.ACCEPT.value,
+    "key_mismatch_rate": lambda r: r.keys_equal is False,
+    "attack_success_rate": lambda r: r.attack_success,
 }
+SUMMARY_METRICS = tuple(_RATES)
+# Field -> value kind (a key of _KINDS) of each record, as a report directory's reader checks it.
+_TRIAL_KINDS = get_type_hints(TrialReport)
+_SUMMARY_KINDS = get_type_hints(BatchSummary)
 
 
 @dataclass(frozen=True)
@@ -328,7 +321,8 @@ class _Option:
     A callable default is a function of the params. An integer must be at
     least lo and, when hi names a bound in _BOUNDS, lie below it, or be at
     most it when closed. A list must be nonempty and distinct, each entry in
-    [lo, hi). Null means none, unless null_is_empty refuses a given null.
+    [lo, hi). Null means none: an option whose default is none may be given
+    null for that default, and no other option may.
     """
 
     kind: type
@@ -336,7 +330,6 @@ class _Option:
     lo: int = 0
     hi: str | None = None
     closed: bool = False
-    null_is_empty: bool = False
 
 
 @dataclass(frozen=True)
@@ -400,7 +393,7 @@ _ATTACKS: dict[str, _Attack] = {
         {
             "target_row": _Option(int, 0, hi="key_len - tail_len"),
             "num_known": _Option(int, 8, 1, "n_raw", closed=True),
-            "known_positions": _Option(list, None, hi="n_raw", null_is_empty=True),
+            "known_positions": _Option(list, None, hi="n_raw"),
         },
         _frame_trial(
             lambda opts, tail, rng: ExtractBitsStrategy(
@@ -434,17 +427,15 @@ def _is_int(value) -> bool:
 
 
 # Value kind -> (what a value of that kind must be, its test). A list kind
-# is a list of integer key positions, or null for none.
+# is a list of integer key positions.
 _KINDS = {
     int: ("an integer", _is_int),
     float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     bool: ("true or false", lambda v: isinstance(v, bool)),
+    bool | None: ("true, false or null", lambda v: v is None or isinstance(v, bool)),
     dict: ("an object", lambda v: isinstance(v, dict)),
-    list: (
-        "a list of integers",
-        lambda v: v is None or isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-    ),
+    list: ("a list of integers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
 }
 
 
@@ -464,13 +455,15 @@ def _check_options(config: ScenarioConfig, attack: _Attack) -> None:
                 f"unknown option {key!r} for attack {name!r}"
                 + (f", allowed: {', '.join(sorted(attack.options))}" if attack.options else "")
             )
-        _check_value(f"{name} {key}", value, attack.options[key].kind)
+        option = attack.options[key]
+        if value is not None or option.default is not None:
+            _check_value(f"{name} {key}", value, option.kind)
     used = [k for k in attack.one_of if given.get(k) is not None]
     if len(used) > 1:
         raise ConfigError(f"give only one of {' and '.join(used)}")
     for key, value in attack.resolve(params, given).items():
         option, what = attack.options[key], f"{name} {key}"
-        if value is None and not (option.null_is_empty and key in given):
+        if value is None:
             continue  # null means none
         if key not in given and key in attack.one_of and used:
             continue  # the other option of the pair is given in its place
@@ -821,6 +814,9 @@ def config_from_dict(d: dict) -> ScenarioConfig:
             )
         for bound in ("lo", "hi"):
             _check_value(f"check {bound}", item[bound], float)
+            # No rate meets a NaN bound; an integer past the float range is no float.
+            if not abs(item[bound]) <= sys.float_info.max:
+                raise ConfigError(f"check {bound} must be a finite number, got {item[bound]!r}")
         if item["lo"] > item["hi"]:
             raise ConfigError(f"check {item['metric']} lo {item['lo']} exceeds hi {item['hi']}")
         checks.append(Check(item["metric"], float(item["lo"]), float(item["hi"])))
@@ -887,7 +883,7 @@ def write_summary_csv(summaries: Sequence[BatchSummary], path) -> None:
     """CSV summary table; the header row is written even for no summaries."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("scenario", "trials", *SUMMARY_METRICS, "wall_time_s"))
+        writer.writerow(_SUMMARY_KINDS)
         for s in summaries:
             rates = (f"{getattr(s, m):.6g}" for m in SUMMARY_METRICS)
             writer.writerow([s.scenario, s.trials, *rates, f"{s.wall_time_s:.3f}"])
@@ -971,12 +967,11 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
         raise ConfigError(f"{out_dir}: no run.json manifest; not a report directory")
     manifest = _load_json(manifest_path)
     entries = manifest.get("entries") if isinstance(manifest, dict) else None
-    summary_fields = {f.name for f in dataclasses.fields(BatchSummary)}
     if not isinstance(entries, list) or not all(
         isinstance(e, dict)
         and {"scenario", "config", "summary"} <= e.keys()
         and isinstance(e["summary"], dict)
-        and e["summary"].keys() == summary_fields
+        and e["summary"].keys() == _SUMMARY_KINDS.keys()
         for e in entries
     ):
         raise ConfigError(

@@ -64,6 +64,7 @@ _LARGE_FRONT_END = _PIPE + "test_front_end_matches_mask_oracle_at_large_n_raw"
 _ADV = "tests/test_adversary.py::"
 _ROWS = _SCEN + "test_config_validation_errors[overrides"
 _DISTINCT_OTP = _ROWS + "57-bit_positions must be distinct, 3 repeats]"
+_FROM_REPORTS = _SCEN + "test_from_reports_counts_each_rate_exactly"
 
 MUTANTS = (
     Mutant(
@@ -430,7 +431,7 @@ MUTANTS = (
         "            if not value:\n"
         '                raise ConfigError(f"{what} must be nonempty")\n',
         "",
-        (_ROWS + "14-nonempty]", _ROWS + "63-known_positions must be nonempty]"),
+        (_ROWS + "14-nonempty]",),
     ),
     Mutant(
         "option check: both options of a pair accepted",
@@ -440,17 +441,20 @@ MUTANTS = (
         (_ROWS + "13-only one of]", _ROWS + "56-only one of bit_positions and num_flips]"),
     ),
     Mutant(
-        "option check: explicit null known_positions taken as none",
+        "option check: explicit null accepted for an option with a default",
         "scenarios.py",
-        "if value is None and not (option.null_is_empty and key in given):",
-        "if value is None:",
-        (_ROWS + "63-known_positions must be nonempty]",),
+        "if value is not None or option.default is not None:",
+        "if value is not None:",
+        (
+            _ROWS + "24-randomize-rows r must be an integer, got None]",
+            _ROWS + "63-num_known must be an integer, got None]",
+        ),
     ),
     Mutant(
         "option check: explicit null bit_positions refused",
         "scenarios.py",
-        "if value is None and not (option.null_is_empty and key in given):",
-        "if value is None and key not in given:",
+        "if value is not None or option.default is not None:",
+        "if True:",
         (_SCEN + "test_option_given_in_place_of_its_pair_leaves_the_others_default_unchecked",),
     ),
     Mutant(
@@ -522,6 +526,43 @@ MUTANTS = (
         "return prediction is not None and prediction == actual, {",
         "return prediction is not None, {",
         (_SCEN + "test_extract_bits_outcome_needs_a_correct_prediction",),
+    ),
+    Mutant(
+        "check band: non-finite bound accepted",
+        "scenarios.py",
+        "if not abs(item[bound]) <= sys.float_info.max:",
+        "if False:",
+        (
+            _ROWS + "64-check lo must be a finite number, got nan]",
+            _ROWS + "65-check hi must be a finite number, got inf]",
+            _ROWS + "66-check lo must be a finite number, got -1000]",
+        ),
+    ),
+    Mutant(
+        "summary: Alice's and Bob's accept tests swapped",
+        "scenarios.py",
+        '    "accept_rate_alice": lambda r: r.alice_verdict == Verdict.ACCEPT.value,\n'
+        '    "accept_rate_bob": lambda r: r.bob_verdict == Verdict.ACCEPT.value,\n',
+        '    "accept_rate_alice": lambda r: r.bob_verdict == Verdict.ACCEPT.value,\n'
+        '    "accept_rate_bob": lambda r: r.alice_verdict == Verdict.ACCEPT.value,\n',
+        (_FROM_REPORTS,),
+    ),
+    Mutant(
+        "summary: an aborted trial counted as a key mismatch",
+        "scenarios.py",
+        "lambda r: r.keys_equal is False,",
+        "lambda r: not r.keys_equal,",
+        (_FROM_REPORTS,),
+    ),
+    Mutant(
+        "trial record: keys_equal of any kind read",
+        "scenarios.py",
+        "lambda v: v is None or isinstance(v, bool)),",
+        "lambda v: True),",
+        (
+            "tests/test_cli.py::test_report_bad_trial_line"
+            "[True-bad_line7-keys_equal must be true, false or null, got 'no']",
+        ),
     ),
     Mutant(
         "evaluate_checks: < for <=",

@@ -286,6 +286,7 @@ def test_report_bad_manifest(tmp_path, capsys, manifest, message):
         ({"attack_success": "yes"}, "attack_success must be true or false, got 'yes'"),
         ({"aux": []}, "aux must be an object, got []"),
         ({"trial_index": 1.5}, "trial_index must be an integer, got 1.5"),
+        ({"keys_equal": "no"}, "keys_equal must be true, false or null, got 'no'"),
     ],
 )
 @pytest.mark.parametrize("first", [True, False])

@@ -18,6 +18,7 @@ from qkdsim.pipeline import SessionParams, Verdict, run_session
 from qkdsim.scenarios import (
     _ATTACKS,
     BUILTIN_SCENARIOS,
+    SUMMARY_METRICS,
     AttackSpec,
     BatchSummary,
     Check,
@@ -244,6 +245,36 @@ def test_summary_counts_consistent():
     ):
         assert 0.0 <= rate <= 1.0
     assert summary.attack_success_rate == sum(r.attack_success for r in reports) / 60
+
+
+def test_from_reports_counts_each_rate_exactly():
+    # Each party accepts in a different number of trials, and an aborted
+    # trial (keys_equal null) is not a mismatch.
+    rows = [
+        ("accept", "accept", True, False),
+        ("accept", "accept", False, True),
+        ("accept", "reject", False, True),
+        ("reject", "accept", None, True),
+        ("abort", "abort", None, False),
+        ("accept", "reject", True, False),
+        ("accept", "accept", True, False),
+    ]
+    reports = [TrialReport(i, i, *row, {}) for i, row in enumerate(rows)]
+    summary = BatchSummary.from_reports("mixed", reports, 2.5)
+    assert summary == BatchSummary(
+        scenario="mixed",
+        trials=7,
+        accept_rate_alice=5 / 7,
+        accept_rate_bob=4 / 7,
+        key_mismatch_rate=2 / 7,
+        attack_success_rate=3 / 7,
+        wall_time_s=2.5,
+    )
+
+
+def test_summary_metrics_are_the_summary_fields_between_trials_and_wall_time():
+    fields = tuple(f.name for f in dataclasses.fields(BatchSummary))
+    assert ("scenario", "trials", *SUMMARY_METRICS, "wall_time_s") == fields
 
 
 def test_csv_empty_has_header(tmp_path):
@@ -688,7 +719,7 @@ def test_config_file_rejects_bad_json(tmp_path):
         ({"checks": "all"}, '"checks" must be a list'),
         ({"attack": {"name": "flip-entry", "row": "3"}}, "row must be an integer"),
         ({"attack": {"name": "flip-entry", "col": True}}, "col must be an integer"),
-        ({"attack": {"name": "otp-malleability", "num_flips": None}}, "num_flips must be an integer"),
+        ({"attack": {"name": "randomize-rows", "r": None}}, "randomize-rows r must be an integer, got None"),
         ({"attack": {"name": "randomize-rows", "r": 1.5}}, "r must be an integer"),
         (
             {"attack": {"name": "collision-impersonation", "search_budget": 1e6}},
@@ -778,9 +809,21 @@ def test_config_file_rejects_bad_json(tmp_path):
             r"bit_positions must lie in \[0, key_len - tail_len = 128\), got 128",
         ),
         ({"params": {"n_raw": 256}}, "key_len must be below n_raw = 256, got 256"),
-        # An explicit null known_positions is refused as empty, where an
-        # explicit null bit_positions means none.
-        ({"attack": {"name": "extract-bits", "known_positions": None}}, "known_positions must be nonempty"),
+        # Only an option whose default is none may be given null.
+        ({"attack": {"name": "extract-bits", "num_known": None}}, "num_known must be an integer, got None"),
+        # No rate meets a NaN bound.
+        (
+            {"checks": [{"metric": "accept_rate_bob", "lo": math.nan, "hi": 1}]},
+            "check lo must be a finite number, got nan",
+        ),
+        (
+            {"checks": [{"metric": "accept_rate_bob", "lo": 0, "hi": math.inf}]},
+            "check hi must be a finite number, got inf",
+        ),
+        (
+            {"checks": [{"metric": "accept_rate_bob", "lo": -(10**400), "hi": 1}]},
+            "check lo must be a finite number, got -1000",
+        ),
     ],
 )
 def test_config_validation_errors(overrides, match):
@@ -800,10 +843,15 @@ def test_option_given_in_place_of_its_pair_leaves_the_others_default_unchecked()
     with pytest.raises(ConfigError, match="extract-bits num_known must be at most n_raw = 6, got 8"):
         config_from_dict({**tiny, "attack": {"name": "extract-bits"}})
     config_from_dict({**tiny, "attack": {"name": "extract-bits", "known_positions": [0, 1]}})
-    # An explicit null bit_positions means none, so num_flips may be given with it.
+    # An explicit null of an option whose default is none means that default,
+    # so the other option of its pair may be given with it.
     config_from_dict(
         {**tiny, "attack": {"name": "otp-malleability", "bit_positions": None, "num_flips": 2}}
     )
+    config_from_dict(
+        {**tiny, "attack": {"name": "extract-bits", "known_positions": None, "num_known": 2}}
+    )
+    config_from_dict({**tiny, "attack": {"name": "otp-malleability", "num_flips": None}})
 
 
 def test_key_len_just_below_n_raw_is_valid():
@@ -995,4 +1043,8 @@ def test_declared_option_ranges_refuse_what_the_hand_written_checks_refuse(
     for combination in itertools.product(*(values[kind] for kind, _ in options.values())):
         given = {k: v for k, v in zip(options, combination) if v is not absent}
         config = ScenarioConfig(params=session, hardening=hardening, attack=AttackSpec(attack, given))
-        assert _refuses(validate_config, config) == _refuses(oracle_validate_config, config), given
+        # The oracle reads an explicit null of an option whose default is none
+        # as that option left out.
+        kept = {k: v for k, v in given.items() if not (v is None and options[k][1] is None)}
+        oracle = dataclasses.replace(config, attack=AttackSpec(attack, kept))
+        assert _refuses(validate_config, config) == _refuses(oracle_validate_config, oracle), given
