@@ -10,12 +10,22 @@ frame) and forwards every other frame as the same object.
 
 The collision attack targets the matrix_in_log hardened variant instead:
 a captured (digest, mac) pair is replayed after searching for a matrix
-whose induced log extract hashes to the captured digest.
+whose induced log extract hashes to the captured digest. The search runs
+on up to one forked lane per usable CPU (max_search_lanes), each hashing
+every L-th chunk of the one candidate stream; the calling process alone
+decides, so the result, and every trial record, is the same for any lane
+count, and the caller's generator is never advanced.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import multiprocessing
+import os
+import select
+import signal
+import struct
 from dataclasses import dataclass, replace as dc_replace
 from itertools import count
 from typing import Sequence
@@ -198,6 +208,30 @@ class CollisionSearchResult:
 
 
 _SEARCH_CHUNK = 4096  # candidates drawn per rng_bytes call
+_MAX_LANES = 4  # each lane past the first costs a fork, about 2 ms at a 40 MB resident set
+# A lane's report on one chunk: the chunk, the offset of its first hit or
+# -1, and that hit's 16-byte draw (zeros when there is none).
+_REPORT = struct.Struct("<qq16s")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def max_search_lanes() -> int:
+    """The most lanes a collision search runs in here: one per usable CPU,
+    at most _MAX_LANES, and one inside a multiprocessing worker, whose
+    sibling workers already use the CPUs."""
+    if multiprocessing.parent_process() is not None or not hasattr(os, "fork"):
+        return 1
+    return min(usable_cpus(), _MAX_LANES)
+
+
+def _search_lanes(chunks: int) -> int:
+    return min(max_search_lanes(), chunks)
 
 
 def attack_collision_impersonate(
@@ -222,6 +256,21 @@ def attack_collision_impersonate(
     digest and a masked compare of its first byte remain; the few that
     pass that get the exact truncated compare. That keeps million-candidate
     budgets cheap.
+
+    The chunks are scanned in L lanes, L being max_search_lanes() capped at
+    the chunk count: chunk c by lane c % L. Lane 0 is the calling process; lanes 1 to L-1 are children
+    forked once the two prefix states exist, so they inherit them. Every
+    lane draws the whole candidate stream, in order, from its own copy of
+    rng and hashes only its own chunks. A child writes one fixed-size
+    record per chunk to a pipe and stops after its first hit. Only the
+    caller decides: the answer is the lowest chunk with a hit once every
+    lower chunk is reported clean. A chunk no child reported, because the
+    pipe reached EOF first or os.fork failed, the caller scans itself. On
+    the way out every child is killed and reaped. The result is therefore
+    the first hit in stream order whatever L is, the one a single lane
+    would find, and rng itself is read but never advanced, for every L (no
+    caller reads it afterwards: run_collision_impersonation makes a fresh
+    one per search).
 
     captured_digest must be a truncate_digest output: ceil(w / 8) bytes
     with its pad bits past w clear. Any other value could never match.
@@ -268,10 +317,9 @@ def attack_collision_impersonate(
     var_mask = np.frombuffer(((1 << var_bits) - 1).to_bytes(16, "little"), np.uint8)
     first_mask = (0xFF << (8 - min(w, 8))) & 0xFF
     target_first = captured_digest[0]
-    examined = 0
-    while examined < budget:
-        todo = min(_SEARCH_CHUNK, budget - examined)
-        draws = rng_bytes(rng, 16 * todo).reshape(todo, 16)
+
+    def scan(draws: np.ndarray) -> int:
+        """The offset of the first hit among one chunk's draws, or -1."""
         # Parity of r against ktop, from the two 64-bit halves of each draw
         # (ktop has no bits above var_bits, so r need not be masked first).
         both = np.bitwise_count(draws.view(">u8") & ktop_words)
@@ -281,7 +329,7 @@ def attack_collision_impersonate(
         # into the next (numpy shifts a uint8 by 8 to 0), then reverse the
         # bits of every byte.
         le = draws[:, ::-1] & var_mask
-        shifted = np.zeros((todo, 17), np.uint8)  # 16 draw bytes, then the carry
+        shifted = np.zeros((len(draws), 17), np.uint8)  # 16 draw bytes, then the carry
         np.left_shift(le, sub_shift, out=shifted[:, :16])
         shifted[:, 1:] |= le >> (8 - sub_shift)
         raw = shifted[:, :suffix_len].tobytes().translate(_REV8)
@@ -291,11 +339,90 @@ def attack_collision_impersonate(
             h.update(suffix)
             d = h.digest()
             if d[0] & first_mask == target_first and truncate_digest(d, w) == captured_digest:
-                r = int.from_bytes(draws[k].tobytes(), "big") & ((1 << var_bits) - 1)
-                matrix = BitMatrix((0,) * (l - 1) + (r << shift,), cols)
-                return CollisionSearchResult(matrix, examined + k + 1)
-        examined += todo
-    return CollisionSearchResult(None, examined)
+                return k
+        return -1
+
+    chunks = -(-budget // _SEARCH_CHUNK)
+    reports: dict[int, tuple[int, bytes]] = {}  # chunk -> (offset of its first hit or -1, draw)
+    first_hit = chunks  # the lowest chunk reported with a hit
+    clean = 0  # chunks 0 .. clean-1 are reported clean
+
+    def report(chunk: int, offset: int, draw: bytes) -> None:
+        nonlocal first_hit, clean
+        reports[chunk] = (offset, draw)
+        if offset >= 0:
+            first_hit = min(first_hit, chunk)
+        while clean < first_hit and clean in reports:
+            clean += 1
+
+    def lane(wanted):
+        """Draw the stream from a copy of rng up to the lowest known hit;
+        yield a report for each chunk that wanted picks."""
+        gen = copy.deepcopy(rng)
+        c = 0
+        while c < first_hit:
+            todo = min(_SEARCH_CHUNK, budget - c * _SEARCH_CHUNK)
+            draws = rng_bytes(gen, 16 * todo).reshape(todo, 16)
+            if wanted(c):
+                k = scan(draws)
+                yield c, k, draws[k].tobytes() if k >= 0 else bytes(16)
+            c += 1
+
+    lanes = _search_lanes(chunks)
+    children: list[int] = []
+    read_fd = None
+    try:
+        if lanes > 1:
+            read_fd, write_fd = os.pipe()
+            try:
+                for j in range(1, lanes):
+                    pid = os.fork()
+                    if pid == 0:
+                        status = 1
+                        try:
+                            os.close(read_fd)
+                            for rec in lane(lambda c: c % lanes == j):
+                                # A pipe write of at most PIPE_BUF bytes is atomic.
+                                os.write(write_fd, _REPORT.pack(*rec))
+                                report(*rec)  # past its own first hit, lane() stops
+                            status = 0
+                        finally:
+                            os._exit(status)
+                    children.append(pid)
+            except OSError:
+                pass  # the lanes that did not start are scanned below, once the pipe is at EOF
+            finally:
+                os.close(write_fd)
+        own = lane(lambda c: c % lanes == 0)
+        eof = read_fd is None
+        while clean < first_hit:
+            rec = next(own, None)
+            if rec is not None:
+                report(*rec)
+            if not eof and (rec is None or select.select([read_fd], [], [], 0)[0]):
+                # Blocks when lane 0 has nothing left to scan. Records are
+                # written whole and read in multiples of their size, so
+                # every read ends on a record boundary.
+                data = os.read(read_fd, 256 * _REPORT.size)
+                eof = not data
+                for child_rec in _REPORT.iter_unpack(data):
+                    report(*child_rec)
+            elif rec is None:
+                # Every child has exited: scan what they left unreported.
+                own = lane(lambda c: c not in reports)
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if read_fd is not None:
+            os.close(read_fd)
+
+    if first_hit == chunks:
+        return CollisionSearchResult(None, budget)
+    offset, draw = reports[first_hit]
+    r = int.from_bytes(draw, "big") & ((1 << var_bits) - 1)
+    matrix = BitMatrix((0,) * (l - 1) + (r << shift,), cols)
+    return CollisionSearchResult(matrix, first_hit * _SEARCH_CHUNK + offset + 1)
 
 
 @dataclass(frozen=True)

@@ -54,13 +54,13 @@ def _checks_pass(rows) -> bool:
     )
 
 
-def _emit(rows, out_dir, fmt) -> int:
+def _emit(rows, args) -> int:
     print(format_claims_table([(c, s) for c, _, s in rows]), end="")
-    if out_dir is not None:
+    if args.out is not None:
         try:
-            written = write_report(rows, out_dir, formats=_FORMATS[fmt])
+            written = write_report(rows, args.out, _FORMATS[args.format], args.workers)
         except OSError as exc:
-            print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+            print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
             return 2
         for name in sorted(written):
             print(f"wrote {written[name]}")
@@ -72,7 +72,7 @@ def _cmd_run(args) -> int:
     reports, summary = run_scenario(
         config, workers=args.workers, dump_states=args.dump_states
     )
-    return _emit([(config, reports, summary)], args.out, args.format)
+    return _emit([(config, reports, summary)], args)
 
 
 def _number(token: str) -> int | float:
@@ -95,7 +95,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("need at least one value to sweep over")
     entries = sweep(config, args.axis, values, workers=args.workers)
     rows = [(e.config, e.reports, e.summary) for e in entries]
-    return _emit(rows, args.out, args.format)
+    return _emit(rows, args)
 
 
 def _cmd_list(args) -> int:

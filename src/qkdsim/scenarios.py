@@ -13,6 +13,7 @@ import dataclasses
 import json
 import numbers
 import os
+import platform
 import sys
 import time
 from collections import Counter
@@ -22,15 +23,19 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Iterable, Sequence, get_type_hints
 
+import numpy as np
+
 from .adversary import (
     ExtractBitsStrategy,
     FlipEntryStrategy,
     RandomizeRowsStrategy,
     ZeroRowsStrategy,
     demo_otp_malleability,
+    max_search_lanes,
     otp_decrypt,
     otp_encrypt,
     run_collision_impersonation,
+    usable_cpus,
 )
 from .channel import AttackStrategy, Channel, FrameType
 from .gf2 import BitMatrix, BitVector
@@ -908,16 +913,32 @@ def format_claims_table(rows: Sequence[tuple[ScenarioConfig, BatchSummary]]) -> 
     return "\n".join(lines) + "\n"
 
 
+def run_environment(workers: int) -> dict:
+    """What a run's speed depends on: Python and numpy versions, usable
+    CPUs, worker processes, and the most lanes one collision search runs
+    in (one when workers > 1, each search then running in a worker)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": usable_cpus(),
+        "workers": workers,
+        "search_lanes": 1 if workers > 1 else max_search_lanes(),
+    }
+
+
 def write_report(
     rows: Sequence[tuple[ScenarioConfig, list[TrialReport], BatchSummary]],
     out_dir,
     formats: Sequence[str] = ("jsonl", "csv"),
+    workers: int = 1,
 ) -> dict[str, str]:
     """Emit trial JSONL, the summary CSV, the claims table and a manifest.
 
     Returns the written paths keyed by artifact name. The manifest makes the
     directory self-describing, so `report` can rebuild the derived outputs
-    from the per-trial records alone.
+    from the per-trial records alone. Its `environment` block (see
+    run_environment) is for the reader; `report` does not read it, and it
+    stays out of the trial records and the summary.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: dict[str, str] = {}
@@ -946,7 +967,8 @@ def write_report(
     written["claims.txt"] = claims_path
     manifest_path = os.path.join(out_dir, "run.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump({"entries": manifest_entries}, fh, indent=2)
+        manifest = {"environment": run_environment(workers), "entries": manifest_entries}
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
     written["run.json"] = manifest_path
     return written

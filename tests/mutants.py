@@ -84,8 +84,8 @@ MUTANTS = (
     Mutant(
         "search: candidate count one short",
         "adversary.py",
-        "CollisionSearchResult(matrix, examined + k + 1)",
-        "CollisionSearchResult(matrix, examined + k)",
+        "first_hit * _SEARCH_CHUNK + offset + 1)",
+        "first_hit * _SEARCH_CHUNK + offset)",
         (_PLANTED, _ORACLE),
     ),
     Mutant(
@@ -94,6 +94,20 @@ MUTANTS = (
         "        le = draws[:, ::-1] & var_mask\n",
         "        le = draws[:, ::-1]\n",
         (_ORACLE, _PLANTED),
+    ),
+    Mutant(
+        "search lanes: first record to arrive taken, not the lowest chunk",
+        "adversary.py",
+        "            first_hit = min(first_hit, chunk)\n",
+        "            first_hit = chunk if first_hit == chunks else first_hit\n",
+        (_ADV + "test_collision_search_waits_for_a_slow_lane_below_its_hit",),
+    ),
+    Mutant(
+        "search lanes: unreported chunks left unscanned",
+        "adversary.py",
+        "                own = lane(lambda c: c not in reports)\n",
+        "                break\n",
+        (_ADV + "test_collision_search_scans_unreported_chunks_itself",),
     ),
     Mutant(
         "search: pad bits past the width accepted",

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import math
+import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -579,11 +582,109 @@ def test_collision_search_finds_a_planted_hit_at_its_candidate(cols, w):
     budget=st.integers(1, 9000),
     target=st.binary(min_size=4, max_size=4),
     seed=st.integers(0, 2**32 - 1),
+    lanes=st.sampled_from([1, 2, 3]),
 )
-def test_collision_search_equals_oracle_property(cols, w, budget, target, seed):
+def test_collision_search_equals_oracle_property(cols, w, budget, target, seed, lanes):
     _, state, params = _oracle_case(cols, w, 1 + seed % 3)
-    fast, slow = _search_both((truncate_digest(target, w), state, params), budget, seed, "p")
-    assert fast == slow
+    case = (truncate_digest(target, w), state, params)
+    rng = make_rng(seed, "p")
+    before = rng.bit_generator.state
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adversary_mod, "_search_lanes", lambda chunks: lanes)
+        fast = attack_collision_impersonate(*case, budget, rng)
+    assert rng.bit_generator.state == before  # read, never advanced
+    assert fast == oracle_collision_search(*case, budget, make_rng(seed, "p"))
+
+
+# ------------------------------------------------------- collision search lanes
+
+# At cols=1003, w=12 and eight chunks, search seed 3 first hits in chunk 1
+# (offset 2920; more hits in chunks 3 and 4) and seed 343 in chunk 6. Chunk
+# 1 is a child's at two and three lanes, chunk 6 lane 0's.
+_LANE_BUDGET = 8 * 4096
+_CHILD_HIT, _LANE0_HIT = 3, 343
+
+
+def _lane_search(monkeypatch, lanes: int, seed: int, w: int = 12):
+    monkeypatch.setattr(adversary_mod, "_search_lanes", lambda chunks: lanes)
+    case = _oracle_case(1003, w)
+    rng = make_rng(seed, "s")
+    before = rng.bit_generator.state
+    found = attack_collision_impersonate(*case, _LANE_BUDGET, rng)
+    assert rng.bit_generator.state == before
+    return found, oracle_collision_search(*case, _LANE_BUDGET, make_rng(seed, "s"))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("seed,chunk", [(_CHILD_HIT, 1), (_LANE0_HIT, 6)])
+def test_collision_search_lanes_find_the_serial_hit(monkeypatch, lanes, seed, chunk):
+    found, serial = _lane_search(monkeypatch, lanes, seed)
+    assert found == serial
+    assert found.candidates_examined // 4096 == chunk
+    _no_child_left()
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_collision_search_waits_for_a_slow_lane_below_its_hit(monkeypatch, lanes):
+    # Every child sleeps first, so lane 0 reports its own hit (chunk 4 at
+    # two lanes, chunk 3 at three) long before the child's hit in chunk 1.
+    real_fork = os.fork
+
+    def slow_fork():
+        pid = real_fork()
+        if pid == 0:
+            time.sleep(0.3)
+        return pid
+
+    monkeypatch.setattr(os, "fork", slow_fork)
+    found, serial = _lane_search(monkeypatch, lanes, _CHILD_HIT)
+    assert found == serial
+    assert found.candidates_examined == 4096 + 2920 + 1
+
+
+def test_collision_search_leaves_no_process_behind(monkeypatch):
+    for seed, w in ((_CHILD_HIT, 12), (_LANE0_HIT, 12), (0, 32)):
+        found, serial = _lane_search(monkeypatch, 2, seed, w)
+        assert found == serial
+        _no_child_left()
+    assert found.matrix is None and found.candidates_examined == _LANE_BUDGET
+    # Lane 0 raises in the calling process after the children are forked.
+    caller, real_rng_bytes = os.getpid(), adversary_mod.rng_bytes
+
+    def failing_rng_bytes(rng, n):
+        if os.getpid() == caller:
+            raise RuntimeError("lane 0 failed")
+        return real_rng_bytes(rng, n)
+
+    monkeypatch.setattr(adversary_mod, "rng_bytes", failing_rng_bytes)
+    with pytest.raises(RuntimeError, match="lane 0 failed"):
+        _lane_search(monkeypatch, 2, _CHILD_HIT)
+    _no_child_left()
+
+
+def _exiting_fork(real_fork=os.fork):
+    pid = real_fork()
+    if pid == 0:
+        os._exit(0)  # a lane that never reports a chunk
+    return pid
+
+
+def _failing_fork():
+    raise OSError(errno.EAGAIN, "fork refused")
+
+
+@pytest.mark.parametrize("fork", [_exiting_fork, _failing_fork], ids=["children-exit", "fork-fails"])
+@pytest.mark.parametrize("seed,w", [(_CHILD_HIT, 12), (_LANE0_HIT, 12), (0, 32)])
+def test_collision_search_scans_unreported_chunks_itself(monkeypatch, fork, seed, w):
+    monkeypatch.setattr(os, "fork", fork)
+    found, serial = _lane_search(monkeypatch, 3, seed, w)
+    assert found == serial
+    _no_child_left()
 
 
 @pytest.mark.parametrize("w", [12, 16, 256])

@@ -25,6 +25,13 @@ def test_run_writes_report_files(tmp_path, capsys):
     assert "PASS" in stdout and "baseline" in stdout
 
 
+def test_run_records_its_workers_in_the_environment(tmp_path):
+    out = tmp_path / "report"
+    assert run_cli("run", "baseline", "--trials", 4, "--workers", 2, "--out", out) == 0
+    env = json.loads((out / "run.json").read_text())["environment"]
+    assert env["workers"] == 2 and env["search_lanes"] == 1
+
+
 def test_run_without_out_prints_only(tmp_path, capsys):
     code = run_cli("run", "zero-rows", "--trials", 5)
     assert code == 0

@@ -4,9 +4,12 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import platform
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,7 @@ from qkdsim.scenarios import (
     load_report_dir,
     read_trials_jsonl,
     render_payload,
+    run_environment,
     run_scenario,
     run_trial,
     sweep,
@@ -900,6 +904,38 @@ def test_report_dir_roundtrip(tmp_path):
     assert summary2.attack_success_rate == summary.attack_success_rate
     assert summary2.trials == summary.trials
     assert config2.checks == cfg.checks
+
+
+def test_report_dir_records_the_environment_apart_from_the_trials(tmp_path):
+    cfg = small("zero-rows", 4)
+    reports, summary = run_scenario(cfg)
+    write_report([(cfg, reports, summary)], tmp_path, workers=3)
+    manifest = json.loads((tmp_path / "run.json").read_text())
+    env = manifest["environment"]
+    assert env == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": len(os.sched_getaffinity(0)),
+        "workers": 3,
+        "search_lanes": 1,
+    }
+    assert run_environment(1)["search_lanes"] == min(env["cpus"], 4)
+    assert "environment" not in (tmp_path / "trials.jsonl").read_text()
+    assert "environment" not in manifest["entries"][0]["summary"]
+
+
+def test_report_dir_written_without_an_environment_still_loads(tmp_path):
+    # run.json as written before it held an environment block.
+    cfg = small("zero-rows", 8)
+    reports, summary = run_scenario(cfg)
+    write_report([(cfg, reports, summary)], tmp_path)
+    path = tmp_path / "run.json"
+    manifest = json.loads(path.read_text())
+    del manifest["environment"]
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    [(config2, reports2, summary2)] = load_report_dir(tmp_path)
+    assert config2 == dataclasses.replace(cfg, name=summary.scenario)
+    assert reports2 == reports and summary2 == summary
 
 
 def test_report_dir_requires_manifest(tmp_path):
