@@ -48,6 +48,12 @@ def _resolve_config(ref: str, trials: int | None, seed: int | None) -> ScenarioC
     return config
 
 
+def _workers(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    return args.workers
+
+
 def _checks_pass(rows) -> bool:
     return all(
         r.passed for config, _, summary in rows for r in evaluate_checks(summary, config.checks)
@@ -69,9 +75,7 @@ def _emit(rows, args) -> int:
 
 def _cmd_run(args) -> int:
     config = _resolve_config(args.scenario, args.trials, args.seed)
-    reports, summary = run_scenario(
-        config, workers=args.workers, dump_states=args.dump_states
-    )
+    reports, summary = run_scenario(config, workers=_workers(args), dump_states=args.dump_states)
     return _emit([(config, reports, summary)], args)
 
 
@@ -93,7 +97,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad value list for axis {args.axis!r}: {exc}") from exc
     if not values:
         raise ConfigError("need at least one value to sweep over")
-    entries = sweep(config, args.axis, values, workers=args.workers)
+    entries = sweep(config, args.axis, values, workers=_workers(args))
     rows = [(e.config, e.reports, e.summary) for e in entries]
     return _emit(rows, args)
 

@@ -451,6 +451,13 @@ def _check_value(what: str, value, kind: type) -> None:
         raise ConfigError(f"{what} must be {noun}, got {value!r}")
 
 
+def _check_known(what: str, name, known: Iterable[str]) -> None:
+    """Reject a name that is not one of known, listing them in the order given."""
+    known = list(known)
+    if name not in known:
+        raise ConfigError(f"unknown {what} {name!r}, expected one of: {', '.join(known)}")
+
+
 def _check_options(config: ScenarioConfig, attack: _Attack) -> None:
     """Reject an attack option that is unknown, of the wrong kind or out of range."""
     name, given, params = config.attack.name, config.attack.options, config.params
@@ -506,10 +513,8 @@ def validate_config(config: ScenarioConfig) -> None:
             f"key_len must be below n_raw = {params.n_raw}, got {params.key_len}: "
             "the reconciled key has at most n_raw - 1 bits"
         )
-    name = config.attack.name
-    if name not in _ATTACKS:
-        raise ConfigError(f"unknown attack {name!r}, expected one of: {', '.join(_ATTACKS)}")
-    attack = _ATTACKS[name]
+    _check_known("attack", config.attack.name, _ATTACKS)
+    attack = _ATTACKS[config.attack.name]
     _check_options(config, attack)
     attack.check(config)
 
@@ -529,9 +534,11 @@ def run_trial(config: ScenarioConfig, index: int, dump_states: bool = False) -> 
 def run_scenario(
     config: ScenarioConfig, workers: int = 1, dump_states: bool = False
 ) -> tuple[list[TrialReport], BatchSummary]:
-    """Run all trials and summarize. Output is identical for any worker count."""
+    """Run all trials and summarize. Output is identical for any worker count;
+    a pool starts at most one process per trial, and none for one trial."""
     validate_config(config)
     start = time.perf_counter()
+    workers = min(workers, config.trials)
     if workers <= 1:
         reports = [run_trial(config, i, dump_states) for i in range(config.trials)]
     else:
@@ -558,8 +565,7 @@ SWEEP_AXES = tuple(_AXES)
 
 def _step(config: ScenarioConfig, axis: str, value) -> tuple[object, ScenarioConfig]:
     """Return value as applied to axis, a plain int or float, and config with it applied."""
-    if axis not in _AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}, expected one of: {', '.join(_AXES)}")
+    _check_known("sweep axis", axis, _AXES)
     target, what = _AXES[axis], f"axis {axis!r} value"
     if isinstance(target, str):
         kind = _PARAM_TYPES[target]
@@ -744,10 +750,7 @@ del _cfg
 def builtin_scenario(
     name: str, trials: int | None = None, master_seed: int | None = None
 ) -> ScenarioConfig:
-    if name not in BUILTIN_SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {name!r}, expected one of: {', '.join(BUILTIN_SCENARIOS)}"
-        )
+    _check_known("scenario", name, BUILTIN_SCENARIOS)
     config = BUILTIN_SCENARIOS[name]
     if trials is not None:
         config = dataclasses.replace(config, trials=trials)
@@ -771,20 +774,12 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     if not isinstance(d, dict):
         raise ConfigError("scenario config must be a JSON object")
     for key in d:
-        if key not in _CONFIG_TYPES:
-            raise ConfigError(
-                f"unknown config field {key!r}, expected one of: "
-                + ", ".join(sorted(_CONFIG_TYPES))
-            )
+        _check_known("config field", key, sorted(_CONFIG_TYPES))
     params_d = d.get("params", {})
     if not isinstance(params_d, dict):
         raise ConfigError('"params" must be an object')
     for key, value in params_d.items():
-        if key not in _PARAM_TYPES:
-            raise ConfigError(
-                f"unknown params field {key!r}, expected one of: "
-                + ", ".join(sorted(_PARAM_TYPES))
-            )
+        _check_known("params field", key, sorted(_PARAM_TYPES))
         _check_value(f"params {key}", value, _PARAM_TYPES[key])
     scalars = {k: v for k, v in d.items() if _CONFIG_TYPES[k] in (int, str)}
     for key, value in scalars.items():
@@ -800,11 +795,8 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     attack = AttackSpec(attack_d.pop("name"), attack_d)
     _check_value("attack name", attack.name, str)
     mode = d.get("hardening", "baseline")
-    try:
-        hardening = HardeningKind(mode)
-    except ValueError:
-        valid = ", ".join(k.value for k in HardeningKind)
-        raise ConfigError(f"unknown hardening mode {mode!r}, expected one of: {valid}") from None
+    _check_known("hardening mode", mode, (k.value for k in HardeningKind))
+    hardening = HardeningKind(mode)
     checks_raw = d.get("checks", [])
     if not isinstance(checks_raw, list):
         raise ConfigError('"checks" must be a list')
@@ -812,11 +804,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     for item in checks_raw:
         if not isinstance(item, dict) or set(item) != {"metric", "lo", "hi"}:
             raise ConfigError('each check needs exactly the fields "metric", "lo", "hi"')
-        if item["metric"] not in SUMMARY_METRICS:
-            raise ConfigError(
-                f"unknown check metric {item['metric']!r}, expected one of: "
-                + ", ".join(SUMMARY_METRICS)
-            )
+        _check_known("check metric", item["metric"], SUMMARY_METRICS)
         for bound in ("lo", "hi"):
             _check_value(f"check {bound}", item[bound], float)
             # No rate meets a NaN bound; an integer past the float range is no float.
@@ -966,8 +954,11 @@ def write_report(
         fh.write(format_claims_table([(c, s) for c, _, s in rows]))
     written["claims.txt"] = claims_path
     manifest_path = os.path.join(out_dir, "run.json")
+    environment = run_environment(workers)
+    if any(config.trials == 1 for config, _, _ in rows):  # no pool: its search used every lane
+        environment["search_lanes"] = max_search_lanes()
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        manifest = {"environment": run_environment(workers), "entries": manifest_entries}
+        manifest = {"environment": environment, "entries": manifest_entries}
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     written["run.json"] = manifest_path
@@ -1000,6 +991,8 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
             f'{manifest_path}: not a report manifest: expected an "entries" list of objects '
             'with "scenario", "config" and a "summary" holding every BatchSummary field'
         )
+    if not entries:
+        raise ConfigError(f"{manifest_path}: no entries; the run checked nothing")
     rows = []
     for entry in entries:
         for name, value in entry["summary"].items():

@@ -579,6 +579,37 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "unknown name: the list of valid names dropped",
+        "scenarios.py",
+        ", expected one of: {', '.join(known)}",
+        "",
+        (_SCEN + "test_unknown_name_refusal_lists_every_valid_name",),
+    ),
+    Mutant(
+        "unknown config field: valid fields listed unsorted",
+        "scenarios.py",
+        "sorted(_CONFIG_TYPES)",
+        "_CONFIG_TYPES",
+        (_SCEN + "test_unknown_name_refusal_lists_every_valid_name[config-field]",),
+    ),
+    Mutant(
+        "report: a manifest without entries accepted",
+        "scenarios.py",
+        "if not entries:",
+        "if False:",
+        (
+            "tests/test_cli.py::test_report_bad_manifest"
+            '[{"entries": []}-no entries; the run checked nothing]',
+        ),
+    ),
+    Mutant(
+        "pool: one worker process per --workers, not per trial",
+        "scenarios.py",
+        "    workers = min(workers, config.trials)\n",
+        "",
+        (_SCEN + "test_pool_starts_at_most_one_worker_per_trial",),
+    ),
+    Mutant(
         "evaluate_checks: < for <=",
         "scenarios.py",
         "check.lo <= value <= check.hi",

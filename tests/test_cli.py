@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qkdsim.adversary import max_search_lanes
 from qkdsim.cli import main
 from qkdsim.scenarios import BUILTIN_SCENARIOS, SUMMARY_METRICS, read_trials_jsonl
 
@@ -30,6 +31,27 @@ def test_run_records_its_workers_in_the_environment(tmp_path):
     assert run_cli("run", "baseline", "--trials", 4, "--workers", 2, "--out", out) == 0
     env = json.loads((out / "run.json").read_text())["environment"]
     assert env["workers"] == 2 and env["search_lanes"] == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "zero-rows"], ["sweep", "zero-rows", "--axis", "qber", "--values", "0.01"]],
+    ids=["run", "sweep"],
+)
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_refused(tmp_path, capsys, command, workers):
+    out = tmp_path / "report"
+    assert run_cli(*command, "--trials", 2, "--workers", workers, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
+def test_one_trial_run_records_the_lanes_its_search_ran_in(tmp_path):
+    # One trial starts no pool, so a collision search there runs on every lane.
+    out = tmp_path / "report"
+    assert run_cli("run", "zero-rows", "--trials", 1, "--workers", 2, "--out", out) == 0
+    env = json.loads((out / "run.json").read_text())["environment"]
+    assert env["workers"] == 2 and env["search_lanes"] == max_search_lanes()
 
 
 def test_run_without_out_prints_only(tmp_path, capsys):
@@ -273,6 +295,7 @@ def _manifest(summary=(), **entry):
         (_manifest({"wall_time_s": "x"}, trials_file="t.jsonl"), "wall_time_s must be a number"),
         (_manifest(trials_file=7), "trials_file must be a string, got 7"),
         (_manifest(scenario=7), "scenario must be a string, got 7"),
+        ('{"entries": []}', "no entries; the run checked nothing"),
     ],
 )
 def test_report_bad_manifest(tmp_path, capsys, manifest, message):

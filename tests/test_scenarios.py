@@ -1,6 +1,7 @@
 """Scenario runner: dispatch, reproducibility, sweeps, reports and configs."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -220,6 +221,37 @@ def test_worker_count_invariance(tmp_path):
             other = tmp_path / f"{name}.{workers}.jsonl"
             write_trials_jsonl(rw, other)
             assert other.read_bytes() == path.read_bytes(), (name, workers)
+
+
+class _StandInPool:
+    """A ProcessPoolExecutor stand-in: records its size and maps in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "workers, trials, started",
+    [(8, 3, [3]), (2, 3, [2]), (4, 1, []), (1, 3, [])],
+    ids=["more-workers-than-trials", "fewer-workers-than-trials", "one-trial", "one-worker"],
+)
+def test_pool_starts_at_most_one_worker_per_trial(monkeypatch, workers, trials, started):
+    sizes = []
+    stand_in = functools.partial(_StandInPool, sizes)
+    monkeypatch.setattr(scenarios_mod, "ProcessPoolExecutor", stand_in)
+    cfg = small("zero-rows", trials)
+    reports, _ = run_scenario(cfg, workers=workers)
+    assert sizes == started
+    assert reports == [run_trial(cfg, i) for i in range(trials)]
 
 
 def test_single_trial_matches_batch():
@@ -833,6 +865,76 @@ def test_config_file_rejects_bad_json(tmp_path):
 def test_config_validation_errors(overrides, match):
     with pytest.raises(ConfigError, match=match):
         config_from_dict(overrides)
+
+
+_MODES = "baseline, matrix_in_log, derived_matrix"
+_METRICS = "accept_rate_alice, accept_rate_bob, key_mismatch_rate, attack_success_rate"
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        pytest.param(
+            lambda: config_from_dict({"attack": {"name": "warp"}}),
+            "unknown attack 'warp', expected one of: passive, randomize-rows, flip-entry, "
+            "zero-rows, extract-bits, collision-impersonation, otp-malleability",
+            id="attack",
+        ),
+        pytest.param(
+            lambda: sweep(builtin_scenario("baseline"), "turbo", [3]),
+            "unknown sweep axis 'turbo', expected one of: qber, r, K, w, known",
+            id="sweep-axis",
+        ),
+        pytest.param(
+            lambda: builtin_scenario("warp-field"),
+            "unknown scenario 'warp-field', expected one of: baseline, randomize-rows, "
+            "flip-entry, zero-rows, extract-bits, collision-impersonation, otp-malleability, "
+            "harden-matrix-in-log-randomize-rows, harden-matrix-in-log-flip-entry, "
+            "harden-matrix-in-log-zero-rows, harden-matrix-in-log-extract-bits, "
+            "harden-derived-matrix",
+            id="scenario",
+        ),
+        # Config and params fields are listed sorted, not in declaration order.
+        pytest.param(
+            lambda: config_from_dict({"bogus": 1}),
+            "unknown config field 'bogus', expected one of: attack, checks, claim, hardening, "
+            "master_seed, name, params, trials",
+            id="config-field",
+        ),
+        pytest.param(
+            lambda: config_from_dict({"params": {"nraw": 1}}),
+            "unknown params field 'nraw', expected one of: abort_threshold, hash_width, "
+            "key_len, n_raw, qber, sample_fraction, tail_len",
+            id="params-field",
+        ),
+        pytest.param(
+            lambda: config_from_dict({"hardening": "fortified"}),
+            f"unknown hardening mode 'fortified', expected one of: {_MODES}",
+            id="hardening",
+        ),
+        pytest.param(
+            lambda: config_from_dict({"hardening": ["matrix_in_log"]}),
+            f"unknown hardening mode ['matrix_in_log'], expected one of: {_MODES}",
+            id="hardening-list",
+        ),
+        pytest.param(
+            lambda: config_from_dict({"checks": [{"metric": "bogus", "lo": 0, "hi": 1}]}),
+            f"unknown check metric 'bogus', expected one of: {_METRICS}",
+            id="check-metric",
+        ),
+        pytest.param(
+            lambda: config_from_dict(
+                {"checks": [{"metric": ["accept_rate_bob"], "lo": 0, "hi": 1}]}
+            ),
+            f"unknown check metric ['accept_rate_bob'], expected one of: {_METRICS}",
+            id="check-metric-list",
+        ),
+    ],
+)
+def test_unknown_name_refusal_lists_every_valid_name(refuse, message):
+    with pytest.raises(ConfigError) as info:
+        refuse()
+    assert str(info.value) == message
 
 
 def test_config_file_defaults_are_the_dataclass_defaults():
