@@ -26,8 +26,8 @@ import os
 import select
 import signal
 import struct
+import threading
 from dataclasses import dataclass, replace as dc_replace
-from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -223,9 +223,13 @@ def usable_cpus() -> int:
 
 def max_search_lanes() -> int:
     """The most lanes a collision search runs in here: one per usable CPU,
-    at most _MAX_LANES, and one inside a multiprocessing worker, whose
-    sibling workers already use the CPUs."""
+    at most _MAX_LANES; one inside a multiprocessing worker, whose sibling
+    workers already use the CPUs; and one while other threads are alive,
+    since os.fork copies only the calling thread and a lane could block on
+    a lock that another thread held."""
     if multiprocessing.parent_process() is not None or not hasattr(os, "fork"):
+        return 1
+    if threading.active_count() > 1:
         return 1
     return min(usable_cpus(), _MAX_LANES)
 
@@ -251,11 +255,11 @@ def attack_collision_impersonate(
     pseudo-random bits of the last row. The hash state over all fixed bytes
     is computed once per possible tail value. Candidates are drawn in chunks
     of _SEARCH_CHUNK, and numpy computes each chunk's tail parities and
-    suffix bytes at once, from whole bytes of the draw, so per candidate
-    only a copy of one of the two states, an update with its suffix, the
-    digest and a masked compare of its first byte remain; the few that
-    pass that get the exact truncated compare. That keeps million-candidate
-    budgets cheap.
+    suffix bytes at once, from two 64-bit words per candidate that hold
+    its MSB-first serialization, so per candidate only a copy of one of
+    the two states, an update with its suffix, the digest and a masked
+    compare of its first byte remain; the few that pass that get the exact
+    truncated compare. That keeps million-candidate budgets cheap.
 
     The chunks are scanned in L lanes, L being max_search_lanes() capped at
     the chunk count: chunk c by lane c % L. Lane 0 is the calling process; lanes 1 to L-1 are children
@@ -310,36 +314,39 @@ def attack_collision_impersonate(
         data = serialize_log(build_log_extract(probe, HardeningKind.MATRIX_IN_LOG))
         copies.append(hashlib.sha256(data[:-suffix_len]).copy)
 
-    # Candidate r is the low var_bits bits of a 16-byte big-endian draw, so
-    # a reversed draw ANDed with var_mask is r's little-endian bytes.
+    # Candidate r is the low var_bits bits of a 16-byte big-endian draw.
+    # Reversing the bits of every byte and reading the 16 bytes as two
+    # little-endian words (lo, hi) puts r's bit i at bit 127 - i of hi:lo,
+    # i.e. hi:lo is r's MSB-first serialization; ktop and the var_bits mask
+    # go through the same transform.
+    def words(data: bytes) -> np.ndarray:
+        return np.frombuffer(data.translate(_REV8), "<u8")
+
     ktop = state.reconciled.value >> shift
-    ktop_words = np.array([ktop >> 64, ktop & ((1 << 64) - 1)], ">u8")
-    var_mask = np.frombuffer(((1 << var_bits) - 1).to_bytes(16, "little"), np.uint8)
+    k_lo, k_hi = words(ktop.to_bytes(16, "big"))
+    var_words = words(((1 << var_bits) - 1).to_bytes(16, "big"))[:, None]
+    # numpy shifts a uint64 by 64 to 0, so at sub_shift 0 the carry word and
+    # the third suffix word are zero.
+    down, up = np.uint64(sub_shift), np.uint64(64 - sub_shift)
     first_mask = (0xFF << (8 - min(w, 8))) & 0xFF
     target_first = captured_digest[0]
 
     def scan(draws: np.ndarray) -> int:
         """The offset of the first hit among one chunk's draws, or -1."""
-        # Parity of r against ktop, from the two 64-bit halves of each draw
-        # (ktop has no bits above var_bits, so r need not be masked first).
-        both = np.bitwise_count(draws.view(">u8") & ktop_words)
-        parities = ((both[:, 0] ^ both[:, 1]) & 1).tolist()
-        # Suffix bytes pack_bits_msb(r << sub_shift, suffix_bits): shift r's
-        # little-endian bytes up by sub_shift, carrying each byte's top bits
-        # into the next (numpy shifts a uint8 by 8 to 0), then reverse the
-        # bits of every byte.
-        le = draws[:, ::-1] & var_mask
-        shifted = np.zeros((len(draws), 17), np.uint8)  # 16 draw bytes, then the carry
-        np.left_shift(le, sub_shift, out=shifted[:, :16])
-        shifted[:, 1:] |= le >> (8 - sub_shift)
-        raw = shifted[:, :suffix_len].tobytes().translate(_REV8)
-        suffixes = np.frombuffer(raw, f"V{suffix_len}").tolist()
-        for k, suffix, parity in zip(count(), suffixes, parities):
+        lo, hi = words(draws.tobytes()).reshape(-1, 2).T.copy() & var_words
+        parities = ((np.bitwise_count(hi & k_hi) ^ np.bitwise_count(lo & k_lo)) & 1).tobytes()
+        # Suffix bytes pack_bits_msb(r << sub_shift, suffix_bits): the
+        # 136-bit big-endian hi:lo:00 shifted right by sub_shift, written as
+        # three big-endian words, of which the first suffix_len bytes count.
+        shifted = np.stack([hi >> down, (lo >> down) | (hi << up), lo << up], 1).astype(">u8")
+        suffixes = shifted.view(np.uint8)[:, :suffix_len].view(f"V{suffix_len}")[:, 0].tolist()
+        for suffix, parity in zip(suffixes, parities):
             h = copies[parity]()
             h.update(suffix)
             d = h.digest()
             if d[0] & first_mask == target_first and truncate_digest(d, w) == captured_digest:
-                return k
+                # A suffix fixes r, so its first occurrence is the first hit.
+                return suffixes.index(suffix)
         return -1
 
     chunks = -(-budget // _SEARCH_CHUNK)

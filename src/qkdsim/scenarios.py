@@ -973,7 +973,8 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
     """Rebuild (config, reports, summary) rows from a written report directory.
 
     Rates are recomputed from the per-trial records; the recorded wall time
-    is kept since it cannot be reconstructed.
+    is kept since it cannot be reconstructed. An entry's trials_file must be
+    a plain file name, so a report is judged only by records in out_dir.
     """
     manifest_path = os.path.join(out_dir, "run.json")
     if not os.path.exists(manifest_path):
@@ -999,7 +1000,13 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
             _check_value(f"{manifest_path}: summary {name}", value, _SUMMARY_KINDS[name])
         _check_value(f"{manifest_path}: scenario", entry["scenario"], str)
         if "trials_file" in entry:
-            _check_value(f"{manifest_path}: trials_file", entry["trials_file"], str)
+            name = entry["trials_file"]
+            _check_value(f"{manifest_path}: trials_file", name, str)
+            if name in ("", ".", "..") or os.path.basename(name) != name:
+                raise ConfigError(
+                    f"{manifest_path}: trials_file must be a file name in the report "
+                    f"directory, got {name!r}"
+                )
         config = config_from_dict(entry["config"])
         config = dataclasses.replace(config, name=entry["scenario"])
         if "trials_file" in entry:

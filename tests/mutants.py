@@ -70,8 +70,8 @@ MUTANTS = (
     Mutant(
         "search: carry byte dropped",
         "adversary.py",
-        "        shifted[:, 1:] |= le >> (8 - sub_shift)\n",
-        "",
+        "(lo >> down) | (hi << up)",
+        "(lo >> down)",
         (_ORACLE, _PLANTED, _PROPERTY),
     ),
     Mutant(
@@ -91,9 +91,23 @@ MUTANTS = (
     Mutant(
         "search: var_bits mask dropped",
         "adversary.py",
-        "        le = draws[:, ::-1] & var_mask\n",
-        "        le = draws[:, ::-1]\n",
+        ".reshape(-1, 2).T.copy() & var_words\n",
+        ".reshape(-1, 2).T.copy()\n",
         (_ORACLE, _PLANTED),
+    ),
+    Mutant(
+        "search: last occurrence of the hit's suffix returned",
+        "adversary.py",
+        "                return suffixes.index(suffix)\n",
+        "                return len(suffixes) - 1 - suffixes[::-1].index(suffix)\n",
+        (_TINY_W,),
+    ),
+    Mutant(
+        "search: ktop not bit-reversed",
+        "adversary.py",
+        'k_lo, k_hi = words(ktop.to_bytes(16, "big"))',
+        'k_lo, k_hi = np.frombuffer(ktop.to_bytes(16, "little"), "<u8")',
+        (_ORACLE, _PROPERTY),
     ),
     Mutant(
         "search lanes: first record to arrive taken, not the lowest chunk",
@@ -108,6 +122,13 @@ MUTANTS = (
         "                own = lane(lambda c: c not in reports)\n",
         "                break\n",
         (_ADV + "test_collision_search_scans_unreported_chunks_itself",),
+    ),
+    Mutant(
+        "search lanes: forked while other threads live",
+        "adversary.py",
+        "    if threading.active_count() > 1:\n        return 1\n",
+        "",
+        (_ADV + "test_collision_search_forks_no_lane_while_another_thread_lives",),
     ),
     Mutant(
         "search: pad bits past the width accepted",
@@ -238,6 +259,16 @@ MUTANTS = (
         "    return hmac_mod.compare_digest(digest, tag.digest)\n",
         "    return True\n",
         (_VERIFY, _VERIFY_PROPERTY, _DETECTS),
+    ),
+    Mutant(
+        "truncate_digest: one bit past the width kept",
+        "pipeline.py",
+        "out[-1] &= 0xFF << (8 - width % 8) & 0xFF",
+        "out[-1] &= 0xFF << (7 - width % 8) & 0xFF",
+        (
+            _PIPE + "test_truncate_digest_keeps_exactly_the_first_width_bits",
+            _SCEN + "test_matrix_in_log_accepts_a_tampered_matrix_at_the_digest_width_rate",
+        ),
     ),
     Mutant(
         "authenticate: MAC over the wrong bytes",
@@ -601,6 +632,13 @@ MUTANTS = (
             "tests/test_cli.py::test_report_bad_manifest"
             '[{"entries": []}-no entries; the run checked nothing]',
         ),
+    ),
+    Mutant(
+        "report: a trials_file outside the report directory accepted",
+        "scenarios.py",
+        'if name in ("", ".", "..") or os.path.basename(name) != name:',
+        "if False:",
+        ("tests/test_cli.py::test_report_bad_manifest",),
     ),
     Mutant(
         "pool: one worker process per --workers, not per trial",

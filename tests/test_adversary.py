@@ -6,6 +6,7 @@ import dataclasses
 import errno
 import math
 import os
+import threading
 import time
 
 import pytest
@@ -685,6 +686,27 @@ def test_collision_search_scans_unreported_chunks_itself(monkeypatch, fork, seed
     found, serial = _lane_search(monkeypatch, 3, seed, w)
     assert found == serial
     _no_child_left()
+
+
+def test_collision_search_forks_no_lane_while_another_thread_lives(monkeypatch):
+    # A forked child holds only the calling thread, so a lock held by the
+    # other thread would stay held in it: the search keeps to one lane.
+    def no_fork():
+        pytest.fail("a search lane was forked while another thread was alive")
+
+    monkeypatch.setattr(adversary_mod, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        case = _oracle_case(1003, 12)
+        found = attack_collision_impersonate(*case, _LANE_BUDGET, make_rng(_CHILD_HIT, "s"))
+    finally:
+        stop.set()
+        waiter.join()
+    assert found == oracle_collision_search(*case, _LANE_BUDGET, make_rng(_CHILD_HIT, "s"))
+    assert found.matrix is not None
 
 
 @pytest.mark.parametrize("w", [12, 16, 256])

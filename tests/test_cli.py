@@ -296,6 +296,10 @@ def _manifest(summary=(), **entry):
         (_manifest(trials_file=7), "trials_file must be a string, got 7"),
         (_manifest(scenario=7), "scenario must be a string, got 7"),
         ('{"entries": []}', "no entries; the run checked nothing"),
+        *(
+            (_manifest(trials_file=name), f"must be a file name in the report directory, got {name!r}")
+            for name in ("/tmp/trials.jsonl", "../r/trials.jsonl", "sub/trials.jsonl", ".", "..", "")
+        ),
     ],
 )
 def test_report_bad_manifest(tmp_path, capsys, manifest, message):

@@ -522,6 +522,32 @@ def test_success_recomputable_from_dumped_states():
             assert r.attack_success == recompute(r, r.aux["dump"]), (name, r.trial_index)
 
 
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+@pytest.mark.parametrize("attack", ["randomize-rows", "flip-entry", "zero-rows", "extract-bits"])
+def test_matrix_in_log_accepts_a_tampered_matrix_at_the_digest_width_rate(attack, w):
+    # With the matrix in the log, a tampered matrix gives the parties
+    # different extracts under an untouched MAC, so each accepts exactly
+    # when the two truncated digests on the wire agree: at rate 2^-w.
+    cfg = small(f"harden-matrix-in-log-{attack}", 200)
+    params = dataclasses.replace(cfg.params, n_raw=512, key_len=64, tail_len=32, qber=0.0, hash_width=w)
+    cfg = dataclasses.replace(cfg, params=params)
+    if attack == "randomize-rows":  # the builtin's r = 128 exceeds the 32 rows outside the tail
+        cfg = dataclasses.replace(cfg, attack=AttackSpec(attack, {"r": 32}))
+    reports, _ = run_scenario(cfg, dump_states=True)
+    for r in reports:
+        assert r.aux["tampered_frames"] == 1, r.trial_index
+        digests = {
+            e["kind"]: e["payload"]["digest"]
+            for e in r.aux["dump"]["transcript"]
+            if e["kind"] in ("AUTH_TAG_A", "AUTH_TAG_B")
+        }
+        verdict = ACCEPT if digests["AUTH_TAG_A"] == digests["AUTH_TAG_B"] else "reject"
+        assert (r.alice_verdict, r.bob_verdict) == (verdict, verdict), r.trial_index
+    accepts = sum(r.bob_verdict == ACCEPT for r in reports)
+    lo, hi = wilson_interval(accepts, len(reports), z=4.0)
+    assert lo <= 2.0**-w <= hi, (attack, w, accepts)
+
+
 def _party(verdict=Verdict.ACCEPT, **state):
     """A stand-in party result: a verdict and the state fields an outcome reads."""
     return SimpleNamespace(verdict=verdict, state=SimpleNamespace(**state))
