@@ -46,13 +46,11 @@ from .pipeline import (
     Verdict,
     build_log_extract,
     exchange_reconciled_key,
-    log_digest,
-    privacy_amplify,
+    finish_session,
     run_session,
     serialize_log,
     session_auth_key,
     truncate_digest,
-    verify,
 )
 from .seeding import derive_bytes, make_rng
 
@@ -447,12 +445,14 @@ def run_collision_impersonation(params: SessionParams, budget: int) -> Collision
 
     First the attacker completes an exchange with Alice in Bob's role and
     captures her authentication tag (that session is then dropped, so Alice
-    never accepts). Then the attacker starts a fresh exchange with Bob in
-    Alice's role, runs it honestly up to the matrix message, searches for a
-    matrix that reproduces the captured digest over Bob's log extract, and
-    replays the captured tag with it. That exchange runs pipeline's own
-    exchange_reconciled_key over a passive channel, so it aborts exactly
-    where an honest session would.
+    never accepts). Then the attacker starts a fresh session with Bob in
+    Alice's role, runs it honestly up to the matrix message, and searches
+    for a matrix that reproduces the captured digest over Bob's log extract.
+    That exchange runs pipeline's own exchange_reconciled_key over a passive
+    channel, so it aborts exactly where an honest session would. The
+    attacker sends a found matrix as its own PA_MATRIX frame, and Bob's
+    verdict comes from finish_session: sharing every object with Bob's
+    state, the attacker's sends the captured tag as AUTH_TAG_A.
     """
     # Pre-shared Alice/Bob authentication key, common to both exchanges.
     auth_key = session_auth_key(params)
@@ -467,12 +467,13 @@ def run_collision_impersonation(params: SessionParams, budget: int) -> Collision
         return CollisionTrialOutcome(False, 0, Verdict.ABORT, None)
     captured_tag: AuthTag = capture.channel.frames(FrameType.AUTH_TAG_A)[0].frame.payload
 
-    # Fresh exchange with the real Bob, attacker in Alice's role.
+    # Fresh session with the real Bob, attacker in Alice's role.
     session_seed = int.from_bytes(
         derive_bytes(params.master_seed, "impersonation-session", n=8), "big"
     )
     rng = make_rng(session_seed, "session")
-    attacker, bob, aborted = exchange_reconciled_key(params, Channel(), rng)
+    channel = Channel()
+    attacker, bob, aborted = exchange_reconciled_key(params, channel, rng)
     if aborted:
         return CollisionTrialOutcome(False, 0, Verdict.ABORT, None)
 
@@ -482,14 +483,15 @@ def run_collision_impersonation(params: SessionParams, budget: int) -> Collision
         # Nothing to send that Bob would accept; the attacker gives up.
         return CollisionTrialOutcome(False, search.candidates_examined, Verdict.REJECT, None)
 
-    privacy_amplify(bob, search.matrix, params)
-    log_b = build_log_extract(bob, HardeningKind.MATRIX_IN_LOG)
-    accepted = verify(log_digest(log_b, params.hash_width), captured_tag, auth_key)
+    sent = channel.deliver(A_TO_B, Frame(FrameType.PA_MATRIX, search.matrix)).payload
+    result = finish_session(
+        params, channel, attacker, bob, search.matrix, sent, HardeningKind.MATRIX_IN_LOG, auth_key
+    )
     return CollisionTrialOutcome(
         found=True,
         candidates_examined=search.candidates_examined,
-        bob_verdict=Verdict.ACCEPT if accepted else Verdict.REJECT,
-        bob_key=bob.final_key,
+        bob_verdict=result.bob.verdict,
+        bob_key=result.bob.state.final_key,
     )
 
 

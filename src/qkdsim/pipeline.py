@@ -20,7 +20,10 @@ every abort decision of a session. Both parties ABORT
   EST_* frames;
 - on a short key, when fewer than key_len reconciled bits remain (the matrix
   would only stretch them), after the CORRECTIONS frame.
-run_session and the collision attack's exchange with Bob both run it.
+Everything from the amplification on is finish_session, which gives every
+verdict of a session that did not abort. run_session runs the one, chooses
+and sends the matrix, then runs the other; the collision attack's session
+with Bob runs both too, sending its found matrix as the PA_MATRIX frame.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ class PartyState:
     one. Both are Positions, shared by the two parties, the estimation
     result and the EST_POSITIONS/CORRECTIONS frames.
 
-    run_session computes a value once and gives both parties the same
+    A session computes a value once and gives both parties the same
     immutable object wherever it is provably the same for both:
     - reconciled, always: reconciliation leaves Bob with Alice's sifted key;
     - sifted_bases, when both BASES frames arrive as the objects sent;
@@ -503,8 +506,9 @@ def run_session(
 
     Every classical message passes through the channel in the fixed order
     documented in the module docstring; the installed strategy may tamper
-    with frames in flight. Final keys are released only on ACCEPT; both
-    parties ABORT when exchange_reconciled_key says so.
+    with frames in flight. Both parties ABORT when exchange_reconciled_key
+    says so; otherwise the matrix is chosen, sent as the PA_MATRIX frame
+    unless each party derives it, and finish_session ends the session.
     auth_key overrides the pre-shared authentication key (by default it is
     provisioned deterministically from the master seed).
     """
@@ -528,6 +532,28 @@ def run_session(
     else:
         matrix_a = random_matrix(params.key_len, key_len_in, rng)
         matrix_b = channel.deliver(A_TO_B, Frame(FrameType.PA_MATRIX, matrix_a)).payload
+    if auth_key is None:
+        auth_key = session_auth_key(params)
+    return finish_session(params, channel, alice, bob, matrix_a, matrix_b, hardening, auth_key)
+
+
+def finish_session(
+    params: SessionParams,
+    channel: Channel,
+    alice: PartyState,
+    bob: PartyState,
+    matrix_a: BitMatrix,
+    matrix_b: BitMatrix,
+    hardening: HardeningKind,
+    auth_key: bytes,
+) -> SessionResult:
+    """End a session whose exchange did not abort, each party holding its matrix.
+
+    Amplifies both keys, builds and hashes both log extracts, sends
+    AUTH_TAG_A and AUTH_TAG_B over the channel and gives each party its
+    verdict: a party releases its final key only if the peer's tag verifies
+    against its own digest.
+    """
     privacy_amplify(alice, matrix_a, params)
     if matrix_b is matrix_a:
         # Alice's own matrix times her own key: Bob's product is hers.
@@ -544,8 +570,6 @@ def run_session(
     log_b = build_log_extract(bob, hardening)
     digest_a = log_digest(log_a, params.hash_width)
     digest_b = digest_a if log_b == log_a else log_digest(log_b, params.hash_width)
-    if auth_key is None:
-        auth_key = session_auth_key(params)
     tag_a = channel.deliver(
         A_TO_B, Frame(FrameType.AUTH_TAG_A, authenticate(digest_a, auth_key))
     ).payload

@@ -859,17 +859,42 @@ def write_trials_jsonl(reports: Sequence[TrialReport], path) -> None:
             fh.write("\n")
 
 
-def read_trials_jsonl(path) -> list[TrialReport]:
-    reports = []
+def _numbered_trials(path) -> list[tuple[int, TrialReport]]:
+    """Each trial record in a JSONL file, with its line number."""
+    records = []
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                reports.append(TrialReport.from_json(line.decode("utf-8")))
+                records.append((number, TrialReport.from_json(line.decode("utf-8"))))
             except ValueError as exc:
                 raise ConfigError(f"{path}, line {number}: not a trial record: {exc}") from exc
-    return reports
+    return records
+
+
+def read_trials_jsonl(path) -> list[TrialReport]:
+    return [report for _, report in _numbered_trials(path)]
+
+
+def _check_trials_of(config: ScenarioConfig, path, records: list[tuple[int, TrialReport]]) -> None:
+    """Refuse records that are not exactly the run of config: trial i at
+    record i, with trial i's seed, and config.trials of them."""
+    for i, (number, report) in enumerate(records):
+        if report.trial_index != i:
+            raise ConfigError(
+                f"{path}, line {number}: trial {report.trial_index} where trial {i} belongs"
+            )
+        seed = trial_seed(config.master_seed, i)
+        if report.seed != seed:
+            raise ConfigError(
+                f"{path}, line {number}: trial {i} has seed {report.seed}, "
+                f"but master_seed {config.master_seed} gives it {seed}"
+            )
+    if len(records) != config.trials:
+        raise ConfigError(
+            f"{path}: {len(records)} trial records, but the run's config has {config.trials} trials"
+        )
 
 
 def write_summary_csv(summaries: Sequence[BatchSummary], path) -> None:
@@ -974,7 +999,9 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
 
     Rates are recomputed from the per-trial records; the recorded wall time
     is kept since it cannot be reconstructed. An entry's trials_file must be
-    a plain file name, so a report is judged only by records in out_dir.
+    a plain file name, so a report is judged only by records in out_dir, and
+    the file must hold exactly the trials its config runs, in order, each
+    with its own seed, so it is judged only by its own run.
     """
     manifest_path = os.path.join(out_dir, "run.json")
     if not os.path.exists(manifest_path):
@@ -1011,9 +1038,11 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
         config = dataclasses.replace(config, name=entry["scenario"])
         if "trials_file" in entry:
             trials_path = os.path.join(out_dir, entry["trials_file"])
-            reports = read_trials_jsonl(trials_path)
-            if not reports:
+            records = _numbered_trials(trials_path)
+            if not records:
                 raise ConfigError(f"{trials_path}: no trial records to recompute the rates from")
+            _check_trials_of(config, trials_path, records)
+            reports = [report for _, report in records]
             summary = BatchSummary.from_reports(
                 entry["scenario"], reports, entry["summary"]["wall_time_s"]
             )

@@ -65,6 +65,7 @@ _ADV = "tests/test_adversary.py::"
 _ROWS = _SCEN + "test_config_validation_errors[overrides"
 _DISTINCT_OTP = _ROWS + "57-bit_positions must be distinct, 3 repeats]"
 _FROM_REPORTS = _SCEN + "test_from_reports_counts_each_rate_exactly"
+_OWN_RUN = "tests/test_cli.py::test_report_judges_only_its_own_run"
 
 MUTANTS = (
     Mutant(
@@ -308,6 +309,20 @@ MUTANTS = (
         "digest_b = digest_a if log_b == log_a else log_digest(log_b, params.hash_width)",
         "digest_b = digest_a",
         (_DETECTS, _PIPE + "test_release_gate_on_reject"),
+    ),
+    Mutant(
+        "finish_session: Bob checks Alice's digest, not his own",
+        "pipeline.py",
+        "verify(digest_b, tag_a",
+        "verify(digest_a, tag_a",
+        (_DETECTS,),
+    ),
+    Mutant(
+        "impersonation: Bob is sent an all-zero matrix, not the found one",
+        "adversary.py",
+        "Frame(FrameType.PA_MATRIX, search.matrix)",
+        "Frame(FrameType.PA_MATRIX, BitMatrix.zeros(search.matrix.rows, search.matrix.cols))",
+        (_ADV + "test_collision_impersonation_width8",),
     ),
     Mutant(
         "exchange: abort on sifted keys of different lengths dropped",
@@ -639,6 +654,27 @@ MUTANTS = (
         'if name in ("", ".", "..") or os.path.basename(name) != name:',
         "if False:",
         ("tests/test_cli.py::test_report_bad_manifest",),
+    ),
+    Mutant(
+        "report: trials out of order accepted",
+        "scenarios.py",
+        "if report.trial_index != i:",
+        "if False:",
+        (_OWN_RUN + "[reordered]", _OWN_RUN + "[duplicated]"),
+    ),
+    Mutant(
+        "report: a trial's seed not compared",
+        "scenarios.py",
+        "if report.seed != seed:",
+        "if False:",
+        (_OWN_RUN + "[wrong-seed]",),
+    ),
+    Mutant(
+        "report: a truncated trials file accepted",
+        "scenarios.py",
+        "if len(records) != config.trials:",
+        "if False:",
+        (_OWN_RUN + "[truncated]",),
     ),
     Mutant(
         "pool: one worker process per --workers, not per trial",

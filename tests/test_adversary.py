@@ -365,6 +365,63 @@ def test_collision_trial_computes_one_product_per_session(monkeypatch):
         assert len(calls) == 2, t
 
 
+def _record_sessions(monkeypatch):
+    """Record the SessionResult of every run_session and finish_session call
+    the impersonation makes, under those names."""
+    calls = {"run_session": [], "finish_session": []}
+    for name, results in calls.items():
+        def recorder(*args, _real=getattr(adversary_mod, name), _results=results, **kwargs):
+            result = _real(*args, **kwargs)
+            _results.append(result)
+            return result
+
+        monkeypatch.setattr(adversary_mod, name, recorder)
+    return calls
+
+
+def test_collision_replay_is_a_session(monkeypatch):
+    # Bob's verdict comes from finish_session, over a transcript of a whole
+    # untampered session whose AUTH_TAG_A is the tag captured from Alice.
+    calls = _record_sessions(monkeypatch)
+    config = builtin_scenario("collision-impersonation")
+    order = [
+        FrameType.BASES, FrameType.BASES, FrameType.EST_POSITIONS, FrameType.EST_VALUES,
+        FrameType.EST_RATE, FrameType.CORRECTIONS, FrameType.PA_MATRIX,
+        FrameType.AUTH_TAG_A, FrameType.AUTH_TAG_B,
+    ]
+    for t in range(3):
+        params = dataclasses.replace(config.params, master_seed=trial_seed(config.master_seed, t))
+        for results in calls.values():
+            results.clear()
+        out = run_collision_impersonation(params, config.attack.options["search_budget"])
+        assert out.found and out.bob_verdict is Verdict.ACCEPT, t
+        [capture], [result] = calls["run_session"], calls["finish_session"]
+        transcript = result.channel.transcript
+        assert [e.frame.kind for e in transcript] == order, t
+        assert not any(e.tampered for e in transcript), t
+        [captured] = capture.channel.frames(FrameType.AUTH_TAG_A)
+        [replayed] = result.channel.frames(FrameType.AUTH_TAG_A)
+        assert replayed.frame.payload == captured.frame.payload, t
+        assert result.bob.verdict is out.bob_verdict
+        assert out.bob_key is result.bob.state.final_key
+
+
+@pytest.mark.parametrize(
+    "params, budget",
+    [
+        (SessionParams(n_raw=1024, hash_width=128, master_seed=trial_seed(901, 0)), 16),
+        (SessionParams(n_raw=64, key_len=256, hash_width=8, master_seed=3), 64),
+        (SessionParams(n_raw=64, key_len=24, tail_len=1, hash_width=8, master_seed=8), 64),
+    ],
+    ids=["search-misses", "capture-aborts", "exchange-aborts"],
+)
+def test_collision_replay_ends_no_session_without_a_found_matrix(monkeypatch, params, budget):
+    calls = _record_sessions(monkeypatch)
+    out = run_collision_impersonation(params, budget)
+    assert not out.found and out.bob_key is None
+    assert calls["finish_session"] == []
+
+
 @pytest.mark.parametrize("w", [6, 8, 10])
 def test_collision_rate_matches_random_oracle(w):
     # K = ln2 * 2^w candidates put the analytic hit rate 1-(1-2^-w)^K at

@@ -351,6 +351,31 @@ def test_report_refuses_a_trials_file_without_records(tmp_path, capsys, content)
     assert err.startswith(f"error: {path}: no trial records")
 
 
+def _reseeded(line: str, seed: int) -> str:
+    return json.dumps({**json.loads(line), "seed": seed})
+
+
+@pytest.mark.parametrize(
+    "edit, where, problem",
+    [
+        (lambda g: g[:2], None, "2 trial records, but the run's config has 4 trials"),
+        (lambda g: g + g, 5, "trial 0 where trial 4 belongs"),
+        (lambda g: [g[1], g[0], *g[2:]], 1, "trial 1 where trial 0 belongs"),
+        (lambda g: [*g[:2], _reseeded(g[2], 7), g[3]], 3, "trial 2 has seed 7, but master_seed"),
+    ],
+    ids=["truncated", "duplicated", "reordered", "wrong-seed"],
+)
+def test_report_judges_only_its_own_run(tmp_path, capsys, edit, where, problem):
+    run_cli("run", "zero-rows", "--trials", 4, "--out", tmp_path)
+    path = tmp_path / "trials.jsonl"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert run_cli("report", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: " if where is None else f"error: {path}, line {where}: ")
+    assert problem in err
+
+
 def test_no_subcommand_exits_with_usage():
     with pytest.raises(SystemExit):
         run_cli()
