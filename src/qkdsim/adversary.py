@@ -11,18 +11,23 @@ frame) and forwards every other frame as the same object.
 The collision attack targets the matrix_in_log hardened variant instead:
 a captured (digest, mac) pair is replayed after searching for a matrix
 whose induced log extract hashes to the captured digest. The search runs
-on up to one forked lane per usable CPU (max_search_lanes), each hashing
-every L-th chunk of the one candidate stream; the calling process alone
+on up to one lane per usable CPU (max_search_lanes), each hashing every
+L-th chunk of the one candidate stream; the calling process alone
 decides, so the result, and every trial record, is the same for any lane
-count, and the caller's generator is never advanced.
+count, and the caller's generator is never advanced. Lanes past the
+caller are child processes forked once per process, on the first search
+that wants them: they idle between searches, take each search's job over
+a pipe, and are killed by shutdown_search_lanes, which runs at exit.
 """
 
 from __future__ import annotations
 
-import copy
+import atexit
 import hashlib
+import itertools
 import multiprocessing
 import os
+import pickle
 import select
 import signal
 import struct
@@ -206,10 +211,23 @@ class CollisionSearchResult:
 
 
 _SEARCH_CHUNK = 4096  # candidates drawn per rng_bytes call
-_MAX_LANES = 4  # each lane past the first costs a fork, about 2 ms at a 40 MB resident set
-# A lane's report on one chunk: the chunk, the offset of its first hit or
-# -1, and that hit's 16-byte draw (zeros when there is none).
-_REPORT = struct.Struct("<qq16s")
+_MAX_LANES = 4  # each lane past the first costs one fork per process, about 2 ms at 40 MB
+# A lane's report on one chunk: the search's number, the chunk, the offset
+# of its first hit or -1, and that hit's 16-byte draw (zeros when there is
+# none). Chunk -1 ends the lane's reports on that search.
+_REPORT = struct.Struct("<qqq16s")
+# Records are written whole and read in multiples of their size, so every
+# read ends on a record boundary.
+_READ = 256 * _REPORT.size
+# Each command to a pooled lane is its length, then that many bytes of a
+# pickled job; a length of 0 stops the lane's current search.
+_COMMAND = struct.Struct("<I")
+
+# Lanes 1, 2, ... of every search: (pid, command pipe, report pipe) each,
+# forked on first use by the process _pool_owner and idle between searches.
+_pool: list[tuple[int, int, int]] = []
+_pool_owner = 0
+_searches = itertools.count()  # numbers the searches that hand out jobs
 
 
 def usable_cpus() -> int:
@@ -236,6 +254,148 @@ def _search_lanes(chunks: int) -> int:
     return min(max_search_lanes(), chunks)
 
 
+def _lane_pool(size: int) -> list[tuple[int, int, int]]:
+    """This process's lane pool, grown to size lanes, or fewer if os.fork
+    fails. A process that did not fork the pool, such as a forked child,
+    first empties it, closing only the pipes it inherited, so that the
+    owner's lanes still exit with their owner."""
+    global _pool_owner
+    if _pool_owner != os.getpid():
+        for _, command, report in _pool:
+            os.close(command)
+            os.close(report)
+        _pool.clear()
+        _pool_owner = os.getpid()
+    while len(_pool) < size:
+        command_r, command_w = os.pipe()
+        report_r, report_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (command_r, command_w, report_r, report_w):
+                os.close(fd)
+            break
+        if pid == 0:
+            status = 1
+            try:
+                for fd in (command_w, report_r, *(fd for _, *fds in _pool for fd in fds)):
+                    os.close(fd)
+                _serve(command_r, report_w)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(command_r)
+        os.close(report_w)
+        _pool.append((pid, command_w, report_r))
+    return _pool
+
+
+def shutdown_search_lanes() -> None:
+    """Close the pooled lanes' pipes, then kill and reap every lane. In a
+    process that did not fork the pool this kills nothing. Runs at exit."""
+    pool = _lane_pool(0)
+    while pool:
+        pid, command, report = pool.pop()
+        os.close(command)
+        os.close(report)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+atexit.register(shutdown_search_lanes)
+
+
+def _read(fd: int, n: int) -> bytearray:
+    """n bytes from fd, or fewer if it reaches EOF first."""
+    data = bytearray()
+    while len(data) < n and (part := os.read(fd, n - len(data))):
+        data += part
+    return data
+
+
+def _send(fd: int, payload: bytes) -> None:
+    data = memoryview(_COMMAND.pack(len(payload)) + payload)
+    while data:
+        data = data[os.write(fd, data) :]
+
+
+def _serve(commands: int, reports: int) -> None:
+    """A pooled lane: run each job it is sent, until its command pipe
+    reaches EOF. It reports every chunk of its own up to its first hit, and
+    leaves a search early once another command is waiting."""
+    while len(head := _read(commands, _COMMAND.size)) == _COMMAND.size:
+        (size,) = _COMMAND.unpack(head)
+        if not size:
+            continue  # the stop of a search this lane has already left
+        search, prefixes, scan_args, budget, state, lanes, j = pickle.loads(_read(commands, size))
+        scan = _scanner(prefixes, *scan_args)
+        chunks = -(-budget // _SEARCH_CHUNK)
+        for rec in _scan_chunks(scan, state, budget, lambda c: c % lanes == j, lambda: chunks):
+            # A pipe write of at most PIPE_BUF bytes is atomic.
+            os.write(reports, _REPORT.pack(search, *rec))
+            if rec[1] >= 0 or select.select([commands], [], [], 0)[0]:
+                break
+        os.write(reports, _REPORT.pack(search, -1, -1, bytes(16)))
+
+
+def _scanner(prefixes, suffix_len, ktop, var_bits, sub_shift, w, captured_digest):
+    """scan(draws): the offset of the first hit among one chunk's draws, or
+    -1. prefixes are the serialized log up to the candidate-dependent
+    suffix, for a last tail bit of 0 and of 1."""
+    copies = [hashlib.sha256(prefix).copy for prefix in prefixes]
+
+    # Candidate r is the low var_bits bits of a 16-byte big-endian draw.
+    # Reversing the bits of every byte and reading the 16 bytes as two
+    # little-endian words (lo, hi) puts r's bit i at bit 127 - i of hi:lo,
+    # i.e. hi:lo is r's MSB-first serialization; ktop and the var_bits mask
+    # go through the same transform.
+    def words(data: bytes) -> np.ndarray:
+        return np.frombuffer(data.translate(_REV8), "<u8")
+
+    k_lo, k_hi = words(ktop.to_bytes(16, "big"))
+    var_words = words(((1 << var_bits) - 1).to_bytes(16, "big"))[:, None]
+    # numpy shifts a uint64 by 64 to 0, so at sub_shift 0 the carry word and
+    # the third suffix word are zero.
+    down, up = np.uint64(sub_shift), np.uint64(64 - sub_shift)
+    first_mask = (0xFF << (8 - min(w, 8))) & 0xFF
+    target_first = captured_digest[0]
+
+    def scan(draws: np.ndarray) -> int:
+        lo, hi = words(draws.tobytes()).reshape(-1, 2).T.copy() & var_words
+        parities = ((np.bitwise_count(hi & k_hi) ^ np.bitwise_count(lo & k_lo)) & 1).tobytes()
+        # Suffix bytes pack_bits_msb(r << sub_shift, suffix_bits): the
+        # 136-bit big-endian hi:lo:00 shifted right by sub_shift, written as
+        # three big-endian words, of which the first suffix_len bytes count.
+        shifted = np.stack([hi >> down, (lo >> down) | (hi << up), lo << up], 1).astype(">u8")
+        suffixes = shifted.view(np.uint8)[:, :suffix_len].view(f"V{suffix_len}")[:, 0].tolist()
+        for suffix, parity in zip(suffixes, parities):
+            h = copies[parity]()
+            h.update(suffix)
+            d = h.digest()
+            if d[0] & first_mask == target_first and truncate_digest(d, w) == captured_digest:
+                # A suffix fixes r, so its first occurrence is the first hit.
+                return suffixes.index(suffix)
+        return -1
+
+    return scan
+
+
+def _scan_chunks(scan, state: dict, budget: int, wanted, limit):
+    """Draw the candidate stream, in order, from a generator in state, up
+    to chunk limit(); yield (chunk, offset of its first hit or -1, that
+    hit's draw) for each chunk that wanted picks."""
+    gen = np.random.Generator(getattr(np.random, state["bit_generator"])())
+    gen.bit_generator.state = state
+    c = 0
+    while c < limit():
+        todo = min(_SEARCH_CHUNK, budget - c * _SEARCH_CHUNK)
+        draws = rng_bytes(gen, 16 * todo).reshape(todo, 16)
+        if wanted(c):
+            k = scan(draws)
+            yield c, k, draws[k].tobytes() if k >= 0 else bytes(16)
+        c += 1
+
+
 def attack_collision_impersonate(
     captured_digest: bytes,
     state: PartyState,
@@ -260,19 +420,22 @@ def attack_collision_impersonate(
     truncated compare. That keeps million-candidate budgets cheap.
 
     The chunks are scanned in L lanes, L being max_search_lanes() capped at
-    the chunk count: chunk c by lane c % L. Lane 0 is the calling process; lanes 1 to L-1 are children
-    forked once the two prefix states exist, so they inherit them. Every
-    lane draws the whole candidate stream, in order, from its own copy of
-    rng and hashes only its own chunks. A child writes one fixed-size
-    record per chunk to a pipe and stops after its first hit. Only the
-    caller decides: the answer is the lowest chunk with a hit once every
-    lower chunk is reported clean. A chunk no child reported, because the
-    pipe reached EOF first or os.fork failed, the caller scans itself. On
-    the way out every child is killed and reaped. The result is therefore
-    the first hit in stream order whatever L is, the one a single lane
-    would find, and rng itself is read but never advanced, for every L (no
-    caller reads it afterwards: run_collision_impersonation makes a fresh
-    one per search).
+    the chunk count: chunk c by lane c % L. Lane 0 is the calling process;
+    lanes 1 to L-1 are pooled children, each sent a pickled job from which
+    it builds its own hash states. Every lane draws the whole candidate
+    stream, in order, from its own copy of rng and hashes only its own
+    chunks. A pooled lane reports each chunk as one record carrying the
+    search's number, and stops after its first hit or at a stop. Only the
+    caller decides: the lowest chunk with a hit once every lower chunk is
+    reported clean; reports of any other search are dropped. The caller
+    scans itself any chunk no lane reported, because os.fork failed or a
+    lane died (EOF on its report pipe, or a failed send); a dead lane has
+    the pool shut down, to be forked again by the next search. On the way
+    out, decided or raising, the caller stops every lane still working.
+    The result is therefore the first hit in stream order whatever L is,
+    the one a single lane would find, and rng itself is read but never
+    advanced, for every L (no caller reads it afterwards:
+    run_collision_impersonation makes a fresh one per search).
 
     captured_digest must be a truncate_digest output: ceil(w / 8) bytes
     with its pad bits past w clear. Any other value could never match.
@@ -306,46 +469,15 @@ def attack_collision_impersonate(
     # ceil(suffix_bits / 8) bytes are the candidate-dependent suffix.
     zeros = BitMatrix.zeros(l, cols)
     suffix_len = (suffix_bits + 7) // 8
-    copies = []
+    prefixes = []
     for bit in (0, 1):
         probe = dc_replace(state, pa_matrix=zeros, key_tail=BitVector(t, bit << (t - 1)))
         data = serialize_log(build_log_extract(probe, HardeningKind.MATRIX_IN_LOG))
-        copies.append(hashlib.sha256(data[:-suffix_len]).copy)
-
-    # Candidate r is the low var_bits bits of a 16-byte big-endian draw.
-    # Reversing the bits of every byte and reading the 16 bytes as two
-    # little-endian words (lo, hi) puts r's bit i at bit 127 - i of hi:lo,
-    # i.e. hi:lo is r's MSB-first serialization; ktop and the var_bits mask
-    # go through the same transform.
-    def words(data: bytes) -> np.ndarray:
-        return np.frombuffer(data.translate(_REV8), "<u8")
-
+        prefixes.append(data[:-suffix_len])
     ktop = state.reconciled.value >> shift
-    k_lo, k_hi = words(ktop.to_bytes(16, "big"))
-    var_words = words(((1 << var_bits) - 1).to_bytes(16, "big"))[:, None]
-    # numpy shifts a uint64 by 64 to 0, so at sub_shift 0 the carry word and
-    # the third suffix word are zero.
-    down, up = np.uint64(sub_shift), np.uint64(64 - sub_shift)
-    first_mask = (0xFF << (8 - min(w, 8))) & 0xFF
-    target_first = captured_digest[0]
-
-    def scan(draws: np.ndarray) -> int:
-        """The offset of the first hit among one chunk's draws, or -1."""
-        lo, hi = words(draws.tobytes()).reshape(-1, 2).T.copy() & var_words
-        parities = ((np.bitwise_count(hi & k_hi) ^ np.bitwise_count(lo & k_lo)) & 1).tobytes()
-        # Suffix bytes pack_bits_msb(r << sub_shift, suffix_bits): the
-        # 136-bit big-endian hi:lo:00 shifted right by sub_shift, written as
-        # three big-endian words, of which the first suffix_len bytes count.
-        shifted = np.stack([hi >> down, (lo >> down) | (hi << up), lo << up], 1).astype(">u8")
-        suffixes = shifted.view(np.uint8)[:, :suffix_len].view(f"V{suffix_len}")[:, 0].tolist()
-        for suffix, parity in zip(suffixes, parities):
-            h = copies[parity]()
-            h.update(suffix)
-            d = h.digest()
-            if d[0] & first_mask == target_first and truncate_digest(d, w) == captured_digest:
-                # A suffix fixes r, so its first occurrence is the first hit.
-                return suffixes.index(suffix)
-        return -1
+    scan_args = (suffix_len, ktop, var_bits, sub_shift, w, captured_digest)
+    scan = _scanner(prefixes, *scan_args)
+    rng_state = rng.bit_generator.state
 
     chunks = -(-budget // _SEARCH_CHUNK)
     reports: dict[int, tuple[int, bytes]] = {}  # chunk -> (offset of its first hit or -1, draw)
@@ -361,66 +493,55 @@ def attack_collision_impersonate(
             clean += 1
 
     def lane(wanted):
-        """Draw the stream from a copy of rng up to the lowest known hit;
-        yield a report for each chunk that wanted picks."""
-        gen = copy.deepcopy(rng)
-        c = 0
-        while c < first_hit:
-            todo = min(_SEARCH_CHUNK, budget - c * _SEARCH_CHUNK)
-            draws = rng_bytes(gen, 16 * todo).reshape(todo, 16)
-            if wanted(c):
-                k = scan(draws)
-                yield c, k, draws[k].tobytes() if k >= 0 else bytes(16)
-            c += 1
+        return _scan_chunks(scan, rng_state, budget, wanted, lambda: first_hit)
 
     lanes = _search_lanes(chunks)
-    children: list[int] = []
-    read_fd = None
+    live: dict[int, int] = {}  # report pipe -> command pipe of each lane on this search
+    dead = False
     try:
         if lanes > 1:
-            read_fd, write_fd = os.pipe()
-            try:
-                for j in range(1, lanes):
-                    pid = os.fork()
-                    if pid == 0:
-                        status = 1
-                        try:
-                            os.close(read_fd)
-                            for rec in lane(lambda c: c % lanes == j):
-                                # A pipe write of at most PIPE_BUF bytes is atomic.
-                                os.write(write_fd, _REPORT.pack(*rec))
-                                report(*rec)  # past its own first hit, lane() stops
-                            status = 0
-                        finally:
-                            os._exit(status)
-                    children.append(pid)
-            except OSError:
-                pass  # the lanes that did not start are scanned below, once the pipe is at EOF
-            finally:
-                os.close(write_fd)
+            search = next(_searches)
+            for j, (_, command, report_fd) in enumerate(_lane_pool(lanes - 1)[: lanes - 1], 1):
+                # Drop what earlier searches left unread, so the pipe never fills.
+                while select.select([report_fd], [], [], 0)[0] and os.read(report_fd, _READ):
+                    pass
+                job = (search, prefixes, scan_args, budget, rng_state, lanes, j)
+                try:
+                    _send(command, pickle.dumps(job))
+                except OSError:
+                    dead = True
+                else:
+                    live[report_fd] = command
         own = lane(lambda c: c % lanes == 0)
-        eof = read_fd is None
         while clean < first_hit:
             rec = next(own, None)
             if rec is not None:
                 report(*rec)
-            if not eof and (rec is None or select.select([read_fd], [], [], 0)[0]):
-                # Blocks when lane 0 has nothing left to scan. Records are
-                # written whole and read in multiples of their size, so
-                # every read ends on a record boundary.
-                data = os.read(read_fd, 256 * _REPORT.size)
-                eof = not data
-                for child_rec in _REPORT.iter_unpack(data):
-                    report(*child_rec)
-            elif rec is None:
-                # Every child has exited: scan what they left unreported.
+            elif not live:
+                # Every lane is done or dead: scan what they left unreported.
                 own = lane(lambda c: c not in reports)
+            # Blocks when lane 0 has nothing left to scan.
+            ready = select.select(list(live), [], [], 0 if rec else None)[0] if live else []
+            for fd in ready:
+                data = os.read(fd, _READ)
+                if not data:
+                    dead = True
+                    del live[fd]
+                for number, *lane_rec in _REPORT.iter_unpack(data):
+                    if number != search:
+                        continue  # left unread by an earlier search
+                    if lane_rec[0] < 0:
+                        del live[fd]
+                    else:
+                        report(*lane_rec)
     finally:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if read_fd is not None:
-            os.close(read_fd)
+        for command in live.values():
+            try:
+                _send(command, b"")
+            except OSError:
+                dead = True
+        if dead:
+            shutdown_search_lanes()
 
     if first_hit == chunks:
         return CollisionSearchResult(None, budget)

@@ -122,7 +122,24 @@ MUTANTS = (
         "adversary.py",
         "                own = lane(lambda c: c not in reports)\n",
         "                break\n",
-        (_ADV + "test_collision_search_scans_unreported_chunks_itself",),
+        (
+            _ADV + "test_collision_search_scans_unreported_chunks_itself",
+            _ADV + "test_collision_search_forks_the_pool_again_after_a_lane_dies",
+        ),
+    ),
+    Mutant(
+        "lane pool: a report of another search accepted",
+        "adversary.py",
+        "                    if number != search:\n",
+        "                    if False:\n",
+        (_ADV + "test_collision_search_drops_the_reports_of_a_failed_search",),
+    ),
+    Mutant(
+        "lane pool: used by a process that does not own it",
+        "adversary.py",
+        "    if _pool_owner != os.getpid():\n",
+        "    if False:\n",
+        (_ADV + "test_collision_search_in_a_forked_child_leaves_the_parents_lanes",),
     ),
     Mutant(
         "search lanes: forked while other threads live",

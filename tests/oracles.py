@@ -12,11 +12,13 @@ The session front-end oracles select with random boolean masks
 oracle_validate_config states the attack option rules as hand-written
 checks, one per attack, where scenarios declares each option's range and
 checks every option with one checker. wilson_interval is the confidence
-band the statistical tests hold a measured rate to.
+band the statistical tests hold a measured rate to. ANALYTIC_RATES gives
+the exact value of each rate a builtin checks, from the builtin's params.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections import Counter
@@ -402,3 +404,88 @@ def oracle_validate_config(config: ScenarioConfig) -> None:
         _check_value(f"{name} {key}", value, attack.options[key][0])
     attack.validate(config, attack.resolve(params, config.attack.options), _non_tail(params))
 
+
+
+# ------------------------------------------------------------ analytic rates
+
+
+@functools.cache
+def exact_abort_probability(params: SessionParams) -> Fraction:
+    """P(ABORT) of one honest session, summed exactly over its random counts.
+
+    The sifted length is N ~ Bin(n_raw, 1/2), since each party's bases are
+    fair bits. k = ceil(sample_fraction * N) positions are disclosed, and
+    the mismatches among them are Bin(k, qber), since the noise is drawn
+    independently of the bases. The session aborts on N = 0, on a sampled
+    rate mismatches/k above abort_threshold, or on a short key, N - k < key_len.
+
+    With qber = a / d and b = d - a, the session passes a sample of k with
+    probability S_k / d^k, S_k = sum over m <= t of C(k, m) a^m b^(k-m), t
+    the most mismatches the threshold lets pass. So the sum is taken over
+    integers: S_k by Horner's rule in b up to m = t, and the weighted S_k
+    of every k over one common denominator.
+    """
+    n = params.n_raw
+    a, d = Fraction(params.qber).as_integer_ratio()
+    b = d - a
+    weights: dict[int, int] = {}  # k -> sum of C(n, N) over the N that draw k and keep a full key
+    comb = 1
+    for sifted in range(1, n + 1):
+        comb = comb * (n - sifted + 1) // sifted
+        k = math.ceil(params.sample_fraction * sifted)
+        if sifted - k >= params.key_len:
+            weights[k] = weights.get(k, 0) + comb
+    top = max(weights, default=0)
+    passing = 0  # sum of weights[k] * S_k * d^(top - k)
+    for k in range(min(weights, default=0), top + 1):
+        t = min(k, math.floor(Fraction(params.abort_threshold) * k))
+        s, c, a_m = 1, 1, 1
+        for m in range(1, t + 1):
+            c = c * (k - m + 1) // m
+            a_m *= a
+            s = s * b + c * a_m
+        passing = passing * d + weights.get(k, 0) * s * b ** (k - t)
+    return 1 - Fraction(passing, 2**n * d**top)
+
+
+def _found_rate(params: SessionParams, opts: dict) -> float:
+    # 1 - (1 - 2^-w)^K. Its exact numerator has w * K bits, 16 Mbit at the
+    # builtin's w = 16 and K = 2^20, so this one value is taken in double
+    # precision.
+    return -math.expm1(opts["search_budget"] * math.log1p(-(2.0**-params.hash_width)))
+
+
+_ACCEPTS = ("accept_rate_alice", "accept_rate_bob")
+_NO_ABORT = dict.fromkeys(_ACCEPTS, lambda params, opts: 1 - exact_abort_probability(params))
+
+# Builtin -> summary rate -> its value as a function of the builtin's params
+# and attack options. A rate of an attack's effect is that of a session
+# that does not abort: at every builtin's params the abort probability is
+# below 10^-16, which no run of a builtin's trial count can read.
+ANALYTIC_RATES = {
+    "baseline": _NO_ABORT,
+    "randomize-rows": {
+        **_NO_ABORT,
+        "key_mismatch_rate": lambda params, opts: 1 - Fraction(1, 2 ** opts["r"]),
+    },
+    "flip-entry": {**_NO_ABORT, "attack_success_rate": lambda params, opts: Fraction(1, 2)},
+    "zero-rows": _NO_ABORT,
+    "extract-bits": _NO_ABORT,
+    "collision-impersonation": dict.fromkeys(("attack_success_rate", "accept_rate_bob"), _found_rate),
+    "otp-malleability": _NO_ABORT,
+    # With the matrix in the log, a tampered matrix passes only on a
+    # collision of the two parties' truncated digests.
+    **{
+        f"harden-matrix-in-log-{attack}": dict.fromkeys(
+            _ACCEPTS, lambda params, opts: Fraction(1, 2**params.hash_width)
+        )
+        for attack in ("randomize-rows", "flip-entry", "zero-rows", "extract-bits")
+    },
+    "harden-derived-matrix": _NO_ABORT,
+}
+
+
+def analytic_rates(config: ScenarioConfig) -> dict[str, Fraction | float]:
+    """The value of each rate ANALYTIC_RATES gives for builtin config."""
+    opts = ORACLE_ATTACKS[config.attack.name].resolve(config.params, config.attack.options)
+    return {rate: value(config.params, opts) for rate, value in ANALYTIC_RATES[config.name].items()}

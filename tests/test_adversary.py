@@ -5,9 +5,14 @@ from __future__ import annotations
 import dataclasses
 import errno
 import math
+import operator
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -663,7 +668,8 @@ _LANE_BUDGET = 8 * 4096
 _CHILD_HIT, _LANE0_HIT = 3, 343
 
 
-def _lane_search(monkeypatch, lanes: int, seed: int, w: int = 12):
+def _pool_search(monkeypatch, lanes: int, seed: int, w: int = 12):
+    """A search at `lanes` lanes, on whatever lanes the pool holds, and its oracle."""
     monkeypatch.setattr(adversary_mod, "_search_lanes", lambda chunks: lanes)
     case = _oracle_case(1003, w)
     rng = make_rng(seed, "s")
@@ -673,7 +679,16 @@ def _lane_search(monkeypatch, lanes: int, seed: int, w: int = 12):
     return found, oracle_collision_search(*case, _LANE_BUDGET, make_rng(seed, "s"))
 
 
+def _lane_search(monkeypatch, lanes: int, seed: int, w: int = 12):
+    # The pool is shut down first, so the lanes this search uses are forked
+    # by whatever os.fork the test has patched in.
+    adversary_mod.shutdown_search_lanes()
+    return _pool_search(monkeypatch, lanes, seed, w)
+
+
 def _no_child_left():
+    # Pooled lanes outlive their search, but not their owner's shutdown.
+    adversary_mod.shutdown_search_lanes()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -743,6 +758,152 @@ def test_collision_search_scans_unreported_chunks_itself(monkeypatch, fork, seed
     found, serial = _lane_search(monkeypatch, 3, seed, w)
     assert found == serial
     _no_child_left()
+
+
+def _counting_fork(monkeypatch) -> list[int]:
+    """Patch os.fork to record, in the list it returns, each child it starts."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _pooled_pids() -> list[int]:
+    return [pid for pid, *_ in adversary_mod._pool]
+
+
+def test_collision_searches_fork_their_lanes_once(monkeypatch):
+    adversary_mod.shutdown_search_lanes()
+    forks = _counting_fork(monkeypatch)
+    for seed, w in ((_CHILD_HIT, 12), (_LANE0_HIT, 12), (0, 32), (_CHILD_HIT, 12), (1, 12)):
+        found, serial = _pool_search(monkeypatch, 2, seed, w)
+        assert found == serial, (seed, w)
+    assert len(forks) == 1 and _pooled_pids() == forks
+    # A search at three lanes grows the pool by one and keeps the first lane.
+    found, serial = _pool_search(monkeypatch, 3, _CHILD_HIT)
+    assert found == serial
+    assert len(forks) == 2 and _pooled_pids() == forks
+    _no_child_left()
+
+
+def test_collision_search_drops_the_reports_of_a_failed_search(monkeypatch):
+    # Lane 0 raises at once. The lane, slowed down, reports its hit in chunk
+    # 1 of that search only while the next search, whose first hit is in
+    # chunk 6, runs: that search must drop the report.
+    caller, real_rng_bytes = os.getpid(), adversary_mod.rng_bytes
+
+    def failing_rng_bytes(rng, n):
+        if os.getpid() == caller:
+            raise RuntimeError("lane 0 failed")
+        time.sleep(0.05)
+        return real_rng_bytes(rng, n)
+
+    monkeypatch.setattr(adversary_mod, "rng_bytes", failing_rng_bytes)
+    with pytest.raises(RuntimeError, match="lane 0 failed"):
+        _lane_search(monkeypatch, 2, _CHILD_HIT)
+    monkeypatch.setattr(adversary_mod, "rng_bytes", real_rng_bytes)
+    found, serial = _pool_search(monkeypatch, 2, _LANE0_HIT)
+    assert found == serial
+    assert found.candidates_examined // 4096 == 6
+    _no_child_left()
+
+
+def test_collision_search_forks_the_pool_again_after_a_lane_dies(monkeypatch):
+    adversary_mod.shutdown_search_lanes()
+    forks = _counting_fork(monkeypatch)
+    assert operator.eq(*_pool_search(monkeypatch, 2, _LANE0_HIT))
+    (lane,) = forks
+    os.kill(lane, signal.SIGKILL)
+    # The send to the dead lane fails, or its report pipe reaches EOF, so
+    # the caller scans its chunks, shuts the pool down and reaps the lane.
+    found, serial = _pool_search(monkeypatch, 2, _CHILD_HIT)
+    assert found == serial
+    assert found.candidates_examined // 4096 == 1
+    assert _pooled_pids() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(lane, os.WNOHANG)
+    assert operator.eq(*_pool_search(monkeypatch, 2, _LANE0_HIT))
+    assert len(forks) == 2 and _pooled_pids() == forks[1:]
+    _no_child_left()
+
+
+def test_collision_search_in_a_forked_child_leaves_the_parents_lanes(monkeypatch):
+    assert operator.eq(*_lane_search(monkeypatch, 2, _CHILD_HIT))
+    pool = list(adversary_mod._pool)
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            found, serial = _pool_search(monkeypatch, 2, _LANE0_HIT)
+            own = _pooled_pids()
+            adversary_mod.shutdown_search_lanes()  # as it runs at exit
+            status = 0 if found == serial and own and not set(own) & {p for p, *_ in pool} else 2
+        finally:
+            os._exit(status)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert adversary_mod._pool == pool
+    for lane, *_ in pool:
+        assert os.waitpid(lane, os.WNOHANG) == (0, 0)  # alive
+    forks = _counting_fork(monkeypatch)
+    assert operator.eq(*_pool_search(monkeypatch, 2, _LANE0_HIT))
+    assert forks == []
+    _no_child_left()
+
+
+# One 2-lane search in a fresh interpreter, which then prints its lane pids
+# and, given "idle", waits for stdin to close.
+_SEARCH_SCRIPT = """
+import sys
+from qkdsim import adversary
+from qkdsim.pipeline import SessionParams, run_session
+from qkdsim.seeding import make_rng
+
+adversary._search_lanes = lambda chunks: 2
+params = SessionParams(n_raw=512, key_len=16, tail_len=1, hash_width=32, master_seed=7)
+state = run_session(params).alice.state
+adversary.attack_collision_impersonate(bytes(4), state, params, 8 * 4096, make_rng(0, "s"))
+print(*(pid for pid, *_ in adversary._pool), flush=True)
+if sys.argv[1] == "idle":
+    sys.stdin.read()
+"""
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_collision_search_lanes_end_with_their_process():
+    env = {**os.environ, "PYTHONPATH": str(Path(adversary_mod.__file__).parents[1])}
+    lanes = {}
+    for mode in ("exit", "idle"):
+        # On leaving, Popen closes stdin, which ends an idle wait, and waits.
+        with subprocess.Popen(
+            [sys.executable, "-c", _SEARCH_SCRIPT, mode],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            lanes[mode] = [int(pid) for pid in proc.stdout.readline().split()]
+            if mode == "idle":
+                proc.kill()  # no exit handler runs: the lanes see their command pipes close
+    assert len(lanes["exit"]) == len(lanes["idle"]) == 1
+    # A normal exit kills and reaps its lanes.
+    assert not any(os.path.exists(f"/proc/{pid}") for pid in lanes["exit"])
+    deadline = time.monotonic() + 2
+    while not all(map(_gone_or_zombie, lanes["idle"])):
+        assert time.monotonic() < deadline, "a lane outlived its killed owner"
+        time.sleep(0.01)
 
 
 def test_collision_search_forks_no_lane_while_another_thread_lives(monkeypatch):

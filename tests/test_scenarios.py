@@ -48,7 +48,14 @@ from qkdsim.scenarios import (
     write_trials_jsonl,
 )
 
-from oracles import ORACLE_ATTACKS, oracle_validate_config, read_hex, wilson_interval
+from oracles import (
+    ORACLE_ATTACKS,
+    analytic_rates,
+    exact_abort_probability,
+    oracle_validate_config,
+    read_hex,
+    wilson_interval,
+)
 
 ACCEPT = "accept"
 
@@ -387,15 +394,8 @@ def test_sweep_qber_abort_concentration():
     assert aborts == [0.0, 0.0, 1.0]
 
 
-def exact_abort_probability(params: SessionParams) -> Fraction:
-    """P(ABORT) of one honest session, summed exactly over its random counts.
-
-    The sifted length is N ~ Bin(n_raw, 1/2), since each party's bases are
-    fair bits. k = ceil(sample_fraction * N) positions are disclosed, and
-    the mismatches among them are Bin(k, qber), since the noise is drawn
-    independently of the bases. The session aborts on N = 0, on a sampled
-    rate mismatches/k above abort_threshold, or on a short key, N - k < key_len.
-    """
+def _abort_probability_term_by_term(params: SessionParams) -> Fraction:
+    """exact_abort_probability's sum, one Fraction per sifted length."""
     n, q = params.n_raw, Fraction(params.qber)
     total = Fraction(0)
     for sifted in range(n + 1):
@@ -411,6 +411,28 @@ def exact_abort_probability(params: SessionParams) -> Fraction:
             p_abort = 1 - p_pass if sifted - k >= params.key_len else Fraction(1)
         total += math.comb(n, sifted) * p_abort
     return total / 2**n
+
+
+@pytest.mark.parametrize(
+    "n_raw,key_len,qber,threshold",
+    [(512, 16, 0.08, 0.11), (64, 24, 0.01, 0.11), (40, 4, 0.0, 0.0), (40, 4, 1.0, 0.5), (40, 4, 0.5, 1.0)],
+)
+def test_exact_abort_probability_is_its_binomial_sum(n_raw, key_len, qber, threshold):
+    params = SessionParams(n_raw=n_raw, key_len=key_len, tail_len=0, qber=qber, abort_threshold=threshold)
+    assert exact_abort_probability(params) == _abort_probability_term_by_term(params)
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_builtin_bands_contain_their_analytic_rates(name):
+    # A run of n trials reads a rate k / n, so each band must hold the
+    # reading nearest the rate's exact value.
+    config = builtin_scenario(name)
+    bands = {check.metric: check for check in config.checks}
+    rates = analytic_rates(config)
+    assert rates and set(rates) <= set(bands)
+    for rate, value in rates.items():
+        reading = Fraction(round(value * config.trials), config.trials)
+        assert bands[rate].lo <= reading <= bands[rate].hi, (rate, value, reading)
 
 
 @pytest.mark.parametrize(
