@@ -27,12 +27,10 @@ import hashlib
 import itertools
 import multiprocessing
 import os
-import pickle
-import select
 import signal
-import struct
 import threading
 from dataclasses import dataclass, replace as dc_replace
+from multiprocessing.connection import Connection, wait
 from typing import Sequence
 
 import numpy as np
@@ -211,21 +209,17 @@ class CollisionSearchResult:
 
 
 _SEARCH_CHUNK = 4096  # candidates drawn per rng_bytes call
-_MAX_LANES = 4  # each lane past the first costs one fork per process, about 2 ms at 40 MB
-# A lane's report on one chunk: the search's number, the chunk, the offset
-# of its first hit or -1, and that hit's 16-byte draw (zeros when there is
-# none). Chunk -1 ends the lane's reports on that search.
-_REPORT = struct.Struct("<qqq16s")
-# Records are written whole and read in multiples of their size, so every
-# read ends on a record boundary.
-_READ = 256 * _REPORT.size
-# Each command to a pooled lane is its length, then that many bytes of a
-# pickled job; a length of 0 stops the lane's current search.
-_COMMAND = struct.Struct("<I")
+# Every lane draws the whole candidate stream (about 28 µs per chunk on a
+# shared 2-vCPU VM), so the draws grow with the lane count.
+_MAX_LANES = 4
 
 # Lanes 1, 2, ... of every search: (pid, command pipe, report pipe) each,
 # forked on first use by the process _pool_owner and idle between searches.
-_pool: list[tuple[int, int, int]] = []
+# A lane is sent each job as one message, and None stops its current search.
+# It reports each chunk as (search, chunk, offset of its first hit or -1,
+# that hit's 16-byte draw or None), and closes its reports on a search with
+# (search, -1, -1, None).
+_pool: list[tuple[int, Connection, Connection]] = []
 _pool_owner = 0
 _searches = itertools.count()  # numbers the searches that hand out jobs
 
@@ -254,7 +248,7 @@ def _search_lanes(chunks: int) -> int:
     return min(max_search_lanes(), chunks)
 
 
-def _lane_pool(size: int) -> list[tuple[int, int, int]]:
+def _lane_pool(size: int) -> list[tuple[int, Connection, Connection]]:
     """This process's lane pool, grown to size lanes, or fewer if os.fork
     fails. A process that did not fork the pool, such as a forked child,
     first empties it, closing only the pipes it inherited, so that the
@@ -262,30 +256,30 @@ def _lane_pool(size: int) -> list[tuple[int, int, int]]:
     global _pool_owner
     if _pool_owner != os.getpid():
         for _, command, report in _pool:
-            os.close(command)
-            os.close(report)
+            command.close()
+            report.close()
         _pool.clear()
         _pool_owner = os.getpid()
     while len(_pool) < size:
-        command_r, command_w = os.pipe()
-        report_r, report_w = os.pipe()
+        command_r, command_w = multiprocessing.Pipe(duplex=False)
+        report_r, report_w = multiprocessing.Pipe(duplex=False)
         try:
             pid = os.fork()
         except OSError:
-            for fd in (command_r, command_w, report_r, report_w):
-                os.close(fd)
+            for end in (command_r, command_w, report_r, report_w):
+                end.close()
             break
         if pid == 0:
             status = 1
             try:
-                for fd in (command_w, report_r, *(fd for _, *fds in _pool for fd in fds)):
-                    os.close(fd)
+                for end in (command_w, report_r, *(end for _, *ends in _pool for end in ends)):
+                    end.close()
                 _serve(command_r, report_w)
                 status = 0
             finally:
                 os._exit(status)
-        os.close(command_r)
-        os.close(report_w)
+        command_r.close()
+        report_w.close()
         _pool.append((pid, command_w, report_r))
     return _pool
 
@@ -296,8 +290,8 @@ def shutdown_search_lanes() -> None:
     pool = _lane_pool(0)
     while pool:
         pid, command, report = pool.pop()
-        os.close(command)
-        os.close(report)
+        command.close()
+        report.close()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
@@ -305,37 +299,25 @@ def shutdown_search_lanes() -> None:
 atexit.register(shutdown_search_lanes)
 
 
-def _read(fd: int, n: int) -> bytearray:
-    """n bytes from fd, or fewer if it reaches EOF first."""
-    data = bytearray()
-    while len(data) < n and (part := os.read(fd, n - len(data))):
-        data += part
-    return data
-
-
-def _send(fd: int, payload: bytes) -> None:
-    data = memoryview(_COMMAND.pack(len(payload)) + payload)
-    while data:
-        data = data[os.write(fd, data) :]
-
-
-def _serve(commands: int, reports: int) -> None:
+def _serve(commands: Connection, reports: Connection) -> None:
     """A pooled lane: run each job it is sent, until its command pipe
     reaches EOF. It reports every chunk of its own up to its first hit, and
     leaves a search early once another command is waiting."""
-    while len(head := _read(commands, _COMMAND.size)) == _COMMAND.size:
-        (size,) = _COMMAND.unpack(head)
-        if not size:
+    while True:
+        try:
+            job = commands.recv()
+        except EOFError:
+            return
+        if job is None:
             continue  # the stop of a search this lane has already left
-        search, prefixes, scan_args, budget, state, lanes, j = pickle.loads(_read(commands, size))
+        search, prefixes, scan_args, budget, state, lanes, j = job
         scan = _scanner(prefixes, *scan_args)
         chunks = -(-budget // _SEARCH_CHUNK)
         for rec in _scan_chunks(scan, state, budget, lambda c: c % lanes == j, lambda: chunks):
-            # A pipe write of at most PIPE_BUF bytes is atomic.
-            os.write(reports, _REPORT.pack(search, *rec))
-            if rec[1] >= 0 or select.select([commands], [], [], 0)[0]:
+            reports.send((search, *rec))
+            if rec[1] >= 0 or commands.poll():
                 break
-        os.write(reports, _REPORT.pack(search, -1, -1, bytes(16)))
+        reports.send((search, -1, -1, None))
 
 
 def _scanner(prefixes, suffix_len, ktop, var_bits, sub_shift, w, captured_digest):
@@ -383,7 +365,7 @@ def _scanner(prefixes, suffix_len, ktop, var_bits, sub_shift, w, captured_digest
 def _scan_chunks(scan, state: dict, budget: int, wanted, limit):
     """Draw the candidate stream, in order, from a generator in state, up
     to chunk limit(); yield (chunk, offset of its first hit or -1, that
-    hit's draw) for each chunk that wanted picks."""
+    hit's draw or None) for each chunk that wanted picks."""
     gen = np.random.Generator(getattr(np.random, state["bit_generator"])())
     gen.bit_generator.state = state
     c = 0
@@ -392,7 +374,7 @@ def _scan_chunks(scan, state: dict, budget: int, wanted, limit):
         draws = rng_bytes(gen, 16 * todo).reshape(todo, 16)
         if wanted(c):
             k = scan(draws)
-            yield c, k, draws[k].tobytes() if k >= 0 else bytes(16)
+            yield c, k, draws[k].tobytes() if k >= 0 else None
         c += 1
 
 
@@ -421,10 +403,10 @@ def attack_collision_impersonate(
 
     The chunks are scanned in L lanes, L being max_search_lanes() capped at
     the chunk count: chunk c by lane c % L. Lane 0 is the calling process;
-    lanes 1 to L-1 are pooled children, each sent a pickled job from which
-    it builds its own hash states. Every lane draws the whole candidate
+    lanes 1 to L-1 are pooled children, each sent a job from which it
+    builds its own hash states. Every lane draws the whole candidate
     stream, in order, from its own copy of rng and hashes only its own
-    chunks. A pooled lane reports each chunk as one record carrying the
+    chunks. A pooled lane reports each chunk as one message carrying the
     search's number, and stops after its first hit or at a stop. Only the
     caller decides: the lowest chunk with a hit once every lower chunk is
     reported clean; reports of any other search are dropped. The caller
@@ -480,11 +462,11 @@ def attack_collision_impersonate(
     rng_state = rng.bit_generator.state
 
     chunks = -(-budget // _SEARCH_CHUNK)
-    reports: dict[int, tuple[int, bytes]] = {}  # chunk -> (offset of its first hit or -1, draw)
+    reports: dict[int, tuple[int, bytes | None]] = {}  # chunk -> (offset of first hit or -1, draw)
     first_hit = chunks  # the lowest chunk reported with a hit
     clean = 0  # chunks 0 .. clean-1 are reported clean
 
-    def report(chunk: int, offset: int, draw: bytes) -> None:
+    def report(chunk: int, offset: int, draw: bytes | None) -> None:
         nonlocal first_hit, clean
         reports[chunk] = (offset, draw)
         if offset >= 0:
@@ -496,22 +478,21 @@ def attack_collision_impersonate(
         return _scan_chunks(scan, rng_state, budget, wanted, lambda: first_hit)
 
     lanes = _search_lanes(chunks)
-    live: dict[int, int] = {}  # report pipe -> command pipe of each lane on this search
+    live: dict[Connection, Connection] = {}  # report -> command pipe of each lane on this search
     dead = False
     try:
         if lanes > 1:
             search = next(_searches)
-            for j, (_, command, report_fd) in enumerate(_lane_pool(lanes - 1)[: lanes - 1], 1):
-                # Drop what earlier searches left unread, so the pipe never fills.
-                while select.select([report_fd], [], [], 0)[0] and os.read(report_fd, _READ):
-                    pass
-                job = (search, prefixes, scan_args, budget, rng_state, lanes, j)
+            for j, (_, command, lane_reports) in enumerate(_lane_pool(lanes - 1)[: lanes - 1], 1):
                 try:
-                    _send(command, pickle.dumps(job))
-                except OSError:
+                    # Drop what earlier searches left unread, so the pipe never fills.
+                    while lane_reports.poll():
+                        lane_reports.recv()
+                    command.send((search, prefixes, scan_args, budget, rng_state, lanes, j))
+                except (EOFError, OSError):
                     dead = True
                 else:
-                    live[report_fd] = command
+                    live[lane_reports] = command
         own = lane(lambda c: c % lanes == 0)
         while clean < first_hit:
             rec = next(own, None)
@@ -521,23 +502,23 @@ def attack_collision_impersonate(
                 # Every lane is done or dead: scan what they left unreported.
                 own = lane(lambda c: c not in reports)
             # Blocks when lane 0 has nothing left to scan.
-            ready = select.select(list(live), [], [], 0 if rec else None)[0] if live else []
-            for fd in ready:
-                data = os.read(fd, _READ)
-                if not data:
+            for lane_reports in wait(list(live), 0 if rec else None) if live else []:
+                try:
+                    number, *lane_rec = lane_reports.recv()
+                except EOFError:
                     dead = True
-                    del live[fd]
-                for number, *lane_rec in _REPORT.iter_unpack(data):
-                    if number != search:
-                        continue  # left unread by an earlier search
-                    if lane_rec[0] < 0:
-                        del live[fd]
-                    else:
-                        report(*lane_rec)
+                    del live[lane_reports]
+                    continue
+                if number != search:
+                    continue  # left unread by an earlier search
+                if lane_rec[0] < 0:
+                    del live[lane_reports]
+                else:
+                    report(*lane_rec)
     finally:
         for command in live.values():
             try:
-                _send(command, b"")
+                command.send(None)
             except OSError:
                 dead = True
         if dead:

@@ -10,18 +10,23 @@ the replacement is made. The script copies src, tests and pyproject.toml to
 a temporary directory, checks that the named tests pass on the unmutated
 copy, then applies one mutant at a time to that copy and runs its tests
 there in one pytest process, reading each test's outcome from the run's
-JUnit XML report. It exits 1 if the copy fails or if any named test passes
-against its mutant. pytest does not collect this file; tests/test_mutants.py
+JUnit XML report. A mutant's run that takes five times as long as the
+unmutated copy's, and at least a minute, is killed with every process it
+started, and none of its tests passed. It exits 1 if the copy fails or if
+any named test passes against its mutant. pytest does not collect this file; tests/test_mutants.py
 checks that every snippet still occurs exactly once, so the list cannot
 rot silently.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree
@@ -130,8 +135,8 @@ MUTANTS = (
     Mutant(
         "lane pool: a report of another search accepted",
         "adversary.py",
-        "                    if number != search:\n",
-        "                    if False:\n",
+        "                if number != search:\n",
+        "                if False:\n",
         (_ADV + "test_collision_search_drops_the_reports_of_a_failed_search",),
     ),
     Mutant(
@@ -140,6 +145,13 @@ MUTANTS = (
         "    if _pool_owner != os.getpid():\n",
         "    if False:\n",
         (_ADV + "test_collision_search_in_a_forked_child_leaves_the_parents_lanes",),
+    ),
+    Mutant(
+        "lane: a stop for a search it has already left ends the lane",
+        "adversary.py",
+        "            continue  # the stop of a search this lane has already left\n",
+        "            return\n",
+        (_ADV + "test_collision_searches_fork_their_lanes_once",),
     ),
     Mutant(
         "search lanes: forked while other threads live",
@@ -710,7 +722,7 @@ MUTANTS = (
 )
 
 
-def _passing(copy: Path, tests: tuple[str, ...]) -> list[str]:
+def _passing(copy: Path, tests: tuple[str, ...], timeout: float | None) -> list[str]:
     """Run the tests in one pytest process in the copy; the ones that passed.
 
     Each test's outcome is read from the run's JUnit XML report, so every
@@ -719,11 +731,22 @@ def _passing(copy: Path, tests: tuple[str, ...]) -> list[str]:
     test the report does not list, such as one whose module no longer
     imports, did not pass. -B keeps the copy free of bytecode caches, which
     could otherwise outlive a same-size edit made within the same second.
+    A run still going after timeout seconds is killed, along with every
+    process it started, such as a search lane, and no test of it passed.
     """
     report = copy / "report.xml"
     cmd = [sys.executable, "-B", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
     cmd += [f"--junitxml={report}", *tests]
-    subprocess.run(cmd, cwd=copy, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    run = subprocess.Popen(
+        cmd, cwd=copy, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
+    )
+    try:
+        run.wait(timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(run.pid, signal.SIGKILL)
+        run.wait()
+        report.unlink(missing_ok=True)
+        return []
     outcomes: dict[str, list[bool]] = {}
     if report.exists():
         for case in ElementTree.parse(report).iter("testcase"):
@@ -742,7 +765,9 @@ def main() -> int:
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", copy)
         every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
-        failing = set(every_test) - set(_passing(copy, every_test))
+        start = time.monotonic()
+        failing = set(every_test) - set(_passing(copy, every_test, None))
+        limit = max(60.0, 5 * (time.monotonic() - start))
         if failing:
             print("the named tests fail on the unmutated copy:", file=sys.stderr)
             for test in sorted(failing):
@@ -756,11 +781,14 @@ def main() -> int:
                 print(f"{m.name}: snippet does not occur exactly once", file=sys.stderr)
                 return 1
             path.write_text(original.replace(m.snippet, m.replacement))
+            start = time.monotonic()
             try:
-                passing = _passing(copy, m.tests)
+                passing = _passing(copy, m.tests, limit)
             finally:
                 path.write_text(original)
-            print(f"{'SURVIVED' if passing else 'killed  '}  {m.name}")
+            timed_out = time.monotonic() - start >= limit
+            verdict = "SURVIVED" if passing else "killed (timed out)" if timed_out else "killed  "
+            print(f"{verdict}  {m.name}")
             for test in passing:
                 print(f"    passes: {test}")
             if passing:
