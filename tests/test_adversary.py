@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import functools
 import math
 import operator
 import os
@@ -853,6 +854,90 @@ def test_collision_search_in_a_forked_child_leaves_the_parents_lanes(monkeypatch
     forks = _counting_fork(monkeypatch)
     assert operator.eq(*_pool_search(monkeypatch, 2, _LANE0_HIT))
     assert forks == []
+    _no_child_left()
+
+
+# At cols=1003 and w=14, each of these search seeds first hits in one of
+# chunks 2 to 6 of the eight, or, for 16, 23 and 32, in none.
+_SCHEDULE_SEEDS = (0, 2, 3, 4, 8, 10, 13, 15, 16, 18, 20, 23, 24, 25, 27, 28, 30, 32, 33, 34, 36)
+_SCHEDULE_CHUNKS = _LANE_BUDGET // 4096
+_SCHEDULE_DELAYS = 5 * 3 * _SCHEDULE_CHUNKS  # one per (search, lane, chunk)
+
+
+@functools.cache
+def _schedule_case():
+    return _oracle_case(1003, 14)
+
+
+@functools.cache
+def _schedule_oracle(seed: int):
+    return oracle_collision_search(*_schedule_case(), _LANE_BUDGET, make_rng(seed, "s"))
+
+
+def _last_chunk(seed: int) -> int:
+    """The chunk of the search's first hit, or its last chunk if none."""
+    return (_schedule_oracle(seed).candidates_examined - 1) // 4096
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(
+    seeds=st.lists(st.sampled_from(_SCHEDULE_SEEDS), min_size=3, max_size=5, unique=True),
+    lane_counts=st.lists(st.sampled_from([2, 3]), min_size=5, max_size=5),
+    delays=st.lists(st.integers(0, 20), min_size=_SCHEDULE_DELAYS, max_size=_SCHEDULE_DELAYS),
+    exit_at=st.none() | st.tuples(st.integers(0, 4), st.integers(1, _SCHEDULE_CHUNKS - 1)),
+    raise_at=st.none() | st.tuples(st.integers(0, 4), st.integers(0, _SCHEDULE_CHUNKS - 1)),
+)
+def test_collision_search_lanes_under_a_drawn_schedule(
+    seeds, lane_counts, delays, exit_at, raise_at
+):
+    # Each search has its own seed, so a lane tells its search by the state
+    # it is sent, and its lane number by the first chunk wanted picks. Each
+    # lane sleeps its drawn delay after scanning each chunk. The drawn lane
+    # exits, in a child, after scanning its drawn chunk, which lies at or
+    # below the first hit, so the caller must scan that chunk itself; lane 0
+    # raises, in the caller, after scanning its drawn chunk.
+    search_of = {
+        make_rng(seed, "s").bit_generator.state["state"]["state"]: s
+        for s, seed in enumerate(seeds)
+    }
+    if exit_at is not None:
+        s, c = exit_at[0] % len(seeds), exit_at[1]
+        c = 1 + (c - 1) % _last_chunk(seeds[s])
+        exit_at = s, c if c % lane_counts[s] else c - 1
+    if raise_at is not None:
+        s, c = raise_at[0] % len(seeds), raise_at[1]
+        raise_at = s, c - c % lane_counts[s]
+    caller, real_scan_chunks = os.getpid(), adversary_mod._scan_chunks
+
+    def scheduled_scan_chunks(scan, state, budget, wanted, limit):
+        s = search_of[state["state"]["state"]]
+        lanes = lane_counts[s]
+        j = next((c % lanes for c in range(_SCHEDULE_CHUNKS) if wanted(c)), 0)
+        for rec in real_scan_chunks(scan, state, budget, wanted, limit):
+            time.sleep(delays[(3 * s + j) * _SCHEDULE_CHUNKS + rec[0]] / 1000)
+            if (s, rec[0]) == exit_at and os.getpid() != caller:
+                os._exit(0)
+            if (s, rec[0]) == raise_at and os.getpid() == caller:
+                raise RuntimeError("lane 0 failed")
+            yield rec
+
+    adversary_mod.shutdown_search_lanes()
+    with pytest.MonkeyPatch.context() as mp:
+        # Patched before the pool is forked, so the lanes inherit it.
+        mp.setattr(adversary_mod, "_scan_chunks", scheduled_scan_chunks)
+        for s, seed in enumerate(seeds):
+            mp.setattr(adversary_mod, "max_search_lanes", lambda: lane_counts[s])
+            rng = make_rng(seed, "s")
+            before = rng.bit_generator.state
+            try:
+                found = attack_collision_impersonate(*_schedule_case(), _LANE_BUDGET, rng)
+            except RuntimeError:
+                assert raise_at is not None and raise_at[0] == s
+            else:
+                # Lane 0 must reach its drawn chunk if no lower chunk hits.
+                assert raise_at is None or raise_at[0] != s or raise_at[1] > _last_chunk(seed)
+                assert found == _schedule_oracle(seed), (s, seed)
+            assert rng.bit_generator.state == before
     _no_child_left()
 
 
