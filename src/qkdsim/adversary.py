@@ -11,13 +11,8 @@ frame) and forwards every other frame as the same object.
 The collision attack targets the matrix_in_log hardened variant instead:
 a captured (digest, mac) pair is replayed after searching for a matrix
 whose induced log extract hashes to the captured digest. The search runs
-on up to one lane per usable CPU (max_search_lanes), each hashing every
-L-th chunk of the one candidate stream; the calling process alone
-decides, so the result, and every trial record, is the same for any lane
-count, and the caller's generator is never advanced. Lanes past the
-caller are child processes forked once per process, on the first search
-that wants them: they idle between searches, take each search's job over
-a pipe, and are killed by shutdown_search_lanes, which runs at exit.
+in lanes, the caller and a pool of forked children, whose protocol the
+comment at _pool states.
 """
 
 from __future__ import annotations
@@ -213,13 +208,24 @@ _SEARCH_CHUNK = 4096  # candidates drawn per rng_bytes call
 # shared 2-vCPU VM), so the draws grow with the lane count.
 _MAX_LANES = 4
 
-# Lanes 1, 2, ... of every search: (pid, command pipe, report pipe) each,
-# forked on first use by the process _pool_owner and idle between searches.
-# A lane is sent each job as one message, and None stops its current search.
-# It reports each chunk as (search, chunk, offset of its first hit or -1,
-# that hit's 16-byte draw or None), and closes its reports on a search with
-# (search, -1, -1, None).
-_pool: list[tuple[int, Connection, Connection]] = []
+# A search scans its chunks in L lanes, L = min(max_search_lanes(), chunks):
+# chunk c by lane c % L. Lane 0 is the caller; lanes 1 to L-1 are the first
+# entries of this pool, (pid, connection) each, forked on first use by the
+# process _pool_owner and idle between searches. Every lane draws the whole
+# candidate stream, in order, from its own copy of the caller's generator,
+# which is read but never advanced. On its duplex connection a lane is sent
+# each job as one message, from which it builds its own hash states, and
+# None stops its current search. It reports each chunk as (search, chunk,
+# offset of its first hit or -1, that hit's 16-byte draw or None), stops
+# after its first hit, and closes its reports on a search with (search, -1,
+# -1, None). Only the caller decides: the lowest chunk with a hit once every
+# lower chunk is reported clean, dropping reports of any other search. It
+# scans itself any chunk no lane reported, because os.fork failed or a lane
+# died (EOF or a reset on its connection, or a failed send); a dead lane
+# has the pool shut down, to be forked again by the next search. On the way
+# out, decided or raising, the caller stops every lane still working. So
+# the result is the first hit in stream order, the same for every L.
+_pool: list[tuple[int, Connection]] = []
 _pool_owner = 0
 _searches = itertools.count()  # numbers the searches that hand out jobs
 
@@ -244,54 +250,47 @@ def max_search_lanes() -> int:
     return min(usable_cpus(), _MAX_LANES)
 
 
-def _search_lanes(chunks: int) -> int:
-    return min(max_search_lanes(), chunks)
-
-
-def _lane_pool(size: int) -> list[tuple[int, Connection, Connection]]:
+def _lane_pool(size: int) -> list[tuple[int, Connection]]:
     """This process's lane pool, grown to size lanes, or fewer if os.fork
     fails. A process that did not fork the pool, such as a forked child,
-    first empties it, closing only the pipes it inherited, so that the
-    owner's lanes still exit with their owner."""
+    first empties it, closing only the connections it inherited, so that
+    the owner's lanes still exit with their owner."""
     global _pool_owner
     if _pool_owner != os.getpid():
-        for _, command, report in _pool:
-            command.close()
-            report.close()
+        for _, conn in _pool:
+            conn.close()
         _pool.clear()
         _pool_owner = os.getpid()
     while len(_pool) < size:
-        command_r, command_w = multiprocessing.Pipe(duplex=False)
-        report_r, report_w = multiprocessing.Pipe(duplex=False)
+        conn, lane_conn = multiprocessing.Pipe()
         try:
             pid = os.fork()
         except OSError:
-            for end in (command_r, command_w, report_r, report_w):
-                end.close()
+            conn.close()
+            lane_conn.close()
             break
         if pid == 0:
             status = 1
             try:
-                for end in (command_w, report_r, *(end for _, *ends in _pool for end in ends)):
-                    end.close()
-                _serve(command_r, report_w)
+                for owner_conn in (conn, *(c for _, c in _pool)):
+                    owner_conn.close()
+                _serve(lane_conn)
                 status = 0
             finally:
                 os._exit(status)
-        command_r.close()
-        report_w.close()
-        _pool.append((pid, command_w, report_r))
+        lane_conn.close()
+        _pool.append((pid, conn))
     return _pool
 
 
 def shutdown_search_lanes() -> None:
-    """Close the pooled lanes' pipes, then kill and reap every lane. In a
-    process that did not fork the pool this kills nothing. Runs at exit."""
+    """Close the pooled lanes' connections, then kill and reap every lane.
+    In a process that did not fork the pool this kills nothing. Runs at
+    exit."""
     pool = _lane_pool(0)
     while pool:
-        pid, command, report = pool.pop()
-        command.close()
-        report.close()
+        pid, conn = pool.pop()
+        conn.close()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
@@ -299,13 +298,13 @@ def shutdown_search_lanes() -> None:
 atexit.register(shutdown_search_lanes)
 
 
-def _serve(commands: Connection, reports: Connection) -> None:
-    """A pooled lane: run each job it is sent, until its command pipe
-    reaches EOF. It reports every chunk of its own up to its first hit, and
-    leaves a search early once another command is waiting."""
+def _serve(conn: Connection) -> None:
+    """A pooled lane: run each job it is sent, until its connection closes.
+    It reports every chunk of its own up to its first hit, and leaves a
+    search early once another command is waiting."""
     while True:
         try:
-            job = commands.recv()
+            job = conn.recv()
         except EOFError:
             return
         if job is None:
@@ -314,10 +313,10 @@ def _serve(commands: Connection, reports: Connection) -> None:
         scan = _scanner(prefixes, *scan_args)
         chunks = -(-budget // _SEARCH_CHUNK)
         for rec in _scan_chunks(scan, state, budget, lambda c: c % lanes == j, lambda: chunks):
-            reports.send((search, *rec))
-            if rec[1] >= 0 or commands.poll():
+            conn.send((search, *rec))
+            if rec[1] >= 0 or conn.poll():
                 break
-        reports.send((search, -1, -1, None))
+        conn.send((search, -1, -1, None))
 
 
 def _scanner(prefixes, suffix_len, ktop, var_bits, sub_shift, w, captured_digest):
@@ -401,23 +400,9 @@ def attack_collision_impersonate(
     compare of its first byte remain; the few that pass that get the exact
     truncated compare. That keeps million-candidate budgets cheap.
 
-    The chunks are scanned in L lanes, L being max_search_lanes() capped at
-    the chunk count: chunk c by lane c % L. Lane 0 is the calling process;
-    lanes 1 to L-1 are pooled children, each sent a job from which it
-    builds its own hash states. Every lane draws the whole candidate
-    stream, in order, from its own copy of rng and hashes only its own
-    chunks. A pooled lane reports each chunk as one message carrying the
-    search's number, and stops after its first hit or at a stop. Only the
-    caller decides: the lowest chunk with a hit once every lower chunk is
-    reported clean; reports of any other search are dropped. The caller
-    scans itself any chunk no lane reported, because os.fork failed or a
-    lane died (EOF on its report pipe, or a failed send); a dead lane has
-    the pool shut down, to be forked again by the next search. On the way
-    out, decided or raising, the caller stops every lane still working.
-    The result is therefore the first hit in stream order whatever L is,
-    the one a single lane would find, and rng itself is read but never
-    advanced, for every L (no caller reads it afterwards:
-    run_collision_impersonation makes a fresh one per search).
+    The chunks are scanned in lanes by the protocol stated at _pool, so the
+    result is the one a single lane would find, and rng is read but never
+    advanced.
 
     captured_digest must be a truncate_digest output: ceil(w / 8) bytes
     with its pad bits past w clear. Any other value could never match.
@@ -477,22 +462,22 @@ def attack_collision_impersonate(
     def lane(wanted):
         return _scan_chunks(scan, rng_state, budget, wanted, lambda: first_hit)
 
-    lanes = _search_lanes(chunks)
-    live: dict[Connection, Connection] = {}  # report -> command pipe of each lane on this search
+    lanes = min(max_search_lanes(), chunks)
+    live: set[Connection] = set()  # the connection of each lane on this search
     dead = False
     try:
         if lanes > 1:
             search = next(_searches)
-            for j, (_, command, lane_reports) in enumerate(_lane_pool(lanes - 1)[: lanes - 1], 1):
+            for j, (_, conn) in enumerate(_lane_pool(lanes - 1)[: lanes - 1], 1):
                 try:
-                    # Drop what earlier searches left unread, so the pipe never fills.
-                    while lane_reports.poll():
-                        lane_reports.recv()
-                    command.send((search, prefixes, scan_args, budget, rng_state, lanes, j))
+                    # Drop what earlier searches left unread, so the connection never fills.
+                    while conn.poll():
+                        conn.recv()
+                    conn.send((search, prefixes, scan_args, budget, rng_state, lanes, j))
                 except (EOFError, OSError):
                     dead = True
                 else:
-                    live[lane_reports] = command
+                    live.add(conn)
         own = lane(lambda c: c % lanes == 0)
         while clean < first_hit:
             rec = next(own, None)
@@ -502,23 +487,23 @@ def attack_collision_impersonate(
                 # Every lane is done or dead: scan what they left unreported.
                 own = lane(lambda c: c not in reports)
             # Blocks when lane 0 has nothing left to scan.
-            for lane_reports in wait(list(live), 0 if rec else None) if live else []:
+            for conn in wait(list(live), 0 if rec else None) if live else []:
                 try:
-                    number, *lane_rec = lane_reports.recv()
-                except EOFError:
+                    number, *lane_rec = conn.recv()
+                except (EOFError, OSError):  # a reset if it died with its job unread
                     dead = True
-                    del live[lane_reports]
+                    live.remove(conn)
                     continue
                 if number != search:
                     continue  # left unread by an earlier search
                 if lane_rec[0] < 0:
-                    del live[lane_reports]
+                    live.remove(conn)
                 else:
                     report(*lane_rec)
     finally:
-        for command in live.values():
+        for conn in live:
             try:
-                command.send(None)
+                conn.send(None)
             except OSError:
                 dead = True
         if dead:

@@ -1039,8 +1039,6 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
         if "trials_file" in entry:
             trials_path = os.path.join(out_dir, entry["trials_file"])
             records = _numbered_trials(trials_path)
-            if not records:
-                raise ConfigError(f"{trials_path}: no trial records to recompute the rates from")
             _check_trials_of(config, trials_path, records)
             reports = [report for _, report in records]
             summary = BatchSummary.from_reports(

@@ -133,6 +133,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "lane pool: a reset connection read as a live lane",
+        "adversary.py",
+        "except (EOFError, OSError):  # a reset if it died with its job unread",
+        "except EOFError:  # a reset if it died with its job unread",
+        (_ADV + "test_collision_search_scans_unreported_chunks_itself",),
+    ),
+    Mutant(
         "lane pool: a report of another search accepted",
         "adversary.py",
         "                if number != search:\n",

@@ -654,7 +654,7 @@ def test_collision_search_equals_oracle_property(cols, w, budget, target, seed, 
     rng = make_rng(seed, "p")
     before = rng.bit_generator.state
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(adversary_mod, "_search_lanes", lambda chunks: lanes)
+        mp.setattr(adversary_mod, "max_search_lanes", lambda: lanes)
         fast = attack_collision_impersonate(*case, budget, rng)
     assert rng.bit_generator.state == before  # read, never advanced
     assert fast == oracle_collision_search(*case, budget, make_rng(seed, "p"))
@@ -671,7 +671,7 @@ _CHILD_HIT, _LANE0_HIT = 3, 343
 
 def _pool_search(monkeypatch, lanes: int, seed: int, w: int = 12):
     """A search at `lanes` lanes, on whatever lanes the pool holds, and its oracle."""
-    monkeypatch.setattr(adversary_mod, "_search_lanes", lambda chunks: lanes)
+    monkeypatch.setattr(adversary_mod, "max_search_lanes", lambda: lanes)
     case = _oracle_case(1003, w)
     rng = make_rng(seed, "s")
     before = rng.bit_generator.state
@@ -748,11 +748,23 @@ def _exiting_fork(real_fork=os.fork):
     return pid
 
 
+def _job_dropping_fork(real_fork=os.fork):
+    pid = real_fork()
+    if pid == 0:
+        time.sleep(0.1)  # long enough for the job to arrive
+        os._exit(0)  # a lane that dies with its job unread
+    return pid
+
+
 def _failing_fork():
     raise OSError(errno.EAGAIN, "fork refused")
 
 
-@pytest.mark.parametrize("fork", [_exiting_fork, _failing_fork], ids=["children-exit", "fork-fails"])
+@pytest.mark.parametrize(
+    "fork",
+    [_exiting_fork, _job_dropping_fork, _failing_fork],
+    ids=["children-exit", "children-exit-with-job-unread", "fork-fails"],
+)
 @pytest.mark.parametrize("seed,w", [(_CHILD_HIT, 12), (_LANE0_HIT, 12), (0, 32)])
 def test_collision_search_scans_unreported_chunks_itself(monkeypatch, fork, seed, w):
     monkeypatch.setattr(os, "fork", fork)
@@ -821,7 +833,7 @@ def test_collision_search_forks_the_pool_again_after_a_lane_dies(monkeypatch):
     assert operator.eq(*_pool_search(monkeypatch, 2, _LANE0_HIT))
     (lane,) = forks
     os.kill(lane, signal.SIGKILL)
-    # The send to the dead lane fails, or its report pipe reaches EOF, so
+    # The send to the dead lane fails, or its connection reaches EOF, so
     # the caller scans its chunks, shuts the pool down and reaps the lane.
     found, serial = _pool_search(monkeypatch, 2, _CHILD_HIT)
     assert found == serial
@@ -949,7 +961,7 @@ from qkdsim import adversary
 from qkdsim.pipeline import SessionParams, run_session
 from qkdsim.seeding import make_rng
 
-adversary._search_lanes = lambda chunks: 2
+adversary.max_search_lanes = lambda: 2
 params = SessionParams(n_raw=512, key_len=16, tail_len=1, hash_width=32, master_seed=7)
 state = run_session(params).alice.state
 adversary.attack_collision_impersonate(bytes(4), state, params, 8 * 4096, make_rng(0, "s"))
@@ -981,7 +993,7 @@ def test_collision_search_lanes_end_with_their_process():
         ) as proc:
             lanes[mode] = [int(pid) for pid in proc.stdout.readline().split()]
             if mode == "idle":
-                proc.kill()  # no exit handler runs: the lanes see their command pipes close
+                proc.kill()  # no exit handler runs: the lanes see their connections close
     assert len(lanes["exit"]) == len(lanes["idle"]) == 1
     # A normal exit kills and reaps its lanes.
     assert not any(os.path.exists(f"/proc/{pid}") for pid in lanes["exit"])

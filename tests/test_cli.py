@@ -348,7 +348,7 @@ def test_report_refuses_a_trials_file_without_records(tmp_path, capsys, content)
     capsys.readouterr()
     assert run_cli("report", tmp_path) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: no trial records")
+    assert err.startswith(f"error: {path}: 0 trial records, but the run's config has 3 trials")
 
 
 def _reseeded(line: str, seed: int) -> str:
