@@ -24,10 +24,8 @@ from .scenarios import (
     run_scenario,
     sweep,
     write_report,
-    write_summary_csv,
+    write_tables,
 )
-
-_FORMATS = {"jsonl": ("jsonl",), "csv": ("csv",), "both": ("jsonl", "csv")}
 
 
 def _resolve_config(ref: str, trials: int | None, seed: int | None) -> ScenarioConfig:
@@ -64,7 +62,7 @@ def _emit(rows, args) -> int:
     print(format_claims_table([(c, s) for c, _, s in rows]), end="")
     if args.out is not None:
         try:
-            written = write_report(rows, args.out, _FORMATS[args.format], args.workers)
+            written = write_report(rows, args.out, args.workers)
         except OSError as exc:
             print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
             return 2
@@ -114,11 +112,8 @@ def _cmd_list(args) -> int:
 def _cmd_report(args) -> int:
     """Recompute summaries from stored trial records; never rewrites them."""
     rows = load_report_dir(args.dir)
-    table = format_claims_table([(c, s) for c, _, s in rows])
-    print(table, end="")
-    write_summary_csv([s for _, _, s in rows], os.path.join(args.dir, "summary.csv"))
-    with open(os.path.join(args.dir, "claims.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table)
+    print(format_claims_table([(c, s) for c, _, s in rows]), end="")
+    write_tables(rows, args.dir)
     return 0 if _checks_pass(rows) else 1
 
 
@@ -135,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
         p.add_argument("--out", default=None, help="directory for report files")
-        p.add_argument(
-            "--format", choices=sorted(_FORMATS), default="both", help="report file formats"
-        )
         if with_dump:
             p.add_argument(
                 "--dump-states",

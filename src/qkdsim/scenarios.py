@@ -836,11 +836,12 @@ def config_to_dict(config: ScenarioConfig) -> dict:
 
 
 def _load_json(path):
-    """The file's JSON value; a file that is not UTF-8 JSON is a ConfigError."""
+    """The file's JSON value; a file that is not UTF-8 JSON, or nests too
+    deep to parse, is a ConfigError."""
     with open(path, "rb") as fh:
         try:
             return json.loads(fh.read().decode("utf-8"))
-        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or too deep
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -868,7 +869,7 @@ def _numbered_trials(path) -> list[tuple[int, TrialReport]]:
                 continue
             try:
                 records.append((number, TrialReport.from_json(line.decode("utf-8"))))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"{path}, line {number}: not a trial record: {exc}") from exc
     return records
 
@@ -926,67 +927,63 @@ def format_claims_table(rows: Sequence[tuple[ScenarioConfig, BatchSummary]]) -> 
     return "\n".join(lines) + "\n"
 
 
-def run_environment(workers: int) -> dict:
-    """What a run's speed depends on: Python and numpy versions, usable
-    CPUs, worker processes, and the most lanes one collision search runs
-    in (one when workers > 1, each search then running in a worker)."""
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpus": usable_cpus(),
-        "workers": workers,
-        "search_lanes": 1 if workers > 1 else max_search_lanes(),
-    }
+def write_tables(
+    rows: Sequence[tuple[ScenarioConfig, list[TrialReport], BatchSummary]], out_dir
+) -> dict[str, str]:
+    """Write summary.csv and claims.txt for rows into out_dir; return their
+    paths keyed by file name."""
+    paths = {name: os.path.join(out_dir, name) for name in ("summary.csv", "claims.txt")}
+    write_summary_csv([s for _, _, s in rows], paths["summary.csv"])
+    with open(paths["claims.txt"], "w", encoding="utf-8") as fh:
+        fh.write(format_claims_table([(c, s) for c, _, s in rows]))
+    return paths
 
 
 def write_report(
     rows: Sequence[tuple[ScenarioConfig, list[TrialReport], BatchSummary]],
     out_dir,
-    formats: Sequence[str] = ("jsonl", "csv"),
     workers: int = 1,
 ) -> dict[str, str]:
     """Emit trial JSONL, the summary CSV, the claims table and a manifest.
 
-    Returns the written paths keyed by artifact name. The manifest makes the
+    Returns the written paths keyed by file name. The manifest makes the
     directory self-describing, so `report` can rebuild the derived outputs
-    from the per-trial records alone. Its `environment` block (see
-    run_environment) is for the reader; `report` does not read it, and it
-    stays out of the trial records and the summary.
+    from the per-trial records alone. Its `environment` block records what
+    a run's speed depends on: Python and numpy versions, usable CPUs, worker
+    processes, and the most lanes one collision search ran in (one when
+    every entry ran its trials in a pool, each search then running in a
+    worker). `report` does not read it, and it stays out of the trial
+    records and the summary.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: dict[str, str] = {}
     manifest_entries = []
     for config, reports, summary in rows:
-        entry = {
-            "scenario": summary.scenario,
-            "config": config_to_dict(config),
-            "summary": dataclasses.asdict(summary),
-        }
-        if "jsonl" in formats:
-            stem = _filename_stem(summary.scenario)
-            trials_name = f"{stem}.trials.jsonl" if len(rows) > 1 else "trials.jsonl"
-            path = os.path.join(out_dir, trials_name)
-            write_trials_jsonl(reports, path)
-            entry["trials_file"] = trials_name
-            written[trials_name] = path
-        manifest_entries.append(entry)
-    if "csv" in formats:
-        path = os.path.join(out_dir, "summary.csv")
-        write_summary_csv([s for _, _, s in rows], path)
-        written["summary.csv"] = path
-    claims_path = os.path.join(out_dir, "claims.txt")
-    with open(claims_path, "w", encoding="utf-8") as fh:
-        fh.write(format_claims_table([(c, s) for c, _, s in rows]))
-    written["claims.txt"] = claims_path
-    manifest_path = os.path.join(out_dir, "run.json")
-    environment = run_environment(workers)
-    if any(config.trials == 1 for config, _, _ in rows):  # no pool: its search used every lane
-        environment["search_lanes"] = max_search_lanes()
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        manifest = {"environment": environment, "entries": manifest_entries}
-        json.dump(manifest, fh, indent=2)
+        stem = _filename_stem(summary.scenario)
+        trials_name = f"{stem}.trials.jsonl" if len(rows) > 1 else "trials.jsonl"
+        written[trials_name] = os.path.join(out_dir, trials_name)
+        write_trials_jsonl(reports, written[trials_name])
+        manifest_entries.append(
+            {
+                "scenario": summary.scenario,
+                "config": config_to_dict(config),
+                "summary": dataclasses.asdict(summary),
+                "trials_file": trials_name,
+            }
+        )
+    written.update(write_tables(rows, out_dir))
+    pooled = all(min(workers, config.trials) > 1 for config, _, _ in rows)
+    environment = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": usable_cpus(),
+        "workers": workers,
+        "search_lanes": 1 if pooled else max_search_lanes(),
+    }
+    written["run.json"] = os.path.join(out_dir, "run.json")
+    with open(written["run.json"], "w", encoding="utf-8") as fh:
+        json.dump({"environment": environment, "entries": manifest_entries}, fh, indent=2)
         fh.write("\n")
-    written["run.json"] = manifest_path
     return written
 
 
@@ -997,11 +994,12 @@ def _filename_stem(scenario: str) -> str:
 def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], BatchSummary]]:
     """Rebuild (config, reports, summary) rows from a written report directory.
 
-    Rates are recomputed from the per-trial records; the recorded wall time
-    is kept since it cannot be reconstructed. An entry's trials_file must be
-    a plain file name, so a report is judged only by records in out_dir, and
-    the file must hold exactly the trials its config runs, in order, each
-    with its own seed, so it is judged only by its own run.
+    Rates are recomputed from each entry's per-trial records; the recorded
+    wall time is kept since it cannot be reconstructed. An entry's
+    trials_file must be a plain file name, so a report is judged only by
+    records in out_dir, and the file must hold exactly the trials its config
+    runs, in order, each with its own seed, so it is judged only by its own
+    run.
     """
     manifest_path = os.path.join(out_dir, "run.json")
     if not os.path.exists(manifest_path):
@@ -1010,14 +1008,15 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
     entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not all(
         isinstance(e, dict)
-        and {"scenario", "config", "summary"} <= e.keys()
+        and {"scenario", "config", "summary", "trials_file"} <= e.keys()
         and isinstance(e["summary"], dict)
         and e["summary"].keys() == _SUMMARY_KINDS.keys()
         for e in entries
     ):
         raise ConfigError(
             f'{manifest_path}: not a report manifest: expected an "entries" list of objects '
-            'with "scenario", "config" and a "summary" holding every BatchSummary field'
+            'with "scenario", "config", "trials_file" and a "summary" holding every '
+            "BatchSummary field"
         )
     if not entries:
         raise ConfigError(f"{manifest_path}: no entries; the run checked nothing")
@@ -1026,26 +1025,21 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
         for name, value in entry["summary"].items():
             _check_value(f"{manifest_path}: summary {name}", value, _SUMMARY_KINDS[name])
         _check_value(f"{manifest_path}: scenario", entry["scenario"], str)
-        if "trials_file" in entry:
-            name = entry["trials_file"]
-            _check_value(f"{manifest_path}: trials_file", name, str)
-            if name in ("", ".", "..") or os.path.basename(name) != name:
-                raise ConfigError(
-                    f"{manifest_path}: trials_file must be a file name in the report "
-                    f"directory, got {name!r}"
-                )
+        name = entry["trials_file"]
+        _check_value(f"{manifest_path}: trials_file", name, str)
+        if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+            raise ConfigError(
+                f"{manifest_path}: trials_file must be a file name in the report "
+                f"directory, got {name!r}"
+            )
         config = config_from_dict(entry["config"])
         config = dataclasses.replace(config, name=entry["scenario"])
-        if "trials_file" in entry:
-            trials_path = os.path.join(out_dir, entry["trials_file"])
-            records = _numbered_trials(trials_path)
-            _check_trials_of(config, trials_path, records)
-            reports = [report for _, report in records]
-            summary = BatchSummary.from_reports(
-                entry["scenario"], reports, entry["summary"]["wall_time_s"]
-            )
-        else:
-            reports = []
-            summary = BatchSummary(**entry["summary"])
+        trials_path = os.path.join(out_dir, name)
+        records = _numbered_trials(trials_path)
+        _check_trials_of(config, trials_path, records)
+        reports = [report for _, report in records]
+        summary = BatchSummary.from_reports(
+            entry["scenario"], reports, entry["summary"]["wall_time_s"]
+        )
         rows.append((config, reports, summary))
     return rows

@@ -687,9 +687,26 @@ MUTANTS = (
     Mutant(
         "report: a trials_file outside the report directory accepted",
         "scenarios.py",
-        'if name in ("", ".", "..") or os.path.basename(name) != name:',
+        'if name in ("", ".", "..") or os.path.basename(name) != name or "\\0" in name:',
         "if False:",
         ("tests/test_cli.py::test_report_bad_manifest",),
+    ),
+    Mutant(
+        "report: an entry without a trials file accepted",
+        "scenarios.py",
+        '{"scenario", "config", "summary", "trials_file"} <= e.keys()',
+        '{"scenario", "config", "summary"} <= e.keys()',
+        ("tests/test_cli.py::test_report_bad_manifest[no-trials-file]",),
+    ),
+    Mutant(
+        "config file: JSON nesting error not refused",
+        "scenarios.py",
+        "except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or too deep",
+        "except ValueError as exc:",
+        (
+            "tests/test_cli.py::test_run_invalid_config_file",
+            "tests/test_cli.py::test_report_bad_manifest[too-deep]",
+        ),
     ),
     Mutant(
         "report: trials out of order accepted",

@@ -13,6 +13,10 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+# A JSON value nested deeper than the parser can follow.
+TOO_DEEP = "[" * 200000 + "]" * 200000
+
+
 def test_run_writes_report_files(tmp_path, capsys):
     out = tmp_path / "report"
     code = run_cli("run", "baseline", "--trials", 10, "--out", out)
@@ -60,17 +64,6 @@ def test_run_without_out_prints_only(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "attack_success_rate = 1" in stdout
     assert "wrote" not in stdout
-
-
-def test_run_format_selects_files(tmp_path):
-    out_jsonl = tmp_path / "j"
-    out_csv = tmp_path / "c"
-    assert run_cli("run", "baseline", "--trials", 4, "--out", out_jsonl, "--format", "jsonl") == 0
-    assert (out_jsonl / "trials.jsonl").exists()
-    assert not (out_jsonl / "summary.csv").exists()
-    assert run_cli("run", "baseline", "--trials", 4, "--out", out_csv, "--format", "csv") == 0
-    assert not (out_csv / "trials.jsonl").exists()
-    assert (out_csv / "summary.csv").exists()
 
 
 def test_run_is_deterministic(tmp_path):
@@ -129,6 +122,10 @@ def test_run_invalid_config_file(tmp_path, capsys):
     cfg.write_bytes(b"\xff{}")  # not UTF-8
     assert run_cli("run", cfg) == 2
     assert "not valid JSON: 'utf-8' codec can't decode" in capsys.readouterr().err
+    cfg.write_text(TOO_DEEP)
+    assert run_cli("run", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: not valid JSON: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize(
@@ -272,6 +269,23 @@ def test_report_recomputes_and_checks(tmp_path, capsys):
     assert (out / "trials.jsonl").read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["run", "zero-rows"], ["sweep", "baseline", "--axis", "qber", "--values", "0.0,0.15"]],
+    ids=["run", "sweep"],
+)
+def test_report_rewrites_the_tables_its_run_wrote(tmp_path, command):
+    # Rates recomputed from the records, with the recorded wall time, give
+    # back the run's own summary.csv and claims.txt byte for byte.
+    out = tmp_path / "r"
+    assert run_cli(*command, "--trials", 5, "--out", out) == 0
+    tables = {name: (out / name).read_bytes() for name in ("summary.csv", "claims.txt")}
+    for name in tables:
+        (out / name).unlink()
+    assert run_cli("report", out) == 0
+    assert {name: (out / name).read_bytes() for name in tables} == tables
+
+
 def test_report_missing_manifest(tmp_path, capsys):
     assert run_cli("report", tmp_path) == 2
     assert "run.json" in capsys.readouterr().err
@@ -291,15 +305,22 @@ def _manifest(summary=(), **entry):
         ('{"foo": 1}', "not a report manifest"),
         ('{"entries": [{"scenario": "x", "config": {}, "summary": {}}]}', "not a report manifest"),
         (b"\xff{}", "not valid JSON: 'utf-8' codec can't decode"),
-        (_manifest({"accept_rate_bob": "x"}), "summary accept_rate_bob must be a number"),
+        (
+            _manifest({"accept_rate_bob": "x"}, trials_file="t.jsonl"),
+            "summary accept_rate_bob must be a number",
+        ),
         (_manifest({"wall_time_s": "x"}, trials_file="t.jsonl"), "wall_time_s must be a number"),
         (_manifest(trials_file=7), "trials_file must be a string, got 7"),
-        (_manifest(scenario=7), "scenario must be a string, got 7"),
+        (_manifest(scenario=7, trials_file="t.jsonl"), "scenario must be a string, got 7"),
         ('{"entries": []}', "no entries; the run checked nothing"),
         *(
             (_manifest(trials_file=name), f"must be a file name in the report directory, got {name!r}")
-            for name in ("/tmp/trials.jsonl", "../r/trials.jsonl", "sub/trials.jsonl", ".", "..", "")
+            for name in (
+                "/tmp/trials.jsonl", "../r/trials.jsonl", "sub/trials.jsonl", ".", "..", "", "a\x00b"
+            )
         ),
+        pytest.param(_manifest(), "not a report manifest", id="no-trials-file"),
+        pytest.param(TOO_DEEP, "not valid JSON: maximum recursion depth exceeded", id="too-deep"),
     ],
 )
 def test_report_bad_manifest(tmp_path, capsys, manifest, message):
@@ -321,6 +342,7 @@ def test_report_bad_manifest(tmp_path, capsys, manifest, message):
         ({"aux": []}, "aux must be an object, got []"),
         ({"trial_index": 1.5}, "trial_index must be an integer, got 1.5"),
         ({"keys_equal": "no"}, "keys_equal must be true, false or null, got 'no'"),
+        pytest.param(TOO_DEEP, "maximum recursion depth exceeded", id="too-deep"),
     ],
 )
 @pytest.mark.parametrize("first", [True, False])

@@ -38,7 +38,6 @@ from qkdsim.scenarios import (
     load_report_dir,
     read_trials_jsonl,
     render_payload,
-    run_environment,
     run_scenario,
     run_trial,
     sweep,
@@ -1069,9 +1068,11 @@ def test_report_dir_records_the_environment_apart_from_the_trials(tmp_path):
         "workers": 3,
         "search_lanes": 1,
     }
-    assert run_environment(1)["search_lanes"] == min(env["cpus"], 4)
     assert "environment" not in (tmp_path / "trials.jsonl").read_text()
     assert "environment" not in manifest["entries"][0]["summary"]
+    write_report([(cfg, reports, summary)], tmp_path, workers=1)
+    env = json.loads((tmp_path / "run.json").read_text())["environment"]
+    assert env["workers"] == 1 and env["search_lanes"] == min(env["cpus"], 4)
 
 
 def test_report_dir_written_without_an_environment_still_loads(tmp_path):
