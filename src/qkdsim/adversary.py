@@ -11,19 +11,25 @@ frame) and forwards every other frame as the same object.
 The collision attack targets the matrix_in_log hardened variant instead:
 a captured (digest, mac) pair is replayed after searching for a matrix
 whose induced log extract hashes to the captured digest. The search runs
-in lanes, the caller and a pool of forked children, whose protocol the
-comment at _pool states.
+in lanes, the caller and a pool of forked children, which claim its chunks
+from one shared counter and draw only the chunks they claim, by the
+protocol the comment at _pool states.
 """
 
 from __future__ import annotations
 
 import atexit
+import fcntl
+import functools
 import hashlib
 import itertools
 import multiprocessing
 import os
 import signal
+import struct
+import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace as dc_replace
 from multiprocessing.connection import Connection, wait
 from typing import Sequence
@@ -204,29 +210,40 @@ class CollisionSearchResult:
 
 
 _SEARCH_CHUNK = 4096  # candidates drawn per rng_bytes call
-# Every lane draws the whole candidate stream (about 28 µs per chunk on a
-# shared 2-vCPU VM), so the draws grow with the lane count.
+# Each lane draws only the chunks it claims, so the draws do not grow with
+# the lane count; the cap bounds the processes one search keeps forked.
 _MAX_LANES = 4
 
-# A search scans its chunks in L lanes, L = min(max_search_lanes(), chunks):
-# chunk c by lane c % L. Lane 0 is the caller; lanes 1 to L-1 are the first
-# entries of this pool, (pid, connection) each, forked on first use by the
-# process _pool_owner and idle between searches. Every lane draws the whole
-# candidate stream, in order, from its own copy of the caller's generator,
-# which is read but never advanced. On its duplex connection a lane is sent
-# each job as one message, from which it builds its own hash states, and
-# None stops its current search. It reports each chunk as (search, chunk,
-# offset of its first hit or -1, that hit's 16-byte draw or None), stops
-# after its first hit, and closes its reports on a search with (search, -1,
-# -1, None). Only the caller decides: the lowest chunk with a hit once every
-# lower chunk is reported clean, dropping reports of any other search. It
-# scans itself any chunk no lane reported, because os.fork failed or a lane
-# died (EOF or a reset on its connection, or a failed send); a dead lane
-# has the pool shut down, to be forked again by the next search. On the way
-# out, decided or raising, the caller stops every lane still working. So
-# the result is the first hit in stream order, the same for every L.
+# A search scans its chunks in L lanes, L = min(max_search_lanes(), chunks).
+# Lane 0 is the caller; lanes 1 to L-1 are the first entries of this pool,
+# (pid, connection) each, forked on first use by the process _pool_owner and
+# idle between searches. Before it forks, the owner opens _counter, an
+# unlinked file of three int64s that it and its lanes share: the number of
+# the search, its next chunk and its limit, read and written only under the
+# file's lockf lock, which the kernel releases if its holder dies. A search
+# sets the counter to (search, 0, chunks), and every lane, the caller too,
+# claims chunks from it in increasing order, drawing each chunk it claims
+# from its own copy of the caller's generator, jumped over the chunks it
+# skips; the caller's generator is read but never advanced. A lane that
+# finds a hit lowers the limit to its chunk, so no chunk above it is claimed
+# any more, and a claim of another search's number gets none. On its duplex
+# connection a lane is sent each job as one message, from which it builds
+# its own hash states, and None stops its current search. It reports each
+# chunk it claimed as (search, chunk, offset of its first hit or -1, that
+# hit's 16-byte draw or None), stops after its first hit, and closes its
+# reports on a search with (search, -1, -1, None). Only the caller decides:
+# the lowest chunk with a hit once every lower chunk is reported clean,
+# dropping reports of any other search. Once it has no chunk left to claim
+# and no lane is working, it scans itself any lower chunk no lane reported,
+# because os.fork failed or a lane died (EOF or a reset on its connection,
+# or a failed send); a dead lane has the pool shut down, to be forked again
+# by the next search. On the way out, decided or raising, the caller stops
+# every lane still working. So the result is the first hit in stream order,
+# the same for every L.
 _pool: list[tuple[int, Connection]] = []
 _pool_owner = 0
+_counter = None  # the owner's claim counter, an unbuffered temporary file
+_COUNTER = struct.Struct("3q")  # search number, next chunk, limit
 _searches = itertools.count()  # numbers the searches that hand out jobs
 
 
@@ -252,15 +269,22 @@ def max_search_lanes() -> int:
 
 def _lane_pool(size: int) -> list[tuple[int, Connection]]:
     """This process's lane pool, grown to size lanes, or fewer if os.fork
-    fails. A process that did not fork the pool, such as a forked child,
-    first empties it, closing only the connections it inherited, so that
-    the owner's lanes still exit with their owner."""
-    global _pool_owner
+    fails, with the claim counter they share. A process that did not fork
+    the pool, such as a forked child, first empties it, closing only the
+    connections and the counter it inherited, so that the owner's lanes
+    still exit with their owner and keep their own counter."""
+    global _pool_owner, _counter
     if _pool_owner != os.getpid():
         for _, conn in _pool:
             conn.close()
         _pool.clear()
+        if _counter is not None:
+            _counter.close()
+            _counter = None
         _pool_owner = os.getpid()
+    if size and _counter is None:
+        _counter = tempfile.TemporaryFile(buffering=0)
+        _counter.write(_COUNTER.pack(-1, 0, 0))
     while len(_pool) < size:
         conn, lane_conn = multiprocessing.Pipe()
         try:
@@ -284,23 +308,64 @@ def _lane_pool(size: int) -> list[tuple[int, Connection]]:
 
 
 def shutdown_search_lanes() -> None:
-    """Close the pooled lanes' connections, then kill and reap every lane.
-    In a process that did not fork the pool this kills nothing. Runs at
-    exit."""
+    """Close the pooled lanes' connections, then kill and reap every lane,
+    and drop the claim counter. In a process that did not fork the pool
+    this kills nothing. Runs at exit."""
+    global _counter
     pool = _lane_pool(0)
     while pool:
         pid, conn = pool.pop()
         conn.close()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+    if _counter is not None:
+        _counter.close()
+        _counter = None
 
 
 atexit.register(shutdown_search_lanes)
 
 
+@contextmanager
+def _locked_counter():
+    """Hold the claim counter's lock; yield the counter's three values."""
+    fd = _counter.fileno()
+    fcntl.lockf(fd, fcntl.LOCK_EX)
+    try:
+        yield _COUNTER.unpack(os.pread(fd, _COUNTER.size, 0))
+    finally:
+        fcntl.lockf(fd, fcntl.LOCK_UN)
+
+
+def _set_counter(search: int, chunk: int, limit: int) -> None:
+    """Write the claim counter; the caller holds its lock."""
+    os.pwrite(_counter.fileno(), _COUNTER.pack(search, chunk, limit), 0)
+
+
+def _shared_claim(search: int):
+    """claim(): the counter's next chunk of this search, or None once the
+    counter holds another search or has reached its limit."""
+
+    def claim() -> int | None:
+        with _locked_counter() as (number, chunk, limit):
+            if number != search or chunk >= limit:
+                return None
+            _set_counter(search, chunk + 1, limit)
+            return chunk
+
+    return claim
+
+
+def _lower_limit(search: int, chunk: int) -> None:
+    """Claim no chunk of this search above a hit in chunk."""
+    with _locked_counter() as (number, next_chunk, limit):
+        if number == search and chunk < limit:
+            _set_counter(search, next_chunk, chunk)
+
+
 def _serve(conn: Connection) -> None:
     """A pooled lane: run each job it is sent, until its connection closes.
-    It reports every chunk of its own up to its first hit, and leaves a
+    It reports every chunk it claims up to its first hit, and leaves a
     search early once another command is waiting."""
     while True:
         try:
@@ -309,10 +374,12 @@ def _serve(conn: Connection) -> None:
             return
         if job is None:
             continue  # the stop of a search this lane has already left
-        search, prefixes, scan_args, budget, state, lanes, j = job
-        scan = _scanner(prefixes, *scan_args)
-        chunks = -(-budget // _SEARCH_CHUNK)
-        for rec in _scan_chunks(scan, state, budget, lambda c: c % lanes == j, lambda: chunks):
+        search, prefix, lo, middle, scan_args, budget, state = job
+        other = prefix[:lo] + middle + prefix[lo + len(middle) :]
+        scan = _scanner((prefix, other), *scan_args)
+        for rec in _scan_chunks(scan, state, budget, _shared_claim(search)):
+            if rec[1] >= 0:
+                _lower_limit(search, rec[0])
             conn.send((search, *rec))
             if rec[1] >= 0 or conn.poll():
                 break
@@ -361,20 +428,36 @@ def _scanner(prefixes, suffix_len, ktop, var_bits, sub_shift, w, captured_digest
     return scan
 
 
-def _scan_chunks(scan, state: dict, budget: int, wanted, limit):
-    """Draw the candidate stream, in order, from a generator in state, up
-    to chunk limit(); yield (chunk, offset of its first hit or -1, that
-    hit's draw or None) for each chunk that wanted picks."""
+def _skip_outputs(bitgen: np.random.PCG64, n: int) -> None:
+    """Move bitgen past n >= 1 64-bit outputs as drawing them through
+    rng_bytes would: a buffered half-word, if one is held, then becomes the
+    high half of the last output passed."""
+    if not bitgen.state["has_uint32"]:
+        bitgen.advance(n)
+        return
+    bitgen.advance(n - 1)  # advance drops the buffered half-word
+    last = int(bitgen.random_raw())
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = 1, last >> 32
+    bitgen.state = state
+
+
+def _scan_chunks(scan, state: dict, budget: int, claim):
+    """Yield (chunk, offset of its first hit or -1, that hit's draw or None)
+    for each chunk claim() hands out, in increasing order, until it hands
+    out None. Each chunk is drawn from a generator in state, jumped over the
+    chunks claimed elsewhere, so its draws are those of the whole stream."""
     gen = np.random.Generator(getattr(np.random, state["bit_generator"])())
     gen.bit_generator.state = state
-    c = 0
-    while c < limit():
+    drawn = 0  # the chunks gen has passed
+    while (c := claim()) is not None:
+        if c > drawn:
+            _skip_outputs(gen.bit_generator, 2 * _SEARCH_CHUNK * (c - drawn))
         todo = min(_SEARCH_CHUNK, budget - c * _SEARCH_CHUNK)
         draws = rng_bytes(gen, 16 * todo).reshape(todo, 16)
-        if wanted(c):
-            k = scan(draws)
-            yield c, k, draws[k].tobytes() if k >= 0 else None
-        c += 1
+        drawn = c + 1
+        k = scan(draws)
+        yield c, k, draws[k].tobytes() if k >= 0 else None
 
 
 def attack_collision_impersonate(
@@ -400,9 +483,9 @@ def attack_collision_impersonate(
     compare of its first byte remain; the few that pass that get the exact
     truncated compare. That keeps million-candidate budgets cheap.
 
-    The chunks are scanned in lanes by the protocol stated at _pool, so the
-    result is the one a single lane would find, and rng is read but never
-    advanced.
+    The chunks are claimed and scanned in lanes by the protocol stated at
+    _pool, so the result is the one a single lane would find, and rng is
+    read but never advanced.
 
     captured_digest must be a truncate_digest output: ceil(w / 8) bytes
     with its pad bits past w clear. Any other value could never match.
@@ -450,43 +533,59 @@ def attack_collision_impersonate(
     reports: dict[int, tuple[int, bytes | None]] = {}  # chunk -> (offset of first hit or -1, draw)
     first_hit = chunks  # the lowest chunk reported with a hit
     clean = 0  # chunks 0 .. clean-1 are reported clean
+    lanes = min(max_search_lanes(), chunks)
 
     def report(chunk: int, offset: int, draw: bytes | None) -> None:
         nonlocal first_hit, clean
         reports[chunk] = (offset, draw)
-        if offset >= 0:
-            first_hit = min(first_hit, chunk)
+        if offset >= 0 and chunk < first_hit:
+            first_hit = chunk
+            if lanes > 1:
+                _lower_limit(search, chunk)
         while clean < first_hit and clean in reports:
             clean += 1
 
-    def lane(wanted):
-        return _scan_chunks(scan, rng_state, budget, wanted, lambda: first_hit)
+    def unreported():
+        """Scan, by a local claim, each chunk below the first hit that no lane reported."""
+        todo = (c for c in range(chunks) if c < first_hit and c not in reports)
+        return _scan_chunks(scan, rng_state, budget, functools.partial(next, todo, None))
 
-    lanes = min(max_search_lanes(), chunks)
     live: set[Connection] = set()  # the connection of each lane on this search
     dead = False
     try:
         if lanes > 1:
             search = next(_searches)
-            for j, (_, conn) in enumerate(_lane_pool(lanes - 1)[: lanes - 1], 1):
+            # The prefixes differ only at the tail bit, so a job carries the
+            # first and the differing bytes lo:hi of the second: at half the
+            # size, a send fits the connection's buffer instead of waiting
+            # for a lane still busy with the last search.
+            differ = np.flatnonzero(np.not_equal(*(np.frombuffer(p, np.uint8) for p in prefixes)))
+            lo, hi = int(differ[0]), int(differ[-1]) + 1
+            job = (search, prefixes[0], lo, prefixes[1][lo:hi], scan_args, budget, rng_state)
+            pool = _lane_pool(lanes - 1)[: lanes - 1]
+            with _locked_counter():
+                _set_counter(search, 0, chunks)
+            for _, conn in pool:
                 try:
                     # Drop what earlier searches left unread, so the connection never fills.
                     while conn.poll():
                         conn.recv()
-                    conn.send((search, prefixes, scan_args, budget, rng_state, lanes, j))
+                    conn.send(job)
                 except (EOFError, OSError):
                     dead = True
                 else:
                     live.add(conn)
-        own = lane(lambda c: c % lanes == 0)
+            own = _scan_chunks(scan, rng_state, budget, _shared_claim(search))
+        else:
+            own = unreported()
         while clean < first_hit:
             rec = next(own, None)
             if rec is not None:
                 report(*rec)
             elif not live:
                 # Every lane is done or dead: scan what they left unreported.
-                own = lane(lambda c: c not in reports)
-            # Blocks when lane 0 has nothing left to scan.
+                own = unreported()
+            # Blocks when lane 0 has nothing left to claim.
             for conn in wait(list(live), 0 if rec else None) if live else []:
                 try:
                     number, *lane_rec = conn.recv()

@@ -995,7 +995,8 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
     """Rebuild (config, reports, summary) rows from a written report directory.
 
     Rates are recomputed from each entry's per-trial records; the recorded
-    wall time is kept since it cannot be reconstructed. An entry's
+    wall time is kept since it cannot be reconstructed, and every other
+    stored summary field must equal what the records give. An entry's
     trials_file must be a plain file name, so a report is judged only by
     records in out_dir, and the file must hold exactly the trials its config
     runs, in order, each with its own seed, so it is judged only by its own
@@ -1038,8 +1039,13 @@ def load_report_dir(out_dir) -> list[tuple[ScenarioConfig, list[TrialReport], Ba
         records = _numbered_trials(trials_path)
         _check_trials_of(config, trials_path, records)
         reports = [report for _, report in records]
-        summary = BatchSummary.from_reports(
-            entry["scenario"], reports, entry["summary"]["wall_time_s"]
-        )
+        stored = entry["summary"]
+        summary = BatchSummary.from_reports(entry["scenario"], reports, stored["wall_time_s"])
+        for field in _SUMMARY_KINDS:
+            if field != "wall_time_s" and stored[field] != getattr(summary, field):
+                raise ConfigError(
+                    f"{manifest_path}: summary {field} is {stored[field]!r}, but the entry "
+                    f"and its records in {name} give {getattr(summary, field)!r}"
+                )
         rows.append((config, reports, summary))
     return rows

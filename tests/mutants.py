@@ -118,19 +118,52 @@ MUTANTS = (
     Mutant(
         "search lanes: first record to arrive taken, not the lowest chunk",
         "adversary.py",
-        "            first_hit = min(first_hit, chunk)\n",
-        "            first_hit = chunk if first_hit == chunks else first_hit\n",
+        "        if offset >= 0 and chunk < first_hit:\n",
+        "        if offset >= 0 and first_hit == chunks:\n",
         (_ADV + "test_collision_search_waits_for_a_slow_lane_below_its_hit",),
     ),
     Mutant(
         "search lanes: unreported chunks left unscanned",
         "adversary.py",
-        "                own = lane(lambda c: c not in reports)\n",
+        "                own = unreported()\n",
         "                break\n",
-        (
-            _ADV + "test_collision_search_scans_unreported_chunks_itself",
-            _ADV + "test_collision_search_forks_the_pool_again_after_a_lane_dies",
-        ),
+        (_ADV + "test_collision_search_outlives_a_lane_that_dies_holding",),
+    ),
+    Mutant(
+        "search lanes: static c % L assignment restored",
+        "adversary.py",
+        "_scan_chunks(scan, rng_state, budget, _shared_claim(search))",
+        "_scan_chunks(scan, rng_state, budget, "
+        "functools.partial(next, iter(range(0, chunks, lanes)), None))",
+        (_ADV + "test_collision_search_caller_claims_every_chunk_a_held_back_lane_leaves",),
+    ),
+    Mutant(
+        "claim counter: limit not lowered after a hit",
+        "adversary.py",
+        "        if number == search and chunk < limit:\n",
+        "        if False:\n",
+        (_ADV + "test_collision_search_caller_claims_every_chunk_a_held_back_lane_leaves",),
+    ),
+    Mutant(
+        "claim counter: a stale search number's claim accepted",
+        "adversary.py",
+        "            if number != search or chunk >= limit:\n",
+        "            if chunk >= limit:\n",
+        (_ADV + "test_collision_search_lane_claims_no_chunk_of_a_later_search",),
+    ),
+    Mutant(
+        "claim counter: claimed without its lock",
+        "adversary.py",
+        "    fcntl.lockf(fd, fcntl.LOCK_EX)\n",
+        "    pass\n",
+        (_ADV + "test_claims_hand_out_each_chunk_once_under_contention",),
+    ),
+    Mutant(
+        "chunk skip: buffered half-word not restored",
+        "adversary.py",
+        '    if not bitgen.state["has_uint32"]:\n',
+        "    if True:\n",
+        (_ADV + "test_scan_chunks_draws_each_claimed_chunk_as_the_whole_stream_does",),
     ),
     Mutant(
         "lane pool: a reset connection read as a live lane",
@@ -728,6 +761,13 @@ MUTANTS = (
         "if len(records) != config.trials:",
         "if False:",
         (_OWN_RUN + "[truncated]",),
+    ),
+    Mutant(
+        "report: a stored summary its records contradict accepted",
+        "scenarios.py",
+        'if field != "wall_time_s" and stored[field] != getattr(summary, field):',
+        "if False:",
+        ("tests/test_cli.py::test_report_refuses_a_summary_its_records_contradict",),
     ),
     Mutant(
         "pool: one worker process per --workers, not per trial",

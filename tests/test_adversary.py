@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import fcntl
 import functools
 import math
 import operator
@@ -15,6 +16,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -663,8 +665,7 @@ def test_collision_search_equals_oracle_property(cols, w, budget, target, seed, 
 # ------------------------------------------------------- collision search lanes
 
 # At cols=1003, w=12 and eight chunks, search seed 3 first hits in chunk 1
-# (offset 2920; more hits in chunks 3 and 4) and seed 343 in chunk 6. Chunk
-# 1 is a child's at two and three lanes, chunk 6 lane 0's.
+# (offset 2920; more hits in chunks 3 and 4) and seed 343 in chunk 6.
 _LANE_BUDGET = 8 * 4096
 _CHILD_HIT, _LANE0_HIT = 3, 343
 
@@ -703,22 +704,108 @@ def test_collision_search_lanes_find_the_serial_hit(monkeypatch, lanes, seed, ch
     _no_child_left()
 
 
+def _patch_scan_chunks(monkeypatch, lane_hook=lambda chunk: None) -> list[list[int]]:
+    """Shut the pool down and patch _scan_chunks, which the lanes forked
+    next inherit. In a child it calls lane_hook(chunk) after each chunk it
+    scans; in the calling process it records the chunks each call scans, one
+    list per call, in the list it returns."""
+    caller, real_scan_chunks = os.getpid(), adversary_mod._scan_chunks
+    streams: list[list[int]] = []
+
+    def scan_chunks(scan, state, budget, claim):
+        if os.getpid() == caller:
+            streams.append([])
+        for rec in real_scan_chunks(scan, state, budget, claim):
+            if os.getpid() == caller:
+                streams[-1].append(rec[0])
+            else:
+                lane_hook(rec[0])
+            yield rec
+
+    adversary_mod.shutdown_search_lanes()
+    monkeypatch.setattr(adversary_mod, "_scan_chunks", scan_chunks)
+    return streams
+
+
+def _late_claims(monkeypatch):
+    """Patch the caller's claims to start 0.1 s late, so the lanes claim the lowest chunks."""
+    caller, real_shared_claim = os.getpid(), adversary_mod._shared_claim
+
+    def shared_claim(search):
+        claim = real_shared_claim(search)
+        if os.getpid() == caller:
+            time.sleep(0.1)
+        return claim
+
+    monkeypatch.setattr(adversary_mod, "_shared_claim", shared_claim)
+
+
 @pytest.mark.parametrize("lanes", [2, 3])
 def test_collision_search_waits_for_a_slow_lane_below_its_hit(monkeypatch, lanes):
-    # Every child sleeps first, so lane 0 reports its own hit (chunk 4 at
-    # two lanes, chunk 3 at three) long before the child's hit in chunk 1.
+    # The caller claims late, so a child claims chunk 1, the first hit, and
+    # sleeps before reporting it; the hit in chunk 3 arrives long before.
+    def slow_chunk_1(chunk):
+        if chunk == 1:
+            time.sleep(0.3)
+
+    _patch_scan_chunks(monkeypatch, slow_chunk_1)
+    _late_claims(monkeypatch)
+    found, serial = _pool_search(monkeypatch, lanes, _CHILD_HIT)
+    assert found == serial
+    assert found.candidates_examined == 4096 + 2920 + 1
+    _no_child_left()
+
+
+def _slow_fork(monkeypatch, seconds: float) -> None:
+    """Patch os.fork so that every child sleeps before it serves."""
     real_fork = os.fork
 
     def slow_fork():
         pid = real_fork()
         if pid == 0:
-            time.sleep(0.3)
+            time.sleep(seconds)
         return pid
 
     monkeypatch.setattr(os, "fork", slow_fork)
-    found, serial = _lane_search(monkeypatch, lanes, _CHILD_HIT)
+
+
+def test_collision_search_caller_claims_every_chunk_a_held_back_lane_leaves(monkeypatch):
+    # The child sleeps through the search, so the caller claims and scans
+    # every chunk up to the hit in chunk 6 without waiting for it. The hit
+    # lowers the limit, so the child, once awake, finds no chunk left to
+    # claim and closes the search without a chunk report.
+    streams = _patch_scan_chunks(monkeypatch)
+    _slow_fork(monkeypatch, 0.5)
+    found, serial = _pool_search(monkeypatch, 2, _LANE0_HIT)
     assert found == serial
-    assert found.candidates_examined == 4096 + 2920 + 1
+    assert streams == [list(range(7))]
+    ((_, conn),) = adversary_mod._pool
+    assert conn.poll(5)
+    assert conn.recv()[1:] == (-1, -1, None)
+    _no_child_left()
+
+
+def test_collision_search_lane_claims_no_chunk_of_a_later_search(monkeypatch):
+    # The child sleeps at fork, so it reads its job of the first search only
+    # while the second, whose caller is slow, is running. It must claim no
+    # chunk of the second search for the first: the caller would then have
+    # to scan that chunk again, once the child closed the second search.
+    streams = _patch_scan_chunks(monkeypatch)
+    _slow_fork(monkeypatch, 0.3)
+    assert operator.eq(*_pool_search(monkeypatch, 2, _LANE0_HIT))
+    caller, real_rng_bytes = os.getpid(), adversary_mod.rng_bytes
+
+    def slow_rng_bytes(rng, n):
+        if os.getpid() == caller:
+            time.sleep(0.1)
+        return real_rng_bytes(rng, n)
+
+    monkeypatch.setattr(adversary_mod, "rng_bytes", slow_rng_bytes)
+    streams.clear()
+    found, serial = _pool_search(monkeypatch, 2, _LANE0_HIT)
+    assert found == serial
+    assert len(streams) == 1  # the caller scanned no chunk a second time
+    _no_child_left()
 
 
 def test_collision_search_leaves_no_process_behind(monkeypatch):
@@ -773,6 +860,123 @@ def test_collision_search_scans_unreported_chunks_itself(monkeypatch, fork, seed
     _no_child_left()
 
 
+@pytest.mark.parametrize("holding", ["a claim", "the claim lock"])
+def test_collision_search_outlives_a_lane_that_dies_holding(monkeypatch, holding):
+    # The caller claims late, so the two children claim chunks 0 and 1, the
+    # first hit, and each dies at its first draw: holding its claim, or
+    # after taking the claim counter's lock and keeping it 0.2 s, so that
+    # the caller blocks on that lock until the kernel releases it. The
+    # caller must scan both chunks itself.
+    caller, real_rng_bytes = os.getpid(), adversary_mod.rng_bytes
+
+    def dying_rng_bytes(rng, n):
+        if os.getpid() != caller:
+            if holding == "the claim lock":
+                fcntl.lockf(adversary_mod._counter.fileno(), fcntl.LOCK_EX)
+                time.sleep(0.2)
+            os._exit(0)
+        return real_rng_bytes(rng, n)
+
+    monkeypatch.setattr(adversary_mod, "rng_bytes", dying_rng_bytes)
+    _late_claims(monkeypatch)
+    found, serial = _lane_search(monkeypatch, 3, _CHILD_HIT)
+    assert found == serial
+    assert found.candidates_examined // 4096 == 1
+    _no_child_left()
+
+
+def test_claims_hand_out_each_chunk_once_under_contention(tmp_path):
+    # Four forked claimants, more processes than a 2-CPU host has cores,
+    # race for the pool's counter; a lost update would hand a chunk out twice.
+    adversary_mod.shutdown_search_lanes()
+    adversary_mod._lane_pool(1)  # opens the counter
+    chunks, search = 20000, -7
+    with adversary_mod._locked_counter():
+        adversary_mod._set_counter(search, 0, chunks)
+    start, go = os.pipe()  # closing go starts every claimant at once
+    pids = []
+    for i in range(4):
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(go)
+                os.read(start, 1)
+                claim = adversary_mod._shared_claim(search)
+                claimed = list(iter(claim, None))
+                (tmp_path / str(i)).write_text(" ".join(map(str, claimed)))
+                status = 0
+            finally:
+                os._exit(status)
+        pids.append(pid)
+    os.close(go)
+    os.close(start)
+    deadline = time.monotonic() + 30
+    while pids:
+        assert time.monotonic() < deadline, "a claimant did not finish"
+        for pid in list(pids):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                assert status == 0
+                pids.remove(pid)
+        time.sleep(0.01)
+    claimed = [int(c) for i in range(4) for c in (tmp_path / str(i)).read_text().split()]
+    assert sorted(claimed) == list(range(chunks))
+    _no_child_left()
+
+
+def _buffered_rng(seed: int) -> np.random.Generator:
+    """A search generator that holds a buffered half-word."""
+    rng = make_rng(seed, "s")
+    rng.integers(0, 5, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"]
+    return rng
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_collision_search_from_a_buffered_half_word_matches_oracle(monkeypatch, lanes):
+    monkeypatch.setattr(adversary_mod, "max_search_lanes", lambda: lanes)
+    case = _oracle_case(1003, 14)
+    for seed in (0, 2, 5, 8):  # from this state, first hits in chunks 7, 4, none and 2
+        rng = _buffered_rng(seed)
+        before = rng.bit_generator.state
+        found = attack_collision_impersonate(*case, _LANE_BUDGET, rng)
+        assert rng.bit_generator.state == before
+        assert found == oracle_collision_search(*case, _LANE_BUDGET, _buffered_rng(seed)), seed
+    _no_child_left()
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    buffered=st.booleans(),
+    claimed=st.sets(st.integers(0, 5), min_size=1).map(sorted),
+    tail=st.integers(1, 4096),
+)
+def test_scan_chunks_draws_each_claimed_chunk_as_the_whole_stream_does(
+    seed, buffered, claimed, tail
+):
+    # A lane jumps its generator over the chunks it does not claim; each
+    # chunk it draws must be that chunk of the whole stream, with and
+    # without a buffered half-word.
+    budget = 5 * 4096 + tail
+    rng = make_rng(seed, "skip")
+    if buffered:
+        rng.integers(0, 5, dtype=np.uint32)
+    state = rng.bit_generator.state
+    stream = rng.bytes(16 * budget)
+    drawn = []
+
+    def scan(draws):
+        drawn.append(draws.tobytes())
+        return -1
+
+    claim = functools.partial(next, iter(claimed), None)
+    records = list(adversary_mod._scan_chunks(scan, state, budget, claim))
+    assert records == [(c, -1, None) for c in claimed]
+    assert drawn == [stream[c * 16 * 4096 : (c + 1) * 16 * 4096] for c in claimed]
+
+
 def _counting_fork(monkeypatch) -> list[int]:
     """Patch os.fork to record, in the list it returns, each child it starts."""
     forks, real_fork = [], os.fork
@@ -806,21 +1010,27 @@ def test_collision_searches_fork_their_lanes_once(monkeypatch):
 
 
 def test_collision_search_drops_the_reports_of_a_failed_search(monkeypatch):
-    # Lane 0 raises at once. The lane, slowed down, reports its hit in chunk
-    # 1 of that search only while the next search, whose first hit is in
-    # chunk 6, runs: that search must drop the report.
+    # The caller claims late, so the lane, slowed down, claims chunk 0,
+    # where search seed 1 first hits; lane 0 raises at its first draw. The
+    # lane reports that hit only while the next search, whose first hit is
+    # in chunk 6 and whose caller is slow too, runs: that search must drop
+    # the report.
     caller, real_rng_bytes = os.getpid(), adversary_mod.rng_bytes
+
+    def slow_rng_bytes(rng, n):
+        time.sleep(0.05 if os.getpid() == caller else 0.15)
+        return real_rng_bytes(rng, n)
 
     def failing_rng_bytes(rng, n):
         if os.getpid() == caller:
             raise RuntimeError("lane 0 failed")
-        time.sleep(0.05)
-        return real_rng_bytes(rng, n)
+        return slow_rng_bytes(rng, n)
 
+    _late_claims(monkeypatch)
     monkeypatch.setattr(adversary_mod, "rng_bytes", failing_rng_bytes)
     with pytest.raises(RuntimeError, match="lane 0 failed"):
-        _lane_search(monkeypatch, 2, _CHILD_HIT)
-    monkeypatch.setattr(adversary_mod, "rng_bytes", real_rng_bytes)
+        _lane_search(monkeypatch, 2, 1)
+    monkeypatch.setattr(adversary_mod, "rng_bytes", slow_rng_bytes)
     found, serial = _pool_search(monkeypatch, 2, _LANE0_HIT)
     assert found == serial
     assert found.candidates_examined // 4096 == 6
@@ -896,46 +1106,53 @@ def _last_chunk(seed: int) -> int:
     seeds=st.lists(st.sampled_from(_SCHEDULE_SEEDS), min_size=3, max_size=5, unique=True),
     lane_counts=st.lists(st.sampled_from([2, 3]), min_size=5, max_size=5),
     delays=st.lists(st.integers(0, 20), min_size=_SCHEDULE_DELAYS, max_size=_SCHEDULE_DELAYS),
-    exit_at=st.none() | st.tuples(st.integers(0, 4), st.integers(1, _SCHEDULE_CHUNKS - 1)),
+    exit_at=st.none() | st.tuples(st.integers(0, 4), st.integers(0, _SCHEDULE_CHUNKS - 1)),
     raise_at=st.none() | st.tuples(st.integers(0, 4), st.integers(0, _SCHEDULE_CHUNKS - 1)),
 )
 def test_collision_search_lanes_under_a_drawn_schedule(
     seeds, lane_counts, delays, exit_at, raise_at
 ):
     # Each search has its own seed, so a lane tells its search by the state
-    # it is sent, and its lane number by the first chunk wanted picks. Each
-    # lane sleeps its drawn delay after scanning each chunk. The drawn lane
-    # exits, in a child, after scanning its drawn chunk, which lies at or
-    # below the first hit, so the caller must scan that chunk itself; lane 0
-    # raises, in the caller, after scanning its drawn chunk.
+    # it is sent; a child learns its lane number from the fork that starts
+    # it. Each lane sleeps its drawn delay, keyed by (search, lane, chunk),
+    # after scanning each chunk it claims. A child that scans the drawn exit
+    # chunk, which lies at or below the first hit, exits, so the caller must
+    # scan that chunk itself; lane 0 raises, in the caller, after scanning
+    # its drawn chunk, if it claims it.
     search_of = {
         make_rng(seed, "s").bit_generator.state["state"]["state"]: s
         for s, seed in enumerate(seeds)
     }
     if exit_at is not None:
-        s, c = exit_at[0] % len(seeds), exit_at[1]
-        c = 1 + (c - 1) % _last_chunk(seeds[s])
-        exit_at = s, c if c % lane_counts[s] else c - 1
+        s = exit_at[0] % len(seeds)
+        exit_at = s, exit_at[1] % (_last_chunk(seeds[s]) + 1)
     if raise_at is not None:
-        s, c = raise_at[0] % len(seeds), raise_at[1]
-        raise_at = s, c - c % lane_counts[s]
-    caller, real_scan_chunks = os.getpid(), adversary_mod._scan_chunks
+        raise_at = raise_at[0] % len(seeds), raise_at[1]
+    real_fork, real_scan_chunks = os.fork, adversary_mod._scan_chunks
+    lane = 0  # this process's lane number
 
-    def scheduled_scan_chunks(scan, state, budget, wanted, limit):
+    def numbered_fork():
+        nonlocal lane
+        number = len(adversary_mod._pool) + 1
+        pid = real_fork()
+        if pid == 0:
+            lane = number
+        return pid
+
+    def scheduled_scan_chunks(scan, state, budget, claim):
         s = search_of[state["state"]["state"]]
-        lanes = lane_counts[s]
-        j = next((c % lanes for c in range(_SCHEDULE_CHUNKS) if wanted(c)), 0)
-        for rec in real_scan_chunks(scan, state, budget, wanted, limit):
-            time.sleep(delays[(3 * s + j) * _SCHEDULE_CHUNKS + rec[0]] / 1000)
-            if (s, rec[0]) == exit_at and os.getpid() != caller:
+        for rec in real_scan_chunks(scan, state, budget, claim):
+            time.sleep(delays[(3 * s + lane) * _SCHEDULE_CHUNKS + rec[0]] / 1000)
+            if (s, rec[0]) == exit_at and lane:
                 os._exit(0)
-            if (s, rec[0]) == raise_at and os.getpid() == caller:
+            if (s, rec[0]) == raise_at and not lane:
                 raise RuntimeError("lane 0 failed")
             yield rec
 
     adversary_mod.shutdown_search_lanes()
     with pytest.MonkeyPatch.context() as mp:
-        # Patched before the pool is forked, so the lanes inherit it.
+        # Patched before the pool is forked, so the lanes inherit them.
+        mp.setattr(os, "fork", numbered_fork)
         mp.setattr(adversary_mod, "_scan_chunks", scheduled_scan_chunks)
         for s, seed in enumerate(seeds):
             mp.setattr(adversary_mod, "max_search_lanes", lambda: lane_counts[s])
@@ -946,8 +1163,6 @@ def test_collision_search_lanes_under_a_drawn_schedule(
             except RuntimeError:
                 assert raise_at is not None and raise_at[0] == s
             else:
-                # Lane 0 must reach its drawn chunk if no lower chunk hits.
-                assert raise_at is None or raise_at[0] != s or raise_at[1] > _last_chunk(seed)
                 assert found == _schedule_oracle(seed), (s, seed)
             assert rng.bit_generator.state == before
     _no_child_left()

@@ -331,6 +331,22 @@ def test_report_bad_manifest(tmp_path, capsys, manifest, message):
     assert err.startswith("error: ") and "run.json" in err and message in err
 
 
+@pytest.mark.parametrize("field", ["scenario", "trials", *SUMMARY_METRICS])
+def test_report_refuses_a_summary_its_records_contradict(tmp_path, capsys, field):
+    run_cli("run", "zero-rows", "--trials", 3, "--out", tmp_path)
+    path = tmp_path / "run.json"
+    manifest = json.loads(path.read_text())
+    summary = manifest["entries"][0]["summary"]
+    given = summary[field]
+    summary[field] = "other" if field == "scenario" else given + 1
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("report", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: summary {field} is {summary[field]!r}, but ")
+    assert err.rstrip().endswith(f"records in trials.jsonl give {given!r}")
+
+
 @pytest.mark.parametrize(
     "bad_line, problem",
     [
