@@ -224,22 +224,21 @@ _MAX_LANES = 4
 # sets the counter to (search, 0, chunks), and every lane, the caller too,
 # claims chunks from it in increasing order, drawing each chunk it claims
 # from its own copy of the caller's generator, jumped over the chunks it
-# skips; the caller's generator is read but never advanced. A lane that
-# finds a hit lowers the limit to its chunk, so no chunk above it is claimed
-# any more, and a claim of another search's number gets none. On its duplex
-# connection a lane is sent each job as one message, from which it builds
-# its own hash states, and None stops its current search. It reports each
-# chunk it claimed as (search, chunk, offset of its first hit or -1, that
-# hit's 16-byte draw or None), stops after its first hit, and closes its
-# reports on a search with (search, -1, -1, None). Only the caller decides:
-# the lowest chunk with a hit once every lower chunk is reported clean,
-# dropping reports of any other search. Once it has no chunk left to claim
-# and no lane is working, it scans itself any lower chunk no lane reported,
-# because os.fork failed or a lane died (EOF or a reset on its connection,
-# or a failed send); a dead lane has the pool shut down, to be forked again
-# by the next search. On the way out, decided or raising, the caller stops
-# every lane still working. So the result is the first hit in stream order,
-# the same for every L.
+# skips; the caller's generator is read but never advanced. The counter is
+# a search's only stop signal: a lane that finds a hit lowers the limit to
+# its chunk, so no chunk above it is claimed any more; the caller, on its
+# way out, decided or raising, lowers it to 0; and a claim of another
+# search's number gets none. On its duplex connection a lane is sent each
+# job as one message, from which it builds its own hash states, and it
+# sends back one message for each chunk it claims: (search, chunk, offset
+# of its first hit or -1, that hit's 16-byte draw or None). Only the caller
+# decides: the lowest chunk with a hit once every lower chunk is reported
+# clean, dropping reports of any other search. Every chunk claimed is
+# reported, or its lane dies, which shows as EOF or a reset on its
+# connection; the caller then scans itself every chunk below the first hit
+# that no lane reported. A dead lane, or a failed send, has the pool shut
+# down, to be forked again by the next search. So the result is the first
+# hit in stream order, the same for every L.
 _pool: list[tuple[int, Connection]] = []
 _pool_owner = 0
 _counter = None  # the owner's claim counter, an unbuffered temporary file
@@ -357,23 +356,21 @@ def _shared_claim(search: int):
 
 
 def _lower_limit(search: int, chunk: int) -> None:
-    """Claim no chunk of this search above a hit in chunk."""
+    """Claim no chunk of this search from chunk on: after a hit in chunk,
+    none above it; at chunk 0, none at all, which closes the search."""
     with _locked_counter() as (number, next_chunk, limit):
         if number == search and chunk < limit:
             _set_counter(search, next_chunk, chunk)
 
 
 def _serve(conn: Connection) -> None:
-    """A pooled lane: run each job it is sent, until its connection closes.
-    It reports every chunk it claims up to its first hit, and leaves a
-    search early once another command is waiting."""
+    """A pooled lane: run each job it is sent, until its connection closes,
+    reporting every chunk of the job's search it claims."""
     while True:
         try:
             job = conn.recv()
         except EOFError:
             return
-        if job is None:
-            continue  # the stop of a search this lane has already left
         search, prefix, lo, middle, scan_args, budget, state = job
         other = prefix[:lo] + middle + prefix[lo + len(middle) :]
         scan = _scanner((prefix, other), *scan_args)
@@ -381,9 +378,6 @@ def _serve(conn: Connection) -> None:
             if rec[1] >= 0:
                 _lower_limit(search, rec[0])
             conn.send((search, *rec))
-            if rec[1] >= 0 or conn.poll():
-                break
-        conn.send((search, -1, -1, None))
 
 
 def _scanner(prefixes, suffix_len, ktop, var_bits, sub_shift, w, captured_digest):
@@ -552,39 +546,36 @@ def attack_collision_impersonate(
 
     live: set[Connection] = set()  # the connection of each lane on this search
     dead = False
+    if lanes > 1:
+        search = next(_searches)
+        # The prefixes differ only at the tail bit, so a job carries the
+        # first and the differing bytes lo:hi of the second: at half the
+        # size, a send fits the connection's buffer instead of waiting for a
+        # lane still busy with the last search.
+        differ = np.flatnonzero(np.not_equal(*(np.frombuffer(p, np.uint8) for p in prefixes)))
+        lo, hi = int(differ[0]), int(differ[-1]) + 1
+        job = (search, prefixes[0], lo, prefixes[1][lo:hi], scan_args, budget, rng_state)
+        pool = _lane_pool(lanes - 1)[: lanes - 1]
+        with _locked_counter():
+            _set_counter(search, 0, chunks)
+    else:
+        pool = []
     try:
-        if lanes > 1:
-            search = next(_searches)
-            # The prefixes differ only at the tail bit, so a job carries the
-            # first and the differing bytes lo:hi of the second: at half the
-            # size, a send fits the connection's buffer instead of waiting
-            # for a lane still busy with the last search.
-            differ = np.flatnonzero(np.not_equal(*(np.frombuffer(p, np.uint8) for p in prefixes)))
-            lo, hi = int(differ[0]), int(differ[-1]) + 1
-            job = (search, prefixes[0], lo, prefixes[1][lo:hi], scan_args, budget, rng_state)
-            pool = _lane_pool(lanes - 1)[: lanes - 1]
-            with _locked_counter():
-                _set_counter(search, 0, chunks)
-            for _, conn in pool:
-                try:
-                    # Drop what earlier searches left unread, so the connection never fills.
-                    while conn.poll():
-                        conn.recv()
-                    conn.send(job)
-                except (EOFError, OSError):
-                    dead = True
-                else:
-                    live.add(conn)
-            own = _scan_chunks(scan, rng_state, budget, _shared_claim(search))
-        else:
-            own = unreported()
+        for _, conn in pool:
+            try:
+                # Drop what earlier searches left unread, so the connection never fills.
+                while conn.poll():
+                    conn.recv()
+                conn.send(job)
+            except (EOFError, OSError):
+                dead = True
+            else:
+                live.add(conn)
+        own = _scan_chunks(scan, rng_state, budget, _shared_claim(search)) if live else unreported()
         while clean < first_hit:
             rec = next(own, None)
             if rec is not None:
                 report(*rec)
-            elif not live:
-                # Every lane is done or dead: scan what they left unreported.
-                own = unreported()
             # Blocks when lane 0 has nothing left to claim.
             for conn in wait(list(live), 0 if rec else None) if live else []:
                 try:
@@ -592,19 +583,13 @@ def attack_collision_impersonate(
                 except (EOFError, OSError):  # a reset if it died with its job unread
                     dead = True
                     live.remove(conn)
+                    own = unreported()  # the chunks it claimed are reported by no one
                     continue
-                if number != search:
-                    continue  # left unread by an earlier search
-                if lane_rec[0] < 0:
-                    live.remove(conn)
-                else:
+                if number == search:  # else left unread by an earlier search
                     report(*lane_rec)
     finally:
-        for conn in live:
-            try:
-                conn.send(None)
-            except OSError:
-                dead = True
+        if lanes > 1:
+            _lower_limit(search, 0)  # every lane's next claim of this search gets none
         if dead:
             shutdown_search_lanes()
 

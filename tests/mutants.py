@@ -125,8 +125,8 @@ MUTANTS = (
     Mutant(
         "search lanes: unreported chunks left unscanned",
         "adversary.py",
-        "                own = unreported()\n",
-        "                break\n",
+        "own = unreported()  # the chunks it claimed are reported by no one\n",
+        "pass\n",
         (_ADV + "test_collision_search_outlives_a_lane_that_dies_holding",),
     ),
     Mutant(
@@ -175,8 +175,8 @@ MUTANTS = (
     Mutant(
         "lane pool: a report of another search accepted",
         "adversary.py",
-        "                if number != search:\n",
-        "                if False:\n",
+        "                if number == search:  # else left unread by an earlier search\n",
+        "                if True:\n",
         (_ADV + "test_collision_search_drops_the_reports_of_a_failed_search",),
     ),
     Mutant(
@@ -187,11 +187,11 @@ MUTANTS = (
         (_ADV + "test_collision_search_in_a_forked_child_leaves_the_parents_lanes",),
     ),
     Mutant(
-        "lane: a stop for a search it has already left ends the lane",
+        "search left open in the counter when the caller raises",
         "adversary.py",
-        "            continue  # the stop of a search this lane has already left\n",
-        "            return\n",
-        (_ADV + "test_collision_searches_fork_their_lanes_once",),
+        "            _lower_limit(search, 0)  # every lane's next claim of this search gets none\n",
+        "            pass\n",
+        (_ADV + "test_collision_search_leaves_no_process_behind",),
     ),
     Mutant(
         "search lanes: forked while other threads live",

@@ -678,7 +678,15 @@ def _pool_search(monkeypatch, lanes: int, seed: int, w: int = 12):
     before = rng.bit_generator.state
     found = attack_collision_impersonate(*case, _LANE_BUDGET, rng)
     assert rng.bit_generator.state == before
+    _assert_search_closed()
     return found, oracle_collision_search(*case, _LANE_BUDGET, make_rng(seed, "s"))
+
+
+def _assert_search_closed():
+    """The claim counter hands out no further chunk of the last search."""
+    if adversary_mod._counter is not None:  # None once a dead lane shut the pool down
+        with adversary_mod._locked_counter() as (_, chunk, limit):
+            assert chunk >= limit
 
 
 def _lane_search(monkeypatch, lanes: int, seed: int, w: int = 12):
@@ -772,24 +780,26 @@ def _slow_fork(monkeypatch, seconds: float) -> None:
 def test_collision_search_caller_claims_every_chunk_a_held_back_lane_leaves(monkeypatch):
     # The child sleeps through the search, so the caller claims and scans
     # every chunk up to the hit in chunk 6 without waiting for it. The hit
-    # lowers the limit, so the child, once awake, finds no chunk left to
-    # claim and closes the search without a chunk report.
+    # lowers the limit, so the child, awake 0.5 s after its fork, finds no
+    # chunk left to claim and sends nothing for the decided search.
     streams = _patch_scan_chunks(monkeypatch)
     _slow_fork(monkeypatch, 0.5)
     found, serial = _pool_search(monkeypatch, 2, _LANE0_HIT)
     assert found == serial
     assert streams == [list(range(7))]
     ((_, conn),) = adversary_mod._pool
-    assert conn.poll(5)
-    assert conn.recv()[1:] == (-1, -1, None)
+    assert not conn.poll(1)
+    with adversary_mod._locked_counter() as (_, chunk, _):
+        assert chunk == 7  # the caller's claims of chunks 0 to 6, and no other
     _no_child_left()
 
 
 def test_collision_search_lane_claims_no_chunk_of_a_later_search(monkeypatch):
     # The child sleeps at fork, so it reads its job of the first search only
     # while the second, whose caller is slow, is running. It must claim no
-    # chunk of the second search for the first: the caller would then have
-    # to scan that chunk again, once the child closed the second search.
+    # chunk of the second search for the first: it would report that chunk
+    # under the first search's number, which the caller drops, and no lane
+    # would ever report it for the second.
     streams = _patch_scan_chunks(monkeypatch)
     _slow_fork(monkeypatch, 0.3)
     assert operator.eq(*_pool_search(monkeypatch, 2, _LANE0_HIT))
@@ -815,16 +825,22 @@ def test_collision_search_leaves_no_process_behind(monkeypatch):
         _no_child_left()
     assert found.matrix is None and found.candidates_examined == _LANE_BUDGET
     # Lane 0 raises in the calling process after the children are forked.
+    # The child is slowed down, so that it reaches no hit, which would lower
+    # the limit itself, before the caller has left: the caller must close
+    # the search in the counter on its way out.
     caller, real_rng_bytes = os.getpid(), adversary_mod.rng_bytes
 
     def failing_rng_bytes(rng, n):
         if os.getpid() == caller:
             raise RuntimeError("lane 0 failed")
+        time.sleep(0.1)
         return real_rng_bytes(rng, n)
 
     monkeypatch.setattr(adversary_mod, "rng_bytes", failing_rng_bytes)
     with pytest.raises(RuntimeError, match="lane 0 failed"):
         _lane_search(monkeypatch, 2, _CHILD_HIT)
+    assert adversary_mod._counter is not None
+    _assert_search_closed()
     _no_child_left()
 
 
@@ -1043,8 +1059,9 @@ def test_collision_search_forks_the_pool_again_after_a_lane_dies(monkeypatch):
     assert operator.eq(*_pool_search(monkeypatch, 2, _LANE0_HIT))
     (lane,) = forks
     os.kill(lane, signal.SIGKILL)
-    # The send to the dead lane fails, or its connection reaches EOF, so
-    # the caller scans its chunks, shuts the pool down and reaps the lane.
+    # The job's send to the dead lane fails, or its connection reaches EOF,
+    # so no lane takes the job: the caller scans every chunk alone, then
+    # shuts the pool down and reaps the lane.
     found, serial = _pool_search(monkeypatch, 2, _CHILD_HIT)
     assert found == serial
     assert found.candidates_examined // 4096 == 1
@@ -1165,6 +1182,7 @@ def test_collision_search_lanes_under_a_drawn_schedule(
             else:
                 assert found == _schedule_oracle(seed), (s, seed)
             assert rng.bit_generator.state == before
+            _assert_search_closed()
     _no_child_left()
 
 
