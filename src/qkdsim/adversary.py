@@ -210,6 +210,8 @@ class CollisionSearchResult:
 
 
 _SEARCH_CHUNK = 4096  # candidates drawn per rng_bytes call
+# The claim counter below holds a search's chunk count as an int64.
+MAX_SEARCH_BUDGET = _SEARCH_CHUNK * (2**63 - 1)
 # Each lane draws only the chunks it claims, so the draws do not grow with
 # the lane count; the cap bounds the processes one search keeps forked.
 _MAX_LANES = 4
@@ -486,6 +488,8 @@ def attack_collision_impersonate(
     """
     if budget < 1:
         raise ValueError("search budget must be at least 1")
+    if budget > MAX_SEARCH_BUDGET:
+        raise ValueError(f"search budget must be at most {MAX_SEARCH_BUDGET}")
     l, t, w = params.key_len, params.tail_len, params.hash_width
     if t < 1:
         raise ValueError("collision search requires at least one tail row in the log")
@@ -611,7 +615,7 @@ class CollisionTrialOutcome:
     bob_key: BitVector | None  # the attacker holds it too: the exchange shares Bob's key
 
 
-def run_collision_impersonation(params: SessionParams, budget: int) -> CollisionTrialOutcome:
+def run_collision_impersonation(params: SessionParams, seed: int, budget: int) -> CollisionTrialOutcome:
     """Play the full replay attack against the matrix_in_log variant.
 
     First the attacker completes an exchange with Alice in Bob's role and
@@ -625,30 +629,26 @@ def run_collision_impersonation(params: SessionParams, budget: int) -> Collision
     verdict comes from finish_session: sharing every object with Bob's
     state, the attacker's sends the captured tag as AUTH_TAG_A.
     """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     # Pre-shared Alice/Bob authentication key, common to both exchanges.
-    auth_key = session_auth_key(params)
+    auth_key = session_auth_key(seed)
 
-    capture_seed = int.from_bytes(derive_bytes(params.master_seed, "capture-session", n=8), "big")
-    capture = run_session(
-        dc_replace(params, master_seed=capture_seed),
-        hardening=HardeningKind.MATRIX_IN_LOG,
-        auth_key=auth_key,
-    )
+    capture_seed = int.from_bytes(derive_bytes(seed, "capture-session", n=8), "big")
+    capture = run_session(params, capture_seed, Channel(), HardeningKind.MATRIX_IN_LOG, auth_key)
     if capture.alice.verdict is Verdict.ABORT:
         return CollisionTrialOutcome(False, 0, Verdict.ABORT, None)
     captured_tag: AuthTag = capture.channel.frames(FrameType.AUTH_TAG_A)[0].frame.payload
 
     # Fresh session with the real Bob, attacker in Alice's role.
-    session_seed = int.from_bytes(
-        derive_bytes(params.master_seed, "impersonation-session", n=8), "big"
-    )
+    session_seed = int.from_bytes(derive_bytes(seed, "impersonation-session", n=8), "big")
     rng = make_rng(session_seed, "session")
     channel = Channel()
     attacker, bob, aborted = exchange_reconciled_key(params, channel, rng)
     if aborted:
         return CollisionTrialOutcome(False, 0, Verdict.ABORT, None)
 
-    search_rng = make_rng(params.master_seed, "collision-search")
+    search_rng = make_rng(seed, "collision-search")
     search = attack_collision_impersonate(captured_tag.digest, attacker, params, budget, search_rng)
     if search.matrix is None:
         # Nothing to send that Bob would accept; the attacker gives up.

@@ -58,7 +58,7 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class SessionParams:
-    """Session-wide constants. All randomness derives from master_seed."""
+    """The protocol's constants. A session's randomness derives from its seed."""
 
     n_raw: int = 8192
     qber: float = 0.03
@@ -67,7 +67,6 @@ class SessionParams:
     key_len: int = 256  # rows of the amplification matrix
     tail_len: int = 128  # disclosed tail bits of the amplified key
     hash_width: int = 128  # truncated digest width in bits
-    master_seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.n_raw < 2**32:
@@ -83,8 +82,6 @@ class SessionParams:
             raise ValueError("tail_len must satisfy 0 <= tail_len < key_len")
         if not 1 <= self.hash_width <= 256:
             raise ValueError("hash_width must lie in [1, 256]")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
 
 
 class Positions(Sequence):
@@ -457,9 +454,9 @@ def verify(digest: bytes, tag: AuthTag, auth_key: bytes) -> bool:
 # ----------------------------------------------------------------- session
 
 
-def session_auth_key(params: SessionParams) -> bytes:
+def session_auth_key(seed: int) -> bytes:
     """Pre-shared authentication key, provisioned before the session."""
-    return derive_bytes(params.master_seed, "auth-key", n=32)
+    return derive_bytes(seed, "auth-key", n=32)
 
 
 def exchange_reconciled_key(
@@ -498,6 +495,7 @@ def exchange_reconciled_key(
 
 def run_session(
     params: SessionParams,
+    seed: int,
     channel: Channel | None = None,
     hardening: HardeningKind = HardeningKind.BASELINE,
     auth_key: bytes | None = None,
@@ -510,11 +508,13 @@ def run_session(
     says so; otherwise the matrix is chosen, sent as the PA_MATRIX frame
     unless each party derives it, and finish_session ends the session.
     auth_key overrides the pre-shared authentication key (by default it is
-    provisioned deterministically from the master seed).
+    provisioned deterministically from seed, which must be nonnegative).
     """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if channel is None:
         channel = Channel()
-    rng = make_rng(params.master_seed, "session")
+    rng = make_rng(seed, "session")
     alice, bob, aborted = exchange_reconciled_key(params, channel, rng)
     if aborted:
         return SessionResult(
@@ -526,14 +526,14 @@ def run_session(
     key_len_in = len(alice.reconciled)
     if hardening is HardeningKind.DERIVED_MATRIX:
         # Pre-provisioned shared secret, from which both parties derive the matrix.
-        secret = derive_bytes(params.master_seed, "pa-derivation-secret", n=32)
+        secret = derive_bytes(seed, "pa-derivation-secret", n=32)
         matrix_a = derive_matrix(secret, params.key_len, key_len_in)
         matrix_b = derive_matrix(secret, params.key_len, key_len_in)
     else:
         matrix_a = random_matrix(params.key_len, key_len_in, rng)
         matrix_b = channel.deliver(A_TO_B, Frame(FrameType.PA_MATRIX, matrix_a)).payload
     if auth_key is None:
-        auth_key = session_auth_key(params)
+        auth_key = session_auth_key(seed)
     return finish_session(params, channel, alice, bob, matrix_a, matrix_b, hardening, auth_key)
 
 

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Sequence, get_type_hints
 import numpy as np
 
 from .adversary import (
+    MAX_SEARCH_BUDGET,
     ExtractBitsStrategy,
     FlipEntryStrategy,
     RandomizeRowsStrategy,
@@ -201,9 +202,9 @@ def _frame_trial(make_strategy, outcome, dump=None) -> Callable[..., tuple]:
     params), when given, adds the attack's own entries to a dumped session.
     """
 
-    def trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_states: bool):
-        strategy = make_strategy(opts, params.tail_len, make_rng(params.master_seed, "adversary"))
-        result = run_session(params, channel=Channel(strategy), hardening=config.hardening)
+    def trial(config: ScenarioConfig, seed: int, opts: dict, dump_states: bool):
+        strategy = make_strategy(opts, config.params.tail_len, make_rng(seed, "adversary"))
+        result = run_session(config.params, seed, Channel(strategy), hardening=config.hardening)
         effect, extra = outcome(result, strategy, opts)
         aux: dict = {
             "tampered_frames": sum(e.tampered for e in result.channel.transcript),
@@ -215,7 +216,7 @@ def _frame_trial(make_strategy, outcome, dump=None) -> Callable[..., tuple]:
         if dump_states:
             aux["dump"] = _dump_session(result)
             if dump is not None:
-                aux["dump"].update(dump(result, params))
+                aux["dump"].update(dump(result, config.params))
         success = effect and result.bob.verdict is Verdict.ACCEPT
         return (*_verdicts(result), _keys_equal(result), success, aux)
 
@@ -271,8 +272,8 @@ def _extract_bits_outcome(result: SessionResult, strategy, opts: dict):
     }
 
 
-def _collision_trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_states: bool):
-    out = run_collision_impersonation(params, opts["search_budget"])
+def _collision_trial(config: ScenarioConfig, seed: int, opts: dict, dump_states: bool):
+    out = run_collision_impersonation(config.params, seed, opts["search_budget"])
     # The exchange with the real Alice is dropped before the attacker would
     # return a tag, so she never accepts.
     alice_v = Verdict.ABORT.value if out.bob_verdict is Verdict.ABORT else Verdict.REJECT.value
@@ -287,14 +288,14 @@ def _collision_trial(config: ScenarioConfig, params: SessionParams, opts: dict, 
     return alice_v, out.bob_verdict.value, None, accepted, aux
 
 
-def _otp_trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_states: bool):
-    result = run_session(params, hardening=config.hardening)
+def _otp_trial(config: ScenarioConfig, seed: int, opts: dict, dump_states: bool):
+    result = run_session(config.params, seed, hardening=config.hardening)
     dump = {"dump": _dump_session(result)} if dump_states else {}
     pad = result.bob.released_key
     if pad is None:
         return (*_verdicts(result), _keys_equal(result), False, dump)
     n = len(pad)
-    adv_rng = make_rng(params.master_seed, "adversary")
+    adv_rng = make_rng(seed, "adversary")
     positions = opts["bit_positions"]
     if positions is None:
         count = opts["num_flips"]
@@ -302,7 +303,7 @@ def _otp_trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_s
             count = int(adv_rng.integers(1, n + 1))
         positions = adv_rng.choice(n, count, replace=False)
     positions = sorted(int(q) for q in positions)
-    plaintext = BitVector.random(n, make_rng(params.master_seed, "application-message"))
+    plaintext = BitVector.random(n, make_rng(seed, "application-message"))
     tampered = demo_otp_malleability(otp_encrypt(plaintext, pad), positions)
     recovered = otp_decrypt(tampered, pad)
     expected = plaintext ^ BitVector.from_positions(n, positions)
@@ -316,7 +317,11 @@ def _otp_trial(config: ScenarioConfig, params: SessionParams, opts: dict, dump_s
 
 
 # An option's upper bound, by the name its messages give it -> its value.
-_BOUNDS = {"n_raw": lambda p: p.n_raw, "key_len - tail_len": lambda p: p.key_len - p.tail_len}
+_BOUNDS = {
+    "n_raw": lambda p: p.n_raw,
+    "key_len - tail_len": lambda p: p.key_len - p.tail_len,
+    "MAX_SEARCH_BUDGET": lambda p: MAX_SEARCH_BUDGET,
+}
 
 
 @dataclass(frozen=True)
@@ -341,7 +346,7 @@ class _Option:
 class _Attack:
     """One attack: its options, its trial and its own config rules.
 
-    trial(config, params, opts, dump_states) returns (alice verdict, bob
+    trial(config, seed, opts, dump_states) returns (alice verdict, bob
     verdict, keys_equal, attack_success, aux), with the options as resolve()
     gives them. A config may give only one of the two one_of options; the
     one given replaces the other. check(config) raises ConfigError for a
@@ -413,7 +418,9 @@ _ATTACKS: dict[str, _Attack] = {
         one_of=("num_known", "known_positions"),
     ),
     "collision-impersonation": _Attack(
-        {"search_budget": _Option(int, 1 << 20, 1)}, _collision_trial, check=_check_collision
+        {"search_budget": _Option(int, 1 << 20, 1, "MAX_SEARCH_BUDGET", closed=True)},
+        _collision_trial,
+        check=_check_collision,
     ),
     # num_flips None draws the number of flipped bits per trial.
     "otp-malleability": _Attack(
@@ -525,10 +532,9 @@ def validate_config(config: ScenarioConfig) -> None:
 def run_trial(config: ScenarioConfig, index: int, dump_states: bool = False) -> TrialReport:
     """Run one trial; fully determined by (config, index)."""
     seed = trial_seed(config.master_seed, index)
-    params = dataclasses.replace(config.params, master_seed=seed)
     attack = _ATTACKS[config.attack.name]
-    opts = attack.resolve(params, config.attack.options)
-    return TrialReport(index, seed, *attack.trial(config, params, opts, dump_states))
+    opts = attack.resolve(config.params, config.attack.options)
+    return TrialReport(index, seed, *attack.trial(config, seed, opts, dump_states))
 
 
 def run_scenario(
@@ -762,9 +768,7 @@ def builtin_scenario(
 # ------------------------------------------------------------ config files
 
 # Session parameter -> its type (int or float), read off the field default.
-_PARAM_TYPES = {
-    f.name: type(f.default) for f in dataclasses.fields(SessionParams) if f.name != "master_seed"
-}
+_PARAM_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SessionParams)}
 # Config field -> the type of its default; int and str fields are scalars.
 _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ScenarioConfig)}
 

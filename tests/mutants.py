@@ -71,6 +71,7 @@ _ROWS = _SCEN + "test_config_validation_errors[overrides"
 _DISTINCT_OTP = _ROWS + "57-bit_positions must be distinct, 3 repeats]"
 _FROM_REPORTS = _SCEN + "test_from_reports_counts_each_rate_exactly"
 _OWN_RUN = "tests/test_cli.py::test_report_judges_only_its_own_run"
+_EDGES = _SCEN + "test_every_integer_edge_is_refused_or_runs_alike_at_one_and_two_lanes"
 
 MUTANTS = (
     Mutant(
@@ -606,6 +607,34 @@ MUTANTS = (
         "        if not 1 <= self.n_raw < 2**32:\n",
         "        if not 1 <= self.n_raw <= 2**32:\n",
         (_ROWS + r"55-n_raw must lie in \\[1, 2\\*\\*32\\)]",),
+    ),
+    Mutant(
+        "search_budget: declared bound dropped",
+        "scenarios.py",
+        '_Option(int, 1 << 20, 1, "MAX_SEARCH_BUDGET", closed=True)',
+        "_Option(int, 1 << 20, 1)",
+        (_EDGES,),
+    ),
+    Mutant(
+        "search: budget past the claim counter accepted",
+        "adversary.py",
+        "    if budget > MAX_SEARCH_BUDGET:\n",
+        "    if False:\n",
+        (_ADV + "test_collision_search_refuses_a_budget_past_the_claim_counter_at_every_lane_count",),
+    ),
+    Mutant(
+        "run_session: negative seed accepted",
+        "pipeline.py",
+        "    if seed < 0:\n",
+        "    if False:\n",
+        (_SCEN + "test_a_session_refuses_a_negative_seed",),
+    ),
+    Mutant(
+        "collision trial: capture session run at the trial seed",
+        "adversary.py",
+        "run_session(params, capture_seed, Channel()",
+        "run_session(params, seed, Channel()",
+        ("tests/test_golden.py::test_trials_jsonl_matches_golden_digest",),
     ),
     Mutant(
         "frame trial: success without Bob's ACCEPT",

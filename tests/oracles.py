@@ -99,6 +99,9 @@ def oracle_matvec_numpy(m: BitMatrix, v: BitVector) -> list[int]:
 
 
 _SEARCH_CHUNK = 4096  # candidates drawn per rng.bytes call
+# The largest search budget: the search's lanes share a claim counter that
+# holds the number of chunks, ceil(budget / 4096), as an int64.
+MAX_SEARCH_BUDGET = _SEARCH_CHUNK * (2**63 - 1)
 
 
 def oracle_candidates(
@@ -324,6 +327,8 @@ def _check_collision(config: ScenarioConfig, opts: dict, non_tail: int) -> None:
         )
     if opts["search_budget"] < 1:
         raise ConfigError("collision-impersonation search_budget must be at least 1")
+    if opts["search_budget"] > MAX_SEARCH_BUDGET:
+        raise ConfigError(f"collision-impersonation search_budget must be at most {MAX_SEARCH_BUDGET}")
     if config.params.tail_len < 1:
         # The search steers the digest through the logged key tail.
         raise ConfigError("collision-impersonation needs tail_len >= 1")

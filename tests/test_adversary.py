@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim import adversary as adversary_mod
@@ -52,6 +52,7 @@ from qkdsim.scenarios import builtin_scenario
 from qkdsim.seeding import derive_bytes, make_rng, trial_seed
 
 from oracles import (
+    MAX_SEARCH_BUDGET,
     bit_at,
     oracle_candidates,
     oracle_collision_search,
@@ -123,8 +124,8 @@ def test_extract_bits_op():
 
 
 def attacked_session(strategy, seed, hardening=None, n_raw=2048):
-    params = SessionParams(n_raw=n_raw, master_seed=seed)
-    return params, run_session(params, channel=Channel(strategy), hardening=hardening)
+    params = SessionParams(n_raw=n_raw)
+    return params, run_session(params, seed, channel=Channel(strategy), hardening=hardening)
 
 
 FRAME_STRATEGIES = {
@@ -175,9 +176,9 @@ def test_flip_entry_success_iff_reconciled_bit_set():
     flipped = 0
     trials = 300
     for seed in range(trials):
-        params = SessionParams(n_raw=2048, master_seed=seed)
-        honest = run_session(params)
-        attacked = run_session(params, channel=Channel(FlipEntryStrategy(i, j, 128)))
+        params = SessionParams(n_raw=2048)
+        honest = run_session(params, seed)
+        attacked = run_session(params, seed, channel=Channel(FlipEntryStrategy(i, j, 128)))
         assert attacked.alice.verdict is Verdict.ACCEPT
         assert attacked.bob.verdict is Verdict.ACCEPT
         bit_flipped = (
@@ -196,19 +197,19 @@ def test_flip_entry_success_iff_reconciled_bit_set():
 
 def test_flip_entry_column_at_the_key_length_leaves_the_frame_untouched():
     # Column len(reconciled) is the first past the matrix; the one before it is the last inside.
-    params = SessionParams(n_raw=2048, master_seed=4)
-    cols = len(run_session(params).bob.state.reconciled)
+    params = SessionParams(n_raw=2048)
+    cols = len(run_session(params, 4).bob.state.reconciled)
     for j, tampered in ((cols, False), (cols - 1, True)):
-        result = run_session(params, channel=Channel(FlipEntryStrategy(0, j, 128)))
+        result = run_session(params, 4, channel=Channel(FlipEntryStrategy(0, j, 128)))
         assert [e.tampered for e in result.channel.frames(FrameType.PA_MATRIX)] == [tampered]
         assert result.bob.verdict is Verdict.ACCEPT
 
 
 def test_zero_rows_all_zero_key_undetected():
     for seed in range(100):
-        params = SessionParams(n_raw=2048, master_seed=seed)
-        honest = run_session(params)
-        attacked = run_session(params, channel=Channel(ZeroRowsStrategy(tail_len=128)))
+        params = SessionParams(n_raw=2048)
+        honest = run_session(params, seed)
+        attacked = run_session(params, seed, channel=Channel(ZeroRowsStrategy(tail_len=128)))
         assert attacked.bob.verdict is Verdict.ACCEPT
         assert attacked.alice.verdict is Verdict.ACCEPT
         assert attacked.bob.state.final_key == BitVector(128)
@@ -250,11 +251,11 @@ def test_extract_bits_explicit_positions():
 
 def test_extract_bits_position_at_the_key_length_leaves_the_frame_untouched():
     # Position len(reconciled) is the first past the key; the one before it is the last inside.
-    params = SessionParams(n_raw=2048, master_seed=4)
-    cols = len(run_session(params).bob.state.reconciled)
+    params = SessionParams(n_raw=2048)
+    cols = len(run_session(params, 4).bob.state.reconciled)
     for p, tampered in ((cols, False), (cols - 1, True)):
         strategy = ExtractBitsStrategy(0, 128, make_rng(0, "adv"), known_positions=[0, p])
-        result = run_session(params, channel=Channel(strategy))
+        result = run_session(params, 4, channel=Channel(strategy))
         assert [e.tampered for e in result.channel.frames(FrameType.PA_MATRIX)] == [tampered]
         assert strategy.positions == ([0, p] if tampered else [])
         assert result.bob.verdict is Verdict.ACCEPT
@@ -324,7 +325,7 @@ def test_each_party_amplifies_with_its_own_matrix(hardening):
 @pytest.mark.parametrize("hardening", [None, MATRIX_IN_LOG])
 def test_honest_session_computes_party_symmetric_values_once(hardening):
     for seed in range(6):
-        result = run_session(SessionParams(n_raw=2048, master_seed=seed), hardening=hardening)
+        result = run_session(SessionParams(n_raw=2048), seed, hardening=hardening)
         alice, bob = result.alice.state, result.bob.state
         assert bob.sifted_bases is alice.sifted_bases
         assert bob.reconciled is alice.reconciled
@@ -342,10 +343,8 @@ def test_collision_impersonation_width8():
     # are (1 - 2^-8)^4096, about 1e-7.
     successes = 0
     for t in range(200):
-        params = SessionParams(
-            n_raw=1024, hash_width=8, master_seed=trial_seed(900, t)
-        )
-        out = run_collision_impersonation(params, 1 << 12)
+        params = SessionParams(n_raw=1024, hash_width=8)
+        out = run_collision_impersonation(params, trial_seed(900, t), 1 << 12)
         if out.found:
             assert out.bob_verdict is Verdict.ACCEPT
             assert out.bob_key is not None
@@ -365,10 +364,10 @@ def test_collision_trial_computes_one_product_per_session(monkeypatch):
     monkeypatch.setattr(pipeline_mod, "matvec", counting_matvec)
     monkeypatch.setattr(adversary_mod, "matvec", counting_matvec)
     config = builtin_scenario("collision-impersonation")
+    budget = config.attack.options["search_budget"]
     for t in range(3):
-        params = dataclasses.replace(config.params, master_seed=trial_seed(config.master_seed, t))
         calls.clear()
-        out = run_collision_impersonation(params, config.attack.options["search_budget"])
+        out = run_collision_impersonation(config.params, trial_seed(config.master_seed, t), budget)
         assert out.found and out.bob_verdict is Verdict.ACCEPT, t
         assert len(calls) == 2, t
 
@@ -397,11 +396,11 @@ def test_collision_replay_is_a_session(monkeypatch):
         FrameType.EST_RATE, FrameType.CORRECTIONS, FrameType.PA_MATRIX,
         FrameType.AUTH_TAG_A, FrameType.AUTH_TAG_B,
     ]
+    budget = config.attack.options["search_budget"]
     for t in range(3):
-        params = dataclasses.replace(config.params, master_seed=trial_seed(config.master_seed, t))
         for results in calls.values():
             results.clear()
-        out = run_collision_impersonation(params, config.attack.options["search_budget"])
+        out = run_collision_impersonation(config.params, trial_seed(config.master_seed, t), budget)
         assert out.found and out.bob_verdict is Verdict.ACCEPT, t
         [capture], [result] = calls["run_session"], calls["finish_session"]
         transcript = result.channel.transcript
@@ -415,17 +414,17 @@ def test_collision_replay_is_a_session(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "params, budget",
+    "params, seed, budget",
     [
-        (SessionParams(n_raw=1024, hash_width=128, master_seed=trial_seed(901, 0)), 16),
-        (SessionParams(n_raw=64, key_len=256, hash_width=8, master_seed=3), 64),
-        (SessionParams(n_raw=64, key_len=24, tail_len=1, hash_width=8, master_seed=8), 64),
+        (SessionParams(n_raw=1024, hash_width=128), trial_seed(901, 0), 16),
+        (SessionParams(n_raw=64, key_len=256, hash_width=8), 3, 64),
+        (SessionParams(n_raw=64, key_len=24, tail_len=1, hash_width=8), 8, 64),
     ],
     ids=["search-misses", "capture-aborts", "exchange-aborts"],
 )
-def test_collision_replay_ends_no_session_without_a_found_matrix(monkeypatch, params, budget):
+def test_collision_replay_ends_no_session_without_a_found_matrix(monkeypatch, params, seed, budget):
     calls = _record_sessions(monkeypatch)
-    out = run_collision_impersonation(params, budget)
+    out = run_collision_impersonation(params, seed, budget)
     assert not out.found and out.bob_key is None
     assert calls["finish_session"] == []
 
@@ -439,8 +438,8 @@ def test_collision_rate_matches_random_oracle(w):
     predicted = 1 - (1 - 2.0**-w) ** budget
     found = searched = 0
     for t in range(400):
-        params = SessionParams(n_raw=1024, hash_width=w, master_seed=trial_seed(903, t))
-        out = run_collision_impersonation(params, budget)
+        params = SessionParams(n_raw=1024, hash_width=w)
+        out = run_collision_impersonation(params, trial_seed(903, t), budget)
         if out.bob_verdict is not Verdict.ABORT:
             searched += 1
             found += out.found
@@ -452,33 +451,29 @@ def test_collision_impersonation_never_finds_full_width():
     # At the full 128-bit digest width a 2^20 search finds nothing: a hit
     # has probability ~2^-108 per trial, so a few trials show it as well as many.
     for t in range(4):
-        params = SessionParams(
-            n_raw=1024, hash_width=128, master_seed=trial_seed(901, t)
-        )
-        out = run_collision_impersonation(params, 1 << 20)
+        params = SessionParams(n_raw=1024, hash_width=128)
+        out = run_collision_impersonation(params, trial_seed(901, t), 1 << 20)
         assert not out.found
         assert out.candidates_examined == 1 << 20
         assert out.bob_verdict is Verdict.REJECT
 
 
 def test_collision_search_deterministic_and_budgeted():
-    params = SessionParams(n_raw=1024, hash_width=16, master_seed=4242)
-    a = run_collision_impersonation(params, 1 << 20)
-    b = run_collision_impersonation(params, 1 << 20)
+    params = SessionParams(n_raw=1024, hash_width=16)
+    a = run_collision_impersonation(params, 4242, 1 << 20)
+    b = run_collision_impersonation(params, 4242, 1 << 20)
     assert a == b
     assert a.candidates_examined <= 1 << 20
-    short = run_collision_impersonation(params, 16)
+    short = run_collision_impersonation(params, 4242, 16)
     assert short.candidates_examined <= 16
 
 
-def _capture_and_bob_exchange(params: SessionParams):
+def _capture_and_bob_exchange(params: SessionParams, seed: int):
     """The two exchanges run_collision_impersonation runs before its search:
     the capture session with Alice, and the front end of the one with Bob."""
-    capture_seed = int.from_bytes(derive_bytes(params.master_seed, "capture-session", n=8), "big")
-    capture = run_session(dataclasses.replace(params, master_seed=capture_seed), hardening=MATRIX_IN_LOG)
-    session_seed = int.from_bytes(
-        derive_bytes(params.master_seed, "impersonation-session", n=8), "big"
-    )
+    capture_seed = int.from_bytes(derive_bytes(seed, "capture-session", n=8), "big")
+    capture = run_session(params, capture_seed, hardening=MATRIX_IN_LOG)
+    session_seed = int.from_bytes(derive_bytes(seed, "impersonation-session", n=8), "big")
     attacker, _, aborted = exchange_reconciled_key(
         params, Channel(), make_rng(session_seed, "session")
     )
@@ -488,11 +483,11 @@ def _capture_and_bob_exchange(params: SessionParams):
 def test_collision_impersonation_aborts_on_empty_sifted_key():
     # At this seed the capture session completes, and the attacker's
     # exchange with Bob (four raw bits) matches no basis.
-    params = SessionParams(n_raw=4, qber=0.0, key_len=2, tail_len=1, hash_width=8, master_seed=2)
-    capture, attacker, _ = _capture_and_bob_exchange(params)
+    params = SessionParams(n_raw=4, qber=0.0, key_len=2, tail_len=1, hash_width=8)
+    capture, attacker, _ = _capture_and_bob_exchange(params, 2)
     assert capture.alice.verdict is Verdict.ACCEPT
     assert len(attacker.sifted) == 0
-    out = run_collision_impersonation(params, 64)
+    out = run_collision_impersonation(params, 2, 64)
     assert out.bob_verdict is Verdict.ABORT
     assert out.candidates_examined == 0
 
@@ -503,11 +498,11 @@ def test_collision_impersonation_aborts_on_empty_reconciled_key(seed):
     # estimation discloses, leaving no reconciled key to search a matrix for:
     # that exchange aborts on its short key. (The capture session, with at
     # most one reconciled bit here, aborts on its short key as well.)
-    params = SessionParams(n_raw=1, qber=0.0, key_len=2, tail_len=1, hash_width=8, master_seed=seed)
-    _, attacker, aborted = _capture_and_bob_exchange(params)
+    params = SessionParams(n_raw=1, qber=0.0, key_len=2, tail_len=1, hash_width=8)
+    _, attacker, aborted = _capture_and_bob_exchange(params, seed)
     assert len(attacker.sifted_bases) == 1 and len(attacker.reconciled) == 0
     assert aborted
-    out = run_collision_impersonation(params, 64)
+    out = run_collision_impersonation(params, seed, 64)
     assert out.bob_verdict is Verdict.ABORT
     assert out.candidates_examined == 0
     assert not out.found
@@ -515,27 +510,41 @@ def test_collision_impersonation_aborts_on_empty_reconciled_key(seed):
 
 def test_collision_impersonation_aborts_on_short_key():
     # The key-expansion case: 33 reconciled bits cannot become a 256-bit key.
-    out = run_collision_impersonation(
-        SessionParams(n_raw=64, key_len=256, hash_width=8, master_seed=3), 64
-    )
+    out = run_collision_impersonation(SessionParams(n_raw=64, key_len=256, hash_width=8), 3, 64)
     assert out.bob_verdict is Verdict.ABORT
     # Here the capture session completes, and only the exchange with Bob
     # (21 reconciled bits for a 24-bit key) is short.
-    params = SessionParams(n_raw=64, key_len=24, tail_len=1, hash_width=8, master_seed=8)
-    capture, attacker, aborted = _capture_and_bob_exchange(params)
+    params = SessionParams(n_raw=64, key_len=24, tail_len=1, hash_width=8)
+    capture, attacker, aborted = _capture_and_bob_exchange(params, 8)
     assert capture.alice.verdict is Verdict.ACCEPT
     assert len(attacker.reconciled) == 21 and aborted
-    out = run_collision_impersonation(params, 64)
+    out = run_collision_impersonation(params, 8, 64)
     assert out.bob_verdict is Verdict.ABORT
     assert out.candidates_examined == 0
     assert out.bob_key is None
 
 
 def test_collision_search_validation():
-    params = SessionParams(n_raw=1024, hash_width=8, master_seed=3)
-    result = run_session(params)
+    params = SessionParams(n_raw=1024, hash_width=8)
+    result = run_session(params, 3)
     with pytest.raises(ValueError, match="budget"):
         attack_collision_impersonate(b"\x00", result.alice.state, params, 0, make_rng(0, "s"))
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_collision_search_refuses_a_budget_past_the_claim_counter_at_every_lane_count(
+    monkeypatch, lanes
+):
+    # The lanes' claim counter holds the chunk count as an int64. One chunk
+    # more is refused before any lane starts; the bound itself runs.
+    monkeypatch.setattr(adversary_mod, "max_search_lanes", lambda: lanes)
+    case = _oracle_case(1003, 8)
+    with pytest.raises(ValueError, match="search budget must be at most"):
+        attack_collision_impersonate(*case, MAX_SEARCH_BUDGET + 1, make_rng(0, "s"))
+    found = attack_collision_impersonate(*case, MAX_SEARCH_BUDGET, make_rng(0, "s"))
+    assert found.matrix is not None
+    assert found == oracle_collision_search(*case, MAX_SEARCH_BUDGET, make_rng(0, "s"))
+    _no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -553,9 +562,8 @@ def test_collision_search_shapes(n_raw, key_len, tail_len, w):
             key_len=key_len,
             tail_len=tail_len,
             hash_width=w,
-            master_seed=trial_seed(902, t),
         )
-        out = run_collision_impersonation(params, 1 << 12)
+        out = run_collision_impersonation(params, trial_seed(902, t), 1 << 12)
         if out.found:
             assert out.bob_verdict is Verdict.ACCEPT
             assert out.bob_key is not None
@@ -569,8 +577,8 @@ _ORACLE_BUDGETS = (1, 4095, 4096, 4097, 3 * 4096 + 5)
 
 def _oracle_case(cols: int, w: int, tail_len: int = 1):
     """A search state whose reconciled key has `cols` columns, and a target."""
-    params = SessionParams(n_raw=512, key_len=16, tail_len=tail_len, hash_width=w, master_seed=7)
-    state = run_session(params).alice.state
+    params = SessionParams(n_raw=512, key_len=16, tail_len=tail_len, hash_width=w)
+    state = run_session(params, 7).alice.state
     state = dataclasses.replace(state, reconciled=BitVector.random(cols, make_rng(cols, "key")))
     digest = truncate_digest(derive_bytes(cols, "target", str(w), n=32), w)
     return digest, state, params
@@ -642,6 +650,9 @@ def test_collision_search_finds_a_planted_hit_at_its_candidate(cols, w):
 
 
 @settings(max_examples=30, deadline=None, database=None)
+# The oracle's first hit is candidate 2, and the tail parity against the
+# 129-column key decides it: a wrong parity picks the other hash state.
+@example(cols=129, w=3, budget=18, target=b"fk\xe2\x93", seed=1043764940, lanes=1)
 @given(
     cols=st.integers(1, 1100),
     w=st.integers(1, 32),
@@ -694,6 +705,22 @@ def _lane_search(monkeypatch, lanes: int, seed: int, w: int = 12):
     # by whatever os.fork the test has patched in.
     adversary_mod.shutdown_search_lanes()
     return _pool_search(monkeypatch, lanes, seed, w)
+
+
+@pytest.fixture
+def search_deadline():
+    """Raise TimeoutError in the test once it has run 10 s, about 25 times
+    its usual time: a search that waits forever, or spins, on chunks no lane
+    will report then fails the test in seconds instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the search still runs after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def _no_child_left():
@@ -794,7 +821,7 @@ def test_collision_search_caller_claims_every_chunk_a_held_back_lane_leaves(monk
     _no_child_left()
 
 
-def test_collision_search_lane_claims_no_chunk_of_a_later_search(monkeypatch):
+def test_collision_search_lane_claims_no_chunk_of_a_later_search(monkeypatch, search_deadline):
     # The child sleeps at fork, so it reads its job of the first search only
     # while the second, whose caller is slow, is running. It must claim no
     # chunk of the second search for the first: it would report that chunk
@@ -877,7 +904,7 @@ def test_collision_search_scans_unreported_chunks_itself(monkeypatch, fork, seed
 
 
 @pytest.mark.parametrize("holding", ["a claim", "the claim lock"])
-def test_collision_search_outlives_a_lane_that_dies_holding(monkeypatch, holding):
+def test_collision_search_outlives_a_lane_that_dies_holding(monkeypatch, holding, search_deadline):
     # The caller claims late, so the two children claim chunks 0 and 1, the
     # first hit, and each dies at its first draw: holding its claim, or
     # after taking the claim counter's lock and keeping it 0.2 s, so that
@@ -1195,8 +1222,8 @@ from qkdsim.pipeline import SessionParams, run_session
 from qkdsim.seeding import make_rng
 
 adversary.max_search_lanes = lambda: 2
-params = SessionParams(n_raw=512, key_len=16, tail_len=1, hash_width=32, master_seed=7)
-state = run_session(params).alice.state
+params = SessionParams(n_raw=512, key_len=16, tail_len=1, hash_width=32)
+state = run_session(params, 7).alice.state
 adversary.attack_collision_impersonate(bytes(4), state, params, 8 * 4096, make_rng(0, "s"))
 print(*(pid for pid, *_ in adversary._pool), flush=True)
 if sys.argv[1] == "idle":

@@ -35,7 +35,7 @@ def test_mode_parse():
 
 
 def test_embed_matrix_in_log_returns_a_copy_with_the_matrix():
-    result = run_session(SessionParams(n_raw=1024, master_seed=1))
+    result = run_session(SessionParams(n_raw=1024), 1)
     log = build_log_extract(result.alice.state)
     m = result.alice.state.pa_matrix
     embedded = embed_matrix_in_log(log, m)
@@ -45,7 +45,7 @@ def test_embed_matrix_in_log_returns_a_copy_with_the_matrix():
 
 def test_matrix_in_log_changes_serialization():
     mode = HardeningKind.MATRIX_IN_LOG
-    result = run_session(SessionParams(n_raw=1024, master_seed=2), hardening=mode)
+    result = run_session(SessionParams(n_raw=1024), 2, hardening=mode)
     log_a = build_log_extract(result.alice.state, mode)
     log_b = build_log_extract(result.bob.state, mode)
     assert log_a.matrix_included is not None

@@ -71,7 +71,7 @@ def render_transcript(result) -> list:
 
 
 def make_states(n_raw=2048, qber=0.03, seed=1, **kw):
-    params = make_params(n_raw=n_raw, qber=qber, master_seed=seed, **kw)
+    params = make_params(n_raw=n_raw, qber=qber, **kw)
     rng = make_rng(seed, "test")
     alice, bob = source_correlated(params, rng)
     return params, rng, alice, bob
@@ -644,10 +644,10 @@ class _PositionsVandal(AttackStrategy):
 
 
 def test_strategy_cannot_change_recorded_positions_through_frames():
-    params = make_params(n_raw=1024, qber=0.05, master_seed=17)
-    honest = run_session(params)
+    params = make_params(n_raw=1024, qber=0.05)
+    honest = run_session(params, 17)
     vandal = _PositionsVandal()
-    result = run_session(params, channel=Channel(vandal))
+    result = run_session(params, 17, channel=Channel(vandal))
     assert vandal.refused == [TypeError, ValueError] * 2
     assert [e.frame.kind for e in result.channel.transcript if e.tampered] == [
         FrameType.EST_POSITIONS,
@@ -746,8 +746,7 @@ def test_verify_replays_captured_tag_on_digest_collision():
 
 def test_honest_sessions_complete_and_agree():
     for seed in range(100):
-        params = make_params(n_raw=1024, master_seed=seed)
-        result = run_session(params)
+        result = run_session(make_params(n_raw=1024), seed)
         assert result.alice.verdict is Verdict.ACCEPT
         assert result.bob.verdict is Verdict.ACCEPT
         assert result.alice.state.final_key == result.bob.state.final_key
@@ -759,7 +758,7 @@ def test_honest_sessions_complete_and_agree():
 
 
 def test_session_message_order():
-    result = run_session(make_params(n_raw=1024, master_seed=7))
+    result = run_session(make_params(n_raw=1024), 7)
     kinds = [e.frame.kind for e in result.channel.transcript]
     assert kinds == [
         FrameType.BASES,
@@ -776,18 +775,17 @@ def test_session_message_order():
 
 
 def test_session_determinism():
-    params = make_params(n_raw=1024, master_seed=99)
-    r1 = run_session(params)
-    r2 = run_session(params)
+    params = make_params(n_raw=1024)
+    r1 = run_session(params, 99)
+    r2 = run_session(params, 99)
     assert render_transcript(r1) == render_transcript(r2)
     assert r1.alice.state.final_key == r2.alice.state.final_key
-    r3 = run_session(make_params(n_raw=1024, master_seed=100))
+    r3 = run_session(params, 100)
     assert r3.alice.state.final_key != r1.alice.state.final_key
 
 
 def test_session_abort_on_high_qber():
-    params = make_params(n_raw=2048, qber=0.5, master_seed=13)
-    result = run_session(params)
+    result = run_session(make_params(n_raw=2048, qber=0.5), 13)
     assert result.alice.verdict is Verdict.ABORT
     assert result.bob.verdict is Verdict.ABORT
     assert result.alice.released_key is None
@@ -798,7 +796,7 @@ def test_session_abort_on_high_qber():
 
 def test_session_aborts_on_short_key():
     # 33 reconciled bits would be stretched into a 256-bit key.
-    result = run_session(make_params(n_raw=64, key_len=256, master_seed=3))
+    result = run_session(make_params(n_raw=64, key_len=256), 3)
     assert len(result.alice.state.reconciled) == 33
     assert result.alice.verdict is Verdict.ABORT
     assert result.bob.verdict is Verdict.ABORT
@@ -825,9 +823,7 @@ def test_release_gate_on_reject():
     # A tail-row tamper perturbs Bob's log, so verification fails and no
     # key is released, though the states still hold keys for analysis.
     for seed in range(20):
-        result = run_session(
-            make_params(n_raw=1024, master_seed=seed), channel=Channel(_TailRowFlip())
-        )
+        result = run_session(make_params(n_raw=1024), seed, channel=Channel(_TailRowFlip()))
         tampered = [e for e in result.channel.transcript if e.tampered]
         assert len(tampered) == 1 and tampered[0].frame.kind is FrameType.PA_MATRIX
         if result.bob.state.reconciled[0] == 1:  # flip actually lands in the tail
@@ -857,10 +853,10 @@ def _forward_equal_copies(self, direction, frame):
 
 
 def test_equal_frame_copies_take_the_per_party_path(monkeypatch):
-    params = make_params(n_raw=1024, master_seed=3)
-    shared = run_session(params)
+    params = make_params(n_raw=1024)
+    shared = run_session(params, 3)
     monkeypatch.setattr(AttackStrategy, "tamper", _forward_equal_copies)
-    apart = run_session(params)
+    apart = run_session(params, 3)
     a, b = apart.alice.state, apart.bob.state
     assert b.sifted_bases == a.sifted_bases and b.sifted_bases is not a.sifted_bases
     assert b.pa_matrix == a.pa_matrix and b.pa_matrix is not a.pa_matrix
@@ -901,8 +897,8 @@ class _BasesBitFlip(AttackStrategy):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_tampered_bases_frames_sift_each_party_on_its_own_mask(seed):
-    params = make_params(n_raw=512, master_seed=seed)
-    result = run_session(params, channel=Channel(_BasesBitFlip(61 * seed % 512)))
+    params = make_params(n_raw=512)
+    result = run_session(params, seed, channel=Channel(_BasesBitFlip(61 * seed % 512)))
     received = {e.direction: e.frame.payload for e in result.channel.frames(FrameType.BASES)}
     assert [e.tampered for e in result.channel.frames(FrameType.BASES)] == [True, True]
     for outcome, peer_bases in ((result.alice, received[B_TO_A]), (result.bob, received[A_TO_B])):
@@ -919,7 +915,7 @@ def test_one_tampered_bases_frame_aborts_before_estimation(seed):
     # Bit 0 flipped in the A->B frame alone changes whether Bob keeps
     # position 0 but not whether Alice does: their sifted keys differ by one bit.
     strategy = _BasesBitFlip(0, directions=(A_TO_B,))
-    result = run_session(make_params(n_raw=1024, master_seed=seed), channel=Channel(strategy))
+    result = run_session(make_params(n_raw=1024), seed, channel=Channel(strategy))
     assert abs(len(result.alice.state.sifted) - len(result.bob.state.sifted)) == 1
     assert result.alice.verdict is Verdict.ABORT and result.bob.verdict is Verdict.ABORT
     assert result.alice.released_key is None and result.bob.released_key is None
@@ -928,9 +924,7 @@ def test_one_tampered_bases_frame_aborts_before_estimation(seed):
 
 
 def test_session_derived_matrix_mode_sends_no_matrix():
-    result = run_session(
-        make_params(n_raw=1024, master_seed=5), hardening=HardeningKind.DERIVED_MATRIX
-    )
+    result = run_session(make_params(n_raw=1024), 5, hardening=HardeningKind.DERIVED_MATRIX)
     assert len(result.channel.frames(FrameType.PA_MATRIX)) == 0
     assert result.alice.state.pa_matrix == result.bob.state.pa_matrix
     assert result.alice.verdict is Verdict.ACCEPT
@@ -938,7 +932,7 @@ def test_session_derived_matrix_mode_sends_no_matrix():
 
 
 def test_party_state_json_dump_roundtrippable_fields():
-    result = run_session(make_params(n_raw=1024, master_seed=3))
+    result = run_session(make_params(n_raw=1024), 3)
     d = render_payload(result.alice.state)
     assert read_hex(d["final_key"]) == result.alice.state.final_key
     assert read_hex(d["reconciled"]) == result.alice.state.reconciled

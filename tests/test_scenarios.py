@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim import adversary as adversary_mod
 from qkdsim import scenarios as scenarios_mod
+from qkdsim.adversary import run_collision_impersonation
 from qkdsim.gf2 import BitVector
 from qkdsim.hardening import HardeningKind
 from qkdsim.pipeline import SessionParams, Verdict, run_session
@@ -48,6 +50,7 @@ from qkdsim.scenarios import (
 )
 
 from oracles import (
+    MAX_SEARCH_BUDGET,
     ORACLE_ATTACKS,
     analytic_rates,
     exact_abort_probability,
@@ -630,8 +633,7 @@ def test_flip_entry_honest_bob_is_bob_of_the_untampered_session(hardening):
     plain, _ = run_scenario(cfg)
     assert any(r.bob_verdict == "abort" for r in reports)
     for r, p in zip(reports, plain):
-        seeded = dataclasses.replace(params, master_seed=r.seed)
-        honest = render_payload(run_session(seeded, hardening=hardening).bob.state)
+        honest = render_payload(run_session(params, r.seed, hardening=hardening).bob.state)
         assert r.aux.pop("dump")["honest_bob"] == honest, r.trial_index
         assert r == p  # dumping leaves the rest of the record as it is
 
@@ -682,7 +684,7 @@ def test_otp_dump_holds_the_session_whether_or_not_a_pad_is_released():
     plain, _ = run_scenario(cfg)
     assert {r.bob_verdict for r in reports} == {"abort", ACCEPT}
     for r, p in zip(reports, plain):
-        result = run_session(dataclasses.replace(params, master_seed=r.seed))
+        result = run_session(params, r.seed)
         assert r.aux.pop("dump") == scenarios_mod._dump_session(result), r.trial_index
         assert r == p  # dumping leaves the rest of the record as it is
 
@@ -1220,7 +1222,8 @@ def test_declared_option_ranges_refuse_what_the_hand_written_checks_refuse(
     # Every combination of: no value, each side of every bound, an explicit
     # null, a value of the wrong kind, and lists empty, of one entry or of
     # one entry repeated.
-    edges = sorted({-1, 0, 1, *(b + d for b in (non_tail, session.n_raw) for d in (-1, 0, 1))})
+    bounds = (non_tail, session.n_raw, MAX_SEARCH_BUDGET)
+    edges = sorted({-1, 0, 1, *(b + d for b in bounds for d in (-1, 0, 1))})
     absent = object()
     values = {
         int: [absent, None, True, *edges],
@@ -1235,3 +1238,103 @@ def test_declared_option_ranges_refuse_what_the_hand_written_checks_refuse(
         kept = {k: v for k, v in given.items() if not (v is None and options[k][1] is None)}
         oracle = dataclasses.replace(config, attack=AttackSpec(attack, kept))
         assert _refuses(validate_config, config) == _refuses(oracle_validate_config, oracle), given
+
+
+# ------------------------------------------------------------ edge table
+
+# Every edge runs on these params. No session aborts at master seed 0, and
+# at hash_width 8 a collision search hits within its first chunk, whatever
+# its budget, with its lanes sharing the claim counter.
+_EDGE_PARAMS = SessionParams(n_raw=256, qber=0.0, key_len=32, tail_len=8, hash_width=8)
+# SessionParams field -> (lo, hi, closed) at _EDGE_PARAMS's other fields:
+# __post_init__'s ranges, and key_len below n_raw from validate_config.
+_PARAM_RANGES = {
+    "n_raw": (_EDGE_PARAMS.key_len + 1, 2**32, False),
+    "key_len": (_EDGE_PARAMS.tail_len + 1, _EDGE_PARAMS.n_raw, False),
+    "tail_len": (0, _EDGE_PARAMS.key_len, False),
+    "hash_width": (1, 256, True),
+}
+_NON_TAIL = _EDGE_PARAMS.key_len - _EDGE_PARAMS.tail_len
+_N_RAW = _EDGE_PARAMS.n_raw
+# (attack, option) -> (lo, hi, closed), stated apart from the declarations
+# in scenarios._ATTACKS, which must list no other option; for a list option,
+# the range of each entry.
+_OPTION_RANGES = {
+    ("randomize-rows", "r"): (0, _NON_TAIL, True),
+    ("flip-entry", "row"): (0, _NON_TAIL, False),
+    ("flip-entry", "col"): (0, _N_RAW, False),
+    ("extract-bits", "target_row"): (0, _NON_TAIL, False),
+    ("extract-bits", "num_known"): (1, _N_RAW, True),
+    ("extract-bits", "known_positions"): (0, _N_RAW, False),
+    ("collision-impersonation", "search_budget"): (1, MAX_SEARCH_BUDGET, True),
+    ("otp-malleability", "bit_positions"): (0, _NON_TAIL, False),
+    ("otp-malleability", "num_flips"): (1, _NON_TAIL, True),
+}
+_HARDENING = {"collision-impersonation": HardeningKind.MATRIX_IN_LOG}
+
+
+def _edges(lo: int, hi: int | None, closed: bool) -> list[tuple[int, bool]]:
+    """(value, whether the range holds it) at lo - 1, lo, hi, hi + 1, 2^63 and 2^64."""
+    values = {lo - 1, lo, 2**63, 2**64} | ({hi, hi + 1} if hi is not None else set())
+    return [(v, lo <= v and (hi is None or v < hi + closed)) for v in sorted(values)]
+
+
+def _edge_cases():
+    """(id, config, whether it is in range) for every edge of every declared integer."""
+    base = ScenarioConfig(params=_EDGE_PARAMS, trials=1)
+    for field, bounds in _PARAM_RANGES.items():
+        for value, ok in _edges(*bounds):
+            try:
+                params = dataclasses.replace(_EDGE_PARAMS, **{field: value})
+            except ValueError:
+                yield f"{field}={value}", None, ok
+                continue
+            yield f"{field}={value}", dataclasses.replace(base, params=params), ok
+    for value, ok in _edges(0, None, False):
+        yield f"master_seed={value}", dataclasses.replace(base, master_seed=value), ok
+    for name, attack in _ATTACKS.items():
+        hardening = _HARDENING.get(name, HardeningKind.BASELINE)
+        for key, option in attack.options.items():
+            for value, ok in _edges(*_OPTION_RANGES[name, key]):
+                given = {key: value if option.kind is int else [value]}  # a list of one
+                spec = AttackSpec(name, given)
+                config = dataclasses.replace(base, attack=spec, hardening=hardening)
+                yield f"{name}.{key}={value}", config, ok
+
+
+_EDGE_CASES = list(_edge_cases())
+
+
+@pytest.mark.parametrize(
+    "config, in_range", [c[1:] for c in _EDGE_CASES], ids=[c[0] for c in _EDGE_CASES]
+)
+def test_every_integer_edge_is_refused_or_runs_alike_at_one_and_two_lanes(
+    monkeypatch, config, in_range
+):
+    # A value out of its range is a ConfigError (or, for SessionParams, a
+    # ValueError) before any trial runs; one in range gives one record,
+    # whatever the number of search lanes.
+    if config is None:
+        assert not in_range
+        return
+    try:
+        validate_config(config)
+    except ConfigError:
+        assert not in_range
+        return
+    assert in_range
+    records = set()
+    for lanes in (1, 2):
+        monkeypatch.setattr(adversary_mod, "max_search_lanes", lambda: lanes)
+        records.add(run_trial(config, 0).to_json())
+    assert len(records) == 1
+    adversary_mod.shutdown_search_lanes()
+
+
+def test_a_session_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        run_session(_EDGE_PARAMS, -1)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        run_collision_impersonation(_EDGE_PARAMS, -1, 64)
+    assert run_session(_EDGE_PARAMS, 0).bob.verdict is Verdict.ACCEPT
+    assert run_collision_impersonation(_EDGE_PARAMS, 0, 4096).found
