@@ -4,9 +4,10 @@ The frame attacks all exploit the same blind spot: the baseline
 protocol-log extract sees the amplification matrix only through the key
 tail, i.e. through its last tail_len rows. Tampering with any earlier row
 changes the distributed keys without changing either party's log, so
-authentication cannot notice it. Each attack op is a BitMatrix transform;
-its strategy applies it to the matrix Alice sends Bob (the A->B PA_MATRIX
-frame) and forwards every other frame as the same object.
+authentication cannot notice it. Each frame attack is one strategy class:
+its tamper checks its range and edits the matrix Alice sends Bob (the A->B
+PA_MATRIX frame), forwarding every other frame as the same object, and its
+outcome says from the finished session whether the attack had its effect.
 
 The collision attack targets the matrix_in_log hardened variant instead:
 a captured (digest, mac) pair is replayed after searching for a matrix
@@ -47,6 +48,7 @@ from .pipeline import (
     AuthTag,
     PartyState,
     SessionParams,
+    SessionResult,
     Verdict,
     build_log_extract,
     exchange_reconciled_key,
@@ -62,54 +64,11 @@ from .seeding import derive_bytes, make_rng
 # ------------------------------------------------------------- frame attacks
 
 
-def attack_randomize_rows(
-    m: BitMatrix, r: int, tail_len: int, rng: np.random.Generator
-) -> BitMatrix:
-    """Replace the first r non-tail rows with fresh random rows."""
-    if not 0 <= r <= m.rows - tail_len:
-        raise ValueError(
-            f"can randomize at most {m.rows - tail_len} rows without touching the tail, got {r}"
-        )
-    return replace_rows(m, 0, random_rows(r, m.cols, rng))
-
-
-def attack_flip_entry(m: BitMatrix, i: int, j: int, tail_len: int) -> BitMatrix:
-    """Flip matrix entry (i, j); the row must lie outside the logged tail."""
-    if not 0 <= i < m.rows - tail_len:
-        raise ValueError(
-            f"flip row must lie in [0, {m.rows - tail_len}), row {i} would perturb the "
-            "authenticated tail and be detected"
-        )
-    return gf2_flip_entry(m, i, j)
-
-
-def attack_zero_rows(m: BitMatrix, tail_len: int) -> BitMatrix:
-    """Zero every non-tail row, forcing the receiver's final key to all-zero."""
-    if not 0 <= tail_len <= m.rows:
-        raise ValueError(f"a tail of {tail_len} rows does not fit a matrix of {m.rows} rows")
-    return replace_rows(m, 0, BitMatrix.zeros(m.rows - tail_len, m.cols))
-
-
-def attack_extract_bits(
-    m: BitMatrix, positions: Sequence[int], target_row: int, tail_len: int
-) -> BitMatrix:
-    """Overwrite one non-tail row with the indicator of known key positions.
-
-    The receiver's key bit target_row becomes the parity of the reconciled
-    key's bits at those positions, which the attacker knows.
-    """
-    if not 0 <= target_row < m.rows - tail_len:
-        raise ValueError(
-            f"target row must lie in [0, {m.rows - tail_len}), row {target_row} is in the tail"
-        )
-    if not positions:
-        raise ValueError("need at least one known position")
-    indicator = BitVector.from_positions(m.cols, positions)
-    return replace_rows(m, target_row, BitMatrix([indicator.value], m.cols))
-
-
 class RandomizeRowsStrategy(AttackStrategy):
-    """Randomize the first r rows; r = 0 forwards the matrix untouched."""
+    """Randomize the first r rows; r = 0 forwards the matrix untouched.
+
+    Succeeds when the two final keys differ and Alice accepts all the same.
+    """
 
     def __init__(self, r: int, tail_len: int, rng: np.random.Generator):
         self.r = r
@@ -118,14 +77,29 @@ class RandomizeRowsStrategy(AttackStrategy):
 
     def tamper(self, direction: str, frame: Frame) -> Frame:
         if direction == A_TO_B and frame.kind is FrameType.PA_MATRIX and self.r:
-            m = attack_randomize_rows(frame.payload, self.r, self.tail_len, self.rng)
-            return Frame(frame.kind, m)
+            m = frame.payload
+            if not 0 <= self.r <= m.rows - self.tail_len:
+                raise ValueError(
+                    f"can randomize at most {m.rows - self.tail_len} rows without touching "
+                    f"the tail, got {self.r}"
+                )
+            return Frame(frame.kind, replace_rows(m, 0, random_rows(self.r, m.cols, self.rng)))
         return frame
+
+    def outcome(self, result: SessionResult) -> tuple[bool, dict]:
+        alice, bob_key = result.alice, result.bob.state.final_key
+        diverged = alice.verdict is Verdict.ACCEPT and alice.state.final_key != bob_key
+        return diverged, {"rows_randomized": self.r}
 
 
 class FlipEntryStrategy(AttackStrategy):
-    """Flip entry (i, j) of the matrix; a column j past the reconciled key
-    leaves the frame untouched, since no such entry exists in this session."""
+    """Flip entry (i, j) of the matrix; row i must lie outside the logged
+    tail. A column j past the reconciled key leaves the frame untouched,
+    since no such entry exists in this session.
+
+    Succeeds when Bob's key bit i differs from the same-seed untampered
+    run's, which, reconciliation being exact, is Alice's.
+    """
 
     def __init__(self, i: int, j: int, tail_len: int):
         self.i = i
@@ -138,30 +112,67 @@ class FlipEntryStrategy(AttackStrategy):
             and frame.kind is FrameType.PA_MATRIX
             and self.j < frame.payload.cols
         ):
-            m = attack_flip_entry(frame.payload, self.i, self.j, self.tail_len)
-            return Frame(frame.kind, m)
+            m = frame.payload
+            if not 0 <= self.i < m.rows - self.tail_len:
+                raise ValueError(
+                    f"flip row must lie in [0, {m.rows - self.tail_len}), row {self.i} would "
+                    "perturb the authenticated tail and be detected"
+                )
+            return Frame(frame.kind, gf2_flip_entry(m, self.i, self.j))
         return frame
+
+    def outcome(self, result: SessionResult) -> tuple[bool, dict]:
+        bob, row = result.bob.state, self.i
+        flipped = (
+            result.bob.verdict is not Verdict.ABORT
+            and bob.full_key[row] != result.alice.state.full_key[row]
+        )
+        reconciled, col = bob.reconciled, self.j
+        reconciled_bit = None if reconciled is None or col >= len(reconciled) else reconciled[col]
+        return flipped, {"bit_flipped": flipped, "reconciled_bit": reconciled_bit}
 
 
 class ZeroRowsStrategy(AttackStrategy):
+    """Zero every non-tail row, forcing the receiver's final key to all-zero.
+
+    Succeeds when Bob's final key is all zeros.
+    """
+
     def __init__(self, tail_len: int):
         self.tail_len = tail_len
 
     def tamper(self, direction: str, frame: Frame) -> Frame:
         if direction == A_TO_B and frame.kind is FrameType.PA_MATRIX:
-            return Frame(frame.kind, attack_zero_rows(frame.payload, self.tail_len))
+            m = frame.payload
+            if not 0 <= self.tail_len <= m.rows:
+                raise ValueError(
+                    f"a tail of {self.tail_len} rows does not fit a matrix of {m.rows} rows"
+                )
+            zeros = BitMatrix.zeros(m.rows - self.tail_len, m.cols)
+            return Frame(frame.kind, replace_rows(m, 0, zeros))
         return frame
+
+    def outcome(self, result: SessionResult) -> tuple[bool, dict]:
+        key = result.bob.state.final_key
+        all_zero = key is not None and key.popcount() == 0
+        return all_zero, {"bob_key_all_zero": all_zero}
 
 
 class ExtractBitsStrategy(AttackStrategy):
     """Learn one bit of the receiver's key from known reconciled-key bits.
 
+    The attack overwrites non-tail row target_row with the indicator of the
+    known positions, so the receiver's key bit target_row becomes the parity
+    of the reconciled key's bits there, which the attacker knows.
     known_positions may be given explicitly; otherwise num_known positions
     are drawn when the matrix frame shows the reconciled key's length (its
     column count). The attacker is taken to know the key's bits there,
     through whatever side channel gave it that partial knowledge. When the
     positions do not fit the session's reconciled key the attack is not
     mounted: positions stays empty and the matrix frame passes untouched.
+
+    Succeeds when that parity of Alice's reconciled bits, the attacker's
+    prediction, equals Bob's key bit target_row.
     """
 
     def __init__(
@@ -176,6 +187,8 @@ class ExtractBitsStrategy(AttackStrategy):
             raise ValueError("give exactly one of known_positions or num_known")
         if num_known is not None and num_known < 1:
             raise ValueError("num_known must be at least 1")
+        if known_positions is not None and not known_positions:
+            raise ValueError("need at least one known position")
         if known_positions is not None and len(set(known_positions)) < len(known_positions):
             raise ValueError("known_positions must be distinct")
         self.target_row = target_row
@@ -187,17 +200,36 @@ class ExtractBitsStrategy(AttackStrategy):
 
     def tamper(self, direction: str, frame: Frame) -> Frame:
         if direction == A_TO_B and frame.kind is FrameType.PA_MATRIX:
-            n = frame.payload.cols  # the reconciled key's length
+            m = frame.payload
+            n = m.cols  # the reconciled key's length
             positions = self.known_positions
             if positions is None and self.num_known <= n:
                 drawn = self.rng.choice(n, self.num_known, replace=False)
                 positions = sorted(int(p) for p in drawn)
-            if not positions or not all(0 <= p < n for p in positions):
+            if positions is None or not all(0 <= p < n for p in positions):
                 return frame
+            if not 0 <= self.target_row < m.rows - self.tail_len:
+                raise ValueError(
+                    f"target row must lie in [0, {m.rows - self.tail_len}), row "
+                    f"{self.target_row} is in the tail"
+                )
             self.positions = positions
-            m = attack_extract_bits(frame.payload, positions, self.target_row, self.tail_len)
-            return Frame(frame.kind, m)
+            row = BitMatrix([BitVector.from_positions(n, positions).value], n)
+            return Frame(frame.kind, replace_rows(m, self.target_row, row))
         return frame
+
+    def outcome(self, result: SessionResult) -> tuple[bool, dict]:
+        # The attacker knows Alice's reconciled bits at the positions it wrote
+        # into the matrix; their parity is its prediction of Bob's key bit.
+        bits = [result.alice.state.reconciled[p] for p in self.positions]
+        prediction = sum(bits) % 2 if bits else None
+        full_key = result.bob.state.full_key
+        actual = None if full_key is None else full_key[self.target_row]
+        return prediction is not None and prediction == actual, {
+            "prediction": prediction,
+            "actual": actual,
+            "known": [[p, bit] for p, bit in zip(self.positions, bits)],
+        }
 
 
 # ------------------------------------------------------ collision/replay
@@ -424,31 +456,18 @@ def _scanner(prefixes, suffix_len, ktop, var_bits, sub_shift, w, captured_digest
     return scan
 
 
-def _skip_outputs(bitgen: np.random.PCG64, n: int) -> None:
-    """Move bitgen past n >= 1 64-bit outputs as drawing them through
-    rng_bytes would: a buffered half-word, if one is held, then becomes the
-    high half of the last output passed."""
-    if not bitgen.state["has_uint32"]:
-        bitgen.advance(n)
-        return
-    bitgen.advance(n - 1)  # advance drops the buffered half-word
-    last = int(bitgen.random_raw())
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = 1, last >> 32
-    bitgen.state = state
-
-
 def _scan_chunks(scan, state: dict, budget: int, claim):
     """Yield (chunk, offset of its first hit or -1, that hit's draw or None)
     for each chunk claim() hands out, in increasing order, until it hands
-    out None. Each chunk is drawn from a generator in state, jumped over the
-    chunks claimed elsewhere, so its draws are those of the whole stream."""
+    out None. Each chunk is drawn from a generator in state, which holds no
+    buffered half-word, jumped over the chunks claimed elsewhere, so its
+    draws are those of the whole stream."""
     gen = np.random.Generator(getattr(np.random, state["bit_generator"])())
     gen.bit_generator.state = state
     drawn = 0  # the chunks gen has passed
     while (c := claim()) is not None:
         if c > drawn:
-            _skip_outputs(gen.bit_generator, 2 * _SEARCH_CHUNK * (c - drawn))
+            gen.bit_generator.advance(2 * _SEARCH_CHUNK * (c - drawn))
         todo = min(_SEARCH_CHUNK, budget - c * _SEARCH_CHUNK)
         draws = rng_bytes(gen, 16 * todo).reshape(todo, 16)
         drawn = c + 1
@@ -481,7 +500,9 @@ def attack_collision_impersonate(
 
     The chunks are claimed and scanned in lanes by the protocol stated at
     _pool, so the result is the one a single lane would find, and rng is
-    read but never advanced.
+    read but never advanced. A lane jumps over the chunks it does not claim
+    by whole 64-bit outputs, so rng must not hold a buffered half-word, as
+    a fresh make_rng generator never does.
 
     captured_digest must be a truncate_digest output: ceil(w / 8) bytes
     with its pad bits past w clear. Any other value could never match.
@@ -490,6 +511,9 @@ def attack_collision_impersonate(
         raise ValueError("search budget must be at least 1")
     if budget > MAX_SEARCH_BUDGET:
         raise ValueError(f"search budget must be at most {MAX_SEARCH_BUDGET}")
+    rng_state = rng.bit_generator.state
+    if rng_state["has_uint32"]:
+        raise ValueError("the search generator must not hold a buffered half-word")
     l, t, w = params.key_len, params.tail_len, params.hash_width
     if t < 1:
         raise ValueError("collision search requires at least one tail row in the log")
@@ -525,7 +549,6 @@ def attack_collision_impersonate(
     ktop = state.reconciled.value >> shift
     scan_args = (suffix_len, ktop, var_bits, sub_shift, w, captured_digest)
     scan = _scanner(prefixes, *scan_args)
-    rng_state = rng.bit_generator.state
 
     chunks = -(-budget // _SEARCH_CHUNK)
     reports: dict[int, tuple[int, bytes | None]] = {}  # chunk -> (offset of first hit or -1, draw)

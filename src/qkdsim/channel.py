@@ -43,11 +43,16 @@ class AttackStrategy:
     """Base strategy: forward every frame untouched (a passive wiretap).
 
     Active strategies override tamper and must return either the original
-    frame object (meaning "not modified") or a new Frame.
+    frame object (meaning "not modified") or a new Frame. They override
+    outcome too: given the finished session, it returns whether the attack
+    had its effect and the attack's own entries for the trial record.
     """
 
     def tamper(self, direction: str, frame: Frame) -> Frame:
         return frame
+
+    def outcome(self, result) -> tuple[bool, dict]:
+        return False, {}  # a wiretap never counts as a success
 
 
 class Channel:

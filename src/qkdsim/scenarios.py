@@ -192,20 +192,20 @@ def _dump_session(result: SessionResult) -> dict:
     }
 
 
-def _frame_trial(make_strategy, outcome, dump=None) -> Callable[..., tuple]:
+def _frame_trial(make_strategy, dump=None) -> Callable[..., tuple]:
     """Trial function of an attack that tampers with frames on the channel.
 
-    make_strategy(opts, tail_len, adv_rng) builds the channel strategy.
-    outcome(result, strategy, opts) gives whether the attack had its effect
-    and the attack's own aux entries. The attack only counts as a success
-    when it also goes undetected, i.e. Bob still accepts. dump(result,
-    params), when given, adds the attack's own entries to a dumped session.
+    make_strategy(opts, tail_len, adv_rng) builds the channel strategy,
+    whose outcome(result) gives whether the attack had its effect and the
+    attack's own aux entries. The attack only counts as a success when it
+    also goes undetected, i.e. Bob still accepts. dump(result, params), when
+    given, adds the attack's own entries to a dumped session.
     """
 
     def trial(config: ScenarioConfig, seed: int, opts: dict, dump_states: bool):
         strategy = make_strategy(opts, config.params.tail_len, make_rng(seed, "adversary"))
         result = run_session(config.params, seed, Channel(strategy), hardening=config.hardening)
-        effect, extra = outcome(result, strategy, opts)
+        effect, extra = strategy.outcome(result)
         aux: dict = {
             "tampered_frames": sum(e.tampered for e in result.channel.transcript),
             "pa_matrix_frames": len(result.channel.frames(FrameType.PA_MATRIX)),
@@ -223,25 +223,6 @@ def _frame_trial(make_strategy, outcome, dump=None) -> Callable[..., tuple]:
     return trial
 
 
-def _randomize_rows_outcome(result: SessionResult, strategy, opts: dict):
-    # The keys diverged and Alice did not notice either.
-    diverged = _keys_equal(result) is False and result.alice.verdict is Verdict.ACCEPT
-    return diverged, {"rows_randomized": opts["r"]}
-
-
-def _flip_entry_outcome(result: SessionResult, strategy, opts: dict):
-    # Bob's key bit differs from the same-seed untampered run's. Reconciliation
-    # is exact, so untampered Bob's key equals Alice's.
-    bob, row = result.bob.state, opts["row"]
-    flipped = (
-        result.bob.verdict is not Verdict.ABORT
-        and bob.full_key[row] != result.alice.state.full_key[row]
-    )
-    reconciled, col = bob.reconciled, opts["col"]
-    reconciled_bit = None if reconciled is None or col >= len(reconciled) else reconciled[col]
-    return flipped, {"bit_flipped": flipped, "reconciled_bit": reconciled_bit}
-
-
 def _flip_entry_dump(result: SessionResult, params: SessionParams) -> dict:
     # Only the matrix frame is tampered with, so the untampered session's Bob
     # is this Bob amplified with Alice's matrix.
@@ -249,27 +230,6 @@ def _flip_entry_dump(result: SessionResult, params: SessionParams) -> dict:
     if result.alice.state.pa_matrix is not None:
         privacy_amplify(honest, result.alice.state.pa_matrix, params)
     return {"honest_bob": render_payload(honest)}
-
-
-def _zero_rows_outcome(result: SessionResult, strategy, opts: dict):
-    key = result.bob.state.final_key
-    all_zero = key is not None and key.popcount() == 0
-    return all_zero, {"bob_key_all_zero": all_zero}
-
-
-def _extract_bits_outcome(result: SessionResult, strategy, opts: dict):
-    # The attacker knows Alice's reconciled bits at the positions it wrote into
-    # the matrix; their parity, its prediction, matches Bob's actual key bit.
-    positions = strategy.positions
-    bits = [result.alice.state.reconciled[p] for p in positions]
-    prediction = sum(bits) % 2 if bits else None
-    full_key = result.bob.state.full_key
-    actual = None if full_key is None else full_key[opts["target_row"]]
-    return prediction is not None and prediction == actual, {
-        "prediction": prediction,
-        "actual": actual,
-        "known": [[p, bit] for p, bit in zip(positions, bits)],
-    }
 
 
 def _collision_trial(config: ScenarioConfig, seed: int, opts: dict, dump_states: bool):
@@ -375,16 +335,10 @@ def _check_collision(config: ScenarioConfig) -> None:
 
 
 _ATTACKS: dict[str, _Attack] = {
-    # Passive eavesdropping never counts as a success.
-    "passive": _Attack(
-        {}, _frame_trial(lambda opts, tail, rng: AttackStrategy(), lambda *_: (False, {}))
-    ),
+    "passive": _Attack({}, _frame_trial(lambda opts, tail, rng: AttackStrategy())),
     "randomize-rows": _Attack(
         {"r": _Option(int, _BOUNDS["key_len - tail_len"], hi="key_len - tail_len", closed=True)},
-        _frame_trial(
-            lambda opts, tail, rng: RandomizeRowsStrategy(opts["r"], tail, rng),
-            _randomize_rows_outcome,
-        ),
+        _frame_trial(lambda opts, tail, rng: RandomizeRowsStrategy(opts["r"], tail, rng)),
     ),
     # Tail rows are covered by the authenticated log, and the reconciled key
     # is shorter than the raw key.
@@ -392,13 +346,10 @@ _ATTACKS: dict[str, _Attack] = {
         {"row": _Option(int, 0, hi="key_len - tail_len"), "col": _Option(int, 0, hi="n_raw")},
         _frame_trial(
             lambda opts, tail, rng: FlipEntryStrategy(opts["row"], opts["col"], tail),
-            _flip_entry_outcome,
             _flip_entry_dump,
         ),
     ),
-    "zero-rows": _Attack(
-        {}, _frame_trial(lambda opts, tail, rng: ZeroRowsStrategy(tail), _zero_rows_outcome)
-    ),
+    "zero-rows": _Attack({}, _frame_trial(lambda opts, tail, rng: ZeroRowsStrategy(tail))),
     "extract-bits": _Attack(
         {
             "target_row": _Option(int, 0, hi="key_len - tail_len"),
@@ -413,7 +364,6 @@ _ATTACKS: dict[str, _Attack] = {
                 known_positions=opts["known_positions"],
                 num_known=opts["num_known"] if opts["known_positions"] is None else None,
             ),
-            _extract_bits_outcome,
         ),
         one_of=("num_known", "known_positions"),
     ),

@@ -160,13 +160,6 @@ MUTANTS = (
         (_ADV + "test_claims_hand_out_each_chunk_once_under_contention",),
     ),
     Mutant(
-        "chunk skip: buffered half-word not restored",
-        "adversary.py",
-        '    if not bitgen.state["has_uint32"]:\n',
-        "    if True:\n",
-        (_ADV + "test_scan_chunks_draws_each_claimed_chunk_as_the_whole_stream_does",),
-    ),
-    Mutant(
         "lane pool: a reset connection read as a live lane",
         "adversary.py",
         "except (EOFError, OSError):  # a reset if it died with its job unread",
@@ -200,6 +193,13 @@ MUTANTS = (
         "    if threading.active_count() > 1:\n        return 1\n",
         "",
         (_ADV + "test_collision_search_forks_no_lane_while_another_thread_lives",),
+    ),
+    Mutant(
+        "search: a generator holding a buffered half-word accepted",
+        "adversary.py",
+        '    if rng_state["has_uint32"]:\n',
+        "    if False:\n",
+        (_ADV + "test_collision_search_refuses_a_buffered_half_word_at_every_lane_count",),
     ),
     Mutant(
         "search: pad bits past the width accepted",
@@ -464,11 +464,39 @@ MUTANTS = (
         ("tests/test_scenarios.py::test_abort_rate_matches_exact_probability[64-24-0.01]",),
     ),
     Mutant(
-        "attack_zero_rows: one tail row zeroed",
+        "ZeroRowsStrategy: one tail row zeroed",
         "adversary.py",
-        "BitMatrix.zeros(m.rows - tail_len, m.cols)",
-        "BitMatrix.zeros(m.rows - tail_len + 1, m.cols)",
-        (_ADV + "test_zero_rows_op", _ADV + "test_zero_rows_all_zero_key_undetected"),
+        "BitMatrix.zeros(m.rows - self.tail_len, m.cols)",
+        "BitMatrix.zeros(m.rows - self.tail_len + 1, m.cols)",
+        (_ADV + "test_zero_rows_tamper", _ADV + "test_zero_rows_all_zero_key_undetected"),
+    ),
+    Mutant(
+        "RandomizeRowsStrategy: r past rows - tail_len accepted",
+        "adversary.py",
+        "if not 0 <= self.r <= m.rows - self.tail_len:",
+        "if not 0 <= self.r <= m.rows - self.tail_len + 1:",
+        (_ADV + "test_randomize_rows_tamper",),
+    ),
+    Mutant(
+        "FlipEntryStrategy: flip row in the tail accepted",
+        "adversary.py",
+        "if not 0 <= self.i < m.rows - self.tail_len:",
+        "if not 0 <= self.i <= m.rows - self.tail_len:",
+        (_ADV + "test_flip_entry_tamper",),
+    ),
+    Mutant(
+        "ZeroRowsStrategy: tail longer than the matrix accepted",
+        "adversary.py",
+        "if not 0 <= self.tail_len <= m.rows:",
+        "if not 0 <= self.tail_len <= m.rows + 1:",
+        (_ADV + "test_zero_rows_tamper",),
+    ),
+    Mutant(
+        "ExtractBitsStrategy: target row in the tail accepted",
+        "adversary.py",
+        "if not 0 <= self.target_row < m.rows - self.tail_len:",
+        "if not 0 <= self.target_row <= m.rows - self.tail_len:",
+        (_ADV + "test_extract_bits_tamper",),
     ),
     Mutant(
         "ExtractBitsStrategy: position at the key length mounted",
@@ -645,45 +673,45 @@ MUTANTS = (
     ),
     Mutant(
         "randomize-rows outcome: Alice's ACCEPT dropped",
-        "scenarios.py",
-        "    diverged = _keys_equal(result) is False and result.alice.verdict is Verdict.ACCEPT\n",
-        "    diverged = _keys_equal(result) is False\n",
-        (_SCEN + "test_randomize_rows_outcome_needs_alice_to_accept",),
+        "adversary.py",
+        "diverged = alice.verdict is Verdict.ACCEPT and alice.state.final_key != bob_key\n",
+        "diverged = alice.state.final_key != bob_key\n",
+        (_ADV + "test_randomize_rows_outcome_needs_alice_to_accept",),
     ),
     Mutant(
         "zero-rows outcome: one set bit accepted",
-        "scenarios.py",
-        "    all_zero = key is not None and key.popcount() == 0\n",
-        "    all_zero = key is not None and key.popcount() <= 1\n",
-        (_SCEN + "test_zero_rows_outcome_needs_every_key_bit_zero",),
+        "adversary.py",
+        "        all_zero = key is not None and key.popcount() == 0\n",
+        "        all_zero = key is not None and key.popcount() <= 1\n",
+        (_ADV + "test_zero_rows_outcome_needs_every_key_bit_zero",),
     ),
     Mutant(
         "flip-entry outcome: wrong row compared",
-        "scenarios.py",
+        "adversary.py",
         "and bob.full_key[row] != result.alice.state.full_key[row]",
         "and bob.full_key[row + 1] != result.alice.state.full_key[row + 1]",
         (
-            _SCEN + "test_flip_entry_outcome_reads_the_attacked_row",
+            _ADV + "test_flip_entry_outcome_reads_the_attacked_row",
             _SCEN + "test_success_recomputable_from_dumped_states",
             _ACCEPT + "test_criterion_02_flip_entry_half_probability",
         ),
     ),
     Mutant(
         "extract-bits outcome: parity as an OR",
-        "scenarios.py",
+        "adversary.py",
         "prediction = sum(bits) % 2 if bits else None",
         "prediction = max(bits) if bits else None",
         (
-            _SCEN + "test_extract_bits_outcome_needs_a_correct_prediction",
+            _ADV + "test_extract_bits_outcome_needs_a_correct_prediction",
             _SCEN + "test_extract_bits_dump_knowledge_is_genuine",
         ),
     ),
     Mutant(
         "extract-bits outcome: prediction ignored",
-        "scenarios.py",
+        "adversary.py",
         "return prediction is not None and prediction == actual, {",
         "return prediction is not None, {",
-        (_SCEN + "test_extract_bits_outcome_needs_a_correct_prediction",),
+        (_ADV + "test_extract_bits_outcome_needs_a_correct_prediction",),
     ),
     Mutant(
         "check band: non-finite bound accepted",

@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,16 +30,12 @@ from qkdsim.adversary import (
     RandomizeRowsStrategy,
     ZeroRowsStrategy,
     attack_collision_impersonate,
-    attack_extract_bits,
-    attack_flip_entry,
-    attack_randomize_rows,
-    attack_zero_rows,
     demo_otp_malleability,
     otp_decrypt,
     otp_encrypt,
     run_collision_impersonation,
 )
-from qkdsim.channel import A_TO_B, Channel, FrameType
+from qkdsim.channel import A_TO_B, AttackStrategy, Channel, Frame, FrameType
 from qkdsim.gf2 import BitMatrix, BitVector, matvec, random_matrix
 from qkdsim.hardening import HardeningKind
 from qkdsim.pipeline import (
@@ -68,56 +65,135 @@ def matrix(rows=16, cols=32, seed=1) -> BitMatrix:
     return random_matrix(rows, cols, make_rng(seed, "m"))
 
 
-# ------------------------------------------------------------- attack ops
+# ---------------------------------------------------------- strategy tamper
 
 
-def test_randomize_rows_op():
+def tampered(strategy, m: BitMatrix) -> BitMatrix:
+    """The matrix strategy sends on in place of the A->B matrix frame of m."""
+    return strategy.tamper(A_TO_B, Frame(FrameType.PA_MATRIX, m)).payload
+
+
+def test_randomize_rows_tamper():
     m = matrix()
     rng = make_rng(2, "adv")
-    m2 = attack_randomize_rows(m, 4, 8, rng)
+    m2 = tampered(RandomizeRowsStrategy(4, 8, rng), m)
     rows, rows2 = row_ints(m), row_ints(m2)
     assert rows2[4:] == rows[4:]
     assert any(rows2[i] != rows[i] for i in range(4))
-    assert attack_randomize_rows(m, 0, 8, rng) == m
+    frame = Frame(FrameType.PA_MATRIX, m)
+    assert RandomizeRowsStrategy(0, 8, rng).tamper(A_TO_B, frame) is frame
     with pytest.raises(ValueError):
-        attack_randomize_rows(m, -1, 8, rng)
+        tampered(RandomizeRowsStrategy(-1, 8, rng), m)
     with pytest.raises(ValueError):
-        attack_randomize_rows(m, 9, 8, rng)  # would touch the tail
+        tampered(RandomizeRowsStrategy(9, 8, rng), m)  # would touch the tail
 
 
-def test_flip_entry_op():
+def test_flip_entry_tamper():
     m = matrix()
-    m2 = attack_flip_entry(m, 3, 17, 8)
+    m2 = tampered(FlipEntryStrategy(3, 17, 8), m)
     assert bit_at(m2, 3, 17) == 1 - bit_at(m, 3, 17)
     with pytest.raises(ValueError, match="tail"):
-        attack_flip_entry(m, 8, 0, 8)  # first tail row
+        tampered(FlipEntryStrategy(8, 0, 8), m)  # first tail row
     with pytest.raises(ValueError):
-        attack_flip_entry(m, -1, 0, 8)
+        tampered(FlipEntryStrategy(-1, 0, 8), m)
 
 
-def test_zero_rows_op():
+def test_zero_rows_tamper():
     m = matrix()
-    m2 = attack_zero_rows(m, 8)
+    m2 = tampered(ZeroRowsStrategy(8), m)
     assert row_ints(m2)[:8] == (0,) * 8
     assert row_ints(m2)[8:] == row_ints(m)[8:]
     with pytest.raises(ValueError, match="does not fit"):
-        attack_zero_rows(m, 17)  # a tail longer than the matrix
+        tampered(ZeroRowsStrategy(17), m)  # a tail longer than the matrix
     with pytest.raises(ValueError, match="does not fit"):
-        attack_zero_rows(m, -1)
+        tampered(ZeroRowsStrategy(-1), m)
 
 
-def test_extract_bits_op():
+def test_extract_bits_tamper():
     m = matrix()
     positions = [0, 5, 9]
-    m2 = attack_extract_bits(m, positions, 2, 8)
+    rng = make_rng(2, "adv")
+    m2 = tampered(ExtractBitsStrategy(2, 8, rng, known_positions=positions), m)
     assert isinstance(m2, BitMatrix)
     rows, rows2 = row_ints(m), row_ints(m2)
     assert [p for p in range(32) if rows2[2] >> p & 1] == [0, 5, 9]
     assert rows2[:2] + rows2[3:] == rows[:2] + rows[3:]
     with pytest.raises(ValueError, match="tail"):
-        attack_extract_bits(m, positions, 8, 8)
+        tampered(ExtractBitsStrategy(8, 8, rng, known_positions=positions), m)
     with pytest.raises(ValueError, match="at least one known position"):
-        attack_extract_bits(m, [], 2, 8)
+        ExtractBitsStrategy(2, 8, rng, known_positions=[])
+
+
+# --------------------------------------------------------- strategy outcome
+
+
+def _party(verdict=Verdict.ACCEPT, **state):
+    """A stand-in party result: a verdict and the state fields an outcome reads."""
+    return SimpleNamespace(verdict=verdict, state=SimpleNamespace(**state))
+
+
+@pytest.mark.parametrize("alice_verdict", [Verdict.ACCEPT, Verdict.REJECT])
+def test_randomize_rows_outcome_needs_alice_to_accept(alice_verdict):
+    result = SimpleNamespace(
+        alice=_party(alice_verdict, final_key=BitVector(8, 1)),
+        bob=_party(final_key=BitVector(8, 2)),
+    )
+    diverged, aux = RandomizeRowsStrategy(1, 8, make_rng(0, "adv")).outcome(result)
+    assert diverged is (alice_verdict is Verdict.ACCEPT)
+    assert aux == {"rows_randomized": 1}
+
+
+@pytest.mark.parametrize(
+    "key, all_zero", [(BitVector(16), True), (BitVector(16, 1 << 5), False), (None, False)]
+)
+def test_zero_rows_outcome_needs_every_key_bit_zero(key, all_zero):
+    result = SimpleNamespace(bob=_party(final_key=key))
+    outcome = ZeroRowsStrategy(8).outcome(result)
+    assert outcome == (all_zero, {"bob_key_all_zero": all_zero})
+
+
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_flip_entry_outcome_reads_the_attacked_row(row):
+    # The two full keys differ in bit 1 only.
+    result = SimpleNamespace(
+        alice=_party(full_key=BitVector(4, 0b0001)),
+        bob=_party(full_key=BitVector(4, 0b0011), reconciled=BitVector(4)),
+    )
+    flipped, aux = FlipEntryStrategy(row, 0, 8).outcome(result)
+    assert flipped is aux["bit_flipped"] is (row == 1)
+
+
+@pytest.mark.parametrize("prediction", [0, 1, None])
+def test_extract_bits_outcome_needs_a_correct_prediction(prediction):
+    # Bob's key bit at the target row is 1. Alice's reconciled bits are
+    # 0, 1, 1, 0, so each set of positions has the given parity; an
+    # unmounted attack wrote no positions.
+    positions = {0: [0, 1, 2], 1: [1, 3], None: []}[prediction]
+    result = SimpleNamespace(
+        alice=_party(reconciled=BitVector(4, 0b0110)),
+        bob=_party(full_key=BitVector(4, 0b0100)),
+    )
+    strategy = ExtractBitsStrategy(2, 8, make_rng(0, "adv"), num_known=1)
+    strategy.positions = positions
+    success, aux = strategy.outcome(result)
+    assert success is (prediction == 1)
+    assert (aux["prediction"], aux["actual"]) == (prediction, 1)
+    assert aux["known"] == [[p, (0b0110 >> p) & 1] for p in positions]
+
+
+def test_every_strategy_defines_its_own_outcome():
+    # One that did not would inherit the passive wiretap's (False, {}) and
+    # never count as a success.
+    strategies = [
+        obj
+        for obj in vars(adversary_mod).values()
+        if isinstance(obj, type)
+        and issubclass(obj, AttackStrategy)
+        and obj.__module__ == adversary_mod.__name__
+    ]
+    assert len(strategies) == 4
+    for cls in strategies:
+        assert "outcome" in vars(cls), cls.__name__
 
 
 # --------------------------------------------------- strategies in session
@@ -968,44 +1044,33 @@ def test_claims_hand_out_each_chunk_once_under_contention(tmp_path):
     _no_child_left()
 
 
-def _buffered_rng(seed: int) -> np.random.Generator:
-    """A search generator that holds a buffered half-word."""
-    rng = make_rng(seed, "s")
-    rng.integers(0, 5, dtype=np.uint32)
-    assert rng.bit_generator.state["has_uint32"]
-    return rng
-
-
 @pytest.mark.parametrize("lanes", [1, 2, 3])
-def test_collision_search_from_a_buffered_half_word_matches_oracle(monkeypatch, lanes):
+def test_collision_search_refuses_a_buffered_half_word_at_every_lane_count(monkeypatch, lanes):
+    # A lane jumps over whole 64-bit outputs, which drops a buffered
+    # half-word, so such a generator is refused before any lane starts.
     monkeypatch.setattr(adversary_mod, "max_search_lanes", lambda: lanes)
     case = _oracle_case(1003, 14)
-    for seed in (0, 2, 5, 8):  # from this state, first hits in chunks 7, 4, none and 2
-        rng = _buffered_rng(seed)
-        before = rng.bit_generator.state
-        found = attack_collision_impersonate(*case, _LANE_BUDGET, rng)
-        assert rng.bit_generator.state == before
-        assert found == oracle_collision_search(*case, _LANE_BUDGET, _buffered_rng(seed)), seed
+    rng = make_rng(0, "s")
+    rng.integers(0, 5, dtype=np.uint32)  # keeps the other half of its 64-bit output
+    before = rng.bit_generator.state
+    assert before["has_uint32"]
+    with pytest.raises(ValueError, match="buffered half-word"):
+        attack_collision_impersonate(*case, _LANE_BUDGET, rng)
+    assert rng.bit_generator.state == before
     _no_child_left()
 
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    buffered=st.booleans(),
     claimed=st.sets(st.integers(0, 5), min_size=1).map(sorted),
     tail=st.integers(1, 4096),
 )
-def test_scan_chunks_draws_each_claimed_chunk_as_the_whole_stream_does(
-    seed, buffered, claimed, tail
-):
+def test_scan_chunks_draws_each_claimed_chunk_as_the_whole_stream_does(seed, claimed, tail):
     # A lane jumps its generator over the chunks it does not claim; each
-    # chunk it draws must be that chunk of the whole stream, with and
-    # without a buffered half-word.
+    # chunk it draws must be that chunk of the whole stream.
     budget = 5 * 4096 + tail
     rng = make_rng(seed, "skip")
-    if buffered:
-        rng.integers(0, 5, dtype=np.uint32)
     state = rng.bit_generator.state
     stream = rng.bytes(16 * budget)
     drawn = []

@@ -8,7 +8,6 @@ import math
 import os
 import platform
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -570,58 +569,6 @@ def test_matrix_in_log_accepts_a_tampered_matrix_at_the_digest_width_rate(attack
     accepts = sum(r.bob_verdict == ACCEPT for r in reports)
     lo, hi = wilson_interval(accepts, len(reports), z=4.0)
     assert lo <= 2.0**-w <= hi, (attack, w, accepts)
-
-
-def _party(verdict=Verdict.ACCEPT, **state):
-    """A stand-in party result: a verdict and the state fields an outcome reads."""
-    return SimpleNamespace(verdict=verdict, state=SimpleNamespace(**state))
-
-
-@pytest.mark.parametrize("alice_verdict", [Verdict.ACCEPT, Verdict.REJECT])
-def test_randomize_rows_outcome_needs_alice_to_accept(alice_verdict):
-    result = SimpleNamespace(
-        alice=_party(alice_verdict, final_key=BitVector(8, 1)),
-        bob=_party(final_key=BitVector(8, 2)),
-    )
-    diverged, _ = scenarios_mod._randomize_rows_outcome(result, None, {"r": 1})
-    assert diverged is (alice_verdict is Verdict.ACCEPT)
-
-
-@pytest.mark.parametrize(
-    "key, all_zero", [(BitVector(16), True), (BitVector(16, 1 << 5), False), (None, False)]
-)
-def test_zero_rows_outcome_needs_every_key_bit_zero(key, all_zero):
-    result = SimpleNamespace(bob=_party(final_key=key))
-    outcome = scenarios_mod._zero_rows_outcome(result, None, {})
-    assert outcome == (all_zero, {"bob_key_all_zero": all_zero})
-
-
-@pytest.mark.parametrize("row", [0, 1, 2])
-def test_flip_entry_outcome_reads_the_attacked_row(row):
-    # The two full keys differ in bit 1 only.
-    result = SimpleNamespace(
-        alice=_party(full_key=BitVector(4, 0b0001)),
-        bob=_party(full_key=BitVector(4, 0b0011), reconciled=BitVector(4)),
-    )
-    flipped, aux = scenarios_mod._flip_entry_outcome(result, None, {"row": row, "col": 0})
-    assert flipped is aux["bit_flipped"] is (row == 1)
-
-
-@pytest.mark.parametrize("prediction", [0, 1, None])
-def test_extract_bits_outcome_needs_a_correct_prediction(prediction):
-    # Bob's key bit at the target row is 1. Alice's reconciled bits are
-    # 0, 1, 1, 0, so each set of positions has the given parity; an
-    # unmounted attack wrote no positions.
-    positions = {0: [0, 1, 2], 1: [1, 3], None: []}[prediction]
-    result = SimpleNamespace(
-        alice=_party(reconciled=BitVector(4, 0b0110)),
-        bob=_party(full_key=BitVector(4, 0b0100)),
-    )
-    strategy = SimpleNamespace(positions=positions)
-    success, aux = scenarios_mod._extract_bits_outcome(result, strategy, {"target_row": 2})
-    assert success is (prediction == 1)
-    assert (aux["prediction"], aux["actual"]) == (prediction, 1)
-    assert aux["known"] == [[p, (0b0110 >> p) & 1] for p in positions]
 
 
 @pytest.mark.parametrize("hardening", list(HardeningKind))
