@@ -1,12 +1,16 @@
 """Packed bit vectors and bit matrices over GF(2).
 
-Bit i of a vector lives at bit position i of a Python int (LSB first), so
-XOR, AND and popcount run word-parallel on arbitrary lengths. Values are
-kept canonical: bits at positions >= len are always zero, which makes
-equality and hashing plain int comparisons. A vector also caches its bits
-unpacked, as a read-only uint8 0/1 array (bits()), so numpy stages never
-unpack the same vector twice; equality, hashing and the serialized forms
-ignore the cache.
+A vector holds its bits in one form or both: as a Python int, bit i at bit
+position i (LSB first), so XOR, AND and popcount run word-parallel on
+arbitrary lengths; or unpacked, as a read-only uint8 0/1 array (bits()).
+A vector built from an int unpacks it on the first bits() call, and one
+built from an array (from_array) packs its int on the first read of value,
+so numpy stages never convert a vector that only numpy reads. Its bytes
+(to_bytes_msb, matvec's operand) come from whichever form it already
+holds. Values are kept canonical: bits at positions >= len are always
+zero, which makes equality and hashing plain int comparisons; they read
+the int, so two vectors compare and hash alike whichever form each was
+built from.
 
 A matrix keeps its rows in a read-only (rows, ceil(cols / 8)) numpy uint8
 array: row i is row i's int as little-endian bytes, the layout in which
@@ -88,9 +92,13 @@ def rng_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 class BitVector:
-    """Immutable fixed-length bit string over GF(2)."""
+    """Immutable fixed-length bit string over GF(2).
 
-    __slots__ = ("n", "value", "_bits")
+    It holds its int (_value), its bits array (_bits) or both, and fills in
+    the other on first use; at least one is always set.
+    """
+
+    __slots__ = ("n", "_value", "_bits")
 
     def __init__(self, n: int, value: int = 0):
         if n < 0:
@@ -98,8 +106,15 @@ class BitVector:
         if value < 0 or value >> n:
             raise ValueError("value has bits outside the vector length")
         self.n = n
-        self.value = value
+        self._value: int | None = value
         self._bits: np.ndarray | None = None
+
+    @property
+    def value(self) -> int:
+        """The bits as an int, bit i at position i; packed on first read."""
+        if self._value is None:
+            self._value = int.from_bytes(np.packbits(self._bits, bitorder="little"), "little")
+        return self._value
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitVector":
@@ -112,15 +127,14 @@ class BitVector:
     def from_array(cls, arr: np.ndarray) -> "BitVector":
         """Build from a numpy 0/1 array (uint8 or bool); nonzero entries are ones.
 
-        The vector keeps its own read-only copy of the bits as its bits()
-        cache, so arr is never aliased and may change afterwards.
+        The vector keeps only its own read-only copy of the bits, which
+        bits() returns, so arr is never aliased and may change afterwards.
+        Its int is packed from those bits on the first read of value.
         """
-        ones = np.not_equal(arr, 0)
-        packed = np.packbits(ones, bitorder="little")
-        v = cls(len(ones), int.from_bytes(packed.tobytes(), "little"))
-        bits = ones.view(np.uint8)
+        bits = np.not_equal(arr, 0).view(np.uint8)
         bits.flags.writeable = False
-        v._bits = bits
+        v = cls.__new__(cls)
+        v.n, v._value, v._bits = len(bits), None, bits
         return v
 
     @classmethod
@@ -175,17 +189,21 @@ class BitVector:
     def bits(self) -> np.ndarray:
         """Bits as a read-only numpy uint8 array, index i = bit i.
 
-        Unpacked on first use and cached: later calls return the same array.
+        A vector built from an int unpacks it on first use and caches the
+        array; one built by from_array returns its own. Later calls return
+        the same array.
         """
         if self._bits is None:
-            raw = self.value.to_bytes((self.n + 7) // 8, "little")
+            raw = self._value.to_bytes((self.n + 7) // 8, "little")
             bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[: self.n]
             bits.flags.writeable = False
             self._bits = bits
         return self._bits
 
     def to_bytes_msb(self) -> bytes:
-        return pack_bits_msb(self.value, self.n)
+        if self._value is None:
+            return np.packbits(self._bits, bitorder="big").tobytes()
+        return pack_bits_msb(self._value, self.n)
 
     def to_hex(self) -> str:
         """Length-prefixed MSB-first hex, e.g. '12:ab30'."""
@@ -288,7 +306,10 @@ def matvec(m: BitMatrix, v: BitVector) -> BitVector:
     # parity(row AND v) is the parity of the XOR of the row's ANDed bytes,
     # so each row needs one popcount.
     nbytes = m.packed.shape[1]
-    x = np.frombuffer(v.value.to_bytes(nbytes, "little"), np.uint8)
+    if v._value is None:
+        x = np.packbits(v._bits, bitorder="little")
+    else:
+        x = np.frombuffer(v._value.to_bytes(nbytes, "little"), np.uint8)
     step = max(1, MATVEC_BLOCK_BYTES // max(1, nbytes))
     buf = np.empty((min(step, m.rows), nbytes), np.uint8)
     folded = np.empty(m.rows, np.uint8)

@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import A_TO_B, B_TO_A, Channel, Frame, FrameType
-from .gf2 import BitMatrix, BitVector, matvec, random_matrix, rng_bytes
+from .gf2 import BitMatrix, BitVector, matvec, random_matrix, random_rows, rng_bytes
 from .hardening import HardeningKind, derive_matrix, embed_matrix_in_log
 from .seeding import derive_bytes, make_rng
 
@@ -84,6 +84,11 @@ class SessionParams:
             raise ValueError("hash_width must lie in [1, 256]")
 
 
+# Sequences that the tuple of a Positions never equals, most of them hashed
+# unlike it: a Positions equals none of them either.
+_NOT_POSITIONS = (str, bytes, bytearray, memoryview, range)
+
+
 class Positions(Sequence):
     """An immutable sequence of key positions, held as a read-only u32 array.
 
@@ -92,8 +97,9 @@ class Positions(Sequence):
     protocol log writes (log_field), and read back through a view of those
     bytes, which numpy refuses to make writable again. Iteration and
     indexing give Python ints, and a Positions equals, and hashes like, the
-    tuple of its positions. A position outside [0, 2**32) is a struct.error,
-    as in struct.pack.
+    tuple of its positions; like that tuple, it equals no str, bytes,
+    bytearray, memoryview or range. A position outside [0, 2**32) is a
+    struct.error, as in struct.pack.
     """
 
     __slots__ = ("_packed", "_a")
@@ -126,7 +132,7 @@ class Positions(Sequence):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Positions):
             return self._packed == other._packed
-        if isinstance(other, Sequence):
+        if isinstance(other, Sequence) and not isinstance(other, _NOT_POSITIONS):
             return self.tolist() == list(other)
         return NotImplemented
 
@@ -236,13 +242,17 @@ def source_correlated(params: SessionParams, rng: np.random.Generator) -> tuple[
 
     Where the bases match, Bob's bit equals Alice's flipped with
     probability qber; elsewhere his outcome is an independent fair bit.
+    Alice's bits, her bases and Bob's bases are the three rows of one
+    random_rows draw, which takes the bytes of three BitVector.random calls
+    in turn. Every vector here is built from its bits array and packs its
+    int only if something reads it, so a vector may hold its int, its bits
+    or both.
     """
     n = params.n_raw
-    alice_bits = BitVector.random(n, rng)
-    alice_bases = BitVector.random(n, rng)
-    bob_bases = BitVector.random(n, rng)
-    matched = alice_bases.bits() ^ bob_bases.bits() ^ 1
-    noise = (rng.random(n) < params.qber).astype(np.uint8)
+    rows = np.unpackbits(random_rows(3, n, rng).packed, axis=1, bitorder="little")[:, :n]
+    alice_bits, alice_bases, bob_bases = map(BitVector.from_array, rows)
+    matched = np.equal(alice_bases.bits(), bob_bases.bits())
+    noise = (rng.random(n) < params.qber).view(np.uint8)
     # Exactly rng.integers(0, 2, n, dtype=np.uint8), end state included: for
     # a range of 2 numpy keeps the top bit of each byte of the same stream.
     fresh = rng_bytes(rng, n) >> 7

@@ -2,7 +2,12 @@
 
 Run from the root of a checkout:
 
-    python tests/mutants.py
+    python tests/mutants.py [module ...]
+
+Named modules, such as gf2 or pipeline, limit the run to the mutants of
+those files under src/qkdsim; an unknown name exits 2 and lists the known
+ones. With no name every mutant runs, which any change to a listed module
+should do before it is merged.
 
 Each entry names a module under src/qkdsim, an exact snippet that occurs
 once in it, its replacement, and the pytest node ids that must fail once
@@ -51,6 +56,9 @@ _REFUSES = "tests/test_adversary.py::test_collision_search_refuses_a_digest_it_c
 _BLOCKS = "tests/test_gf2_words.py::test_matvec_across_row_blocks_matches_int_reference_and_oracle"
 _RNG = "tests/test_gf2_words.py::test_rng_bytes_equals_generator_bytes"
 _RNG_LARGE = "tests/test_gf2_words.py::test_rng_bytes_equals_generator_bytes_on_a_large_key_matrix"
+_LAZY = "tests/test_gf2.py::test_lazy_and_packed_vectors_agree"
+_LARGE_KEYS = "tests/test_golden.py::test_large_baseline_matrix_and_keys_match_golden_digest"
+_BASELINE_DUMP = "tests/test_golden.py::test_trials_jsonl_matches_golden_digest[baseline-dump]"
 _PIPE = "tests/test_pipeline.py::"
 _STRUCT = _PIPE + "test_pos_field_matches_struct_pack"
 _LAYOUT = _PIPE + "test_log_serialization_frozen_layout"
@@ -230,6 +238,27 @@ MUTANTS = (
         (_RNG, _RNG_LARGE),
     ),
     Mutant(
+        "BitVector.value: lazy int packed big-endian",
+        "gf2.py",
+        'np.packbits(self._bits, bitorder="little"), "little")',
+        'np.packbits(self._bits, bitorder="big"), "little")',
+        (_LAZY, "tests/test_gf2.py::test_bitvector_basics"),
+    ),
+    Mutant(
+        "to_bytes_msb: lazy vector packed little-endian",
+        "gf2.py",
+        'return np.packbits(self._bits, bitorder="big").tobytes()',
+        'return np.packbits(self._bits, bitorder="little").tobytes()',
+        (_LAZY, "tests/test_gf2.py::test_hex_format_msb_first", _BASELINE_DUMP),
+    ),
+    Mutant(
+        "matvec: lazy operand packed big-endian",
+        "gf2.py",
+        'x = np.packbits(v._bits, bitorder="little")',
+        'x = np.packbits(v._bits, bitorder="big")',
+        (_LAZY, _LARGE_KEYS),
+    ),
+    Mutant(
         "matvec: short last block dropped",
         "gf2.py",
         "    for start in range(0, m.rows, step):\n",
@@ -301,9 +330,16 @@ MUTANTS = (
     Mutant(
         "Positions: equality with plain sequences dropped",
         "pipeline.py",
-        "        if isinstance(other, Sequence):\n"
+        "        if isinstance(other, Sequence) and not isinstance(other, _NOT_POSITIONS):\n"
         "            return self.tolist() == list(other)\n",
         "",
+        (_EQUAL,),
+    ),
+    Mutant(
+        "Positions: strings, byte strings and ranges compared as positions",
+        "pipeline.py",
+        " and not isinstance(other, _NOT_POSITIONS):",
+        ":",
         (_EQUAL,),
     ),
     Mutant(
@@ -422,6 +458,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "source_correlated: fused draw hands out Alice's bits and bases rows swapped",
+        "pipeline.py",
+        "alice_bits, alice_bases, bob_bases = map(BitVector.from_array, rows)",
+        "alice_bases, alice_bits, bob_bases = map(BitVector.from_array, rows)",
+        (_PIPE + "test_front_end_matches_mask_oracle", _LARGE_FRONT_END, _LARGE_KEYS),
+    ),
+    Mutant(
         "sift: mismatched bases kept",
         "pipeline.py",
         "    keep = np.flatnonzero(own == peer_bases.bits())\n",
@@ -453,7 +496,7 @@ MUTANTS = (
             _PIPE + "test_reconcile_makes_keys_equal_exactly",
             _PIPE + "test_reconcile_correction_fraction_tracks_qber",
             _LARGE_FRONT_END,
-            "tests/test_golden.py::test_trials_jsonl_matches_golden_digest[baseline-dump]",
+            _BASELINE_DUMP,
         ),
     ),
     Mutant(
@@ -879,13 +922,30 @@ def _passing(copy: Path, tests: tuple[str, ...], timeout: float | None) -> list[
     return [t for t in tests if all(outcomes.get(t, [False]))]
 
 
-def main() -> int:
+def known_modules() -> list[str]:
+    """The modules that have mutants, by name without .py."""
+    return sorted({m.module.removesuffix(".py") for m in MUTANTS})
+
+
+def select(modules: list[str]) -> tuple[Mutant, ...]:
+    """The mutants of the named modules in list order; all of them when none is named."""
+    files = {f"{name}.py" for name in modules}
+    return tuple(m for m in MUTANTS if not files or m.module in files)
+
+
+def main(argv: list[str]) -> int:
+    unknown = [name for name in argv if name not in known_modules()]
+    if unknown:
+        print(f"unknown module: {', '.join(unknown)}", file=sys.stderr)
+        print(f"known modules: {', '.join(known_modules())}", file=sys.stderr)
+        return 2
+    mutants = select(argv)
     with tempfile.TemporaryDirectory(prefix="qkdsim-mutants-") as tmp:
         copy = Path(tmp)
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", copy)
-        every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        every_test = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
         start = time.monotonic()
         failing = set(every_test) - set(_passing(copy, every_test, None))
         limit = max(60.0, 5 * (time.monotonic() - start))
@@ -895,7 +955,7 @@ def main() -> int:
                 print(f"    {test}", file=sys.stderr)
             return 1
         survivors = []
-        for m in MUTANTS:
+        for m in mutants:
             path = copy / "src" / "qkdsim" / m.module
             original = path.read_text()
             if original.count(m.snippet) != 1:
@@ -914,9 +974,9 @@ def main() -> int:
                 print(f"    passes: {test}")
             if passing:
                 survivors.append(m.name)
-        print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed by every named test")
+        print(f"{len(mutants) - len(survivors)}/{len(mutants)} mutants killed by every named test")
         return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -122,6 +122,41 @@ def test_bits_cache_is_read_only_and_invisible(nv):
         assert list(v.bits()) == [(value >> i) & 1 for i in range(n)]
 
 
+@settings(deadline=None, database=None, max_examples=200)
+@given(
+    st.integers(0, 300).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, 2**32 - 1))
+    )
+)
+def test_lazy_and_packed_vectors_agree(case):
+    # A from_array vector holds only its bits until its int is read; every
+    # form it gives must be the one the int-built vector gives, both while
+    # its int is unread (the bytes then come from the bits) and once it is.
+    n, value, seed = case
+    packed = BitVector(n, value)
+    arr = np.array([(value >> i) & 1 for i in range(n)], np.uint8)
+    m = random_matrix(5, n, np.random.default_rng(seed))
+    product = matvec(m, packed)
+    for value_first in (False, True):
+        lazy = BitVector.from_array(arr)
+        if value_first:
+            assert lazy.value == value
+        assert list(lazy.bits()) == list(packed.bits())
+        assert lazy.to_bytes_msb() == packed.to_bytes_msb() == pack_bits_msb(value, n)
+        assert lazy.to_hex() == packed.to_hex()
+        assert render_payload(lazy) == render_payload(packed)
+        assert matvec(m, lazy).to_bytes_msb() == product.to_bytes_msb()
+        assert (lazy._value is None) is not value_first  # nothing above packed it
+        assert lazy.value == value
+        assert lazy == packed and packed == lazy
+        assert hash(lazy) == hash(packed)
+        assert lazy.popcount() == packed.popcount() == value.bit_count()
+        assert [lazy[i] for i in range(n)] == [packed[i] for i in range(n)]
+        for k in sorted({0, n // 3, n}):
+            assert lazy.first(k) == packed.first(k) and lazy.last(k) == packed.last(k)
+        assert matvec(m, lazy) == product
+
+
 def test_from_array_copies_its_input():
     arr = np.array([1, 0, 1, 1, 0], np.uint8)
     v = BitVector.from_array(arr)

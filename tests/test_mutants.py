@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mutants import MUTANTS, ROOT, _passing
+from mutants import MUTANTS, ROOT, _passing, known_modules, main, select
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
@@ -28,6 +28,25 @@ def test_mutant_names_existing_tests(mutant):
     for node in mutant.tests:
         path, name = re.fullmatch(r"([\w/]+\.py)::(\w+)(?:\[.*\])?", node).groups()
         assert f"\ndef {name}(" in Path(ROOT / path).read_text(), node
+
+
+def test_select_keeps_the_named_modules_mutants_in_order():
+    assert select([]) == MUTANTS
+    chosen = select(["gf2", "pipeline"])
+    assert chosen == tuple(m for m in MUTANTS if m.module in ("gf2.py", "pipeline.py"))
+    assert {m.module for m in chosen} == {"gf2.py", "pipeline.py"}
+    assert "gf2" in known_modules() and "pipeline" in known_modules()
+    assert {m for name in known_modules() for m in select([name])} == set(MUTANTS)
+
+
+def test_an_unknown_module_exits_2_and_lists_the_known_ones(capsys, monkeypatch):
+    # Refused before any copy is made or any mutant runs.
+    monkeypatch.setattr("mutants._passing", lambda *a: pytest.fail("a mutant ran"))
+    monkeypatch.setattr("mutants.tempfile", None)
+    assert main(["gf2", "nosuchmodule"]) == 2
+    err = capsys.readouterr().err
+    assert "nosuchmodule" in err
+    assert f"known modules: {', '.join(known_modules())}" in err
 
 
 # A test that forks a child, leaves its pid in child.pid, and, like the child,

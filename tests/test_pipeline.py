@@ -117,6 +117,18 @@ def test_source_mismatch_rate_tracks_qber():
     assert 0.04 <= rate <= 0.06
 
 
+def test_default_session_packs_no_front_end_int():
+    # The front end's vectors are read only as bits or as bytes, so a whole
+    # default session never packs their ints; a stage that starts reading
+    # .value on the hot path fails here.
+    result = run_session(make_params(), 1)
+    alice, bob = result.alice.state, result.bob.state
+    assert result.alice.verdict is result.bob.verdict is Verdict.ACCEPT
+    for state in (alice, bob):
+        for v in (state.raw_bits, state.bases, state.sifted, state.sifted_bases):
+            assert v._value is None
+
+
 # ------------------------------------------------------------------- sift
 
 
@@ -580,7 +592,18 @@ def test_positions_equal_their_sequences_both_ways(ps):
     for other in (list(ps) + [1], tuple(ps[1:]) or (7,), Positions(list(ps) + [2])):
         assert p != other and other != p
     assert p != 3 and p != {*ps}
+    # Strings, byte strings and ranges are sequences that the tuple p stands
+    # for equals none of, most of them hashed unlike it, so p equals none.
+    codes = [q % 256 for q in ps]
+    texts = (bytes(codes), bytearray(codes), memoryview(bytes(codes)), "".join(map(chr, codes)))
+    for text in (*texts, range(len(ps))):
+        assert tuple(ps) != text
+        assert p != text and text != p
+        assert not (p == text) and not (text == p)
     assert hash(p) == hash(tuple(ps))
+    cases = (([1, 2], b"\x01\x02"), ([], ""), ([1], bytearray(b"\x01")), ([0, 1], range(2)))
+    for positions, text in cases:
+        assert Positions(positions) != text and text != Positions(positions)
 
 
 def test_positions_iterate_and_index_as_python_ints():
