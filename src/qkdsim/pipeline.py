@@ -84,11 +84,6 @@ class SessionParams:
             raise ValueError("hash_width must lie in [1, 256]")
 
 
-# Sequences that the tuple of a Positions never equals, most of them hashed
-# unlike it: a Positions equals none of them either.
-_NOT_POSITIONS = (str, bytes, bytearray, memoryview, range)
-
-
 class Positions(Sequence):
     """An immutable sequence of key positions, held as a read-only u32 array.
 
@@ -97,9 +92,9 @@ class Positions(Sequence):
     protocol log writes (log_field), and read back through a view of those
     bytes, which numpy refuses to make writable again. Iteration and
     indexing give Python ints, and a Positions equals, and hashes like, the
-    tuple of its positions; like that tuple, it equals no str, bytes,
-    bytearray, memoryview or range. A position outside [0, 2**32) is a
-    struct.error, as in struct.pack.
+    tuple of its positions. It also equals the list of them, and no other
+    sequence. A position outside [0, 2**32) is a struct.error, as in
+    struct.pack.
     """
 
     __slots__ = ("_packed", "_a")
@@ -132,7 +127,7 @@ class Positions(Sequence):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Positions):
             return self._packed == other._packed
-        if isinstance(other, Sequence) and not isinstance(other, _NOT_POSITIONS):
+        if isinstance(other, (list, tuple)):
             return self.tolist() == list(other)
         return NotImplemented
 

@@ -41,7 +41,7 @@ from .adversary import (
 from .channel import AttackStrategy, Channel, FrameType
 from .gf2 import BitMatrix, BitVector
 from .hardening import HardeningKind
-from .pipeline import Positions, SessionParams, SessionResult, Verdict, privacy_amplify, run_session
+from .pipeline import Positions, SessionParams, SessionResult, Verdict, run_session
 from .seeding import make_rng, trial_seed
 
 
@@ -192,14 +192,13 @@ def _dump_session(result: SessionResult) -> dict:
     }
 
 
-def _frame_trial(make_strategy, dump=None) -> Callable[..., tuple]:
+def _frame_trial(make_strategy) -> Callable[..., tuple]:
     """Trial function of an attack that tampers with frames on the channel.
 
     make_strategy(opts, tail_len, adv_rng) builds the channel strategy,
     whose outcome(result) gives whether the attack had its effect and the
     attack's own aux entries. The attack only counts as a success when it
-    also goes undetected, i.e. Bob still accepts. dump(result, params), when
-    given, adds the attack's own entries to a dumped session.
+    also goes undetected, i.e. Bob still accepts.
     """
 
     def trial(config: ScenarioConfig, seed: int, opts: dict, dump_states: bool):
@@ -215,21 +214,10 @@ def _frame_trial(make_strategy, dump=None) -> Callable[..., tuple]:
             aux["matrices_equal"] = result.alice.state.pa_matrix == result.bob.state.pa_matrix
         if dump_states:
             aux["dump"] = _dump_session(result)
-            if dump is not None:
-                aux["dump"].update(dump(result, config.params))
         success = effect and result.bob.verdict is Verdict.ACCEPT
         return (*_verdicts(result), _keys_equal(result), success, aux)
 
     return trial
-
-
-def _flip_entry_dump(result: SessionResult, params: SessionParams) -> dict:
-    # Only the matrix frame is tampered with, so the untampered session's Bob
-    # is this Bob amplified with Alice's matrix.
-    honest = dataclasses.replace(result.bob.state)
-    if result.alice.state.pa_matrix is not None:
-        privacy_amplify(honest, result.alice.state.pa_matrix, params)
-    return {"honest_bob": render_payload(honest)}
 
 
 def _collision_trial(config: ScenarioConfig, seed: int, opts: dict, dump_states: bool):
@@ -344,10 +332,7 @@ _ATTACKS: dict[str, _Attack] = {
     # is shorter than the raw key.
     "flip-entry": _Attack(
         {"row": _Option(int, 0, hi="key_len - tail_len"), "col": _Option(int, 0, hi="n_raw")},
-        _frame_trial(
-            lambda opts, tail, rng: FlipEntryStrategy(opts["row"], opts["col"], tail),
-            _flip_entry_dump,
-        ),
+        _frame_trial(lambda opts, tail, rng: FlipEntryStrategy(opts["row"], opts["col"], tail)),
     ),
     "zero-rows": _Attack({}, _frame_trial(lambda opts, tail, rng: ZeroRowsStrategy(tail))),
     "extract-bits": _Attack(

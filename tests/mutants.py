@@ -330,7 +330,7 @@ MUTANTS = (
     Mutant(
         "Positions: equality with plain sequences dropped",
         "pipeline.py",
-        "        if isinstance(other, Sequence) and not isinstance(other, _NOT_POSITIONS):\n"
+        "        if isinstance(other, (list, tuple)):\n"
         "            return self.tolist() == list(other)\n",
         "",
         (_EQUAL,),
@@ -338,8 +338,8 @@ MUTANTS = (
     Mutant(
         "Positions: strings, byte strings and ranges compared as positions",
         "pipeline.py",
-        " and not isinstance(other, _NOT_POSITIONS):",
-        ":",
+        "        if isinstance(other, (list, tuple)):\n",
+        "        if isinstance(other, Sequence):\n",
         (_EQUAL,),
     ),
     Mutant(
@@ -706,6 +706,13 @@ MUTANTS = (
         "run_session(params, capture_seed, Channel()",
         "run_session(params, seed, Channel()",
         ("tests/test_golden.py::test_trials_jsonl_matches_golden_digest",),
+    ),
+    Mutant(
+        "session dump: Bob's state under alice",
+        "scenarios.py",
+        '"alice": render_payload(result.alice.state),',
+        '"alice": render_payload(result.bob.state),',
+        (_SCEN + "test_flip_entry_dump_holds_bob_of_the_untampered_session",),
     ),
     Mutant(
         "frame trial: success without Bob's ACCEPT",

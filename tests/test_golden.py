@@ -4,11 +4,11 @@ A refactor or speed-up must never change a trial's outcome. Each case runs a
 builtin for a few trials and compares the SHA-256 of what
 write_trials_jsonl writes against the digest recorded when the case was
 added. The dump cases cover the --dump-states records: baseline's passive
-transcript, flip-entry's honest_bob entry, extract-bits, a matrix-in-log
-session whose log carries the matrix, derived-matrix sessions with no
-matrix frame and two derived matrices, the collision attack, whose record
-dumping leaves as it is, and otp-malleability, whose record holds its
-session's dump. Two separate cases pin baseline at the large n_raw = 131072
+transcript, flip-entry's session with Bob's tampered matrix, extract-bits,
+a matrix-in-log session whose log carries the matrix, derived-matrix
+sessions with no matrix frame and two derived matrices, the collision
+attack, whose record dumping leaves as it is, and otp-malleability, whose
+record holds its session's dump. Two separate cases pin baseline at the large n_raw = 131072
 that the benchmark's large-key workload runs: its trials.jsonl, which
 records only verdicts and key equality, and the amplification matrix and
 final keys themselves.
@@ -37,7 +37,7 @@ GOLDEN = [
     ("harden-matrix-in-log-zero-rows", 16, False, "51f499d9fda6fe60e5acb5eceecb4c4c52a30949e0931c1e60cf7a5e9e9180fe"),
     ("harden-matrix-in-log-extract-bits", 16, False, "09823c8e09ec04d543bcab4b4c1929eb0c4cc178f6d0620322fdea768d4fd1c8"),
     ("harden-derived-matrix", 16, False, "7f8db92c42c4a8379470bba1c979adcb2c00994e0ce9fd1e889dba6dc32f9631"),
-    ("flip-entry", 2, True, "04c45ff4e44091070e85352a50893714b1d20f6f5a6cccf33daec14c87805544"),
+    ("flip-entry", 2, True, "e5d1d18110c498b425dc21c93660677ae78ffeef873731e4d4ea1b1c3f33c1d0"),
     ("extract-bits", 2, True, "0f6fd83efeeef87de8bc137ad0f598bbbc398e029b8d4adcb88b548942869a5f"),
     ("harden-matrix-in-log-randomize-rows", 2, True, "d14dc43751ffc83ed3294a65cc6199f54d6bc14517703f119a4b6aa093b4bd8c"),
     ("collision-impersonation", 2, True, "562ed43dd3f3a110a99c051ae9eb04a7d37544f6631c70872f153722512c7848"),

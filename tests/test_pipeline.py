@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import hashlib
 import hmac
 import json
 import struct
+from collections import UserString, deque
 from fractions import Fraction
 
 import numpy as np
@@ -592,18 +594,29 @@ def test_positions_equal_their_sequences_both_ways(ps):
     for other in (list(ps) + [1], tuple(ps[1:]) or (7,), Positions(list(ps) + [2])):
         assert p != other and other != p
     assert p != 3 and p != {*ps}
-    # Strings, byte strings and ranges are sequences that the tuple p stands
-    # for equals none of, most of them hashed unlike it, so p equals none.
+    # The tuple p stands for equals no other sequence, most of them hashed
+    # unlike it, so p equals none: not strings, byte strings or ranges, nor
+    # deques, array.arrays or UserStrings of the same items.
     codes = [q % 256 for q in ps]
-    texts = (bytes(codes), bytearray(codes), memoryview(bytes(codes)), "".join(map(chr, codes)))
-    for text in (*texts, range(len(ps))):
-        assert tuple(ps) != text
-        assert p != text and text != p
-        assert not (p == text) and not (text == p)
+    text = "".join(map(chr, codes))
+    texts = (bytes(codes), bytearray(codes), memoryview(bytes(codes)), text, UserString(text))
+    items = (deque(ps), array.array("Q", ps))
+    for other in (*texts, range(len(ps)), *items):
+        assert tuple(ps) != other
+        assert p != other and other != p
+        assert not (p == other) and not (other == p)
     assert hash(p) == hash(tuple(ps))
-    cases = (([1, 2], b"\x01\x02"), ([], ""), ([1], bytearray(b"\x01")), ([0, 1], range(2)))
-    for positions, text in cases:
-        assert Positions(positions) != text and text != Positions(positions)
+    cases = (
+        ([1, 2], b"\x01\x02"),
+        ([], ""),
+        ([], UserString("")),
+        ([1], bytearray(b"\x01")),
+        ([0, 1], range(2)),
+        ([], deque()),
+        ([0, 1], array.array("I", [0, 1])),
+    )
+    for positions, other in cases:
+        assert Positions(positions) != other and other != Positions(positions)
 
 
 def test_positions_iterate_and_index_as_python_ints():
