@@ -4,9 +4,11 @@ A vector holds its bits in one form or both: as a Python int, bit i at bit
 position i (LSB first), so XOR, AND and popcount run word-parallel on
 arbitrary lengths; or unpacked, as a read-only uint8 0/1 array (bits()).
 A vector built from an int unpacks it on the first bits() call, and one
-built from an array (from_array) packs its int on the first read of value,
-so numpy stages never convert a vector that only numpy reads. Its bytes
-(to_bytes_msb, matvec's operand) come from whichever form it already
+built from an array packs its int on the first read of value, so numpy
+stages never convert a vector that only numpy reads. from_array copies the
+array it is given; the stages wrap each array they have just built with
+BitVector._adopt, which freezes it in place with no copy. A vector's
+bytes (to_bytes_msb, matvec's operand) come from whichever form it already
 holds. Values are kept canonical: bits at positions >= len are always
 zero, which makes equality and hashing plain int comparisons; they read
 the int, so two vectors compare and hash alike whichever form each was
@@ -21,6 +23,12 @@ matrix-sized temporary (1.83 MB at n_raw = 131072) page-faults on every
 product, while a block-sized one is reused from the heap. Matrices are
 immutable; operations that change one return a new matrix built on a copy
 of the array.
+
+A matrix makes its MSB-first bytes (to_bytes_msb) on first use and keeps
+them. A matrix made by replace_rows or flip_entry keeps its source until
+then, and splices its bytes out of the source's, reversing only the rows
+it changed: in a matrix_in_log session, once Alice's matrix is serialized,
+Bob's tampered one costs a copy plus the 1 or 128 rows the attack wrote.
 """
 
 from __future__ import annotations
@@ -131,7 +139,16 @@ class BitVector:
         bits() returns, so arr is never aliased and may change afterwards.
         Its int is packed from those bits on the first read of value.
         """
-        bits = np.not_equal(arr, 0).view(np.uint8)
+        return cls._adopt(np.not_equal(arr, 0).view(np.uint8))
+
+    @classmethod
+    def _adopt(cls, bits: np.ndarray) -> "BitVector":
+        """Wrap a fresh 1-D uint8 array of 0s and 1s, with no copy or check.
+
+        Freezes bits, which becomes the vector's bits(). The caller has just
+        built the array and keeps no writable handle on it; from_array is
+        the constructor for any other array.
+        """
         bits.flags.writeable = False
         v = cls.__new__(cls)
         v.n, v._value, v._bits = len(bits), None, bits
@@ -190,8 +207,8 @@ class BitVector:
         """Bits as a read-only numpy uint8 array, index i = bit i.
 
         A vector built from an int unpacks it on first use and caches the
-        array; one built by from_array returns its own. Later calls return
-        the same array.
+        array; one built from an array (from_array, _adopt) returns that
+        array. Later calls return the same array.
         """
         if self._bits is None:
             raw = self._value.to_bytes((self.n + 7) // 8, "little")
@@ -216,9 +233,14 @@ class BitMatrix:
     Row i is packed[i], the row's ceil(cols / 8) bytes LSB first: entry
     (i, j) is bit j % 8 of byte j // 8, and the pad bits past cols in the
     last byte are zero.
+
+    Its MSB-first bytes (to_bytes_msb) are made on first use and kept in
+    _msb. A matrix that replace_rows or flip_entry made from a source keeps
+    (source, start, stop) in _edit until then: its bytes are the source's
+    with only rows [start, stop) reversed anew.
     """
 
-    __slots__ = ("rows", "cols", "packed")
+    __slots__ = ("rows", "cols", "packed", "_msb", "_edit")
 
     def __init__(self, row_values: Sequence[int], cols: int):
         if cols < 0:
@@ -231,11 +253,15 @@ class BitMatrix:
         buf = bytearray().join(r.to_bytes(nbytes, "little") for r in values)  # writable
         self._adopt(np.frombuffer(buf, np.uint8).reshape(len(values), nbytes), cols)
 
-    def _adopt(self, packed: np.ndarray, cols: int) -> "BitMatrix":
+    def _adopt(
+        self, packed: np.ndarray, cols: int, edit: tuple["BitMatrix", int, int] | None = None
+    ) -> "BitMatrix":
         """Take ownership of a writable (rows, ceil(cols / 8)) uint8 array.
 
         Zeroes the pad bits past cols in each row's last byte, freezes the
-        array and returns self. Every constructor ends here.
+        array and returns self. Every constructor ends here; an edit
+        (source, start, stop) says that only rows [start, stop) differ from
+        those of the same-shaped matrix source.
         """
         if cols % 8:
             packed[:, -1] &= (1 << (cols % 8)) - 1
@@ -243,6 +269,8 @@ class BitMatrix:
         self.rows = packed.shape[0]
         self.cols = cols
         self.packed = packed
+        self._msb = None
+        self._edit = edit
         return self
 
     @classmethod
@@ -279,8 +307,23 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
     def to_bytes_msb(self) -> bytes:
-        """Rows concatenated, each packed MSB-first and byte-padded."""
-        return self.packed.tobytes().translate(_REV8)
+        """Rows concatenated, each packed MSB-first and byte-padded.
+
+        Made on the first call and returned by every later one. An edited
+        matrix splices its edited rows into its source's bytes, which it
+        asks for (and so caches) first.
+        """
+        if self._msb is None:
+            if self._edit is None:
+                self._msb = self.packed.tobytes().translate(_REV8)
+            else:
+                source, start, stop = self._edit
+                nbytes = self.packed.shape[1]
+                kept = memoryview(source.to_bytes_msb())
+                edited = self.packed[start:stop].tobytes().translate(_REV8)
+                self._msb = b"".join((kept[: start * nbytes], edited, kept[stop * nbytes :]))
+                self._edit = None  # the bytes no longer need the source
+        return self._msb
 
     def to_hex_lines(self) -> list[str]:
         """Dimension header line, then one length-prefixed hex row per line.
@@ -318,7 +361,7 @@ def matvec(m: BitMatrix, v: BitVector) -> BitVector:
         anded = buf[: len(block)]
         np.bitwise_and(block, x, out=anded)
         np.bitwise_xor.reduce(anded, axis=1, out=folded[start : start + len(block)])
-    return BitVector.from_array(np.bitwise_count(folded) & 1)
+    return BitVector._adopt(np.bitwise_count(folded) & 1)
 
 
 def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> BitMatrix:
@@ -363,7 +406,7 @@ def replace_rows(m: BitMatrix, start: int, rows: BitMatrix) -> BitMatrix:
         raise ValueError(f"length mismatch: rows of {rows.cols} vs cols {m.cols}")
     packed = m.packed.copy()
     packed[start:stop] = rows.packed
-    return BitMatrix.__new__(BitMatrix)._adopt(packed, m.cols)
+    return BitMatrix.__new__(BitMatrix)._adopt(packed, m.cols, (m, start, stop))
 
 
 def flip_entry(m: BitMatrix, i: int, j: int) -> BitMatrix:
@@ -374,4 +417,4 @@ def flip_entry(m: BitMatrix, i: int, j: int) -> BitMatrix:
         raise IndexError(f"column {j} out of range for cols {m.cols}")
     packed = m.packed.copy()
     packed[i, j >> 3] ^= 1 << (j & 7)
-    return BitMatrix.__new__(BitMatrix)._adopt(packed, m.cols)
+    return BitMatrix.__new__(BitMatrix)._adopt(packed, m.cols, (m, i, i + 1))

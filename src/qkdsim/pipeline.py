@@ -115,6 +115,18 @@ class Positions(Sequence):
         self._packed = positions.astype(">u4").tobytes()
         self._a = np.frombuffer(self._packed, dtype=">u4")
 
+    @classmethod
+    def _from_indices(cls, indices: np.ndarray) -> "Positions":
+        """Positions of a 1-D integer array that indexes a key, with no checks.
+
+        The stages' sorted index arrays (choice, flatnonzero) already lie in
+        [0, n_raw), inside the u32 range that Positions(...) checks for.
+        """
+        p = cls.__new__(cls)
+        p._packed = indices.astype(">u4").tobytes()
+        p._a = np.frombuffer(p._packed, ">u4")
+        return p
+
     def __len__(self) -> int:
         return len(self._a)
 
@@ -239,13 +251,13 @@ def source_correlated(params: SessionParams, rng: np.random.Generator) -> tuple[
     probability qber; elsewhere his outcome is an independent fair bit.
     Alice's bits, her bases and Bob's bases are the three rows of one
     random_rows draw, which takes the bytes of three BitVector.random calls
-    in turn. Every vector here is built from its bits array and packs its
-    int only if something reads it, so a vector may hold its int, its bits
-    or both.
+    in turn. Every vector here wraps a bits array built here, uncopied, and
+    packs its int only if something reads it, so a vector may hold its int,
+    its bits or both.
     """
     n = params.n_raw
     rows = np.unpackbits(random_rows(3, n, rng).packed, axis=1, bitorder="little")[:, :n]
-    alice_bits, alice_bases, bob_bases = map(BitVector.from_array, rows)
+    alice_bits, alice_bases, bob_bases = map(BitVector._adopt, rows)
     matched = np.equal(alice_bases.bits(), bob_bases.bits())
     noise = (rng.random(n) < params.qber).view(np.uint8)
     # Exactly rng.integers(0, 2, n, dtype=np.uint8), end state included: for
@@ -254,7 +266,7 @@ def source_correlated(params: SessionParams, rng: np.random.Generator) -> tuple[
     # 0/1 select: alice ^ noise where matched, fresh elsewhere
     bob_arr = fresh ^ (matched & (alice_bits.bits() ^ noise ^ fresh))
     alice = PartyState(role="A", raw_bits=alice_bits, bases=alice_bases)
-    bob = PartyState(role="B", raw_bits=BitVector.from_array(bob_arr), bases=bob_bases)
+    bob = PartyState(role="B", raw_bits=BitVector._adopt(bob_arr), bases=bob_bases)
     return alice, bob
 
 
@@ -265,6 +277,7 @@ def sift(state: PartyState, peer_bases: BitVector, peer: PartyState | None = Non
     positions too: it keeps its own raw bits there and shares state's
     sifted_bases, since both parties' bases agree wherever they are kept.
     The stages select by index array (flatnonzero, take): a random mask is branch-bound.
+    Each take is a fresh array, which its vector wraps uncopied.
     """
     if len(peer_bases) != len(state.bases):
         raise ValueError(
@@ -272,10 +285,10 @@ def sift(state: PartyState, peer_bases: BitVector, peer: PartyState | None = Non
         )
     own = state.bases.bits()
     keep = np.flatnonzero(own == peer_bases.bits())
-    state.sifted = BitVector.from_array(state.raw_bits.bits().take(keep))
-    state.sifted_bases = BitVector.from_array(own.take(keep))
+    state.sifted = BitVector._adopt(state.raw_bits.bits().take(keep))
+    state.sifted_bases = BitVector._adopt(own.take(keep))
     if peer is not None:
-        peer.sifted = BitVector.from_array(peer.raw_bits.bits().take(keep))
+        peer.sifted = BitVector._adopt(peer.raw_bits.bits().take(keep))
         peer.sifted_bases = state.sifted_bases
 
 
@@ -300,15 +313,15 @@ def estimate_error(
     sample = a.take(positions)
     mismatches = int(np.count_nonzero(sample != b.take(positions)))
     rate = Fraction(mismatches, k)
-    disclosed = BitVector.from_array(sample)
+    disclosed = BitVector._adopt(sample)
     keep = np.ones(n, dtype=bool)
     keep[positions] = False
     rest = np.flatnonzero(keep)
-    disclosed_at = Positions(positions)
+    disclosed_at = Positions._from_indices(positions)
     for state, arr in ((alice, a), (bob, b)):
         state.est_positions = disclosed_at
         state.est_rate = rate
-        state.sifted = BitVector.from_array(arr.take(rest))
+        state.sifted = BitVector._adopt(arr.take(rest))
     return EstimationResult(
         rate=rate,
         positions=disclosed_at,
@@ -327,7 +340,7 @@ def reconcile(alice: PartyState, bob: PartyState) -> Positions:
     """
     if alice.est_rate is None or bob.est_rate is None:
         raise ProtocolError("missing pipeline stage: error estimation before reconciliation")
-    positions = Positions(np.flatnonzero(alice.sifted.bits() != bob.sifted.bits()))
+    positions = Positions._from_indices(np.flatnonzero(alice.sifted.bits() != bob.sifted.bits()))
     alice.reconciled = bob.reconciled = alice.sifted
     alice.corrected_positions = bob.corrected_positions = positions
     return positions

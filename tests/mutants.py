@@ -57,6 +57,7 @@ _BLOCKS = "tests/test_gf2_words.py::test_matvec_across_row_blocks_matches_int_re
 _RNG = "tests/test_gf2_words.py::test_rng_bytes_equals_generator_bytes"
 _RNG_LARGE = "tests/test_gf2_words.py::test_rng_bytes_equals_generator_bytes_on_a_large_key_matrix"
 _LAZY = "tests/test_gf2.py::test_lazy_and_packed_vectors_agree"
+_SPLICE = "tests/test_gf2_words.py::test_edited_matrix_bytes_equal_a_full_reversal"
 _LARGE_KEYS = "tests/test_golden.py::test_large_baseline_matrix_and_keys_match_golden_digest"
 _BASELINE_DUMP = "tests/test_golden.py::test_trials_jsonl_matches_golden_digest[baseline-dump]"
 _PIPE = "tests/test_pipeline.py::"
@@ -67,6 +68,7 @@ _EQUAL = _PIPE + "test_positions_equal_their_sequences_both_ways"
 _VERIFY = _PIPE + "test_verify_accepts_valid_and_rejects_modified"
 _VERIFY_PROPERTY = "tests/test_gf2_words.py::test_verify_agrees_with_digest_check"
 _HONEST = _PIPE + "test_honest_sessions_complete_and_agree"
+_FROZEN = _PIPE + "test_session_vectors_hold_frozen_bits_of_zeros_and_ones"
 _IN_LOG = "tests/test_hardening.py::test_matrix_in_log_changes_serialization"
 _DETECTS = "tests/test_adversary.py::test_matrix_in_log_detects_every_frame_attack"
 _OWN_MATRIX = "tests/test_adversary.py::test_each_party_amplifies_with_its_own_matrix"
@@ -280,6 +282,43 @@ MUTANTS = (
         (_BLOCKS,),
     ),
     Mutant(
+        "BitVector._adopt: adopted array left writable",
+        "gf2.py",
+        "        bits.flags.writeable = False\n        v = cls.__new__(cls)\n",
+        "        v = cls.__new__(cls)\n",
+        (_FROZEN, "tests/test_gf2.py::test_bits_cache_is_read_only_and_invisible"),
+    ),
+    Mutant(
+        "to_bytes_msb: edited rows spliced one row late",
+        "gf2.py",
+        "(kept[: start * nbytes], edited, kept[stop * nbytes :])",
+        "(kept[: (start + 1) * nbytes], edited, kept[(stop + 1) * nbytes :])",
+        (_SPLICE,),
+    ),
+    Mutant(
+        "replace_rows: lineage recorded against the block, not the source",
+        "gf2.py",
+        "(packed, m.cols, (m, start, stop))",
+        "(packed, m.cols, (rows, start, stop))",
+        (_SPLICE,),
+    ),
+    Mutant(
+        "flip_entry: lineage covers no row",
+        "gf2.py",
+        "(packed, m.cols, (m, i, i + 1))",
+        "(packed, m.cols, (m, i, i))",
+        (_SPLICE,),
+    ),
+    Mutant(
+        "Positions._from_indices: little-endian u32",
+        "pipeline.py",
+        '        p._packed = indices.astype(">u4").tobytes()\n'
+        '        p._a = np.frombuffer(p._packed, ">u4")\n',
+        '        p._packed = indices.astype("<u4").tobytes()\n'
+        '        p._a = np.frombuffer(p._packed, "<u4")\n',
+        (_FROZEN, _BASELINE_DUMP),
+    ),
+    Mutant(
         "Positions: little-endian u32",
         "pipeline.py",
         '        self._packed = positions.astype(">u4").tobytes()\n'
@@ -347,10 +386,14 @@ MUTANTS = (
         "pipeline.py",
         '        self._a = np.frombuffer(self._packed, dtype=">u4")\n',
         "        self._a = positions\n",
-        (
-            _PIPE + "test_positions_cannot_be_written_in_place",
-            _PIPE + "test_strategy_cannot_change_recorded_positions_through_frames",
-        ),
+        (_PIPE + "test_positions_cannot_be_written_in_place",),
+    ),
+    Mutant(
+        "Positions._from_indices: a view of the stage's array kept",
+        "pipeline.py",
+        '        p._a = np.frombuffer(p._packed, ">u4")\n',
+        "        p._a = indices\n",
+        (_PIPE + "test_strategy_cannot_change_recorded_positions_through_frames",),
     ),
     Mutant(
         "verify: MAC check skipped",
@@ -460,8 +503,8 @@ MUTANTS = (
     Mutant(
         "source_correlated: fused draw hands out Alice's bits and bases rows swapped",
         "pipeline.py",
-        "alice_bits, alice_bases, bob_bases = map(BitVector.from_array, rows)",
-        "alice_bases, alice_bits, bob_bases = map(BitVector.from_array, rows)",
+        "alice_bits, alice_bases, bob_bases = map(BitVector._adopt, rows)",
+        "alice_bases, alice_bits, bob_bases = map(BitVector._adopt, rows)",
         (_PIPE + "test_front_end_matches_mask_oracle", _LARGE_FRONT_END, _LARGE_KEYS),
     ),
     Mutant(
@@ -490,7 +533,8 @@ MUTANTS = (
     Mutant(
         "reconcile: no corrected position recorded",
         "pipeline.py",
-        "positions = Positions(np.flatnonzero(alice.sifted.bits() != bob.sifted.bits()))",
+        "positions = Positions._from_indices("
+        "np.flatnonzero(alice.sifted.bits() != bob.sifted.bits()))",
         "positions = Positions([])",
         (
             _PIPE + "test_reconcile_makes_keys_equal_exactly",

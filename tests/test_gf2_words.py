@@ -10,7 +10,8 @@ checked against Generator.bytes itself: same bytes and same generator
 state afterwards, from fresh generators and from ones holding a buffered
 half-word; the top bits of its bytes against Generator.integers(0, 2),
 the fair bits the source draws. The hex formats are checked to
-round-trip through the independent reader in oracles. The last test
+round-trip through the independent reader in oracles, and an edited
+matrix's spliced bytes against a full reversal of its rows. The last test
 checks that verify accepts a tag exactly when its MAC holds and its
 digest equals the checking party's log digest.
 """
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_matvec_bitloop, oracle_matvec_numpy, read_hex, row_ints
 from qkdsim.gf2 import (
+    _REV8,
     MATVEC_BLOCK_BYTES,
     BitMatrix,
     BitVector,
@@ -189,6 +191,37 @@ def test_replace_rows_matches_int_reference(mc, data):
     block = BitMatrix([r.value for r in fresh], cols)
     assert row_ints(replace_rows(m, start, block)) == tuple(expected)
     assert row_ints(m) == tuple(values)  # the input is left unchanged
+
+
+@props
+@given(matrices(min_rows=1), st.data())
+def test_edited_matrix_bytes_equal_a_full_reversal(mc, data):
+    """An edit chain's spliced bytes equal each matrix's own, however serialized.
+
+    Each link is a flip_entry or a replace_rows of its source, which may or
+    may not have been serialized before the edit; the bytes are then read
+    last link first, twice each, so every cached and uncached source path
+    meets the reference.
+    """
+    values, cols = mc
+    chain = [BitMatrix(values, cols)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        source = chain[-1]
+        if data.draw(st.booleans()):
+            source.to_bytes_msb()
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, source.rows - 1))
+            chain.append(flip_entry(source, i, data.draw(st.integers(0, cols - 1))))
+        else:
+            start = data.draw(st.integers(0, source.rows))
+            stop = data.draw(st.integers(start, source.rows))
+            k = stop - start
+            fresh = data.draw(st.lists(row_vectors(cols), min_size=k, max_size=k))
+            chain.append(replace_rows(source, start, BitMatrix([r.value for r in fresh], cols)))
+    for m in reversed(chain):
+        expected = m.packed.tobytes().translate(_REV8)
+        assert m.to_bytes_msb() == expected
+        assert m.to_bytes_msb() == expected
 
 
 def generator(seed: int, earlier: list[int], buffered: bool) -> np.random.Generator:

@@ -131,6 +131,36 @@ def test_default_session_packs_no_front_end_int():
             assert v._value is None
 
 
+@pytest.mark.parametrize("bases_tampered", [False, True])
+@pytest.mark.parametrize("hardening", list(HardeningKind))
+def test_session_vectors_hold_frozen_bits_of_zeros_and_ones(hardening, bases_tampered):
+    # The stages wrap the arrays they build without a copy; every vector of
+    # a session must still give a read-only uint8 bits() of 0s and 1s that
+    # matches its int, and every Positions the log's big-endian u32s.
+    # Tampered BASES frames send each party through its own sift (and make
+    # the logs differ, so both reject).
+    channel = Channel(_BasesBitFlip(5) if bases_tampered else None)
+    result = run_session(make_params(), 2, channel=channel, hardening=hardening)
+    verdict = Verdict.REJECT if bases_tampered else Verdict.ACCEPT
+    assert result.alice.verdict is result.bob.verdict is verdict
+    (est_values,) = result.channel.frames(FrameType.EST_VALUES)
+    vectors = [est_values.frame.payload]  # the estimation's disclosed_values
+    for state in (result.alice.state, result.bob.state):
+        fields = [getattr(state, f.name) for f in dataclasses.fields(state)]
+        vectors += [v for v in fields if isinstance(v, BitVector)]
+        for p in (state.est_positions, state.corrected_positions):
+            assert p.log_field() == struct.pack(f">{len(p) + 1}I", len(p), *p)
+    assert len(vectors) == 1 + 2 * 8
+    for v in vectors:
+        bits = v.bits()
+        assert bits.dtype == np.uint8 and bits.shape == (v.n,)
+        assert not bits.flags.writeable
+        with pytest.raises(ValueError):
+            bits[:1] = 1
+        assert bits.max() <= 1
+        assert np.array_equal(BitVector(v.n, v.value).bits(), bits)
+
+
 # ------------------------------------------------------------------- sift
 
 
